@@ -1,6 +1,7 @@
-"""Rebuild the pinned golden report files under tests/golden/.
+"""Rebuild the pinned golden files under tests/golden/.
 
-Run from the repository root after an intentional change to report layout:
+These are three markdown reports and the `interdep schema` dump. Run from
+the repository root after an intentional change to either:
 
     python3 scripts/regenerate_goldens.py
 """
@@ -17,6 +18,7 @@ from interdep import (
     bundled_layout_text,
     load_layout,
 )
+from interdep.cli import main as cli_main
 from interdep.policies import parse_policy_spec, run_episode
 from interdep.trace_io import report_to_markdown, summary_to_markdown
 
@@ -50,6 +52,9 @@ def main() -> None:
 
     for name in ("report_passing.md", "report_solo.md", "summary_stochastic.md"):
         print(GOLDEN_DIR / name)
+
+    # Prints the path it writes.
+    cli_main(["schema", "--out", str(GOLDEN_DIR / "schema.json")])
 
 
 if __name__ == "__main__":

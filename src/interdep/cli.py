@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InterdepError
 from .grounding import vocabulary_dump
@@ -28,14 +28,7 @@ from .gridworld import EpisodeConfig, load_layout
 from .interdependence import analyze_trace, build_interaction_schema
 from .metrics import aggregate, build_report
 from .policies import parse_policy_spec, run_episode
-from .trace_io import (
-    read_report,
-    read_trace,
-    report_to_csv,
-    report_to_markdown,
-    summary_to_markdown,
-    trace_to_text,
-)
+from .trace_io import read_report, read_trace, write_report, write_trace
 
 LOG = logging.getLogger("interdep")
 
@@ -67,11 +60,12 @@ def _parse_seeds(text: str) -> list:
     return seeds
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write: Callable) -> None:
+    """Run `write(file)` on a temp file beside `path`, then rename it over."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -98,18 +92,6 @@ def _config_from_args(args) -> EpisodeConfig:
     )
 
 
-def _report_text(obj, fmt: str) -> str:
-    from .metrics import TeamReport
-
-    if fmt == "json":
-        return json.dumps(obj.to_dict(), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        return report_to_csv(obj)
-    if isinstance(obj, TeamReport):
-        return report_to_markdown(obj)
-    return summary_to_markdown(obj)
-
-
 def cmd_simulate(args) -> int:
     layout = _read_layout_file(args.layout)
     spec1 = parse_policy_spec(args.p1)
@@ -124,7 +106,7 @@ def cmd_simulate(args) -> int:
         LOG.info("simulating seed %d", seed)
         trace = run_episode(layout, config, spec1, spec2, seed)
         path = outdir / f"{stem}_{seed}{TRACE_SUFFIX}"
-        _atomic_write_text(path, trace_to_text(trace))
+        _atomic_write(path, lambda f: write_trace(trace, f))
         return path
 
     workers = max(1, min(args.jobs, len(seeds)))
@@ -137,6 +119,13 @@ def cmd_simulate(args) -> int:
 
 def _formats(arg: str) -> list:
     return list(REPORT_FORMATS) if arg == "all" else [arg]
+
+
+def _write_reports(obj, stem: str, formats: list, outdir: Path) -> None:
+    for fmt in formats:
+        path = outdir / f"{stem}{REPORT_FORMATS[fmt]}"
+        _atomic_write(path, lambda f: write_report(obj, fmt, f))
+        print(path)
 
 
 def cmd_analyze(args) -> int:
@@ -156,21 +145,12 @@ def cmd_analyze(args) -> int:
         report = build_report(ledger, mode=args.denominator, label=label)
         reports.append(report)
         if args.write_ledgers:
-            _atomic_write_text(
-                outdir / f"{label}.ledger.json",
-                json.dumps(ledger.to_dict(), sort_keys=True, indent=2) + "\n",
-            )
-        for fmt in formats:
-            path = outdir / f"{label}{REPORT_FORMATS[fmt]}"
-            _atomic_write_text(path, _report_text(report, fmt))
-            print(path)
+            text = json.dumps(ledger.to_dict(), sort_keys=True, indent=2) + "\n"
+            _atomic_write(outdir / f"{label}.ledger.json", lambda f: f.write(text))
+        _write_reports(report, label, formats, outdir)
 
     if len(reports) > 1:
-        summary = aggregate(reports)
-        for fmt in formats:
-            path = outdir / f"summary{REPORT_FORMATS[fmt]}"
-            _atomic_write_text(path, _report_text(summary, fmt))
-            print(path)
+        _write_reports(aggregate(reports), "summary", formats, outdir)
     return 0
 
 
@@ -179,10 +159,7 @@ def cmd_report(args) -> int:
     summary = aggregate(reports)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for fmt in _formats(args.format):
-        path = outdir / f"summary{REPORT_FORMATS[fmt]}"
-        _atomic_write_text(path, _report_text(summary, fmt))
-        print(path)
+    _write_reports(summary, "summary", _formats(args.format), outdir)
     return 0
 
 
@@ -193,7 +170,7 @@ def cmd_schema(args) -> int:
     payload = {"schema": schema.to_dict(), **vocabulary_dump()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        _atomic_write_text(Path(args.out), text)
+        _atomic_write(Path(args.out), lambda f: f.write(text))
         print(args.out)
     else:
         sys.stdout.write(text)

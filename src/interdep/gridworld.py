@@ -13,8 +13,8 @@ episode is fully reproducible from (layout, config, action sequence).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional
 
 from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCountError
 
@@ -152,7 +152,11 @@ class Layout:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Recipe, timing and termination knobs for one episode."""
+    """Recipe, timing and termination knobs for one episode.
+
+    Every field is an int, and the soup target, horizon, cook time and
+    onions per soup are at least 1; anything else raises ValueError.
+    """
 
     target_soups: int = 3
     horizon: int = 1000
@@ -160,18 +164,22 @@ class EpisodeConfig:
     reward_per_soup: int = 20
     onions_per_soup: int = 3
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"config {f.name} must be an integer, got {value!r}")
+        for name in ("target_soups", "horizon", "cook_time", "onions_per_soup"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"config {name} must be at least 1, got {value}")
+
     def to_dict(self) -> dict:
-        return {
-            "target_soups": self.target_soups,
-            "horizon": self.horizon,
-            "cook_time": self.cook_time,
-            "reward_per_soup": self.reward_per_soup,
-            "onions_per_soup": self.onions_per_soup,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -376,9 +384,9 @@ def initial_state(layout: Layout, config: EpisodeConfig) -> WorldState:
     )
 
 
-def is_terminal(state: WorldState, goal: Optional[EpisodeConfig] = None) -> bool:
+def is_terminal(state: WorldState) -> bool:
     """True once the soup target is met or the horizon is exhausted."""
-    cfg = goal if goal is not None else state.config
+    cfg = state.config
     return state.soups_delivered >= cfg.target_soups or state.t >= cfg.horizon
 
 

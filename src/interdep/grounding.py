@@ -10,11 +10,20 @@ to.
 Propositions split into shared fluents, observable surfaces both cooks act
 through (counters, pots), and private fluents (held items, the delivery
 tally) that can never link one cook's action to the other's.
+
+Each subtask's effects are written once, in the EFFECTS table, as
+propositions whose arguments name roles (the acting cook, the faced cell,
+the faced pot and its fill, the delivered count) instead of values.
+Grounding a step fills the roles in from the state; SUBTASK_TEMPLATES,
+which drives the interaction schema and the schema dump, is the same table
+projected to predicate names.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from . import gridworld as gw
@@ -23,15 +32,9 @@ from .gridworld import (
     GET_SOUP_POT,
     MOVE,
     NOOP,
-    PICKUP_DISH_COUNTER,
     PICKUP_DISH_DISPENSER,
-    PICKUP_ONION_COUNTER,
     PICKUP_ONION_DISPENSER,
-    PICKUP_SOUP_COUNTER,
-    PLACE_DISH_COUNTER,
-    PLACE_ONION_COUNTER,
     PLACE_ONION_POT,
-    PLACE_SOUP_COUNTER,
     SERVE_SOUP,
     Item,
     PotPhase,
@@ -111,10 +114,6 @@ def sort_props(props) -> tuple[Proposition, ...]:
     return tuple(sorted(props, key=Proposition.canonical))
 
 
-def shared_only(props: frozenset) -> frozenset:
-    return frozenset(p for p in props if p.shared)
-
-
 def ground_state(state: WorldState) -> frozenset:
     """The set of all propositions true in a world state.
 
@@ -152,15 +151,6 @@ class SymbolicAction:
     add: frozenset
     delete: frozenset
 
-    def shared_pre(self) -> frozenset:
-        return shared_only(self.pre)
-
-    def shared_add(self) -> frozenset:
-        return shared_only(self.add)
-
-    def shared_delete(self) -> frozenset:
-        return shared_only(self.delete)
-
 
 def resolve_subtask(state: WorldState, action: PrimitiveAction, agent: int) -> str:
     """The subtask this primitive action resolves to in this state."""
@@ -172,6 +162,97 @@ def resolve_subtask(state: WorldState, action: PrimitiveAction, agent: int) -> s
     return subtask
 
 
+# Pre, add and delete sets of every subtask, each written once. An argument
+# is a role filled in from the state at grounding time (i the acting cook,
+# x,y the faced cell, p the faced pot, n its onion count, k the soups
+# delivered so far) or a literal item name or count. A leading `?` marks an
+# add that holds only when the placement fills the pot: the step starts the
+# cook and owns the readiness cook_time ticks later, the one add not yet
+# true in the successor state.
+EFFECTS: dict[str, tuple[str, str, str]] = {
+    PICKUP_ONION_DISPENSER: (
+        "holding(i,nothing)",
+        "holding(i,onion)",
+        "holding(i,nothing)",
+    ),
+    PICKUP_DISH_DISPENSER: (
+        "holding(i,nothing)",
+        "holding(i,dish)",
+        "holding(i,nothing)",
+    ),
+    # Counters work alike for every item: taking one empties the counter,
+    # putting one down fills it.
+    **{
+        f"pickup-{item}-counter": (
+            f"holding(i,nothing) {item}-on-counter(x,y)",
+            f"holding(i,{item}) counter-empty(x,y)",
+            f"holding(i,nothing) {item}-on-counter(x,y)",
+        )
+        for item in ("onion", "dish", "soup")
+    },
+    **{
+        f"place-{item}-counter": (
+            f"holding(i,{item}) counter-empty(x,y)",
+            f"holding(i,nothing) {item}-on-counter(x,y)",
+            f"holding(i,{item}) counter-empty(x,y)",
+        )
+        for item in ("onion", "dish", "soup")
+    },
+    PLACE_ONION_POT: (
+        "holding(i,onion) pot-contains(p,n)",
+        "holding(i,nothing) pot-contains(p,n+1) ?soup-cooking(p) ?soup-ready(p)",
+        "holding(i,onion) pot-contains(p,n)",
+    ),
+    GET_SOUP_POT: (
+        "holding(i,dish) soup-ready(p)",
+        "holding(i,soup) pot-contains(p,0)",
+        "holding(i,dish) soup-ready(p) pot-contains(p,n)",
+    ),
+    SERVE_SOUP: (
+        "holding(i,soup)",
+        "holding(i,nothing) soups-delivered(k+1)",
+        "holding(i,soup) soups-delivered(k)",
+    ),
+    MOVE: ("", "", ""),
+    NOOP: ("", "", ""),
+}
+
+# Argument names in the order of the value tuple `_grounded_sets` builds.
+_LITERALS = ("nothing", "onion", "dish", "soup", 0)
+_ARG_NAMES = ("i", "x", "y", "p", "n", "n+1", "k", "k+1") + tuple(map(str, _LITERALS))
+
+
+@functools.cache
+def _compile(text: str) -> tuple:
+    """One effect set as ((conditional, predicate, argument getter), ...).
+
+    A getter picks a proposition's argument tuple out of the value tuple.
+    Cached, so equal sets (pre and del of most subtasks) compile to one
+    object and are grounded once.
+    """
+    out = []
+    for term in text.split():
+        predicate, _, args = term.lstrip("?").rstrip(")").partition("(")
+        idx = [_ARG_NAMES.index(a) for a in args.split(",")]
+        if len(idx) == 1:  # a one-index itemgetter returns a bare value
+            idx = [slice(idx[0], idx[0] + 1)]
+        out.append((term.startswith("?"), predicate, itemgetter(*idx)))
+    return tuple(out)
+
+
+_COMPILED = {name: tuple(map(_compile, sets)) for name, sets in EFFECTS.items()}
+
+
+def _instantiate(terms: tuple, values: tuple, fills: bool) -> frozenset:
+    return frozenset(
+        [
+            Proposition(predicate, getter(values))
+            for conditional, predicate, getter in terms
+            if fills or not conditional
+        ]
+    )
+
+
 def _grounded_sets(
     state: WorldState, agent: int, subtask: str
 ) -> tuple[frozenset, frozenset, frozenset]:
@@ -179,73 +260,21 @@ def _grounded_sets(
     if subtask in (MOVE, NOOP):
         empty = frozenset()
         return empty, empty, empty
-
-    me = state.player(agent)
-    cx, cy = me.facing_cell()
-    holding = lambda item: prop("holding", agent, item)  # noqa: E731
-
-    if subtask == PICKUP_ONION_DISPENSER:
-        return (
-            frozenset({holding("nothing")}),
-            frozenset({holding("onion")}),
-            frozenset({holding("nothing")}),
-        )
-    if subtask == PICKUP_DISH_DISPENSER:
-        return (
-            frozenset({holding("nothing")}),
-            frozenset({holding("dish")}),
-            frozenset({holding("nothing")}),
-        )
-    if subtask in (PICKUP_ONION_COUNTER, PICKUP_DISH_COUNTER, PICKUP_SOUP_COUNTER):
-        item = subtask.split("-")[1]
-        return (
-            frozenset({holding("nothing"), prop(f"{item}-on-counter", cx, cy)}),
-            frozenset({holding(item), prop("counter-empty", cx, cy)}),
-            frozenset({holding("nothing"), prop(f"{item}-on-counter", cx, cy)}),
-        )
-    if subtask in (PLACE_ONION_COUNTER, PLACE_DISH_COUNTER, PLACE_SOUP_COUNTER):
-        item = subtask.split("-")[1]
-        return (
-            frozenset({holding(item), prop("counter-empty", cx, cy)}),
-            frozenset({holding("nothing"), prop(f"{item}-on-counter", cx, cy)}),
-            frozenset({holding(item), prop("counter-empty", cx, cy)}),
-        )
-    if subtask == PLACE_ONION_POT:
-        idx = state.pot_index_at((cx, cy))
-        assert idx is not None
-        n = state.pots[idx].onion_count
-        add = {holding("nothing"), prop("pot-contains", idx, n + 1)}
-        if n + 1 == state.config.onions_per_soup:
-            # The pot starts cooking now; readiness arrives cook_time ticks
-            # later but belongs to this action, which is what set it in
-            # motion. This is the one add proposition not yet true in the
-            # successor state.
-            add.add(prop("soup-cooking", idx))
-            add.add(prop("soup-ready", idx))
-        return (
-            frozenset({holding("onion"), prop("pot-contains", idx, n)}),
-            frozenset(add),
-            frozenset({holding("onion"), prop("pot-contains", idx, n)}),
-        )
-    if subtask == GET_SOUP_POT:
-        idx = state.pot_index_at((cx, cy))
-        assert idx is not None
-        n = state.pots[idx].onion_count
-        return (
-            frozenset({holding("dish"), prop("soup-ready", idx)}),
-            frozenset({holding("soup"), prop("pot-contains", idx, 0)}),
-            frozenset(
-                {holding("dish"), prop("soup-ready", idx), prop("pot-contains", idx, n)}
-            ),
-        )
-    if subtask == SERVE_SOUP:
-        k = state.soups_delivered
-        return (
-            frozenset({holding("soup")}),
-            frozenset({holding("nothing"), prop("soups-delivered", k + 1)}),
-            frozenset({holding("soup"), prop("soups-delivered", k)}),
-        )
-    raise ValueError(f"unknown subtask {subtask!r}")
+    sets = _COMPILED.get(subtask)
+    if sets is None:
+        raise ValueError(f"unknown subtask {subtask!r}")
+    cell = state.player(agent).facing_cell()
+    pot = state.pot_index_at(cell)
+    n = 0 if pot is None else state.pots[pot].onion_count
+    k = state.soups_delivered
+    values = (agent, *cell, pot, n, n + 1, k, k + 1, *_LITERALS)
+    fills = n + 1 == state.config.onions_per_soup
+    pre, add, delete = sets
+    pre_props = _instantiate(pre, values, fills)
+    add_props = _instantiate(add, values, fills)
+    if delete is pre:
+        return pre_props, add_props, pre_props
+    return pre_props, add_props, _instantiate(delete, values, fills)
 
 
 def extract_symbolic_action(
@@ -274,68 +303,15 @@ def extract_symbolic_action(
     )
 
 
-# Predicate-level pre/add/del templates per subtask. These drive the static
-# derivation of which fluents can link two cooks' actions, and the schema
-# dump. place-onion-pot lists soup-cooking and soup-ready because its final
-# placement starts the cook and owns the eventual readiness.
+# Predicate-level projection of EFFECTS, conditional adds included. It
+# drives the static derivation of which fluents can link two cooks' actions,
+# and the schema dump.
 SUBTASK_TEMPLATES: dict[str, dict[str, frozenset]] = {
-    PICKUP_ONION_DISPENSER: {
-        "pre": frozenset({"holding"}),
-        "add": frozenset({"holding"}),
-        "del": frozenset({"holding"}),
-    },
-    PICKUP_ONION_COUNTER: {
-        "pre": frozenset({"holding", "onion-on-counter"}),
-        "add": frozenset({"holding", "counter-empty"}),
-        "del": frozenset({"holding", "onion-on-counter"}),
-    },
-    PICKUP_DISH_DISPENSER: {
-        "pre": frozenset({"holding"}),
-        "add": frozenset({"holding"}),
-        "del": frozenset({"holding"}),
-    },
-    PICKUP_DISH_COUNTER: {
-        "pre": frozenset({"holding", "dish-on-counter"}),
-        "add": frozenset({"holding", "counter-empty"}),
-        "del": frozenset({"holding", "dish-on-counter"}),
-    },
-    PICKUP_SOUP_COUNTER: {
-        "pre": frozenset({"holding", "soup-on-counter"}),
-        "add": frozenset({"holding", "counter-empty"}),
-        "del": frozenset({"holding", "soup-on-counter"}),
-    },
-    PLACE_ONION_POT: {
-        "pre": frozenset({"holding", "pot-contains"}),
-        "add": frozenset({"holding", "pot-contains", "soup-cooking", "soup-ready"}),
-        "del": frozenset({"holding", "pot-contains"}),
-    },
-    PLACE_ONION_COUNTER: {
-        "pre": frozenset({"holding", "counter-empty"}),
-        "add": frozenset({"holding", "onion-on-counter"}),
-        "del": frozenset({"holding", "counter-empty"}),
-    },
-    PLACE_DISH_COUNTER: {
-        "pre": frozenset({"holding", "counter-empty"}),
-        "add": frozenset({"holding", "dish-on-counter"}),
-        "del": frozenset({"holding", "counter-empty"}),
-    },
-    PLACE_SOUP_COUNTER: {
-        "pre": frozenset({"holding", "counter-empty"}),
-        "add": frozenset({"holding", "soup-on-counter"}),
-        "del": frozenset({"holding", "counter-empty"}),
-    },
-    GET_SOUP_POT: {
-        "pre": frozenset({"holding", "soup-ready"}),
-        "add": frozenset({"holding", "pot-contains"}),
-        "del": frozenset({"holding", "soup-ready", "pot-contains"}),
-    },
-    SERVE_SOUP: {
-        "pre": frozenset({"holding"}),
-        "add": frozenset({"holding", "soups-delivered"}),
-        "del": frozenset({"holding", "soups-delivered"}),
-    },
-    MOVE: {"pre": frozenset(), "add": frozenset(), "del": frozenset()},
-    NOOP: {"pre": frozenset(), "add": frozenset(), "del": frozenset()},
+    name: {
+        key: frozenset(predicate for _, predicate, _ in terms)
+        for key, terms in zip(("pre", "add", "del"), sets)
+    }
+    for name, sets in _COMPILED.items()
 }
 
 

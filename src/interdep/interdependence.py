@@ -29,7 +29,6 @@ from .grounding import (
     sort_props,
 )
 from .gridworld import (
-    INTERACT_SUBTASKS,
     EpisodeConfig,
     initial_state,
     is_terminal,
@@ -314,13 +313,4 @@ def analyze_trace(
         episode_time=state.t,
         soups_delivered=state.soups_delivered,
         timed_out=state.soups_delivered < trace.config.target_soups,
-    )
-
-
-def interact_action_count(ledger: InterdependencyLedger, agent: int) -> int:
-    """Number of the agent's actions that resolved to an interact subtask."""
-    return sum(
-        1
-        for c in ledger.classifications
-        if c.action.agent == agent and c.action.subtask in INTERACT_SUBTASKS
     )

@@ -10,7 +10,7 @@ denominator.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigMismatch, EmptyTrace
@@ -18,10 +18,34 @@ from .gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS, EpisodeConfig
 from .interdependence import InterdependencyLedger
 
 DENOMINATOR_MODES = ("subtask-actions", "all-actions")
+_SCALARS = (int, float, str, type(None))
+
+
+def _plain(value):
+    """JSON-ready field value: tuples as lists, dicts key-sorted, records nested."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in sorted(value.items())}
+    return value.to_dict()
+
+
+class _Serializable:
+    """`to_dict` over the dataclass fields, shared by the report types."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _from_fields(cls, d: dict, **converted):
+    """Rebuild a record from its `to_dict` form; `converted` replaces fields."""
+    return cls(**{f.name: d[f.name] for f in fields(cls)} | converted)
 
 
 @dataclass(frozen=True)
-class AgentReport:
+class AgentReport(_Serializable):
     """One cook's tallies and rates for a single episode."""
 
     agent: int
@@ -41,50 +65,13 @@ class AgentReport:
     unaccepted_triggers: int
     event_distribution: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "total_actions": self.total_actions,
-            "subtask_actions": self.subtask_actions,
-            "independent": self.independent,
-            "coordination": self.coordination,
-            "triggers": self.triggers,
-            "accepts": self.accepts,
-            "trigger_accept_overlap": self.trigger_accept_overlap,
-            "giver_count": self.giver_count,
-            "receiver_count": self.receiver_count,
-            "contribution_ratio": self.contribution_ratio,
-            "trigger_share_of_coordination": self.trigger_share_of_coordination,
-            "trigger_acceptance_rate": self.trigger_acceptance_rate,
-            "self_accept_count": self.self_accept_count,
-            "unaccepted_triggers": self.unaccepted_triggers,
-            "event_distribution": dict(sorted(self.event_distribution.items())),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "AgentReport":
-        return cls(
-            agent=d["agent"],
-            total_actions=d["total_actions"],
-            subtask_actions=d["subtask_actions"],
-            independent=d["independent"],
-            coordination=d["coordination"],
-            triggers=d["triggers"],
-            accepts=d["accepts"],
-            trigger_accept_overlap=d["trigger_accept_overlap"],
-            giver_count=d["giver_count"],
-            receiver_count=d["receiver_count"],
-            contribution_ratio=d["contribution_ratio"],
-            trigger_share_of_coordination=d["trigger_share_of_coordination"],
-            trigger_acceptance_rate=d["trigger_acceptance_rate"],
-            self_accept_count=d["self_accept_count"],
-            unaccepted_triggers=d["unaccepted_triggers"],
-            event_distribution=dict(d["event_distribution"]),
-        )
+        return _from_fields(cls, d)
 
 
 @dataclass(frozen=True)
-class TeamReport:
+class TeamReport(_Serializable):
     """Per-episode cooperation report for the two-cook team."""
 
     label: str
@@ -103,35 +90,11 @@ class TeamReport:
     def agent(self, agent_id: int) -> AgentReport:
         return self.agents[agent_id - 1]
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "episode_time": self.episode_time,
-            "timed_out": self.timed_out,
-            "soups_delivered": self.soups_delivered,
-            "percent_interdependent": self.percent_interdependent,
-            "denominator_mode": self.denominator_mode,
-            "denominator": self.denominator,
-            "pair_count": self.pair_count,
-            "pairs_by_predicate": dict(sorted(self.pairs_by_predicate.items())),
-            "include_counter_empty": self.include_counter_empty,
-            "config": self.config.to_dict(),
-            "agents": [a.to_dict() for a in self.agents],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TeamReport":
-        return cls(
-            label=d["label"],
-            episode_time=d["episode_time"],
-            timed_out=d["timed_out"],
-            soups_delivered=d["soups_delivered"],
-            percent_interdependent=d["percent_interdependent"],
-            denominator_mode=d["denominator_mode"],
-            denominator=d["denominator"],
-            pair_count=d["pair_count"],
-            pairs_by_predicate=dict(d["pairs_by_predicate"]),
-            include_counter_empty=d["include_counter_empty"],
+        return _from_fields(
+            cls,
+            d,
             config=EpisodeConfig.from_dict(d["config"]),
             agents=tuple(AgentReport.from_dict(a) for a in d["agents"]),
         )
@@ -141,16 +104,15 @@ def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
 
 
-def _denominator(ledger: InterdependencyLedger, mode: str) -> int:
+def _denominator(agents: tuple, mode: str) -> int:
+    """Both agents' actions counted in `mode`; EmptyTrace when there are none."""
     if mode not in DENOMINATOR_MODES:
         raise ValueError(f"unknown denominator mode {mode!r}")
-    if mode == "all-actions":
-        return len(ledger.classifications)
-    return sum(
-        1
-        for c in ledger.classifications
-        if c.action.subtask in INTERACT_SUBTASKS
-    )
+    key = "total_actions" if mode == "all-actions" else "subtask_actions"
+    den = sum(getattr(a, key) for a in agents)
+    if den == 0:
+        raise EmptyTrace(f"denominator is zero in mode {mode!r}")
+    return den
 
 
 def percent_interdependent(
@@ -163,11 +125,7 @@ def percent_interdependent(
     resolved to an interact subtask; all-actions includes movement and
     no-ops.
     """
-    den = _denominator(ledger, mode)
-    if den == 0:
-        raise EmptyTrace(f"denominator is zero in mode {mode!r}")
-    participations = 2 * len(ledger.pairs)
-    return participations / den
+    return build_report(ledger, mode).percent_interdependent
 
 
 def contribution_ratio(
@@ -179,6 +137,46 @@ def contribution_ratio(
     return _ratio(g, r), g, r
 
 
+def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
+    """Every per-agent count and rate, from one pass over the agent's actions.
+
+    A trigger counts as accepted when it was matched as giver in some pair,
+    i.e. when the ledger does not list it among the unaccepted triggers.
+    """
+    dist = dict.fromkeys(ALL_SUBTASKS, 0)
+    independent = triggers = accepts = overlap = 0
+    for c in ledger.classifications:
+        if c.action.agent == agent:
+            dist[c.action.subtask] += 1
+            trig, acc = c.is_trigger, c.is_accept
+            triggers += trig
+            accepts += acc
+            overlap += trig and acc
+            independent += not (trig or acc)
+    total = sum(dist.values())
+    coordination = total - independent
+    ratio, g, r = contribution_ratio(ledger, agent)
+    unaccepted = len(ledger.unaccepted_triggers.get(agent, ()))
+    return AgentReport(
+        agent=agent,
+        total_actions=total,
+        subtask_actions=sum(dist[name] for name in INTERACT_SUBTASKS),
+        independent=independent,
+        coordination=coordination,
+        triggers=triggers,
+        accepts=accepts,
+        trigger_accept_overlap=overlap,
+        giver_count=g,
+        receiver_count=r,
+        contribution_ratio=ratio,
+        trigger_share_of_coordination=_ratio(triggers, coordination),
+        trigger_acceptance_rate=_ratio(triggers - unaccepted, triggers),
+        self_accept_count=sum(1 for s in ledger.self_accepts if s.agent == agent),
+        unaccepted_triggers=unaccepted,
+        event_distribution=dist,
+    )
+
+
 def trigger_stats(
     ledger: InterdependencyLedger, agent: int
 ) -> tuple[Optional[float], Optional[float]]:
@@ -188,14 +186,8 @@ def trigger_stats(
     as giver in at least one pair, over all its trigger actions. Both values
     are None when their denominators are zero.
     """
-    acts = ledger.agent_classifications(agent)
-    coordination = sum(1 for c in acts if not c.independent)
-    triggers = sum(1 for c in acts if c.is_trigger)
-    matched = {(p.giver.agent, p.giver.t) for p in ledger.pairs}
-    accepted = sum(
-        1 for c in acts if c.is_trigger and (agent, c.action.t) in matched
-    )
-    return _ratio(triggers, coordination), _ratio(accepted, triggers)
+    report = _agent_report(ledger, agent)
+    return report.trigger_share_of_coordination, report.trigger_acceptance_rate
 
 
 def action_distribution_rings(ledger: InterdependencyLedger, agent: int) -> dict:
@@ -205,32 +197,24 @@ def action_distribution_rings(ledger: InterdependencyLedger, agent: int) -> dict
     when matched as receiver; dual-role actions count under both, and the
     overlap is reported so the layers telescope exactly.
     """
-    acts = ledger.agent_classifications(agent)
-    givers = {(p.giver.agent, p.giver.t) for p in ledger.pairs}
-    receivers = {(p.receiver.agent, p.receiver.t) for p in ledger.pairs}
-
-    triggers = [c for c in acts if c.is_trigger]
-    accepts = [c for c in acts if c.is_accept]
-    trigger_ok = sum(1 for c in triggers if (agent, c.action.t) in givers)
-    accept_ok = sum(1 for c in accepts if (agent, c.action.t) in receivers)
-    coordination = sum(1 for c in acts if not c.independent)
-
+    r = _agent_report(ledger, agent)
+    accept_ok = len({p.receiver.t for p in ledger.receivers(agent)})
     return {
-        "total": len(acts),
-        "independent": sum(1 for c in acts if c.independent),
+        "total": r.total_actions,
+        "independent": r.independent,
         "coordination": {
-            "total": coordination,
+            "total": r.coordination,
             "trigger": {
-                "total": len(triggers),
-                "successful": trigger_ok,
-                "unsuccessful": len(triggers) - trigger_ok,
+                "total": r.triggers,
+                "successful": r.triggers - r.unaccepted_triggers,
+                "unsuccessful": r.unaccepted_triggers,
             },
             "accept": {
-                "total": len(accepts),
+                "total": r.accepts,
                 "successful": accept_ok,
-                "unsuccessful": len(accepts) - accept_ok,
+                "unsuccessful": r.accepts - accept_ok,
             },
-            "overlap": sum(1 for c in acts if c.is_trigger and c.is_accept),
+            "overlap": r.trigger_accept_overlap,
         },
     }
 
@@ -241,45 +225,8 @@ def build_report(
     label: str = "",
 ) -> TeamReport:
     """Assemble the full per-episode report from a ledger."""
-    den = _denominator(ledger, mode)
-    if den == 0:
-        raise EmptyTrace(f"denominator is zero in mode {mode!r}")
-
-    agents = []
-    for agent in (1, 2):
-        acts = ledger.agent_classifications(agent)
-        ratio, g, r = contribution_ratio(ledger, agent)
-        share, acceptance = trigger_stats(ledger, agent)
-        dist = {name: 0 for name in ALL_SUBTASKS}
-        for c in acts:
-            dist[c.action.subtask] += 1
-        agents.append(
-            AgentReport(
-                agent=agent,
-                total_actions=len(acts),
-                subtask_actions=sum(
-                    1 for c in acts if c.action.subtask in INTERACT_SUBTASKS
-                ),
-                independent=sum(1 for c in acts if c.independent),
-                coordination=sum(1 for c in acts if not c.independent),
-                triggers=sum(1 for c in acts if c.is_trigger),
-                accepts=sum(1 for c in acts if c.is_accept),
-                trigger_accept_overlap=sum(
-                    1 for c in acts if c.is_trigger and c.is_accept
-                ),
-                giver_count=g,
-                receiver_count=r,
-                contribution_ratio=ratio,
-                trigger_share_of_coordination=share,
-                trigger_acceptance_rate=acceptance,
-                self_accept_count=sum(
-                    1 for s in ledger.self_accepts if s.agent == agent
-                ),
-                unaccepted_triggers=len(ledger.unaccepted_triggers.get(agent, ())),
-                event_distribution=dist,
-            )
-        )
-
+    agents = (_agent_report(ledger, 1), _agent_report(ledger, 2))
+    den = _denominator(agents, mode)
     by_predicate: dict = {}
     for p in ledger.pairs:
         by_predicate[p.prop.predicate] = by_predicate.get(p.prop.predicate, 0) + 1
@@ -296,12 +243,12 @@ def build_report(
         pairs_by_predicate=by_predicate,
         include_counter_empty=ledger.schema.include_counter_empty,
         config=ledger.config,
-        agents=tuple(agents),
+        agents=agents,
     )
 
 
 @dataclass(frozen=True)
-class FieldSummary:
+class FieldSummary(_Serializable):
     """Mean/stddev of one report field, with undefined values excluded."""
 
     mean: Optional[float]
@@ -309,17 +256,9 @@ class FieldSummary:
     n: int
     excluded: int
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "n": self.n,
-            "excluded": self.excluded,
-        }
-
 
 @dataclass(frozen=True)
-class AggregateSummary:
+class AggregateSummary(_Serializable):
     """Field-wise mean and stddev across episodes with identical config."""
 
     n_reports: int
@@ -331,16 +270,6 @@ class AggregateSummary:
 
     def field(self, name: str) -> FieldSummary:
         return self.fields[name]
-
-    def to_dict(self) -> dict:
-        return {
-            "n_reports": self.n_reports,
-            "denominator_mode": self.denominator_mode,
-            "include_counter_empty": self.include_counter_empty,
-            "config": self.config.to_dict(),
-            "fields": {k: v.to_dict() for k, v in self.fields.items()},
-            "reports": [r.to_dict() for r in self.reports],
-        }
 
 
 def _summarize(values: list) -> FieldSummary:
@@ -392,12 +321,9 @@ def aggregate(reports: list) -> AggregateSummary:
             )
 
     fields: dict = {}
-    fields["episode_time"] = _summarize([float(r.episode_time) for r in reports])
-    fields["soups_delivered"] = _summarize([float(r.soups_delivered) for r in reports])
-    fields["percent_interdependent"] = _summarize(
-        [r.percent_interdependent for r in reports]
-    )
-    fields["pair_count"] = _summarize([float(r.pair_count) for r in reports])
+    team = ("episode_time", "soups_delivered", "percent_interdependent", "pair_count")
+    for name in team:
+        fields[name] = _summarize([float(getattr(r, name)) for r in reports])
     for agent in (1, 2):
         for name in AGGREGATE_AGENT_FIELDS:
             values = []

@@ -289,9 +289,7 @@ def _config_lines(
 ) -> list:
     flag = "included" if include_counter_empty else "excluded"
     return [
-        f"- config: target_soups={config.target_soups} horizon={config.horizon} "
-        f"cook_time={config.cook_time} reward_per_soup={config.reward_per_soup} "
-        f"onions_per_soup={config.onions_per_soup}",
+        "- config: " + " ".join(f"{k}={v}" for k, v in config.to_dict().items()),
         f"- denominator: {mode}; counter-empty fluent: {flag}",
     ]
 
@@ -502,5 +500,5 @@ def read_report(source: Sink) -> TeamReport:
     try:
         data = json.loads(_read_text(source))
         return TeamReport.from_dict(data)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaViolation(f"bad report file {source}: {e}") from e

@@ -209,6 +209,12 @@ def test_schema_out_file(tmp_path):
     assert json.loads(path.read_text())["schema"]["include_counter_empty"] is True
 
 
+def test_schema_matches_golden(capsys):
+    # The dump is derived from the grounding effects table; pin its bytes.
+    assert main(["schema"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "schema.json").read_bytes()
+
+
 # failure paths ---------------------------------------------------------------
 
 
@@ -231,6 +237,22 @@ def test_bad_seed_spec_is_reported(layout_file, capsys):
     ]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--cook-time", "--target-soups", "--horizon"])
+def test_zero_config_value_is_reported(layout_file, tmp_path, capsys, flag):
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", "solo",
+        "--p2", "idle",
+        "--out", str(tmp_path),
+        flag, "0",
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.trace.jsonl"))
 
 
 def test_bad_policy_spec_is_reported(layout_file, capsys):

@@ -200,6 +200,29 @@ def test_terminal_at_horizon(mini_layout):
     assert is_terminal(state)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("cook_time", 0),
+        ("onions_per_soup", 0),
+        ("target_soups", 0),
+        ("horizon", 0),
+        ("horizon", -5),
+        ("cook_time", 2.7),
+        ("target_soups", True),
+        ("reward_per_soup", "20"),
+    ],
+)
+def test_config_rejects_values_no_episode_can_use(field, value):
+    # A zero cook time would leave a pot cooking forever; a zero target or
+    # horizon yields an empty trace that only fails later, at analysis;
+    # from_dict must not truncate 2.7 to 2.
+    with pytest.raises(ValueError):
+        EpisodeConfig(**{field: value})
+    with pytest.raises(ValueError):
+        EpisodeConfig.from_dict({field: value})
+
+
 def test_determinism_same_script_same_state(mini_state):
     script = turns(ONE_ONION * 2)
     a, _ = advance(mini_state, script)

@@ -20,7 +20,9 @@ from interdep import (
     step,
 )
 from interdep.gridworld import (
+    DIR_VECTOR,
     GET_SOUP_POT,
+    INTERACT_SUBTASKS,
     MOVE,
     NOOP,
     PICKUP_ONION_COUNTER,
@@ -29,6 +31,11 @@ from interdep.gridworld import (
     PLACE_ONION_POT,
     SERVE_SOUP,
     ALL_SUBTASKS,
+    Item,
+    PlayerState,
+    PotPhase,
+    PotState,
+    WorldState,
 )
 from interdep.grounding import (
     PREDICATE_SIGNATURES,
@@ -244,6 +251,58 @@ def test_templates_cover_every_subtask():
     for name, tpl in SUBTASK_TEMPLATES.items():
         for key in ("pre", "add", "del"):
             assert set(tpl[key]) <= vocab, f"{name}.{key} outside the vocabulary"
+
+
+def interact_states(layout, config):
+    """(agent, state) for every faced cell x held item x counter item x pot phase.
+
+    The item sits on the faced counter and every pot shares the phase; the
+    partner stands on some other floor cell. Built by hand, so states random
+    walks never reach (a soup waiting on a counter) are covered too.
+    """
+    floor = [
+        (x, y)
+        for y in range(layout.height)
+        for x in range(layout.width)
+        if layout.is_floor((x, y))
+    ]
+    full = config.onions_per_soup
+    pots = [(n, 0, PotPhase.FILLING) for n in range(full)]
+    pots += [(full, config.cook_time, PotPhase.COOKING), (full, 0, PotPhase.READY)]
+    for cell in floor:
+        spare = next(f for f in floor if f != cell)
+        for orient, (dx, dy) in DIR_VECTOR.items():
+            faced = (cell[0] + dx, cell[1] + dy)
+            if layout.is_floor(faced):
+                continue
+            on_counter = [None]
+            if faced in layout.counter_cells:
+                on_counter += [Item.ONION, Item.DISH, Item.SOUP]
+            for held in Item:
+                for item in on_counter:
+                    for n, timer, phase in pots:
+                        for agent in (1, 2):
+                            me = PlayerState(agent, cell, orient, held)
+                            partner = PlayerState(3 - agent, spare, orient)
+                            yield agent, WorldState(
+                                layout=layout,
+                                config=config,
+                                players=(me, partner) if agent == 1 else (partner, me),
+                                counters={} if item is None else {faced: item},
+                                pots=tuple(
+                                    PotState(c, n, timer, phase) for c in layout.pot_cells
+                                ),
+                            )
+
+
+def test_templates_equal_projection_of_grounded_actions(layout, config):
+    seen = {name: {"pre": set(), "add": set(), "del": set()} for name in ALL_SUBTASKS}
+    for agent, state in interact_states(layout, config):
+        sym = extract_symbolic_action(state, A.INTERACT, agent)
+        for key, props in (("pre", sym.pre), ("add", sym.add), ("del", sym.delete)):
+            seen[sym.subtask][key] |= {p.predicate for p in props}
+    for name in INTERACT_SUBTASKS + (NOOP,):
+        assert seen[name] == SUBTASK_TEMPLATES[name], name
 
 
 def test_vocabulary_dump_shape():

@@ -122,6 +122,13 @@ def test_missing_header_field_rejected():
         parse([json.dumps(broken)])
 
 
+@pytest.mark.parametrize("cook_time", [0, 2.5])
+def test_bad_header_config_value_rejected(cook_time):
+    config = dict(EpisodeConfig().to_dict(), cook_time=cook_time)
+    with pytest.raises(SchemaViolation):
+        parse([header_line(config=config)])
+
+
 def test_unsupported_version_rejected():
     with pytest.raises(VersionUnsupported):
         parse([header_line(version=99)])
