@@ -1,13 +1,16 @@
 """Rebuild the pinned golden files under tests/golden/.
 
-These are three markdown reports and the `interdep schema` dump. Run from
-the repository root after an intentional change to either:
+These are three markdown reports, the `interdep schema` dump and the
+sha256 of scripted-navigation traces on two layouts. Run from the
+repository root after an intentional change to any of them:
 
     python3 scripts/regenerate_goldens.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pathlib
 
 from interdep import (
@@ -20,13 +23,30 @@ from interdep import (
 )
 from interdep.cli import main as cli_main
 from interdep.policies import parse_policy_spec, run_episode
-from interdep.trace_io import report_to_markdown, summary_to_markdown
+from interdep.trace_io import report_to_markdown, summary_to_markdown, trace_to_text
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 PASSING_TEAM = ("passer:counter=(4,2)", "receiver:counter=(4,2),pot=0")
 SOLO_TEAM = ("solo", "idle")
 MIXED_TEAM = ("stochastic:p=0.5,counter=(4,2),pot=0", "receiver:counter=(4,2),pot=0")
+
+# Navigation pins: every scripted cook on the bundled kitchen and on a
+# narrow one whose single corridor cell (4,2) two solo cooks contend for.
+NAV_LAYOUTS = {
+    "counter_circuit": bundled_layout_text(),
+    "corridor": "XXXPXXXX\nO1    2X\nXCXX XCX\nD     SX\nXXXXXXXX",
+}
+NAV_TEAMS = (
+    ("solo", "idle"),
+    ("solo", "solo"),
+    ("solo", "receiver"),
+    ("stochastic:p=0.5", "receiver"),
+    ("passer", "receiver"),
+    ("random", "random"),
+)
+NAV_SEEDS = (1, 2, 3)
+NAV_HORIZON = 400
 
 
 def episode_report(p1: str, p2: str, seed: int):
@@ -36,6 +56,37 @@ def episode_report(p1: str, p2: str, seed: int):
         layout, config, parse_policy_spec(p1), parse_policy_spec(p2), seed
     )
     return build_report(analyze_trace(trace), label=f"counter_circuit_{seed}")
+
+
+def nav_trace_sha256(layout_text: str, p1: str, p2: str, seed: int) -> str:
+    trace = run_episode(
+        load_layout(layout_text),
+        EpisodeConfig(horizon=NAV_HORIZON),
+        parse_policy_spec(p1),
+        parse_policy_spec(p2),
+        seed,
+    )
+    return hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
+
+
+def nav_traces() -> dict:
+    """Self-describing pin file: the inputs of every trace and its sha256."""
+    return {
+        "horizon": NAV_HORIZON,
+        "layouts": NAV_LAYOUTS,
+        "traces": [
+            {
+                "layout": name,
+                "p1": p1,
+                "p2": p2,
+                "seed": seed,
+                "sha256": nav_trace_sha256(text, p1, p2, seed),
+            }
+            for name, text in NAV_LAYOUTS.items()
+            for p1, p2 in NAV_TEAMS
+            for seed in NAV_SEEDS
+        ],
+    }
 
 
 def main() -> None:
@@ -50,7 +101,15 @@ def main() -> None:
     summary = aggregate([episode_report(*MIXED_TEAM, seed=s) for s in (1, 2, 3)])
     (GOLDEN_DIR / "summary_stochastic.md").write_text(summary_to_markdown(summary))
 
-    for name in ("report_passing.md", "report_solo.md", "summary_stochastic.md"):
+    nav = json.dumps(nav_traces(), indent=2) + "\n"
+    (GOLDEN_DIR / "nav_traces.json").write_text(nav)
+
+    for name in (
+        "report_passing.md",
+        "report_solo.md",
+        "summary_stochastic.md",
+        "nav_traces.json",
+    ):
         print(GOLDEN_DIR / name)
 
     # Prints the path it writes.

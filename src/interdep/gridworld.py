@@ -45,6 +45,7 @@ class Orientation(enum.Enum):
     W = "W"
 
 
+# Insertion order N, S, E, W is the tie-break of every route search.
 DIR_VECTOR = {
     Orientation.N: (0, -1),
     Orientation.S: (0, 1),
@@ -114,13 +115,20 @@ EVENT_SOUP_READY = "soup-ready"
 
 @dataclass(frozen=True)
 class Layout:
-    """Static kitchen geometry parsed from an ASCII grid."""
+    """Static kitchen geometry parsed from an ASCII grid.
+
+    `floor_neighbours` maps every in-grid cell to the floor cells next to
+    it, in N,S,E,W order. `load_layout` builds it once per layout, and it is
+    the one place that order lives: `adjacent_floor_cells`, the policies'
+    route search and their blocked-cook sidestep all read it.
+    """
 
     width: int
     height: int
     tiles: tuple[tuple[Tile, ...], ...]  # tiles[y][x]
     spawns: tuple[tuple[Cell, Orientation], tuple[Cell, Orientation]]
     text: str
+    floor_neighbours: dict[Cell, tuple[Cell, ...]] = field(compare=False, repr=False)
 
     def tile_at(self, cell: Cell) -> Tile:
         x, y = cell
@@ -321,14 +329,23 @@ def load_layout(text: str) -> Layout:
         rows.append(tuple(row))
     tiles = tuple(rows)
     height = len(tiles)
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    floor = {(x, y) for x, y in cells if tiles[y][x] is Tile.FLOOR}
 
-    layout_text = "\n".join(lines)
     layout = Layout(
         width=width,
         height=height,
         tiles=tiles,
         spawns=_check_spawns(spawn_cells),
-        text=layout_text,
+        text="\n".join(lines),
+        floor_neighbours={
+            (x, y): tuple(
+                nb
+                for nb in ((x + dx, y + dy) for dx, dy in DIR_VECTOR.values())
+                if nb in floor
+            )
+            for x, y in cells
+        },
     )
     _check_stations(layout)
     _check_enclosure(layout)
@@ -548,14 +565,11 @@ def step(
 
 
 def adjacent_floor_cells(layout: Layout, cell: Cell) -> tuple[Cell, ...]:
-    """Floor cells from which an agent can face `cell` (N,S,E,W order)."""
-    out = []
-    for orient in (Orientation.N, Orientation.S, Orientation.E, Orientation.W):
-        dx, dy = DIR_VECTOR[orient]
-        nb = (cell[0] + dx, cell[1] + dy)
-        if layout.is_floor(nb):
-            out.append(nb)
-    return tuple(out)
+    """Floor cells from which an agent can face `cell` (N,S,E,W order).
+
+    Empty for a cell outside the grid.
+    """
+    return layout.floor_neighbours.get(cell, ())
 
 
 def direction_toward(src: Cell, dst: Cell) -> Optional[Orientation]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigMismatch, EmptyTrace
 from .gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS, EpisodeConfig
@@ -42,6 +42,21 @@ class _Serializable:
 def _from_fields(cls, d: dict, **converted):
     """Rebuild a record from its `to_dict` form; `converted` replaces fields."""
     return cls(**{f.name: d[f.name] for f in fields(cls)} | converted)
+
+
+def _check_types(record, names) -> None:
+    """ValueError unless each named field has exactly its declared type.
+
+    Exact, because `aggregate` would average a bool or a numeric string as
+    a number: counts must be ints and rates floats (or None if undefined).
+    """
+    hints = get_type_hints(type(record))
+    for name in names:
+        allowed = get_args(hints[name]) or (hints[name],)
+        value = getattr(record, name)
+        if type(value) not in allowed:
+            expected = " or ".join(t.__name__ for t in allowed)
+            raise ValueError(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +107,24 @@ class TeamReport(_Serializable):
 
     @classmethod
     def from_dict(cls, d: dict) -> "TeamReport":
-        return _from_fields(
+        """Rebuild a report, rejecting what `aggregate` would misread.
+
+        The agents must be agent 1 then agent 2, and every field that
+        `aggregate` reads must have its declared type; ValueError otherwise.
+        """
+        report = _from_fields(
             cls,
             d,
             config=EpisodeConfig.from_dict(d["config"]),
             agents=tuple(AgentReport.from_dict(a) for a in d["agents"]),
         )
+        _check_types(report, AGGREGATE_TEAM_FIELDS)
+        for a in report.agents:
+            _check_types(a, ("agent",) + AGGREGATE_AGENT_FIELDS)
+        ids = [a.agent for a in report.agents]
+        if ids != [1, 2]:
+            raise ValueError(f"agents must be agent 1 then agent 2, got {ids}")
+        return report
 
 
 def _ratio(num: int, den: int) -> Optional[float]:
@@ -282,6 +309,12 @@ def _summarize(values: list) -> FieldSummary:
     return FieldSummary(mean=mean, stddev=stddev, n=len(present), excluded=excluded)
 
 
+AGGREGATE_TEAM_FIELDS = (
+    "episode_time",
+    "soups_delivered",
+    "percent_interdependent",
+    "pair_count",
+)
 AGGREGATE_AGENT_FIELDS = (
     "giver_count",
     "receiver_count",
@@ -321,8 +354,7 @@ def aggregate(reports: list) -> AggregateSummary:
             )
 
     fields: dict = {}
-    team = ("episode_time", "soups_delivered", "percent_interdependent", "pair_count")
-    for name in team:
+    for name in AGGREGATE_TEAM_FIELDS:
         fields[name] = _summarize([float(getattr(r, name)) for r in reports])
     for agent in (1, 2):
         for name in AGGREGATE_AGENT_FIELDS:

@@ -1,16 +1,17 @@
-"""Scripted agents with analytically known cooperation structure.
+"""Scripted cooks whose cooperation structure is known by construction.
 
-These stand in for trained agents when exercising the analyzer: their
-traces have pair counts you can reason about by hand. SoloChef runs the
-full cook-serve loop alone; Passer shuttles onions from the dispenser to a
-counter; ReceiverChef pots onions from that counter and serves; Idle never
-moves; RandomWalk samples uniform primitives; StochasticPasser is SoloChef
-with a seeded dial that routes each dispensed onion via the counter with
-probability p, turning cooperation up continuously.
+They stand in for trained agents when auditing the analyzer: their traces
+have pair counts you can reason about by hand. SoloChef runs the whole
+cook-serve loop alone; Passer shuttles onions from the dispenser to one
+counter; ReceiverChef pots onions from that counter, then plates and
+serves; StochasticPasser is SoloChef with a seeded dial that routes each
+dispensed onion via the counter with probability p, turning cooperation up
+continuously; Idle never moves; RandomWalk samples uniform primitives.
 
-All movement uses breadth-first shortest paths with a fixed N,S,E,W
-tie-break and the partner's cell treated as a wall, so every policy is
-reproducible action-for-action from (layout, config, seed).
+Every scripted move comes from one breadth-first route search over the
+layout's floor-neighbour table (`Layout.floor_neighbours`, N,S,E,W order)
+with the partner's cell treated as a wall, so every policy is reproducible
+action for action from (layout, config, seed).
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from typing import Optional
 
 from .errors import Unreachable
 from .gridworld import (
-    DIR_VECTOR,
     MOVE_FOR_DIRECTION,
     EpisodeConfig,
     Item,
     Layout,
-    Orientation,
     PotPhase,
     PrimitiveAction,
     Tile,
@@ -53,8 +52,6 @@ _ALL_ACTIONS = (
     PrimitiveAction.RIGHT,
     PrimitiveAction.INTERACT,
 )
-
-_ORIENTATIONS = (Orientation.N, Orientation.S, Orientation.E, Orientation.W)
 
 
 @dataclass(frozen=True)
@@ -128,54 +125,60 @@ def format_policy_spec(spec: PolicySpec) -> str:
     return spec.kind + (":" + ",".join(params) if params else "")
 
 
-def bfs_path(
+def _search(
     layout: Layout, start: Cell, goals: frozenset, blocked: frozenset
-) -> Optional[list]:
-    """Shortest floor path from start to any goal cell, or None.
+) -> tuple[dict, Optional[Cell]]:
+    """Breadth-first search over floor cells, stopping at the first goal.
 
-    Neighbor expansion follows N,S,E,W so ties resolve identically on every
-    run. `blocked` cells (the partner) count as walls.
+    Returns the parent of every cell reached (None for `start`) and the goal
+    found, or None. Neighbours expand in the layout's N,S,E,W order so ties
+    resolve identically on every run; `blocked` cells (the partner) count
+    as walls.
     """
-    if start in goals:
-        return [start]
     parent = {start: None}
+    if start in goals:
+        return parent, start
+    neighbours = layout.floor_neighbours
     frontier = deque([start])
     while frontier:
         cur = frontier.popleft()
-        for orient in _ORIENTATIONS:
-            dx, dy = DIR_VECTOR[orient]
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if nxt in parent or nxt in blocked or not layout.is_floor(nxt):
+        for nxt in neighbours[cur]:
+            if nxt in parent or nxt in blocked:
                 continue
             parent[nxt] = cur
             if nxt in goals:
-                path = [nxt]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
+                return parent, nxt
             frontier.append(nxt)
-    return None
+    return parent, None
+
+
+def bfs_path(
+    layout: Layout, start: Cell, goals: frozenset, blocked: frozenset
+) -> Optional[list]:
+    """Shortest floor path from start to any goal cell, or None."""
+    parent, cell = _search(layout, start, goals, blocked)
+    if cell is None:
+        return None
+    path = [cell]
+    while parent[cell] is not None:
+        cell = parent[cell]
+        path.append(cell)
+    path.reverse()
+    return path
 
 
 def bfs_distances(layout: Layout, start: Cell, blocked: frozenset) -> dict:
     """Floor-cell distances from start, partner cells treated as walls."""
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        cur = frontier.popleft()
-        for orient in _ORIENTATIONS:
-            dx, dy = DIR_VECTOR[orient]
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if nxt in dist or nxt in blocked or not layout.is_floor(nxt):
-                continue
-            dist[nxt] = dist[cur] + 1
-            frontier.append(nxt)
+    dist: dict = {}
+    for cell, prev in _search(layout, start, frozenset(), blocked)[0].items():
+        dist[cell] = 0 if prev is None else dist[prev] + 1
     return dist
 
 
 class Policy:
     """Per-episode stateful agent; next_action is called on its turns only."""
+
+    avoid_counter: Optional[Cell] = None  # a passing counter never parked on
 
     def __init__(
         self,
@@ -190,6 +193,7 @@ class Policy:
         self.layout = layout
         self.config = config
         self.seed = seed
+        self._last_interact_target: Optional[Cell] = None
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         raise NotImplementedError
@@ -202,101 +206,89 @@ class Policy:
     def _partner_cell(self, state: WorldState) -> Cell:
         return state.player(3 - self.agent).position
 
-    def _approach_and_interact(
-        self, state: WorldState, target: Cell
+    def _face(
+        self, state: WorldState, target: Cell, wait: bool = False
     ) -> PrimitiveAction:
-        """Walk to a cell adjacent to target, face it, interact."""
-        me = self._me(state)
-        d = direction_toward(me.position, target)
-        if d is not None:
-            if me.orientation is d:
-                return PrimitiveAction.INTERACT
-            return MOVE_FOR_DIRECTION[d]  # target is never floor: turns in place
-        return self._walk_adjacent(state, target)
+        """Walk next to target and face it, then interact (or stay if `wait`).
 
-    def _wait_facing(self, state: WorldState, target: Cell) -> PrimitiveAction:
-        """Stand adjacent to target facing it; stay put once positioned."""
-        me = self._me(state)
-        d = direction_toward(me.position, target)
-        if d is not None:
-            if me.orientation is d:
-                return PrimitiveAction.STAY
-            return MOVE_FOR_DIRECTION[d]
-        return self._walk_adjacent(state, target)
-
-    def _blocked_step(self, state: WorldState) -> PrimitiveAction:
-        """Deterministic sidestep when every route is closed off.
-
-        Standing still while the partner occupies a sole approach cell can
-        freeze both agents (each parked on the cell the other needs), so a
-        fully blocked walk yields to the first open neighbor instead.
+        Remembers the target of every interact it returns.
         """
         me = self._me(state)
-        other = self._partner_cell(state)
-        for orient in _ORIENTATIONS:
-            dx, dy = DIR_VECTOR[orient]
-            nxt = (me.position[0] + dx, me.position[1] + dy)
-            if nxt != other and self.layout.is_floor(nxt):
-                return MOVE_FOR_DIRECTION[orient]
+        d = direction_toward(me.position, target)
+        if d is None:
+            return self._walk(state, adjacent_floor_cells(self.layout, target))
+        if me.orientation is not d:
+            return MOVE_FOR_DIRECTION[d]  # target is never floor: turns in place
+        if wait:
+            return PrimitiveAction.STAY
+        self._last_interact_target = target
+        return PrimitiveAction.INTERACT
+
+    def _walk(self, state: WorldState, cells) -> PrimitiveAction:
+        """First step of a shortest route to any of `cells`, none our own.
+
+        When the partner closes off every route, step to the first open
+        neighbour instead: standing still while the partner occupies a sole
+        approach cell can freeze both cooks, each parked on the cell the
+        other needs.
+        """
+        here = self._me(state).position
+        blocked = frozenset((self._partner_cell(state),))
+        goals = frozenset(cells) - blocked
+        path = bfs_path(self.layout, here, goals, blocked) if goals else None
+        if path is not None:
+            return MOVE_FOR_DIRECTION[direction_toward(here, path[1])]
+        for nxt in adjacent_floor_cells(self.layout, here):
+            if nxt not in blocked:
+                return MOVE_FOR_DIRECTION[direction_toward(here, nxt)]
         return PrimitiveAction.STAY
 
-    def _walk_adjacent(self, state: WorldState, target: Cell) -> PrimitiveAction:
-        me = self._me(state)
-        other = self._partner_cell(state)
-        goals = frozenset(adjacent_floor_cells(self.layout, target)) - {other}
-        path = bfs_path(self.layout, me.position, goals, frozenset({other})) if goals else None
-        if path is None or len(path) < 2:
-            return self._blocked_step(state)
-        return MOVE_FOR_DIRECTION[direction_toward(path[0], path[1])]
-
-    def _walk_to(self, state: WorldState, cell: Cell) -> PrimitiveAction:
-        me = self._me(state)
-        other = self._partner_cell(state)
-        if me.position == cell:
-            return PrimitiveAction.STAY
-        path = bfs_path(self.layout, me.position, frozenset({cell}), frozenset({other}))
-        if path is None or len(path) < 2:
-            return self._blocked_step(state)
-        return MOVE_FOR_DIRECTION[direction_toward(path[0], path[1])]
-
-    def _nearest(
-        self, state: WorldState, candidates: list
-    ) -> Optional[Cell]:
+    def _nearest(self, state: WorldState, candidates: list) -> Optional[Cell]:
         """Closest target cell by current approach distance; (dist, cell) ties."""
-        me = self._me(state)
-        other = self._partner_cell(state)
-        dist = bfs_distances(self.layout, me.position, frozenset({other}))
-        best = None
+        dist = bfs_distances(
+            self.layout,
+            self._me(state).position,
+            frozenset((self._partner_cell(state),)),
+        )
+        keys = []
         for cell in candidates:
-            approaches = adjacent_floor_cells(self.layout, cell)
-            ds = [dist[a] for a in approaches if a in dist]
-            if me.position in approaches:
-                ds.append(0)
-            if not ds:
-                continue
-            key = (min(ds), cell)
-            if best is None or key < best:
-                best = key
-        return best[1] if best else None
+            ds = [dist[a] for a in adjacent_floor_cells(self.layout, cell) if a in dist]
+            if ds:
+                keys.append((min(ds), cell))
+        return min(keys)[1] if keys else None
+
+    def _park_item(self, state: WorldState) -> PrimitiveAction:
+        """Put the held item on the nearest free counter, never `avoid_counter`."""
+        free = [
+            c
+            for c in self.layout.counter_cells
+            if c not in state.counters and c != self.avoid_counter
+        ]
+        target = self._nearest(state, free)
+        if target is None:
+            return PrimitiveAction.STAY
+        return self._face(state, target)
 
     # construction-time validation ---------------------------------------
 
     def _spawn(self) -> Cell:
         return self.layout.spawns[self.agent - 1][0]
 
-    def _require_reachable(self, cell: Cell, what: str) -> None:
+    def _reachable(self, cell: Cell) -> bool:
+        """True when some floor cell next to `cell` is reachable from spawn."""
         dist = bfs_distances(self.layout, self._spawn(), frozenset())
-        if not any(a in dist for a in adjacent_floor_cells(self.layout, cell)):
+        return any(a in dist for a in adjacent_floor_cells(self.layout, cell))
+
+    def _require_reachable(self, cell: Cell, what: str) -> None:
+        if not self._reachable(cell):
             raise Unreachable(
                 f"agent {self.agent}: {what} at {cell} has no reachable "
                 f"approach from spawn {self._spawn()}"
             )
 
     def _require_station(self, tile: Tile, what: str) -> Cell:
-        cells = self.layout.cells_of(tile)
-        dist = bfs_distances(self.layout, self._spawn(), frozenset())
-        for cell in cells:
-            if any(a in dist for a in adjacent_floor_cells(self.layout, cell)):
+        for cell in self.layout.cells_of(tile):
+            if self._reachable(cell):
                 return cell
         raise Unreachable(
             f"agent {self.agent}: no reachable {what} from spawn {self._spawn()}"
@@ -313,6 +305,11 @@ class Policy:
                 raise Unreachable(
                     f"agent {self.agent}: no counter with two approach sides"
                 )
+        if not self.layout.in_bounds(cell):
+            raise ValueError(
+                f"counter cell {cell} is outside the "
+                f"{self.layout.width}x{self.layout.height} grid"
+            )
         if self.layout.tile_at(cell) is not Tile.COUNTER:
             raise ValueError(f"target cell {cell} is not a counter tile")
         self._require_reachable(cell, "counter")
@@ -347,11 +344,9 @@ class SoloChefPolicy(Policy):
 
     Onions come from the nearest source (dispenser or any counter already
     holding one); a held item the pot can no longer take is parked on the
-    nearest free counter. `avoid_counter` (used by subclasses) keeps a
+    nearest free counter. `avoid_counter` (set by subclasses) keeps a
     passing counter out of both source and parking decisions.
     """
-
-    avoid_counter: Optional[Cell] = None
 
     def __init__(self, spec, agent, layout, config, seed) -> None:
         super().__init__(spec, agent, layout, config, seed)
@@ -360,13 +355,6 @@ class SoloChefPolicy(Policy):
         self.onion_cell = self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
         self.dish_cell = self._require_station(Tile.DISH_DISPENSER, "dish dispenser")
         self.serve_cell = self._require_station(Tile.SERVING_STATION, "serving station")
-        self._last_interact_target: Optional[Cell] = None
-
-    def _interact(self, state: WorldState, target: Cell) -> PrimitiveAction:
-        action = self._approach_and_interact(state, target)
-        if action is PrimitiveAction.INTERACT:
-            self._last_interact_target = target
-        return action
 
     def _onion_sources(self, state: WorldState) -> list:
         sources = list(self.layout.cells_of(Tile.ONION_DISPENSER))
@@ -375,38 +363,27 @@ class SoloChefPolicy(Policy):
                 sources.append(cell)
         return sources
 
-    def _park_item(self, state: WorldState) -> PrimitiveAction:
-        free = [
-            c
-            for c in self.layout.counter_cells
-            if c not in state.counters and c != self.avoid_counter
-        ]
-        target = self._nearest(state, free)
-        if target is None:
-            return PrimitiveAction.STAY
-        return self._interact(state, target)
-
     def next_action(self, state: WorldState) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
         held = self._me(state).held
         if held is Item.SOUP:
-            return self._interact(state, self.serve_cell)
+            return self._face(state, self.serve_cell)
         if held is Item.DISH:
             if pot.phase is PotPhase.READY:
-                return self._interact(state, self.pot_cell)
+                return self._face(state, self.pot_cell)
             if pot.phase is PotPhase.COOKING:
-                return self._wait_facing(state, self.pot_cell)
+                return self._face(state, self.pot_cell, wait=True)
             return self._park_item(state)  # someone else collected the soup
         if held is Item.ONION:
             if pot.phase is PotPhase.FILLING:
-                return self._interact(state, self.pot_cell)
+                return self._face(state, self.pot_cell)
             return self._park_item(state)
         if pot.phase is not PotPhase.FILLING:
-            return self._interact(state, self.dish_cell)
+            return self._face(state, self.dish_cell)
         target = self._nearest(state, self._onion_sources(state))
         if target is None:
             return PrimitiveAction.STAY
-        return self._interact(state, target)
+        return self._face(state, target)
 
 
 class StochasticPasserPolicy(SoloChefPolicy):
@@ -414,8 +391,9 @@ class StochasticPasserPolicy(SoloChefPolicy):
 
     Each onion taken from a dispenser is routed to the passing counter with
     probability p (sticky until the onion leaves the hands), otherwise
-    potted directly; onions found on counters are always potted. p=0 never
-    draws and reduces to SoloChef; p=1 always passes.
+    potted directly; onions found on counters are always potted. The dial
+    draws from its own seeded stream, so p=0 always pots and plays exactly
+    like SoloChef, and p=1 always passes.
     """
 
     def __init__(self, spec, agent, layout, config, seed) -> None:
@@ -426,8 +404,7 @@ class StochasticPasserPolicy(SoloChefPolicy):
         self._route: Optional[str] = None
 
     def _update_route(self, state: WorldState) -> None:
-        held = self._me(state).held
-        if held is not Item.ONION:
+        if self._me(state).held is not Item.ONION:
             self._route = None
             return
         if self._route is not None:
@@ -437,21 +414,14 @@ class StochasticPasserPolicy(SoloChefPolicy):
             source is not None
             and self.layout.tile_at(source) is Tile.ONION_DISPENSER
         )
-        if not from_dispenser:
-            self._route = "pot"
-        elif self.spec.p == 0.0:
-            self._route = "pot"
-        elif self.spec.p == 1.0:
-            self._route = "counter"
-        else:
-            self._route = "counter" if self.rng.random() < self.spec.p else "pot"
+        passes = from_dispenser and self.rng.random() < self.spec.p
+        self._route = "counter" if passes else "pot"
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         self._update_route(state)
         if self._me(state).held is Item.ONION and self._route == "counter":
-            if self.counter_cell in state.counters:
-                return self._wait_facing(state, self.counter_cell)
-            return self._interact(state, self.counter_cell)
+            wait = self.counter_cell in state.counters
+            return self._face(state, self.counter_cell, wait=wait)
         return super().next_action(state)
 
 
@@ -466,12 +436,11 @@ class PasserPolicy(Policy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
         held = self._me(state).held
         if held is Item.ONION:
-            if self.counter_cell in state.counters:
-                return self._wait_facing(state, self.counter_cell)
-            return self._approach_and_interact(state, self.counter_cell)
+            wait = self.counter_cell in state.counters
+            return self._face(state, self.counter_cell, wait=wait)
         if held is not Item.NOTHING:
             return PrimitiveAction.STAY  # passers only ever hold onions
-        return self._approach_and_interact(state, self.onion_cell)
+        return self._face(state, self.onion_cell)
 
 
 class ReceiverChefPolicy(Policy):
@@ -485,6 +454,7 @@ class ReceiverChefPolicy(Policy):
     def __init__(self, spec, agent, layout, config, seed) -> None:
         super().__init__(spec, agent, layout, config, seed)
         self.counter_cell = self._resolve_counter()
+        self.avoid_counter = self.counter_cell
         self.pot_cell = self._resolve_pot()
         self.pot_index = layout.pot_cells.index(self.pot_cell)
         self.dish_cell = self._require_station(Tile.DISH_DISPENSER, "dish dispenser")
@@ -493,65 +463,47 @@ class ReceiverChefPolicy(Policy):
 
     def _pick_park_cell(self) -> Cell:
         pot_approaches = adjacent_floor_cells(self.layout, self.pot_cell)
-        best = None
+        keys = []
         for cell in adjacent_floor_cells(self.layout, self.counter_cell):
             dist = bfs_distances(self.layout, cell, frozenset())
             ds = [dist[a] for a in pot_approaches if a in dist]
-            if not ds:
-                continue
-            key = (min(ds), cell)
-            if best is None or key < best:
-                best = key
-        if best is None:
+            if ds:
+                keys.append((min(ds), cell))
+        if not keys:
             raise Unreachable(
                 f"agent {self.agent}: pot {self.pot_cell} unreachable from "
                 f"counter {self.counter_cell}"
             )
-        return best[1]
-
-    def _park_item(self, state: WorldState) -> PrimitiveAction:
-        free = [
-            c
-            for c in self.layout.counter_cells
-            if c not in state.counters and c != self.counter_cell
-        ]
-        target = self._nearest(state, free)
-        if target is None:
-            return PrimitiveAction.STAY
-        return self._approach_and_interact(state, target)
+        return min(keys)[1]
 
     def _stand_at_park(self, state: WorldState) -> PrimitiveAction:
-        me = self._me(state)
-        if me.position == self.park_cell:
-            d = direction_toward(me.position, self.counter_cell)
-            if d is not None and me.orientation is not d:
-                return MOVE_FOR_DIRECTION[d]
-            return PrimitiveAction.STAY
-        return self._walk_to(state, self.park_cell)
+        if self._me(state).position != self.park_cell:
+            return self._walk(state, (self.park_cell,))
+        return self._face(state, self.counter_cell, wait=True)
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
         held = self._me(state).held
         if held is Item.SOUP:
-            return self._approach_and_interact(state, self.serve_cell)
+            return self._face(state, self.serve_cell)
         if held is Item.DISH:
             if pot.phase is PotPhase.READY:
-                return self._approach_and_interact(state, self.pot_cell)
+                return self._face(state, self.pot_cell)
             if pot.phase is PotPhase.COOKING:
-                return self._wait_facing(state, self.pot_cell)
+                return self._face(state, self.pot_cell, wait=True)
             return self._park_item(state)
         if held is Item.ONION:
             if pot.phase is PotPhase.FILLING:
-                return self._approach_and_interact(state, self.pot_cell)
+                return self._face(state, self.pot_cell)
             # pot busy; hold the onion off its approach so the plater fits
             return self._stand_at_park(state)
         if pot.phase is not PotPhase.FILLING:
             if state.player(3 - self.agent).held is Item.DISH:
                 # partner already plating this soup; keep the lane clear
                 return self._stand_at_park(state)
-            return self._approach_and_interact(state, self.dish_cell)
+            return self._face(state, self.dish_cell)
         if state.counters.get(self.counter_cell) is Item.ONION:
-            return self._approach_and_interact(state, self.counter_cell)
+            return self._face(state, self.counter_cell)
         return self._stand_at_park(state)
 
 

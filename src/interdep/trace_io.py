@@ -122,6 +122,10 @@ def _parse_header(obj: dict) -> tuple:
             raise SchemaViolation(f"header missing required field {key!r}")
     if obj["format"] != FORMAT_NAME:
         raise SchemaViolation(f"not an {FORMAT_NAME} file (format={obj['format']!r})")
+    # JSON true and 2.0 compare equal to 1 and 2, so integers are checked
+    # by exact type here and below.
+    if type(obj["version"]) is not int:
+        raise SchemaViolation(f"version must be an integer, got {obj['version']!r}")
     if obj["version"] != FORMAT_VERSION:
         raise VersionUnsupported(
             f"trace format version {obj['version']!r} is not supported "
@@ -139,7 +143,7 @@ def _parse_header(obj: dict) -> tuple:
     elif policies != "external":
         raise SchemaViolation("policies must be two spec strings or 'external'")
     seed = obj["seed"]
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise SchemaViolation("seed must be an integer or null")
     serialize = obj.get("serialize")
     if serialize not in (None, "agent1-first"):
@@ -191,9 +195,9 @@ def read_trace(source: Sink) -> ReplayableTrace:
         obj = _parse_json_line(line, lineno)
         keys = set(obj)
         if serialize == "agent1-first" and keys == {"t", "a1", "a2"}:
-            if obj["t"] != i:
+            if type(obj["t"]) is not int or obj["t"] != i:
                 raise SchemaViolation(
-                    f"line {lineno}: tick {obj['t']} breaks the 0..n sequence"
+                    f"line {lineno}: tick {obj['t']!r} breaks the 0..n sequence"
                 )
             steps.append((2 * i, 1, _parse_action(obj["a1"], lineno)))
             steps.append((2 * i + 1, 2, _parse_action(obj["a2"], lineno)))
@@ -202,11 +206,11 @@ def read_trace(source: Sink) -> ReplayableTrace:
                 raise SchemaViolation(
                     f"line {lineno}: per-agent step in a simultaneous trace"
                 )
-            if obj["t"] != i:
+            if type(obj["t"]) is not int or obj["t"] != i:
                 raise SchemaViolation(
-                    f"line {lineno}: step t={obj['t']} breaks the 0..n sequence"
+                    f"line {lineno}: step t={obj['t']!r} breaks the 0..n sequence"
                 )
-            if obj["agent"] not in (1, 2):
+            if type(obj["agent"]) is not int or obj["agent"] not in (1, 2):
                 raise SchemaViolation(f"line {lineno}: bad agent {obj['agent']!r}")
             steps.append((i, obj["agent"], _parse_action(obj["action"], lineno)))
         else:

@@ -185,6 +185,32 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
     assert rebuilt == direct
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d.update(agents=d["agents"][:1]),
+        lambda d: d.update(agents=[d["agents"][0], d["agents"][0]]),
+        lambda d: d["agents"][0].update(giver_count="7"),
+        lambda d: d["agents"][1].update(contribution_ratio=True),
+    ],
+    ids=["one-agent", "agent-1-twice", "string-count", "bool-rate"],
+)
+def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):
+    # Each used to crash `aggregate` or be averaged as a plausible number.
+    traces = simulate(layout_file, tmp_path / "traces")
+    first = tmp_path / "first"
+    assert main(["analyze", str(traces[0]), "--out", str(first), "--format", "json"]) == 0
+    path = first / "counter_circuit_1.report.json"
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(path), "--out", str(tmp_path / "second")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "second").exists()
+
+
 # schema ----------------------------------------------------------------------
 
 
@@ -259,6 +285,22 @@ def test_bad_policy_spec_is_reported(layout_file, capsys):
     argv = ["simulate", "--layout", str(layout_file), "--p1", "warp", "--p2", "idle"]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("cell", ["(99,2)", "(-4,-3)"])
+def test_counter_outside_grid_is_reported(layout_file, tmp_path, capsys, cell):
+    # (99,2) used to raise IndexError; (-4,-3) wrapped onto counter (4,2).
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", f"passer:counter={cell}",
+        "--p2", "idle",
+        "--out", str(tmp_path),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "outside the 8x5 grid" in err
 
 
 def test_missing_trace_is_reported(tmp_path, capsys):

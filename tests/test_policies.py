@@ -1,5 +1,9 @@
 """Scripted policies: spec strings, navigation, determinism, termination."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from conftest import PASSER, RECEIVER, stochastic
@@ -20,8 +24,13 @@ from interdep.policies import (
     parse_policy_spec,
     run_episode,
 )
+from interdep.trace_io import trace_to_text
 
 A = PrimitiveAction
+
+NAV_TRACES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "nav_traces.json").read_text()
+)
 
 
 # spec strings --------------------------------------------------------------
@@ -207,6 +216,23 @@ def test_productive_pairings_finish_before_horizon(layout, config, p1, p2):
         assert not ledger.timed_out, f"{p1} vs {p2} seed {seed} stalled"
         assert ledger.soups_delivered == config.target_soups
         assert ledger.episode_time < config.horizon
+
+
+@pytest.mark.parametrize(
+    "pin",
+    NAV_TRACES["traces"],
+    ids=lambda pin: f"{pin['layout']}-{pin['p1']}+{pin['p2']}-{pin['seed']}",
+)
+def test_navigation_matches_pinned_trace(pin):
+    trace = run_episode(
+        load_layout(NAV_TRACES["layouts"][pin["layout"]]),
+        EpisodeConfig(horizon=NAV_TRACES["horizon"]),
+        parse_policy_spec(pin["p1"]),
+        parse_policy_spec(pin["p2"]),
+        pin["seed"],
+    )
+    digest = hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
+    assert digest == pin["sha256"]
 
 
 def test_passing_team_produces_nine_onion_pairs(passer_receiver_trace):

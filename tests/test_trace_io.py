@@ -228,6 +228,33 @@ def test_unknown_serialize_mode_rejected():
         parse([header_line(serialize="agent2-first")])
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [header_line(version=True)],
+        [header_line(seed=True)],
+        [header_line(), step_line(0, True, "stay")],
+        [header_line(), step_line(0, 1, "stay"), step_line(True, 2, "stay")],
+        [
+            header_line(),
+            step_line(0, 1, "stay"),
+            step_line(1, 2, "stay"),
+            step_line(2.0, 1, "stay"),
+        ],
+        [
+            header_line(serialize="agent1-first"),
+            sim_line(0, "stay", "stay"),
+            sim_line(1.0, "stay", "stay"),
+        ],
+    ],
+    ids=["version-true", "seed-true", "agent-true", "t-true", "t-float", "tick-float"],
+)
+def test_bool_or_float_where_an_integer_belongs_rejected(lines):
+    # JSON true and 2.0 compare equal to 1 and 2 in Python; neither is an int.
+    with pytest.raises(SchemaViolation):
+        parse(lines)
+
+
 # report writers --------------------------------------------------------------
 
 
