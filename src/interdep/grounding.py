@@ -4,8 +4,8 @@ A grounded proposition is a binary fact about the kitchen, drawn from a
 closed vocabulary (what sits on each counter, each pot's fill level and
 phase, what each cook holds, soups delivered so far). A transition becomes
 a planning-style action with a precondition set, an add set and a delete
-set over those propositions, tagged with the subtask the interact resolved
-to.
+set over those propositions, tagged with the subtask the simulator's step
+reports for the acting cook, so one step decides what an action did.
 
 Propositions split into shared fluents, observable surfaces both cooks act
 through (counters, pots), and private fluents (held items, the delivery
@@ -152,16 +152,6 @@ class SymbolicAction:
     delete: frozenset
 
 
-def resolve_subtask(state: WorldState, action: PrimitiveAction, agent: int) -> str:
-    """The subtask this primitive action resolves to in this state."""
-    if action in gw.MOVE_DIRECTION:
-        return MOVE
-    if action is PrimitiveAction.STAY:
-        return NOOP
-    subtask, *_ = gw._resolve_interact(state, agent)
-    return subtask
-
-
 # Pre, add and delete sets of every subtask, each written once. An argument
 # is a role filled in from the state at grounding time (i the acting cook,
 # x,y the faced cell, p the faced pot, n its onion count, k the soups
@@ -277,30 +267,39 @@ def _grounded_sets(
     return pre_props, add_props, _instantiate(delete, values, fills)
 
 
+def ground_step(
+    state: WorldState, action: PrimitiveAction, agent: int
+) -> tuple[SymbolicAction, WorldState]:
+    """One simulator step, grounded; returns (action, successor).
+
+    The subtask is the acting cook's event in that step. Without one the
+    cook moved (MOVE) or did nothing (NOOP), with empty proposition sets.
+    """
+    successor, _, events = gw.step(state, gw.single_action(agent, action))
+    default = MOVE if action in gw.MOVE_DIRECTION else NOOP
+    subtask = next((e.name for e in events if e.agent is not None), default)
+    sets = _grounded_sets(state, agent, subtask)
+    return SymbolicAction(agent, state.t, subtask, *sets), successor
+
+
 def extract_symbolic_action(
     state: WorldState,
     action: PrimitiveAction,
     agent: int,
     next_state: Optional[WorldState] = None,
 ) -> SymbolicAction:
-    """Ground one transition into a planning action.
+    """Ground one transition into a planning action, as `ground_step` does.
 
     When `next_state` is given it is checked against the simulator's own
-    successor; a mismatch raises InconsistentTransition. Movement and no-op
-    steps yield empty proposition sets.
+    successor; a mismatch raises InconsistentTransition.
     """
-    if next_state is not None:
-        computed, _, _ = gw.step(state, gw.single_action(agent, action))
-        if computed != next_state:
-            raise InconsistentTransition(
-                f"state at t={state.t + 1} does not follow from agent {agent} "
-                f"taking {action.value} at t={state.t}"
-            )
-    subtask = resolve_subtask(state, action, agent)
-    pre, add, delete = _grounded_sets(state, agent, subtask)
-    return SymbolicAction(
-        agent=agent, t=state.t, subtask=subtask, pre=pre, add=add, delete=delete
-    )
+    sym, successor = ground_step(state, action, agent)
+    if next_state is not None and successor != next_state:
+        raise InconsistentTransition(
+            f"state at t={state.t + 1} does not follow from agent {agent} "
+            f"taking {action.value} at t={state.t}"
+        )
+    return sym
 
 
 # Predicate-level projection of EFFECTS, conditional adds included. It

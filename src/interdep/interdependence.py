@@ -24,8 +24,8 @@ from .grounding import (
     SUBTASK_TEMPLATES,
     Proposition,
     SymbolicAction,
-    extract_symbolic_action,
     ground_state,
+    ground_step,
     sort_props,
 )
 from .gridworld import (
@@ -33,8 +33,6 @@ from .gridworld import (
     initial_state,
     is_terminal,
     load_layout,
-    single_action,
-    step,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -238,9 +236,9 @@ def analyze_trace(
 ) -> InterdependencyLedger:
     """Replay a trace and extract classifications, pairs and self-accepts.
 
-    The trace is replayed deterministically from its embedded layout and
-    config; turn order must be round-robin starting with agent 1, and steps
-    must not continue past the terminal state or horizon.
+    Each step replays once through the simulator from the embedded layout
+    and config and takes the subtask that step reports. Turn order must be
+    round-robin from agent 1; no step may follow the terminal state or horizon.
     """
     if schema is None:
         schema = build_interaction_schema()
@@ -270,7 +268,7 @@ def analyze_trace(
         if is_terminal(state):
             raise ReplayMismatch(f"step {idx}: trace continues past the terminal state")
 
-        sym = extract_symbolic_action(state, action, agent)
+        sym, state = ground_step(state, action, agent)
         cls = classify_action(sym, schema)
         classifications.append(cls)
         ref = ActionRef(agent=agent, t=t, subtask=sym.subtask)
@@ -294,8 +292,6 @@ def analyze_trace(
         for p in sym.add:
             if p.shared:
                 provenance[p] = ref
-
-        state, _, _ = step(state, single_action(agent, action))
 
     unaccepted: dict = {1: [], 2: []}
     for cls in classifications:

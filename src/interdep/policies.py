@@ -42,7 +42,17 @@ from .trace_io import FORMAT_VERSION, ReplayableTrace
 
 Cell = tuple
 
-POLICY_KINDS = ("solo", "idle", "random", "passer", "receiver", "stochastic")
+# The parameters each kind reads. Any other is rejected: it would change
+# nothing yet still be written into the trace header.
+POLICY_PARAMS = {
+    "solo": ("pot",),
+    "idle": (),
+    "random": (),
+    "passer": ("counter",),
+    "receiver": ("counter", "pot"),
+    "stochastic": ("p", "counter", "pot"),
+}
+POLICY_KINDS = tuple(POLICY_PARAMS)
 
 _ALL_ACTIONS = (
     PrimitiveAction.STAY,
@@ -64,15 +74,17 @@ class PolicySpec:
     pot: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
+        allowed = POLICY_PARAMS.get(self.kind)
+        if allowed is None:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for name in ("p", "counter", "pot"):
+            if getattr(self, name) is not None and name not in allowed:
+                raise ValueError(f"policy kind {self.kind!r} takes no {name} parameter")
         if self.kind == "stochastic":
             if self.p is None:
                 raise ValueError("stochastic policy requires p=<probability>")
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"p={self.p} outside [0,1]")
-        elif self.p is not None:
-            raise ValueError(f"policy kind {self.kind!r} takes no p parameter")
 
 
 def parse_policy_spec(text: str) -> PolicySpec:

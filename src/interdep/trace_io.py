@@ -85,6 +85,8 @@ def _read_text(source: Sink) -> str:
         return source.read()
     except OSError as e:
         raise IoFailure(f"cannot read {source}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise SchemaViolation(f"{source} is not UTF-8 text: {e}") from e
 
 
 def trace_to_text(trace: ReplayableTrace, include_checksum: bool = True) -> str:
@@ -154,7 +156,7 @@ def _parse_header(obj: dict) -> tuple:
 
 
 def _parse_action(name, lineno: int) -> PrimitiveAction:
-    action = _ACTION_BY_NAME.get(name)
+    action = _ACTION_BY_NAME.get(name) if isinstance(name, str) else None
     if action is None:
         raise SchemaViolation(f"line {lineno}: unknown action name {name!r}")
     return action
@@ -176,6 +178,8 @@ def read_trace(source: Sink) -> ReplayableTrace:
     except json.JSONDecodeError:
         pass
     if footer is not None:
+        if not isinstance(footer["sha256"], str):
+            raise SchemaViolation("checksum footer must hold a hex digest string")
         body = "\n".join(lines[:-1]) + "\n"
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         if digest != footer["sha256"]:
@@ -184,6 +188,8 @@ def read_trace(source: Sink) -> ReplayableTrace:
                 f"(expected {footer['sha256'][:12]}…, got {digest[:12]}…)"
             )
         lines = lines[:-1]
+        if not lines:
+            raise SchemaViolation("trace has a checksum footer but no header")
 
     layout_text, config, policies, seed, serialize = _parse_header(
         _parse_json_line(lines[0], 1)

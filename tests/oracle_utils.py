@@ -14,7 +14,6 @@ import random
 from interdep import (
     EpisodeConfig,
     PrimitiveAction,
-    extract_symbolic_action,
     ground_state,
     initial_state,
     is_terminal,
@@ -23,7 +22,7 @@ from interdep import (
     step,
 )
 from interdep.gridworld import Item
-from interdep.grounding import sort_props
+from interdep.grounding import ground_step, sort_props
 from interdep.trace_io import ReplayableTrace
 
 
@@ -33,8 +32,8 @@ def replay_symbolic(trace: ReplayableTrace):
     state = initial_state(layout, trace.config)
     actions = []
     for _, agent, act in trace.steps:
-        actions.append(extract_symbolic_action(state, act, agent))
-        state, _, _ = step(state, single_action(agent, act))
+        sym, state = ground_step(state, act, agent)
+        actions.append(sym)
     return actions, state
 
 

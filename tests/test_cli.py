@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process via main(argv)."""
 
+import hashlib
 import json
 import pathlib
 
@@ -287,6 +288,21 @@ def test_bad_policy_spec_is_reported(layout_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_ignored_policy_parameter_is_reported(layout_file, tmp_path, capsys):
+    # Accepted before: no effect, yet written into the trace header.
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", "passer:pot=1",
+        "--p2", "idle",
+        "--out", str(tmp_path),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: policy kind 'passer' takes no pot parameter\n"
+    assert not list(tmp_path.glob("*.trace.jsonl"))
+
+
 @pytest.mark.parametrize("cell", ["(99,2)", "(-4,-3)"])
 def test_counter_outside_grid_is_reported(layout_file, tmp_path, capsys, cell):
     # (99,2) used to raise IndexError; (-4,-3) wrapped onto counter (4,2).
@@ -314,6 +330,25 @@ def test_corrupt_trace_is_reported(tmp_path, capsys):
     bad.write_text("not json\n")
     assert main(["analyze", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ['{"sha256": 5}', '{"action": ["up"], "agent": 1, "t": 0}', None],
+    ids=["footer-int", "action-list", "footer-only"],
+)
+def test_malformed_trace_is_reported(layout_file, tmp_path, capsys, tail):
+    # Each used to end in a traceback instead of one error line.
+    header = simulate(layout_file, tmp_path)[0].read_text().splitlines()[0]
+    if tail is None:
+        text = json.dumps({"sha256": hashlib.sha256(b"\n").hexdigest()}) + "\n"
+    else:
+        text = header + "\n" + tail + "\n"
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text(text)
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_log_env_var_is_tolerated(layout_file, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Grounding: state propositions and per-step planning actions."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from interdep.gridworld import (
     SERVE_SOUP,
     ALL_SUBTASKS,
     Item,
+    Orientation,
     PlayerState,
     PotPhase,
     PotState,
@@ -44,7 +46,6 @@ from interdep.grounding import (
     SUBTASK_TEMPLATES,
     Proposition,
     prop,
-    resolve_subtask,
     sort_props,
     vocabulary_dump,
 )
@@ -238,11 +239,23 @@ def test_next_state_verification(mini_state):
         extract_symbolic_action(mini_state, A.LEFT, 1, next_state=good)
 
 
-def test_resolve_subtask_matches_extraction(mini_state):
+def test_extraction_labels_interact_move_and_stay(mini_state):
     state, _ = advance(mini_state, [(1, A.LEFT)])
-    assert resolve_subtask(state, A.INTERACT, 1) == PICKUP_ONION_DISPENSER
-    assert resolve_subtask(state, A.UP, 1) == MOVE
-    assert resolve_subtask(state, A.STAY, 1) == NOOP
+    assert extract_symbolic_action(state, A.INTERACT, 1).subtask == PICKUP_ONION_DISPENSER
+    assert extract_symbolic_action(state, A.UP, 1).subtask == MOVE
+    assert extract_symbolic_action(state, A.STAY, 1).subtask == NOOP
+
+
+def test_labels_on_the_tick_a_pot_turns_ready(mini_state):
+    """The step's only event is the environment's soup-ready, not the cook's."""
+    pot = PotState(mini_state.layout.pot_cells[0], 3, 1, PotPhase.COOKING)
+    state = replace(mini_state, pots=(pot,))
+    facing_wall = replace(state.player(1), orientation=Orientation.N)
+    state = replace(state, players=(facing_wall, state.player(2)))
+    for act, subtask in ((A.INTERACT, NOOP), (A.STAY, NOOP), (A.RIGHT, MOVE)):
+        _, _, events = step(state, single_action(1, act))
+        assert [(e.agent, e.name) for e in events] == [(None, "soup-ready")]
+        assert extract_symbolic_action(state, act, 1).subtask == subtask
 
 
 def test_templates_cover_every_subtask():

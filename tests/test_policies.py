@@ -76,6 +76,10 @@ def test_spec_kinds_exposed():
         "passer:counter=4,2",        # missing parens
         "receiver:pot=first",        # non-integer pot
         "solo:size=3",               # unknown parameter
+        "passer:pot=1",              # parameters the kind never reads
+        "solo:counter=(4,2)",
+        "idle:pot=0",
+        "idle:counter=(99,99)",
     ],
 )
 def test_bad_specs_rejected(text):

@@ -1,6 +1,7 @@
 """Trace serialization, validation, and report writers."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import pathlib
@@ -253,6 +254,30 @@ def test_bool_or_float_where_an_integer_belongs_rejected(lines):
     # JSON true and 2.0 compare equal to 1 and 2 in Python; neither is an int.
     with pytest.raises(SchemaViolation):
         parse(lines)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        (header_line() + "\n" + json.dumps({"sha256": 5}) + "\n").encode(),
+        (header_line() + "\n" + step_line(0, 1, ["up"]) + "\n").encode(),
+        (
+            header_line(serialize="agent1-first")
+            + "\n"
+            + sim_line(0, "stay", {"up": 1})
+            + "\n"
+        ).encode(),
+        (json.dumps({"sha256": hashlib.sha256(b"\n").hexdigest()}) + "\n").encode(),
+        b"\xff\xfe not utf-8\n",
+    ],
+    ids=["footer-int", "action-list", "a2-object", "footer-only", "not-utf8"],
+)
+def test_malformed_trace_file_rejected(tmp_path, data):
+    # Each used to escape as TypeError, IndexError or UnicodeDecodeError.
+    path = tmp_path / "bad.trace.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(SchemaViolation):
+        read_trace(path)
 
 
 # report writers --------------------------------------------------------------
