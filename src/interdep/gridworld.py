@@ -13,7 +13,7 @@ episode is fully reproducible from (layout, config, action sequence).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCountError
@@ -21,7 +21,20 @@ from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCo
 Cell = tuple[int, int]  # (x, y); x grows rightward, y grows downward
 
 
-class Tile(enum.Enum):
+class _Symbol(enum.Enum):
+    """An enum hashed by identity.
+
+    `Enum.__hash__` is a Python-level `hash(self._name_)`, and every step
+    looks members up in dicts (MOVE_DIRECTION, DIR_VECTOR, the item
+    tables). Members are singletons that compare by identity, so the
+    identity hash agrees with equality. It differs from run to run, so no
+    output may depend on the order of a set of members.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Tile(_Symbol):
     FLOOR = " "
     WALL = "X"
     COUNTER = "C"
@@ -31,14 +44,14 @@ class Tile(enum.Enum):
     SERVING_STATION = "S"
 
 
-class Item(enum.Enum):
+class Item(_Symbol):
     NOTHING = "nothing"
     ONION = "onion"
     DISH = "dish"
     SOUP = "soup"
 
 
-class Orientation(enum.Enum):
+class Orientation(_Symbol):
     N = "N"
     S = "S"
     E = "E"
@@ -54,7 +67,7 @@ DIR_VECTOR = {
 }
 
 
-class PrimitiveAction(enum.Enum):
+class PrimitiveAction(_Symbol):
     STAY = "stay"
     UP = "up"
     DOWN = "down"
@@ -71,7 +84,7 @@ MOVE_DIRECTION = {
 }
 
 
-class PotPhase(enum.Enum):
+class PotPhase(_Symbol):
     FILLING = "filling"
     COOKING = "cooking"
     READY = "ready"
@@ -121,6 +134,8 @@ class Layout:
     it, in N,S,E,W order. `load_layout` builds it once per layout, and it is
     the one place that order lives: `adjacent_floor_cells`, the policies'
     route search and their blocked-cook sidestep all read it.
+    `tile_cells` maps every tile kind to its cells in row-major order, also
+    built once, so `cells_of` does not scan the grid.
     """
 
     width: int
@@ -129,6 +144,7 @@ class Layout:
     spawns: tuple[tuple[Cell, Orientation], tuple[Cell, Orientation]]
     text: str
     floor_neighbours: dict[Cell, tuple[Cell, ...]] = field(compare=False, repr=False)
+    tile_cells: dict[Tile, tuple[Cell, ...]] = field(compare=False, repr=False)
 
     def tile_at(self, cell: Cell) -> Tile:
         x, y = cell
@@ -142,12 +158,7 @@ class Layout:
         return self.in_bounds(cell) and self.tile_at(cell) is Tile.FLOOR
 
     def cells_of(self, tile: Tile) -> tuple[Cell, ...]:
-        return tuple(
-            (x, y)
-            for y in range(self.height)
-            for x in range(self.width)
-            if self.tiles[y][x] is tile
-        )
+        return self.tile_cells[tile]
 
     @property
     def counter_cells(self) -> tuple[Cell, ...]:
@@ -330,7 +341,10 @@ def load_layout(text: str) -> Layout:
     tiles = tuple(rows)
     height = len(tiles)
     cells = [(x, y) for y in range(height) for x in range(width)]
-    floor = {(x, y) for x, y in cells if tiles[y][x] is Tile.FLOOR}
+    tile_cells = {
+        tile: tuple((x, y) for x, y in cells if tiles[y][x] is tile) for tile in Tile
+    }
+    floor = set(tile_cells[Tile.FLOOR])
 
     layout = Layout(
         width=width,
@@ -346,6 +360,7 @@ def load_layout(text: str) -> Layout:
             )
             for x, y in cells
         },
+        tile_cells=tile_cells,
     )
     _check_stations(layout)
     _check_enclosure(layout)
@@ -408,26 +423,27 @@ def is_terminal(state: WorldState) -> bool:
 
 
 def _resolve_move(
-    state: WorldState, agent: int, direction: Orientation
+    state: WorldState, me: PlayerState, other: PlayerState, direction: Orientation
 ) -> PlayerState:
-    me = state.player(agent)
-    other = state.player(3 - agent)
     dx, dy = DIR_VECTOR[direction]
     target = (me.position[0] + dx, me.position[1] + dy)
     # Blocked by anything non-floor and by the partner; orientation always
     # follows the attempted direction.
     if state.layout.is_floor(target) and target != other.position:
-        return replace(me, position=target, orientation=direction)
-    return replace(me, orientation=direction)
+        return PlayerState(me.agent_id, target, direction, me.held)
+    return PlayerState(me.agent_id, me.position, direction, me.held)
 
 
-def _resolve_interact(state: WorldState, agent: int):
+def _holding(me: PlayerState, item: Item) -> PlayerState:
+    return PlayerState(me.agent_id, me.position, me.orientation, item)
+
+
+def _resolve_interact(state: WorldState, me: PlayerState):
     """Work out what interact does from (held item, faced tile, pot phase).
 
     Returns (subtask, new_player, counters, pots, delivered_delta,
     dispensed_delta). Incompatible combinations are silent no-ops.
     """
-    me = state.player(agent)
     target = me.facing_cell()
     counters = state.counters
     pots = state.pots
@@ -437,17 +453,10 @@ def _resolve_interact(state: WorldState, agent: int):
     held = me.held
 
     if tile is Tile.ONION_DISPENSER and held is Item.NOTHING:
-        return (
-            PICKUP_ONION_DISPENSER,
-            replace(me, held=Item.ONION),
-            counters,
-            pots,
-            0,
-            1,
-        )
+        return PICKUP_ONION_DISPENSER, _holding(me, Item.ONION), counters, pots, 0, 1
 
     if tile is Tile.DISH_DISPENSER and held is Item.NOTHING:
-        return PICKUP_DISH_DISPENSER, replace(me, held=Item.DISH), counters, pots, 0, 0
+        return PICKUP_DISH_DISPENSER, _holding(me, Item.DISH), counters, pots, 0, 0
 
     if tile is Tile.COUNTER:
         on_counter = counters.get(target)
@@ -459,7 +468,7 @@ def _resolve_interact(state: WorldState, agent: int):
                 Item.DISH: PICKUP_DISH_COUNTER,
                 Item.SOUP: PICKUP_SOUP_COUNTER,
             }[on_counter]
-            return subtask, replace(me, held=on_counter), new_counters, pots, 0, 0
+            return subtask, _holding(me, on_counter), new_counters, pots, 0, 0
         if held is not Item.NOTHING and on_counter is None:
             new_counters = dict(counters)
             new_counters[target] = held
@@ -468,7 +477,7 @@ def _resolve_interact(state: WorldState, agent: int):
                 Item.DISH: PLACE_DISH_COUNTER,
                 Item.SOUP: PLACE_SOUP_COUNTER,
             }[held]
-            return subtask, replace(me, held=Item.NOTHING), new_counters, pots, 0, 0
+            return subtask, _holding(me, Item.NOTHING), new_counters, pots, 0, 0
         return NOOP, me, counters, pots, 0, 0
 
     if tile is Tile.POT:
@@ -478,26 +487,43 @@ def _resolve_interact(state: WorldState, agent: int):
         if held is Item.ONION and pot.phase is PotPhase.FILLING:
             count = pot.onion_count + 1
             if count == state.config.onions_per_soup:
-                new_pot = replace(
-                    pot,
-                    onion_count=count,
-                    phase=PotPhase.COOKING,
-                    cook_timer=state.config.cook_time,
+                new_pot = PotState(
+                    pot.pot_cell, count, state.config.cook_time, PotPhase.COOKING
                 )
             else:
-                new_pot = replace(pot, onion_count=count)
+                new_pot = PotState(pot.pot_cell, count)
             new_pots = pots[:idx] + (new_pot,) + pots[idx + 1 :]
-            return PLACE_ONION_POT, replace(me, held=Item.NOTHING), counters, new_pots, 0, 0
+            return PLACE_ONION_POT, _holding(me, Item.NOTHING), counters, new_pots, 0, 0
         if held is Item.DISH and pot.phase is PotPhase.READY:
-            new_pot = replace(pot, onion_count=0, cook_timer=0, phase=PotPhase.FILLING)
-            new_pots = pots[:idx] + (new_pot,) + pots[idx + 1 :]
-            return GET_SOUP_POT, replace(me, held=Item.SOUP), counters, new_pots, 0, 0
+            new_pots = pots[:idx] + (PotState(pot.pot_cell),) + pots[idx + 1 :]
+            return GET_SOUP_POT, _holding(me, Item.SOUP), counters, new_pots, 0, 0
         return NOOP, me, counters, pots, 0, 0
 
     if tile is Tile.SERVING_STATION and held is Item.SOUP:
-        return SERVE_SOUP, replace(me, held=Item.NOTHING), counters, pots, 1, 0
+        return SERVE_SOUP, _holding(me, Item.NOTHING), counters, pots, 1, 0
 
     return NOOP, me, counters, pots, 0, 0
+
+
+def _tick_pots(
+    state: WorldState, pots: tuple[PotState, ...], events: list[EnvEvent]
+) -> tuple[PotState, ...]:
+    """Count down the pots of `pots` that were already cooking in `state`.
+
+    A pot the action just filled is cooking in `pots` but not in `state`,
+    so it starts counting down on the next turn.
+    """
+    ticked: list[PotState] = []
+    for before, pot in zip(state.pots, pots):
+        if before.phase is PotPhase.COOKING and pot.phase is PotPhase.COOKING:
+            cell, count, timer = pot.pot_cell, pot.onion_count, pot.cook_timer - 1
+            if timer == 0:
+                pot = PotState(cell, count, 0, PotPhase.READY)
+                events.append(EnvEvent(state.t, None, EVENT_SOUP_READY, cell))
+            else:
+                pot = PotState(cell, count, timer, PotPhase.COOKING)
+        ticked.append(pot)
+    return tuple(ticked)
 
 
 def step(
@@ -509,57 +535,56 @@ def step(
     that were already cooking tick down by one (flipping to ready at zero),
     then the clock advances. Blocked moves keep the position but still turn
     the agent toward the attempted direction.
+
+    `state` is never mutated. The successor shares with it the parts the
+    turn left unchanged (the counters dict, the pots tuple, the players
+    tuple), so no caller may write into a state's counters either.
     """
     agent = joint.acting_agent()
-    action = joint.action()
-    cooking_before = tuple(pot.phase is PotPhase.COOKING for pot in state.pots)
+    action = joint.a1 if agent == 1 else joint.a2
+    players = state.players
+    me = players[agent - 1]
 
     events: list[EnvEvent] = []
     reward = 0
-    new_players = list(state.players)
     counters = state.counters
     pots = state.pots
     delivered = state.soups_delivered
     dispensed = state.onions_dispensed
 
     if action in MOVE_DIRECTION:
-        new_players[agent - 1] = _resolve_move(state, agent, MOVE_DIRECTION[action])
+        me = _resolve_move(state, me, players[2 - agent], MOVE_DIRECTION[action])
+        players = (me, players[1]) if agent == 1 else (players[0], me)
     elif action is PrimitiveAction.INTERACT:
         subtask, me, counters, pots, d_delivered, d_dispensed = _resolve_interact(
-            state, agent
+            state, me
         )
-        new_players[agent - 1] = me
-        delivered += d_delivered
-        dispensed += d_dispensed
         if subtask != NOOP:
+            players = (me, players[1]) if agent == 1 else (players[0], me)
             events.append(
                 EnvEvent(t=state.t, agent=agent, name=subtask, cell=me.facing_cell())
             )
+        delivered += d_delivered
+        dispensed += d_dispensed
         if d_delivered:
             reward = state.config.reward_per_soup * d_delivered
     # STAY changes nothing.
 
-    ticked: list[PotState] = []
-    for was_cooking, pot in zip(cooking_before, pots):
-        if was_cooking and pot.phase is PotPhase.COOKING:
-            timer = pot.cook_timer - 1
-            if timer == 0:
-                pot = replace(pot, cook_timer=0, phase=PotPhase.READY)
-                events.append(
-                    EnvEvent(t=state.t, agent=None, name=EVENT_SOUP_READY, cell=pot.pot_cell)
-                )
-            else:
-                pot = replace(pot, cook_timer=timer)
-        ticked.append(pot)
+    # Most turns no pot cooks, and then the pots pass through untouched.
+    for pot in state.pots:
+        if pot.phase is PotPhase.COOKING:
+            pots = _tick_pots(state, pots, events)
+            break
 
-    next_state = replace(
-        state,
-        players=tuple(new_players),  # type: ignore[arg-type]
-        counters=counters,
-        pots=tuple(ticked),
-        soups_delivered=delivered,
-        onions_dispensed=dispensed,
-        t=state.t + 1,
+    next_state = WorldState(
+        state.layout,
+        state.config,
+        players,
+        counters,
+        pots,
+        delivered,
+        dispensed,
+        state.t + 1,
     )
     return next_state, reward, events
 

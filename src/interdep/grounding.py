@@ -247,9 +247,6 @@ def _grounded_sets(
     state: WorldState, agent: int, subtask: str
 ) -> tuple[frozenset, frozenset, frozenset]:
     """Minimal pre/add/del proposition sets for a subtask taken in `state`."""
-    if subtask in (MOVE, NOOP):
-        empty = frozenset()
-        return empty, empty, empty
     sets = _COMPILED.get(subtask)
     if sets is None:
         raise ValueError(f"unknown subtask {subtask!r}")
@@ -267,6 +264,11 @@ def _grounded_sets(
     return pre_props, add_props, _instantiate(delete, values, fills)
 
 
+# The sets of a step without an event: a move, a stay or an interact that
+# changed nothing.
+_NO_EFFECTS = (frozenset(), frozenset(), frozenset())
+
+
 def ground_step(
     state: WorldState, action: PrimitiveAction, agent: int
 ) -> tuple[SymbolicAction, WorldState]:
@@ -276,9 +278,12 @@ def ground_step(
     cook moved (MOVE) or did nothing (NOOP), with empty proposition sets.
     """
     successor, _, events = gw.step(state, gw.single_action(agent, action))
-    default = MOVE if action in gw.MOVE_DIRECTION else NOOP
-    subtask = next((e.name for e in events if e.agent is not None), default)
-    sets = _grounded_sets(state, agent, subtask)
+    subtask = next((e.name for e in events if e.agent is not None), None)
+    if subtask is None:
+        subtask = MOVE if action in gw.MOVE_DIRECTION else NOOP
+        sets = _NO_EFFECTS
+    else:
+        sets = _grounded_sets(state, agent, subtask)
     return SymbolicAction(agent, state.t, subtask, *sets), successor
 
 

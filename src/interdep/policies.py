@@ -111,6 +111,8 @@ def parse_policy_spec(text: str) -> PolicySpec:
             value = value.strip()
             if not sep or not value:
                 raise ValueError(f"bad policy parameter {part!r} in {text!r}")
+            if key in params:
+                raise ValueError(f"repeated policy parameter {key!r} in {text!r}")
             if key == "p":
                 params["p"] = float(value)
             elif key == "counter":

@@ -303,6 +303,21 @@ def test_ignored_policy_parameter_is_reported(layout_file, tmp_path, capsys):
     assert not list(tmp_path.glob("*.trace.jsonl"))
 
 
+def test_repeated_policy_parameter_is_reported(layout_file, tmp_path, capsys):
+    # Accepted before: the later value won and went into the trace header.
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", "solo:pot=0,pot=1",
+        "--p2", "idle",
+        "--out", str(tmp_path),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: repeated policy parameter 'pot' in 'solo:pot=0,pot=1'\n"
+    assert not list(tmp_path.glob("*.trace.jsonl"))
+
+
 @pytest.mark.parametrize("cell", ["(99,2)", "(-4,-3)"])
 def test_counter_outside_grid_is_reported(layout_file, tmp_path, capsys, cell):
     # (99,2) used to raise IndexError; (-4,-3) wrapped onto counter (4,2).

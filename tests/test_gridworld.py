@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import MINI_LAYOUT, advance, turns
 from interdep import (
     EpisodeConfig,
+    bundled_layout_text,
     JointAction,
     MalformedJointAction,
     PrimitiveAction,
@@ -26,7 +27,9 @@ from interdep.gridworld import (
     SERVE_SOUP,
     Item,
     Orientation,
+    PlayerState,
     PotPhase,
+    PotState,
     check_invariants,
 )
 from oracle_utils import onion_imbalance
@@ -249,3 +252,78 @@ def test_random_walk_preserves_invariants(seed, n):
         assert state.t == i + 1
         assert onion_imbalance(state) == 0
         check_invariants(state)
+
+
+def _snapshot(state):
+    # Values, not references: a write into a shared object shows as a change.
+    return (
+        tuple(map(dataclasses.astuple, state.players)),
+        dict(state.counters),
+        tuple(map(dataclasses.astuple, state.pots)),
+        state.t,
+        state.soups_delivered,
+        state.onions_dispensed,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from([MINI_LAYOUT, bundled_layout_text()]),
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+)
+def test_step_never_mutates_its_input(text, seed, n):
+    # The successor shares the counters dict and the pots and players
+    # tuples with its input when the turn leaves them alone; a step that
+    # wrote into a shared part would change the state it was given. One
+    # onion per soup lets random play reach cooking and ready pots.
+    import random
+
+    rng = random.Random(seed)
+    config = EpisodeConfig(cook_time=3, horizon=400, onions_per_soup=1)
+    state = initial_state(load_layout(text), config)
+    moves = [a for a in PrimitiveAction if a is not A.INTERACT]
+    for i in range(n):
+        if is_terminal(state):
+            break
+        act = A.INTERACT if rng.random() < 0.5 else rng.choice(moves)
+        before = _snapshot(state)
+        nxt, _, _ = step(state, single_action(1 + i % 2, act))
+        assert _snapshot(state) == before
+        if nxt.counters != before[1]:
+            assert nxt.counters is not state.counters
+        else:
+            assert nxt.counters is state.counters
+        check_invariants(nxt)
+        state = nxt
+
+
+@pytest.mark.parametrize("timer", [1, 2])
+def test_two_pots_tick_only_if_cooking_before_the_action(layout, timer):
+    # Pot 0 cooks while agent 1 adds the last onion to pot 1 in the same
+    # step: pot 0 ticks, pot 1 starts at cook_time and ticks from the next.
+    config = EpisodeConfig()
+    start = initial_state(layout, config)
+    state = dataclasses.replace(
+        start,
+        players=(PlayerState(1, (3, 1), Orientation.N, Item.ONION), start.player(2)),
+        pots=(
+            PotState((2, 0), 3, timer, PotPhase.COOKING),
+            PotState((3, 0), 2),
+        ),
+        onions_dispensed=6,
+    )
+    check_invariants(state)
+    state, _, events = step(state, single_action(1, A.INTERACT))
+    assert state.pots[1] == PotState((3, 0), 3, config.cook_time, PotPhase.COOKING)
+    if timer == 1:
+        assert state.pots[0] == PotState((2, 0), 3, 0, PotPhase.READY)
+        assert [(e.name, e.cell) for e in events] == [
+            (PLACE_ONION_POT, (3, 0)),
+            (EVENT_SOUP_READY, (2, 0)),
+        ]
+    else:
+        assert state.pots[0] == PotState((2, 0), 3, 1, PotPhase.COOKING)
+        assert [e.name for e in events] == [PLACE_ONION_POT]
+    state, _, _ = step(state, single_action(2, A.STAY))
+    assert state.pots[1].cook_timer == config.cook_time - 1

@@ -80,6 +80,9 @@ def test_spec_kinds_exposed():
         "solo:counter=(4,2)",
         "idle:pot=0",
         "idle:counter=(99,99)",
+        "solo:pot=0,pot=1",          # a repeated parameter
+        "stochastic:p=0.5,p=1.0",
+        "receiver:counter=(4,2),pot=0,counter=(4,2)",
     ],
 )
 def test_bad_specs_rejected(text):
