@@ -1,17 +1,22 @@
 """Rebuild the pinned golden files under tests/golden/.
 
-These are three markdown reports, the `interdep schema` dump and the
-sha256 of scripted-navigation traces on two layouts. Run from the
-repository root after an intentional change to any of them:
+These are three markdown reports, two `analyze --write-ledgers` ledgers,
+the `interdep schema` dump and the sha256 of scripted-navigation traces
+on two layouts. Run from the repository root after an intentional change
+to any of them:
 
     python3 scripts/regenerate_goldens.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
+import shutil
+import tempfile
 
 from interdep import (
     EpisodeConfig,
@@ -47,6 +52,12 @@ NAV_TEAMS = (
 )
 NAV_SEEDS = (1, 2, 3)
 NAV_HORIZON = 400
+
+# Ledger pins: golden file -> (team, extra `analyze` flags), seed 1.
+LEDGERS = {
+    "ledger_passing.json": (PASSING_TEAM, ()),
+    "ledger_stochastic_no_ce.json": (MIXED_TEAM, ("--counter-empty", "off")),
+}
 
 
 def episode_report(p1: str, p2: str, seed: int):
@@ -89,6 +100,23 @@ def nav_traces() -> dict:
     }
 
 
+def write_ledger(name: str, team: tuple, flags: tuple) -> None:
+    """Simulate seed 1 of `team` and keep its `analyze --write-ledgers` ledger."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tmp = pathlib.Path(tmp)
+        layout = tmp / "counter_circuit.layout"
+        layout.write_text(bundled_layout_text())
+        p1, p2 = team
+        trace = tmp / "counter_circuit_1.trace.jsonl"
+        for argv in (
+            ["simulate", "--layout", str(layout), "--p1", p1, "--p2", p2],
+            ["analyze", str(trace), "--format", "json", "--write-ledgers", *flags],
+        ):
+            if cli_main([*argv, "--out", str(tmp)]) != 0:
+                raise SystemExit(f"{argv[0]} failed for {name}")
+        shutil.copyfile(tmp / "counter_circuit_1.ledger.json", GOLDEN_DIR / name)
+
+
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
 
@@ -104,11 +132,15 @@ def main() -> None:
     nav = json.dumps(nav_traces(), indent=2) + "\n"
     (GOLDEN_DIR / "nav_traces.json").write_text(nav)
 
+    for name, (team, flags) in LEDGERS.items():
+        write_ledger(name, team, flags)
+
     for name in (
         "report_passing.md",
         "report_solo.md",
         "summary_stochastic.md",
         "nav_traces.json",
+        *LEDGERS,
     ):
         print(GOLDEN_DIR / name)
 

@@ -13,9 +13,7 @@ from importlib import resources
 from .errors import (
     ChecksumMismatch,
     ConfigMismatch,
-    EmptySchema,
     EmptyTrace,
-    InconsistentTransition,
     InterdepError,
     IoFailure,
     MalformedGrid,
@@ -45,7 +43,6 @@ from .gridworld import (
 from .grounding import (
     Proposition,
     SymbolicAction,
-    extract_symbolic_action,
     ground_state,
 )
 from .interdependence import (
@@ -57,6 +54,8 @@ from .interdependence import (
     analyze_trace,
     build_interaction_schema,
     classify_action,
+    match,
+    replay,
 )
 from .metrics import (
     AggregateSummary,
@@ -96,10 +95,8 @@ __all__ = [
     "AggregateSummary",
     "ChecksumMismatch",
     "ConfigMismatch",
-    "EmptySchema",
     "EmptyTrace",
     "EpisodeConfig",
-    "InconsistentTransition",
     "InteractionSchema",
     "InterdepError",
     "InterdependencyLedger",
@@ -134,16 +131,17 @@ __all__ = [
     "bundled_layout_text",
     "classify_action",
     "contribution_ratio",
-    "extract_symbolic_action",
     "format_policy_spec",
     "ground_state",
     "initial_state",
     "is_terminal",
     "load_layout",
     "make_policy",
+    "match",
     "parse_policy_spec",
     "percent_interdependent",
     "read_trace",
+    "replay",
     "run_episode",
     "single_action",
     "step",

@@ -128,20 +128,37 @@ def _write_reports(obj, stem: str, formats: list, outdir: Path) -> None:
         print(path)
 
 
+def _labels(trace_paths: list) -> list:
+    """One report label per trace, the file name less its suffix.
+
+    Output files are named by label, so two traces with one label, or a
+    label `summary` beside a summary, would overwrite each other's reports.
+    """
+    labels = [Path(p).name.removesuffix(TRACE_SUFFIX) for p in trace_paths]
+    taken = {"summary": "the summary"} if len(labels) > 1 else {}
+    for path, label in zip(trace_paths, labels):
+        if label in taken:
+            raise ValueError(
+                f"{taken[label]} and {path} share the report label {label!r}"
+            )
+        taken[label] = path
+    return labels
+
+
 def cmd_analyze(args) -> int:
     schema = build_interaction_schema(
         include_counter_empty=args.counter_empty == "on"
     )
+    labels = _labels(args.traces)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     formats = _formats(args.format)
 
     reports = []
-    for trace_path in args.traces:
+    for trace_path, label in zip(args.traces, labels):
         LOG.info("analyzing %s", trace_path)
         trace = read_trace(trace_path)
         ledger = analyze_trace(trace, schema)
-        label = Path(trace_path).name.removesuffix(TRACE_SUFFIX)
         report = build_report(ledger, mode=args.denominator, label=label)
         reports.append(report)
         if args.write_ledgers:

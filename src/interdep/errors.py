@@ -27,17 +27,7 @@ class MalformedJointAction(InterdepError):
     """Joint action violates turn-taking (both or neither agent acting)."""
 
 
-# --- grounding ---
-
-class InconsistentTransition(InterdepError):
-    """Claimed successor state is not what the simulator produces."""
-
-
 # --- interdependence analysis ---
-
-class EmptySchema(InterdepError):
-    """Subtask templates have no cross-subtask fluent overlap."""
-
 
 class ReplayMismatch(InterdepError):
     """Trace cannot be replayed deterministically through the simulator."""

@@ -24,10 +24,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
 
 from . import gridworld as gw
-from .errors import InconsistentTransition
 from .gridworld import (
     GET_SOUP_POT,
     MOVE,
@@ -285,26 +283,6 @@ def ground_step(
     else:
         sets = _grounded_sets(state, agent, subtask)
     return SymbolicAction(agent, state.t, subtask, *sets), successor
-
-
-def extract_symbolic_action(
-    state: WorldState,
-    action: PrimitiveAction,
-    agent: int,
-    next_state: Optional[WorldState] = None,
-) -> SymbolicAction:
-    """Ground one transition into a planning action, as `ground_step` does.
-
-    When `next_state` is given it is checked against the simulator's own
-    successor; a mismatch raises InconsistentTransition.
-    """
-    sym, successor = ground_step(state, action, agent)
-    if next_state is not None and successor != next_state:
-        raise InconsistentTransition(
-            f"state at t={state.t + 1} does not follow from agent {agent} "
-            f"taking {action.value} at t={state.t}"
-        )
-    return sym
 
 
 # Predicate-level projection of EFFECTS, conditional adds included. It

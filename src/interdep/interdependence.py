@@ -6,29 +6,32 @@ subtask, and independent otherwise. A pair links a giver's add effect to
 the receiver's precondition across agents, provided the proposition
 survived untouched in between.
 
-Matching runs on a provenance map: every currently true shared proposition
-points at the action that most recently added it (or at the environment
-for initial-state facts). Acceptance reads the map, deletion clears it,
-addition overwrites it, so freshness is structural rather than re-checked.
+Analysis runs in two steps. `replay` steps a trace through the simulator
+and yields one grounded action per step; `match` folds those actions into
+the ledger. Matching runs on a provenance map: every currently true shared
+proposition that some step added points at that step's record. A fact
+absent from the map holds since the initial state, or came from the
+environment, and links no one. Acceptance reads the map, deletion clears
+it, addition overwrites it, so freshness is structural rather than
+re-checked.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .errors import EmptySchema, ReplayMismatch, SchemaMismatch
+from .errors import ReplayMismatch, SchemaMismatch
 from .grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
     Proposition,
     SymbolicAction,
-    ground_state,
     ground_step,
     sort_props,
 )
 from .gridworld import (
+    SERVE_SOUP,
     EpisodeConfig,
     initial_state,
     is_terminal,
@@ -59,39 +62,40 @@ class InteractionSchema:
 
 
 def build_interaction_schema(
-    subtask_templates: Optional[dict] = None, include_counter_empty: bool = True
+    *, include_counter_empty: bool = True
 ) -> InteractionSchema:
     """Derive the linkable-fluent sets from the subtask templates.
 
     A predicate is a trigger fluent when some subtask adds it and some
-    subtask requires it, and an accept fluent symmetrically. Only shared
-    predicates qualify; held items and the delivery tally cannot link the
-    two cooks. counter-empty participates only when the flag is on.
+    subtask requires it, and an accept fluent symmetrically, so the two
+    sets are equal. Only shared predicates qualify; held items and the
+    delivery tally cannot link the two cooks. counter-empty participates
+    only when the flag is on.
     """
-    templates = SUBTASK_TEMPLATES if subtask_templates is None else subtask_templates
-    trigger: set = set()
-    accept: set = set()
-    for u, v in itertools.product(templates.values(), repeat=2):
-        overlap = (u["add"] & v["pre"]) & SHARED_PREDICATES
-        trigger |= overlap
-        accept |= overlap
+    templates = SUBTASK_TEMPLATES.values()
+    adds = frozenset().union(*(t["add"] for t in templates))
+    pres = frozenset().union(*(t["pre"] for t in templates))
+    linkable = adds & pres & SHARED_PREDICATES
     if not include_counter_empty:
-        trigger.discard("counter-empty")
-        accept.discard("counter-empty")
-    if not trigger and not accept:
-        raise EmptySchema("no shared fluent is both produced and required")
+        linkable -= {"counter-empty"}
     return InteractionSchema(
-        trigger_fluents=frozenset(trigger),
-        accept_fluents=frozenset(accept),
+        trigger_fluents=linkable,
+        accept_fluents=linkable,
         include_counter_empty=include_counter_empty,
     )
 
 
 @dataclass(frozen=True)
 class ActionClassification:
-    """Independent/Coordination verdict with trigger/accept roles."""
+    """One step of the trace: who acted when, on which subtask, in which roles.
 
-    action: SymbolicAction
+    The same record is a pair's giver or receiver and an unaccepted
+    trigger; `to_dict` names the step.
+    """
+
+    agent: int
+    t: int
+    subtask: str
     is_trigger: bool
     is_accept: bool
 
@@ -112,6 +116,9 @@ class ActionClassification:
     def klass(self) -> str:
         return "Independent" if self.independent else "Coordination"
 
+    def to_dict(self) -> dict:
+        return {"agent": self.agent, "t": self.t, "subtask": self.subtask}
+
 
 def classify_action(
     action: SymbolicAction, schema: InteractionSchema
@@ -122,19 +129,9 @@ def classify_action(
     is_accept = any(
         p.shared and p.predicate in schema.accept_fluents for p in action.pre
     )
-    return ActionClassification(action=action, is_trigger=is_trigger, is_accept=is_accept)
-
-
-@dataclass(frozen=True)
-class ActionRef:
-    """Lightweight handle on one step of the trace."""
-
-    agent: int
-    t: int
-    subtask: str
-
-    def to_dict(self) -> dict:
-        return {"agent": self.agent, "t": self.t, "subtask": self.subtask}
+    return ActionClassification(
+        action.agent, action.t, action.subtask, is_trigger, is_accept
+    )
 
 
 @dataclass(frozen=True)
@@ -142,8 +139,8 @@ class InterdependentPair:
     """A giver's add effect consumed as the receiver's precondition."""
 
     prop: Proposition
-    giver: ActionRef
-    receiver: ActionRef
+    giver: ActionClassification
+    receiver: ActionClassification
 
     def to_dict(self) -> dict:
         return {
@@ -186,7 +183,7 @@ class InterdependencyLedger:
     timed_out: bool = False
 
     def agent_classifications(self, agent: int) -> tuple:
-        return tuple(c for c in self.classifications if c.action.agent == agent)
+        return tuple(c for c in self.classifications if c.agent == agent)
 
     def givers(self, agent: int) -> tuple:
         return tuple(p for p in self.pairs if p.giver.agent == agent)
@@ -204,13 +201,7 @@ class InterdependencyLedger:
                 "timed_out": self.timed_out,
             },
             "classifications": [
-                {
-                    "t": c.action.t,
-                    "agent": c.action.agent,
-                    "subtask": c.action.subtask,
-                    "klass": c.klass,
-                    "roles": sorted(c.roles),
-                }
+                {**c.to_dict(), "klass": c.klass, "roles": sorted(c.roles)}
                 for c in self.classifications
             ],
             "pairs": [p.to_dict() for p in self.pairs],
@@ -231,32 +222,14 @@ def _check_schema(schema: InteractionSchema) -> None:
         )
 
 
-def analyze_trace(
-    trace: "ReplayableTrace", schema: Optional[InteractionSchema] = None
-) -> InterdependencyLedger:
-    """Replay a trace and extract classifications, pairs and self-accepts.
+def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
+    """Step a trace through the simulator, yielding each step grounded.
 
-    Each step replays once through the simulator from the embedded layout
-    and config and takes the subtask that step reports. Turn order must be
-    round-robin from agent 1; no step may follow the terminal state or horizon.
+    Each step replays once from the embedded layout and config and takes
+    the subtask that step reports. Turn order must be round-robin from
+    agent 1; no step may follow the terminal state or horizon.
     """
-    if schema is None:
-        schema = build_interaction_schema()
-    _check_schema(schema)
-
-    layout = load_layout(trace.layout_text)
-    state = initial_state(layout, trace.config)
-
-    provenance: dict = {}
-    for p in ground_state(state):
-        if p.shared:
-            provenance[p] = None  # environment provenance
-
-    classifications: list = []
-    pairs: list = []
-    self_accepts: list = []
-    matched_givers: set = set()  # (agent, t) of actions matched as giver
-
+    state = initial_state(load_layout(trace.layout_text), trace.config)
     for idx, (t, agent, action) in enumerate(trace.steps):
         if t != idx:
             raise ReplayMismatch(f"step {idx}: timestep {t} breaks the 0..n sequence")
@@ -267,46 +240,80 @@ def analyze_trace(
             )
         if is_terminal(state):
             raise ReplayMismatch(f"step {idx}: trace continues past the terminal state")
-
         sym, state = ground_step(state, action, agent)
+        yield sym
+
+
+def match(
+    actions: Iterable[SymbolicAction],
+    config: EpisodeConfig,
+    schema: Optional[InteractionSchema] = None,
+) -> InterdependencyLedger:
+    """Fold one episode's grounded actions, in step order, into its ledger.
+
+    Each action is classified, then each of its accepted preconditions is
+    looked up in the provenance map: a fact another cook added is a pair,
+    one the same cook added is a self-acceptance. The episode time is the
+    number of actions and the delivered soups are its serve-soup actions.
+    """
+    if schema is None:
+        schema = build_interaction_schema()
+    _check_schema(schema)
+
+    provenance: dict = {}
+    classifications: list = []
+    pairs: list = []
+    self_accepts: list = []
+    matched_givers: set = set()  # t of every action matched as a giver
+    soups = 0
+
+    for sym in actions:
         cls = classify_action(sym, schema)
         classifications.append(cls)
-        ref = ActionRef(agent=agent, t=t, subtask=sym.subtask)
-
         for p in sort_props(sym.pre):
             if not p.shared or p.predicate not in schema.accept_fluents:
                 continue
             src = provenance.get(p)
             if src is None:
                 continue
-            if src.agent != agent:
-                pairs.append(InterdependentPair(prop=p, giver=src, receiver=ref))
-                matched_givers.add((src.agent, src.t))
+            if src.agent != cls.agent:
+                pairs.append(InterdependentPair(prop=p, giver=src, receiver=cls))
+                matched_givers.add(src.t)
             else:
                 self_accepts.append(
-                    SelfAcceptance(agent=agent, trigger_t=src.t, accept_t=t, prop=p)
+                    SelfAcceptance(
+                        agent=cls.agent, trigger_t=src.t, accept_t=cls.t, prop=p
+                    )
                 )
         for p in sym.delete:
             if p.shared:
                 provenance.pop(p, None)
         for p in sym.add:
             if p.shared:
-                provenance[p] = ref
+                provenance[p] = cls
+        if sym.subtask == SERVE_SOUP:
+            soups += 1
 
     unaccepted: dict = {1: [], 2: []}
     for cls in classifications:
-        a = cls.action
-        if cls.is_trigger and (a.agent, a.t) not in matched_givers:
-            unaccepted[a.agent].append(ActionRef(a.agent, a.t, a.subtask))
+        if cls.is_trigger and cls.t not in matched_givers:
+            unaccepted[cls.agent].append(cls)
 
     return InterdependencyLedger(
         schema=schema,
-        config=trace.config,
+        config=config,
         classifications=tuple(classifications),
         pairs=tuple(pairs),
         self_accepts=tuple(self_accepts),
         unaccepted_triggers={k: tuple(v) for k, v in unaccepted.items()},
-        episode_time=state.t,
-        soups_delivered=state.soups_delivered,
-        timed_out=state.soups_delivered < trace.config.target_soups,
+        episode_time=len(classifications),
+        soups_delivered=soups,
+        timed_out=soups < config.target_soups,
     )
+
+
+def analyze_trace(
+    trace: "ReplayableTrace", schema: Optional[InteractionSchema] = None
+) -> InterdependencyLedger:
+    """Replay a trace and match its actions: classifications, pairs, self-accepts."""
+    return match(replay(trace), trace.config, schema)

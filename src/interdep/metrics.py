@@ -173,8 +173,8 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
     dist = dict.fromkeys(ALL_SUBTASKS, 0)
     independent = triggers = accepts = overlap = 0
     for c in ledger.classifications:
-        if c.action.agent == agent:
-            dist[c.action.subtask] += 1
+        if c.agent == agent:
+            dist[c.subtask] += 1
             trig, acc = c.is_trigger, c.is_accept
             triggers += trig
             accepts += acc

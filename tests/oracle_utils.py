@@ -14,10 +14,13 @@ import random
 from interdep import (
     EpisodeConfig,
     PrimitiveAction,
+    build_interaction_schema,
     ground_state,
     initial_state,
     is_terminal,
     load_layout,
+    match,
+    replay,
     single_action,
     step,
 )
@@ -115,7 +118,7 @@ def assert_ledger_arithmetic(ledger) -> None:
         assert independent + coordination == len(acts)
         triggers = [c for c in acts if c.is_trigger]
         matched = {(p.giver.agent, p.giver.t) for p in ledger.pairs}
-        unmatched = sum(1 for c in triggers if (a, c.action.t) not in matched)
+        unmatched = sum(1 for c in triggers if (a, c.t) not in matched)
         assert unmatched == len(ledger.unaccepted_triggers[a])
     for p in ledger.pairs:
         assert p.giver.agent != p.receiver.agent
@@ -123,6 +126,26 @@ def assert_ledger_arithmetic(ledger) -> None:
         assert p.prop.shared
     for s in ledger.self_accepts:
         assert s.trigger_t < s.accept_t
+
+
+def assert_matches_oracle(trace, schema=None):
+    """The replay -> match fold over `trace` agrees with the oracles.
+
+    Its pairs and self-acceptances are the brute-force ones, its episode
+    time and soups are those of the oracle replay's final state, and it
+    depends on nothing but the actions it folds.
+    """
+    schema = schema or build_interaction_schema()
+    ledger = match(replay(trace), trace.config, schema)
+    actions, final = replay_symbolic(trace)
+    pairs, self_accepts = brute_force_match(actions, schema.accept_fluents)
+    assert ledger_pair_keys(ledger) == pairs
+    assert ledger_self_accept_keys(ledger) == self_accepts
+    assert ledger.episode_time == final.t
+    assert ledger.soups_delivered == final.soups_delivered
+    assert match(actions, trace.config, schema) == ledger
+    assert_ledger_arithmetic(ledger)
+    return ledger
 
 
 def onion_imbalance(state) -> int:

@@ -33,12 +33,9 @@ from interdep.trace_io import (
 )
 from oracle_utils import (
     assert_ledger_arithmetic,
-    brute_force_match,
-    ledger_pair_keys,
-    ledger_self_accept_keys,
+    assert_matches_oracle,
     onion_imbalance,
     random_external_trace,
-    replay_symbolic,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -51,15 +48,6 @@ PAIRINGS = [
     (stochastic(0.5), RECEIVER),
     (stochastic(1.0), RECEIVER),
 ]
-
-
-def assert_matches_oracle(trace, schema):
-    actions, _ = replay_symbolic(trace)
-    ledger = analyze_trace(trace, schema)
-    pairs, self_accepts = brute_force_match(actions, schema.accept_fluents)
-    assert ledger_pair_keys(ledger) == pairs
-    assert ledger_self_accept_keys(ledger) == self_accepts
-    return ledger
 
 
 def test_zero_cooperation_scores_zero(layout, config):

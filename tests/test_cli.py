@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from conftest import PASSER, RECEIVER
+from conftest import PASSER, RECEIVER, stochastic
 from interdep import bundled_layout_text, load_layout
 from interdep.cli import main
 from interdep.trace_io import read_report, read_trace
@@ -130,6 +130,29 @@ def test_analyze_write_ledgers(layout_file, tmp_path):
         "onion-on-counter",
         "counter-empty",
     }
+
+
+@pytest.mark.parametrize(
+    "p1, flags, golden",
+    [
+        (PASSER, [], "ledger_passing.json"),
+        (stochastic(0.5), ["--counter-empty", "off"], "ledger_stochastic_no_ce.json"),
+    ],
+    ids=["passer", "stochastic-no-ce"],
+)
+def test_analyze_ledger_matches_golden(layout_file, tmp_path, p1, flags, golden):
+    traces = simulate(layout_file, tmp_path / "traces", p1=p1)
+    out = tmp_path / "reports"
+    argv = [
+        "analyze", str(traces[0]),
+        "--out", str(out),
+        "--format", "json",
+        "--write-ledgers",
+        *flags,
+    ]
+    assert main(argv) == 0
+    ledger = (out / "counter_circuit_1.ledger.json").read_bytes()
+    assert ledger == (GOLDEN / golden).read_bytes()
 
 
 def test_analyze_counter_empty_off(layout_file, tmp_path):
@@ -364,6 +387,29 @@ def test_malformed_trace_is_reported(layout_file, tmp_path, capsys, tail):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("a/counter_circuit_1.trace.jsonl", "b/counter_circuit_1.trace.jsonl"),
+        ("a/counter_circuit_1.trace.jsonl", "b/summary.trace.jsonl"),
+    ],
+    ids=["same-name", "summary"],
+)
+def test_clashing_report_labels_are_reported(layout_file, tmp_path, capsys, names):
+    # Both used to exit 0 after one report had overwritten the other.
+    source = simulate(layout_file, tmp_path / "traces")[0]
+    paths = [tmp_path / name for name in names]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(source.read_bytes())
+    out = tmp_path / "reports"
+    assert main(["analyze", *map(str, paths), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "share the report label" in err
+    assert not out.exists()
 
 
 def test_log_env_var_is_tolerated(layout_file, tmp_path, monkeypatch):

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from conftest import MINI_LAYOUT, advance, turns
 from interdep import (
     EpisodeConfig,
-    InconsistentTransition,
     PrimitiveAction,
-    extract_symbolic_action,
     ground_state,
     initial_state,
     is_terminal,
@@ -45,6 +43,7 @@ from interdep.grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
     Proposition,
+    ground_step,
     prop,
     sort_props,
     vocabulary_dump,
@@ -120,10 +119,10 @@ def test_exactly_one_fluent_per_counter(mini_state):
 
 
 def test_move_and_noop_have_empty_sets(mini_state):
-    sym = extract_symbolic_action(mini_state, A.RIGHT, 1)
+    sym = ground_step(mini_state, A.RIGHT, 1)[0]
     assert sym.subtask == MOVE
     assert sym.pre == sym.add == sym.delete == frozenset()
-    sym = extract_symbolic_action(mini_state, A.STAY, 1)
+    sym = ground_step(mini_state, A.STAY, 1)[0]
     assert sym.subtask == NOOP
     assert sym.pre == sym.add == sym.delete == frozenset()
 
@@ -131,13 +130,13 @@ def test_move_and_noop_have_empty_sets(mini_state):
 def test_failed_interact_is_noop(mini_state):
     # facing open floor, interact resolves to no subtask at all
     state, _ = advance(mini_state, [(1, A.RIGHT)])
-    sym = extract_symbolic_action(state, A.INTERACT, 1)
+    sym = ground_step(state, A.INTERACT, 1)[0]
     assert sym.subtask == NOOP
 
 
 def test_pickup_onion_dispenser_sets(mini_state):
     state, _ = advance(mini_state, [(1, A.LEFT)])
-    sym = extract_symbolic_action(state, A.INTERACT, 1)
+    sym = ground_step(state, A.INTERACT, 1)[0]
     assert sym.subtask == PICKUP_ONION_DISPENSER
     assert sym.pre == frozenset({prop("holding", 1, "nothing")})
     assert sym.add == frozenset({prop("holding", 1, "onion")})
@@ -146,7 +145,7 @@ def test_pickup_onion_dispenser_sets(mini_state):
 
 def test_place_onion_pot_sets(mini_state):
     state, _ = advance(mini_state, turns(ONE_ONION)[:-2])  # about to place
-    sym = extract_symbolic_action(state, A.INTERACT, 1)
+    sym = ground_step(state, A.INTERACT, 1)[0]
     assert sym.subtask == PLACE_ONION_POT
     assert sym.pre == frozenset(
         {prop("holding", 1, "onion"), prop("pot-contains", 0, 0)}
@@ -159,7 +158,7 @@ def test_place_onion_pot_sets(mini_state):
 
 def test_third_onion_owns_readiness(mini_state):
     state, _ = advance(mini_state, turns(ONE_ONION * 3)[:-2])
-    sym = extract_symbolic_action(state, A.INTERACT, 1)
+    sym = ground_step(state, A.INTERACT, 1)[0]
     assert sym.subtask == PLACE_ONION_POT
     # the cook-starting placement also claims the future readiness
     assert prop("soup-cooking", 0) in sym.add
@@ -180,7 +179,7 @@ def test_get_soup_and_serve_sets(mini_state):
         (1, A.STAY), (2, A.UP),
     ]
     state, _ = advance(state, script)
-    sym = extract_symbolic_action(state, A.INTERACT, 2)
+    sym = ground_step(state, A.INTERACT, 2)[0]
     assert sym.subtask == GET_SOUP_POT
     assert sym.pre == frozenset(
         {prop("holding", 2, "dish"), prop("soup-ready", 0)}
@@ -196,10 +195,10 @@ def test_get_soup_and_serve_sets(mini_state):
         }
     )
     state, _ = advance(state, [(2, A.INTERACT), (1, A.STAY), (2, A.DOWN), (1, A.STAY)])
-    sym = extract_symbolic_action(state, A.RIGHT, 2)
+    sym = ground_step(state, A.RIGHT, 2)[0]
     assert sym.subtask == MOVE
     state, _ = advance(state, [(2, A.RIGHT), (1, A.STAY)])
-    sym = extract_symbolic_action(state, A.INTERACT, 2)
+    sym = ground_step(state, A.INTERACT, 2)[0]
     assert sym.subtask == SERVE_SOUP
     assert sym.pre == frozenset({prop("holding", 2, "soup")})
     assert sym.add == frozenset(
@@ -212,7 +211,7 @@ def test_get_soup_and_serve_sets(mini_state):
 
 def test_counter_place_and_pickup_sets(mini_state):
     state, _ = advance(mini_state, turns([A.LEFT, A.INTERACT, A.DOWN]))
-    sym = extract_symbolic_action(state, A.INTERACT, 1)
+    sym = ground_step(state, A.INTERACT, 1)[0]
     assert sym.subtask == PLACE_ONION_COUNTER
     assert sym.pre == frozenset(
         {prop("holding", 1, "onion"), prop("counter-empty", 1, 2)}
@@ -221,7 +220,7 @@ def test_counter_place_and_pickup_sets(mini_state):
         {prop("holding", 1, "nothing"), prop("onion-on-counter", 1, 2)}
     )
     state, _ = advance(state, [(1, A.INTERACT), (2, A.STAY)])
-    sym = extract_symbolic_action(state, A.INTERACT, 1)
+    sym = ground_step(state, A.INTERACT, 1)[0]
     assert sym.subtask == PICKUP_ONION_COUNTER
     assert sym.pre == frozenset(
         {prop("holding", 1, "nothing"), prop("onion-on-counter", 1, 2)}
@@ -231,19 +230,11 @@ def test_counter_place_and_pickup_sets(mini_state):
     )
 
 
-def test_next_state_verification(mini_state):
-    good, _, _ = step(mini_state, single_action(1, A.RIGHT))
-    sym = extract_symbolic_action(mini_state, A.RIGHT, 1, next_state=good)
-    assert sym.subtask == MOVE
-    with pytest.raises(InconsistentTransition):
-        extract_symbolic_action(mini_state, A.LEFT, 1, next_state=good)
-
-
 def test_extraction_labels_interact_move_and_stay(mini_state):
     state, _ = advance(mini_state, [(1, A.LEFT)])
-    assert extract_symbolic_action(state, A.INTERACT, 1).subtask == PICKUP_ONION_DISPENSER
-    assert extract_symbolic_action(state, A.UP, 1).subtask == MOVE
-    assert extract_symbolic_action(state, A.STAY, 1).subtask == NOOP
+    assert ground_step(state, A.INTERACT, 1)[0].subtask == PICKUP_ONION_DISPENSER
+    assert ground_step(state, A.UP, 1)[0].subtask == MOVE
+    assert ground_step(state, A.STAY, 1)[0].subtask == NOOP
 
 
 def test_labels_on_the_tick_a_pot_turns_ready(mini_state):
@@ -255,7 +246,7 @@ def test_labels_on_the_tick_a_pot_turns_ready(mini_state):
     for act, subtask in ((A.INTERACT, NOOP), (A.STAY, NOOP), (A.RIGHT, MOVE)):
         _, _, events = step(state, single_action(1, act))
         assert [(e.agent, e.name) for e in events] == [(None, "soup-ready")]
-        assert extract_symbolic_action(state, act, 1).subtask == subtask
+        assert ground_step(state, act, 1)[0].subtask == subtask
 
 
 def test_templates_cover_every_subtask():
@@ -311,7 +302,7 @@ def interact_states(layout, config):
 def test_templates_equal_projection_of_grounded_actions(layout, config):
     seen = {name: {"pre": set(), "add": set(), "del": set()} for name in ALL_SUBTASKS}
     for agent, state in interact_states(layout, config):
-        sym = extract_symbolic_action(state, A.INTERACT, agent)
+        sym = ground_step(state, A.INTERACT, agent)[0]
         for key, props in (("pre", sym.pre), ("add", sym.add), ("del", sym.delete)):
             seen[sym.subtask][key] |= {p.predicate for p in props}
     for name in INTERACT_SUBTASKS + (NOOP,):
@@ -344,7 +335,7 @@ def test_strips_contract_on_random_walks(seed, n):
         agent = 1 + (i % 2)
         act = rng.choice(acts) if rng.random() < 0.5 else A.INTERACT
         before = ground_state(state)
-        sym = extract_symbolic_action(state, act, agent)
+        sym = ground_step(state, act, agent)[0]
         state, _, _ = step(state, single_action(agent, act))
         after = ground_state(state)
 

@@ -59,7 +59,7 @@ def test_percent_uses_interact_denominator(pr_ledger):
     interacts = sum(
         1
         for c in pr_ledger.classifications
-        if c.action.subtask in INTERACT_SUBTASKS
+        if c.subtask in INTERACT_SUBTASKS
     )
     expected = 2 * len(pr_ledger.pairs) / interacts
     assert percent_interdependent(pr_ledger) == pytest.approx(expected)
@@ -115,7 +115,7 @@ def test_trigger_stats_recount(pr_ledger):
         matched = {
             (p.giver.agent, p.giver.t) for p in pr_ledger.pairs
         }
-        ok = sum(1 for c in trig if (agent, c.action.t) in matched)
+        ok = sum(1 for c in trig if (agent, c.t) in matched)
         assert acceptance == pytest.approx(ok / len(trig))
 
 
