@@ -20,7 +20,6 @@ from .errors import (
     MalformedJointAction,
     MissingStation,
     ReplayMismatch,
-    SchemaMismatch,
     SchemaViolation,
     SpawnCountError,
     Unreachable,
@@ -114,7 +113,6 @@ __all__ = [
     "Proposition",
     "ReplayMismatch",
     "ReplayableTrace",
-    "SchemaMismatch",
     "SchemaViolation",
     "SelfAcceptance",
     "SpawnCountError",

@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -61,8 +60,13 @@ def _parse_seeds(text: str) -> list:
 
 
 def _atomic_write(path: Path, write: Callable) -> None:
-    """Run `write(file)` on a temp file beside `path`, then rename it over."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Run `write(file)` on a temp file beside `path`, then rename it over.
+
+    The temp file is created as `open(path, "w")` would create it, mode
+    0o666 less the umask, and the rename keeps that mode.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             write(f)

@@ -33,10 +33,6 @@ class ReplayMismatch(InterdepError):
     """Trace cannot be replayed deterministically through the simulator."""
 
 
-class SchemaMismatch(InterdepError):
-    """Interaction schema names fluents outside the known vocabulary."""
-
-
 # --- metrics ---
 
 class EmptyTrace(InterdepError):

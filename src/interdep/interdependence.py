@@ -1,10 +1,11 @@
 """Classifying actions and extracting interdependent pairs from a trace.
 
-An action is a trigger when it adds a shared fluent some subtask consumes
-as a precondition, an accept when its precondition can be produced by some
-subtask, and independent otherwise. A pair links a giver's add effect to
-the receiver's precondition across agents, provided the proposition
-survived untouched in between.
+A shared predicate is linkable when some subtask adds it and some subtask
+requires it. A subtask's template fixes its roles: it is a trigger when it
+adds a linkable predicate, an accept when it requires one, and independent
+otherwise, so every step of one subtask plays the same roles. A pair links
+a giver's add effect to the receiver's precondition across agents,
+provided the proposition survived untouched in between.
 
 Analysis runs in two steps. `replay` steps a trace through the simulator
 and yields one grounded action per step; `match` folds those actions into
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .errors import ReplayMismatch, SchemaMismatch
+from .errors import ReplayMismatch
 from .grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
@@ -47,16 +48,44 @@ ACCEPT = "Accept"
 
 @dataclass(frozen=True)
 class InteractionSchema:
-    """Which shared predicates can link one cook's action to the other's."""
+    """Which shared predicates can link one cook's action to the other's.
 
-    trigger_fluents: frozenset
-    accept_fluents: frozenset
+    Everything follows from the subtask templates. `linkable` is every
+    shared predicate some subtask adds and some subtask requires; held
+    items and the delivery tally cannot link the two cooks, and
+    counter-empty counts only when the flag is on. `roles` maps each
+    subtask to (is_trigger, is_accept): whether its template adds, and
+    whether it requires, a linkable predicate.
+    """
+
     include_counter_empty: bool = True
+    linkable: frozenset = field(init=False, repr=False, compare=False)
+    roles: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        templates = SUBTASK_TEMPLATES.values()
+        adds = frozenset().union(*(t["add"] for t in templates))
+        pres = frozenset().union(*(t["pre"] for t in templates))
+        linkable = adds & pres & SHARED_PREDICATES
+        if not self.include_counter_empty:
+            linkable -= {"counter-empty"}
+        roles = {
+            name: (bool(t["add"] & linkable), bool(t["pre"] & linkable))
+            for name, t in SUBTASK_TEMPLATES.items()
+        }
+        object.__setattr__(self, "linkable", linkable)
+        object.__setattr__(self, "roles", roles)
+
+    @property
+    def accept_fluents(self) -> frozenset:
+        """The linkable set under its earlier name, which readers still use."""
+        return self.linkable
 
     def to_dict(self) -> dict:
+        fluents = sorted(self.linkable)
         return {
-            "trigger_fluents": sorted(self.trigger_fluents),
-            "accept_fluents": sorted(self.accept_fluents),
+            "trigger_fluents": fluents,
+            "accept_fluents": fluents,
             "include_counter_empty": self.include_counter_empty,
         }
 
@@ -64,25 +93,8 @@ class InteractionSchema:
 def build_interaction_schema(
     *, include_counter_empty: bool = True
 ) -> InteractionSchema:
-    """Derive the linkable-fluent sets from the subtask templates.
-
-    A predicate is a trigger fluent when some subtask adds it and some
-    subtask requires it, and an accept fluent symmetrically, so the two
-    sets are equal. Only shared predicates qualify; held items and the
-    delivery tally cannot link the two cooks. counter-empty participates
-    only when the flag is on.
-    """
-    templates = SUBTASK_TEMPLATES.values()
-    adds = frozenset().union(*(t["add"] for t in templates))
-    pres = frozenset().union(*(t["pre"] for t in templates))
-    linkable = adds & pres & SHARED_PREDICATES
-    if not include_counter_empty:
-        linkable -= {"counter-empty"}
-    return InteractionSchema(
-        trigger_fluents=linkable,
-        accept_fluents=linkable,
-        include_counter_empty=include_counter_empty,
-    )
+    """The interaction schema, with or without counter-empty."""
+    return InteractionSchema(include_counter_empty)
 
 
 @dataclass(frozen=True)
@@ -123,14 +135,9 @@ class ActionClassification:
 def classify_action(
     action: SymbolicAction, schema: InteractionSchema
 ) -> ActionClassification:
-    is_trigger = any(
-        p.shared and p.predicate in schema.trigger_fluents for p in action.add
-    )
-    is_accept = any(
-        p.shared and p.predicate in schema.accept_fluents for p in action.pre
-    )
+    """The step's record, with the roles the schema gives its subtask."""
     return ActionClassification(
-        action.agent, action.t, action.subtask, is_trigger, is_accept
+        action.agent, action.t, action.subtask, *schema.roles[action.subtask]
     )
 
 
@@ -213,15 +220,6 @@ class InterdependencyLedger:
         }
 
 
-def _check_schema(schema: InteractionSchema) -> None:
-    alien = (schema.trigger_fluents | schema.accept_fluents) - SHARED_PREDICATES
-    if alien:
-        raise SchemaMismatch(
-            f"schema references predicates outside the shared vocabulary: "
-            f"{sorted(alien)}"
-        )
-
-
 def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
     """Step a trace through the simulator, yielding each step grounded.
 
@@ -251,14 +249,15 @@ def match(
 ) -> InterdependencyLedger:
     """Fold one episode's grounded actions, in step order, into its ledger.
 
-    Each action is classified, then each of its accepted preconditions is
-    looked up in the provenance map: a fact another cook added is a pair,
-    one the same cook added is a self-acceptance. The episode time is the
-    number of actions and the delivered soups are its serve-soup actions.
+    Each action is classified, then each linkable precondition of an
+    accept is looked up in the provenance map: a fact another cook added
+    is a pair, one the same cook added is a self-acceptance. The episode
+    time is the number of actions and the delivered soups are its
+    serve-soup actions.
     """
     if schema is None:
         schema = build_interaction_schema()
-    _check_schema(schema)
+    linkable = schema.linkable
 
     provenance: dict = {}
     classifications: list = []
@@ -270,21 +269,20 @@ def match(
     for sym in actions:
         cls = classify_action(sym, schema)
         classifications.append(cls)
-        for p in sort_props(sym.pre):
-            if not p.shared or p.predicate not in schema.accept_fluents:
-                continue
-            src = provenance.get(p)
-            if src is None:
-                continue
-            if src.agent != cls.agent:
-                pairs.append(InterdependentPair(prop=p, giver=src, receiver=cls))
-                matched_givers.add(src.t)
-            else:
-                self_accepts.append(
-                    SelfAcceptance(
-                        agent=cls.agent, trigger_t=src.t, accept_t=cls.t, prop=p
+        if cls.is_accept:
+            for p in sort_props(q for q in sym.pre if q.predicate in linkable):
+                src = provenance.get(p)
+                if src is None:
+                    continue
+                if src.agent != cls.agent:
+                    pairs.append(InterdependentPair(prop=p, giver=src, receiver=cls))
+                    matched_givers.add(src.t)
+                else:
+                    self_accepts.append(
+                        SelfAcceptance(
+                            agent=cls.agent, trigger_t=src.t, accept_t=cls.t, prop=p
+                        )
                     )
-                )
         for p in sym.delete:
             if p.shared:
                 provenance.pop(p, None)

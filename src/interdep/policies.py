@@ -38,7 +38,7 @@ from .gridworld import (
     single_action,
     step,
 )
-from .trace_io import FORMAT_VERSION, ReplayableTrace
+from .trace_io import ReplayableTrace
 
 Cell = tuple
 
@@ -563,5 +563,4 @@ def run_episode(
         policies=(format_policy_spec(spec1), format_policy_spec(spec2)),
         seed=seed,
         steps=tuple(steps),
-        version=FORMAT_VERSION,
     )

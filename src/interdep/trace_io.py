@@ -53,12 +53,11 @@ class ReplayableTrace:
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
     steps: tuple  # ((t, agent, PrimitiveAction), ...)
-    version: int = FORMAT_VERSION
 
     def header_dict(self) -> dict:
         return {
             "format": FORMAT_NAME,
-            "version": self.version,
+            "version": FORMAT_VERSION,
             "layout": self.layout_text,
             "config": self.config.to_dict(),
             "policies": list(self.policies)
@@ -89,23 +88,19 @@ def _read_text(source: Sink) -> str:
         raise SchemaViolation(f"{source} is not UTF-8 text: {e}") from e
 
 
-def trace_to_text(trace: ReplayableTrace, include_checksum: bool = True) -> str:
+def trace_to_text(trace: ReplayableTrace) -> str:
     lines = [json.dumps(trace.header_dict(), sort_keys=True)]
     for t, agent, action in trace.steps:
         lines.append(
             json.dumps({"action": action.value, "agent": agent, "t": t}, sort_keys=True)
         )
     body = "\n".join(lines) + "\n"
-    if include_checksum:
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        body += json.dumps({"sha256": digest}) + "\n"
-    return body
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return body + json.dumps({"sha256": digest}) + "\n"
 
 
-def write_trace(
-    trace: ReplayableTrace, sink: Sink, include_checksum: bool = True
-) -> None:
-    _write_text(sink, trace_to_text(trace, include_checksum=include_checksum))
+def write_trace(trace: ReplayableTrace, sink: Sink) -> None:
+    _write_text(sink, trace_to_text(trace))
 
 
 def _parse_json_line(line: str, lineno: int) -> dict:
@@ -228,7 +223,6 @@ def read_trace(source: Sink) -> ReplayableTrace:
         policies=policies,
         seed=seed,
         steps=tuple(steps),
-        version=FORMAT_VERSION,
     )
 
 

@@ -13,6 +13,14 @@ from interdep import (
     single_action,
     step,
 )
+from interdep.gridworld import (
+    DIR_VECTOR,
+    Item,
+    PlayerState,
+    PotPhase,
+    PotState,
+    WorldState,
+)
 from interdep.policies import parse_policy_spec, run_episode
 from interdep.trace_io import ReplayableTrace
 
@@ -104,6 +112,48 @@ def play(layout, config, trace: ReplayableTrace):
         state, _, _ = step(state, single_action(agent, act))
         states.append(state)
     return states
+
+
+def interact_states(layout, config):
+    """(agent, state) for every faced cell x held item x counter item x pot phase.
+
+    The item sits on the faced counter and every pot shares the phase; the
+    partner stands on some other floor cell. Built by hand, so states random
+    walks never reach (a soup waiting on a counter) are covered too.
+    """
+    floor = [
+        (x, y)
+        for y in range(layout.height)
+        for x in range(layout.width)
+        if layout.is_floor((x, y))
+    ]
+    full = config.onions_per_soup
+    pots = [(n, 0, PotPhase.FILLING) for n in range(full)]
+    pots += [(full, config.cook_time, PotPhase.COOKING), (full, 0, PotPhase.READY)]
+    for cell in floor:
+        spare = next(f for f in floor if f != cell)
+        for orient, (dx, dy) in DIR_VECTOR.items():
+            faced = (cell[0] + dx, cell[1] + dy)
+            if layout.is_floor(faced):
+                continue
+            on_counter = [None]
+            if faced in layout.counter_cells:
+                on_counter += [Item.ONION, Item.DISH, Item.SOUP]
+            for held in Item:
+                for item in on_counter:
+                    for n, timer, phase in pots:
+                        for agent in (1, 2):
+                            me = PlayerState(agent, cell, orient, held)
+                            partner = PlayerState(3 - agent, spare, orient)
+                            yield agent, WorldState(
+                                layout=layout,
+                                config=config,
+                                players=(me, partner) if agent == 1 else (partner, me),
+                                counters={} if item is None else {faced: item},
+                                pots=tuple(
+                                    PotState(c, n, timer, phase) for c in layout.pot_cells
+                                ),
+                            )
 
 
 def policy_trace(layout, config, p1: str, p2: str, seed: int) -> ReplayableTrace:

@@ -138,7 +138,7 @@ def assert_matches_oracle(trace, schema=None):
     schema = schema or build_interaction_schema()
     ledger = match(replay(trace), trace.config, schema)
     actions, final = replay_symbolic(trace)
-    pairs, self_accepts = brute_force_match(actions, schema.accept_fluents)
+    pairs, self_accepts = brute_force_match(actions, schema.linkable)
     assert ledger_pair_keys(ledger) == pairs
     assert ledger_self_accept_keys(ledger) == self_accepts
     assert ledger.episode_time == final.t

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import stat
 
 import pytest
 
@@ -263,6 +265,27 @@ def test_schema_matches_golden(capsys):
     # The dump is derived from the grounding effects table; pin its bytes.
     assert main(["schema"]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "schema.json").read_bytes()
+
+
+def test_outputs_follow_the_umask(layout_file, tmp_path):
+    # Outputs get the mode open(path, "w") would give them, not a temp
+    # file's private 0o600.
+    old = os.umask(0o022)
+    try:
+        traces = simulate(
+            layout_file, tmp_path / "traces", seeds="1..2", extra=["--jobs", "2"]
+        )
+        out = tmp_path / "reports"
+        argv = ["analyze", *map(str, traces), "--out", str(out), "--write-ledgers"]
+        assert main(argv) == 0
+        assert main(["schema", "--out", str(tmp_path / "vocab.json")]) == 0
+    finally:
+        os.umask(old)
+    written = [*traces, *out.iterdir(), tmp_path / "vocab.json"]
+    assert len(written) == 2 + 2 * 4 + 3 + 1  # traces, reports and ledgers, summary, schema
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
+        p.name: 0o644 for p in written
+    }
 
 
 # failure paths ---------------------------------------------------------------

@@ -9,13 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_LAYOUT, external_trace
+from conftest import MINI_LAYOUT, external_trace, interact_states
 from interdep import (
     EpisodeConfig,
-    InteractionSchema,
     PrimitiveAction,
     ReplayMismatch,
-    SchemaMismatch,
     analyze_trace,
     build_interaction_schema,
     classify_action,
@@ -25,6 +23,9 @@ from interdep import (
     step,
 )
 from interdep.gridworld import (
+    INTERACT_SUBTASKS,
+    MOVE,
+    NOOP,
     PICKUP_ONION_COUNTER,
     PLACE_ONION_COUNTER,
     PLACE_ONION_POT,
@@ -62,33 +63,24 @@ def mini_trace(actions, **cfg):
 
 def test_schema_fluents_default():
     schema = build_interaction_schema()
-    assert schema.trigger_fluents == frozenset(LINKABLE)
-    assert schema.accept_fluents == frozenset(LINKABLE)
+    assert schema.linkable == frozenset(LINKABLE)
+    assert schema.accept_fluents == schema.linkable
     assert schema.include_counter_empty
 
 
 def test_schema_without_counter_empty():
     schema = build_interaction_schema(include_counter_empty=False)
-    assert schema.trigger_fluents == frozenset(LINKABLE - {"counter-empty"})
-    assert schema.accept_fluents == schema.trigger_fluents
+    assert schema.linkable == frozenset(LINKABLE - {"counter-empty"})
+    assert schema.accept_fluents == schema.linkable
 
 
 def test_schema_excludes_private_and_unconsumed():
     schema = build_interaction_schema()
-    assert "holding" not in schema.trigger_fluents
-    assert "soups-delivered" not in schema.trigger_fluents
+    assert "holding" not in schema.linkable
+    assert "soups-delivered" not in schema.linkable
     # soup-cooking is added by the cook-starting placement but no subtask
     # ever requires it, so it cannot link two actions
-    assert "soup-cooking" not in schema.trigger_fluents
-
-
-def test_alien_schema_rejected(passer_receiver_trace):
-    bad = InteractionSchema(
-        trigger_fluents=frozenset({"teleport"}),
-        accept_fluents=frozenset({"teleport"}),
-    )
-    with pytest.raises(SchemaMismatch):
-        analyze_trace(passer_receiver_trace, bad)
+    assert "soup-cooking" not in schema.linkable
 
 
 # classification ----------------------------------------------------------
@@ -139,6 +131,28 @@ def test_place_pot_is_dual_role(mini_state):
 def test_noop_is_independent(mini_state):
     cls = classify_here(mini_state, A.STAY, 1)
     assert cls.independent
+
+
+def per_step_roles(sym, linkable):
+    """The rule the role table replaced: scan the step's own add and pre sets."""
+    return (
+        any(p.shared and p.predicate in linkable for p in sym.add),
+        any(p.shared and p.predicate in linkable for p in sym.pre),
+    )
+
+
+@pytest.mark.parametrize("counter_empty", [True, False])
+def test_role_table_matches_per_step_rule(layout, config, counter_empty):
+    """Every grounded interact step plays the roles its subtask's entry says."""
+    schema = build_interaction_schema(include_counter_empty=counter_empty)
+    linkable = LINKABLE if counter_empty else LINKABLE - {"counter-empty"}
+    seen = set()
+    for agent, state in interact_states(layout, config):
+        sym = ground_step(state, A.INTERACT, agent)[0]
+        assert schema.roles[sym.subtask] == per_step_roles(sym, linkable), sym
+        seen.add(sym.subtask)
+    assert seen == set(INTERACT_SUBTASKS) | {NOOP}
+    assert schema.roles[MOVE] == schema.roles[NOOP] == (False, False)
 
 
 # pair extraction ---------------------------------------------------------

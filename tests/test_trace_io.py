@@ -78,7 +78,9 @@ def test_serialization_is_stable(small_trace):
 
 
 def test_checksum_footer_optional(small_trace):
-    text = trace_to_text(small_trace, include_checksum=False)
+    *lines, footer = trace_to_text(small_trace).splitlines(keepends=True)
+    assert "sha256" in footer
+    text = "".join(lines)
     assert "sha256" not in text
     assert read_trace(io.StringIO(text)) == small_trace
 
