@@ -8,17 +8,60 @@ most one item and double as a passing surface between the agents.
 The simulator is strictly turn-based: exactly one agent acts per timestep,
 round-robin starting with agent 1. All transitions are deterministic, so an
 episode is fully reproducible from (layout, config, action sequence).
+
+The state and step records (players, pots, joint actions, events, world
+states) are built by `record`: frozen, slotted dataclasses whose
+constructor sets each slot directly, since the analyzer builds several of
+them per step. They stay frozen and hashable like any frozen dataclass.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCountError
 
 Cell = tuple[int, int]  # (x, y); x grows rightward, y grows downward
+
+
+def record(cls):
+    """`dataclass(frozen=True, slots=True)` with a cheaper `__init__`.
+
+    The `__init__` a frozen dataclass generates calls `object.__setattr__`
+    once per field, which looks the attribute up by name every time. This
+    one calls each slot's member descriptor directly, the same work without
+    the lookup. Equality, hashing, repr, `replace`, pickling and the frozen
+    assignment guard are the dataclass's own.
+
+    The generated `__init__` only assigns its arguments, so a class that
+    needs more of its constructor (`__post_init__`, fields with
+    `default_factory`, `init=False` or `kw_only`) is refused.
+    """
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"record {cls.__name__} cannot have __post_init__")
+    cls = dataclass(frozen=True, slots=True)(cls)
+    params, body = [], []
+    namespace = {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(
+                f"record field {cls.__name__}.{f.name} must be a plain init argument"
+            )
+        namespace[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
 
 
 class _Symbol(enum.Enum):
@@ -201,7 +244,7 @@ class EpisodeConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
+@record
 class PlayerState:
     agent_id: int  # 1 or 2
     position: Cell
@@ -213,7 +256,7 @@ class PlayerState:
         return (self.position[0] + dx, self.position[1] + dy)
 
 
-@dataclass(frozen=True)
+@record
 class PotState:
     pot_cell: Cell
     onion_count: int = 0
@@ -221,7 +264,7 @@ class PotState:
     phase: PotPhase = PotPhase.FILLING
 
 
-@dataclass(frozen=True)
+@record
 class JointAction:
     """One slot per agent; None marks the agent whose turn it is not."""
 
@@ -240,12 +283,28 @@ class JointAction:
         return self.a1 if agent == 1 else self.a2  # type: ignore[return-value]
 
 
+# The 12 turn-taking joint actions, built once: (agent, action) -> joint.
+_SINGLE_ACTIONS = {
+    **{(1, a): JointAction(a, None) for a in PrimitiveAction},
+    **{(2, a): JointAction(None, a) for a in PrimitiveAction},
+}
+
+
 def single_action(agent: int, action: PrimitiveAction) -> JointAction:
-    """Embed one agent's action into a turn-taking joint action."""
-    return JointAction(a1=action, a2=None) if agent == 1 else JointAction(a1=None, a2=action)
+    """Embed one agent's action into a turn-taking joint action.
+
+    Raises MalformedJointAction unless `agent` is 1 or 2 and `action` is a
+    PrimitiveAction.
+    """
+    try:
+        return _SINGLE_ACTIONS[agent, action]
+    except KeyError:
+        raise MalformedJointAction(
+            f"no turn-taking action for agent {agent!r} taking {action!r}"
+        ) from None
 
 
-@dataclass(frozen=True)
+@record
 class EnvEvent:
     """Something observable that happened during one step."""
 
@@ -255,7 +314,7 @@ class EnvEvent:
     cell: Optional[Cell] = None
 
 
-@dataclass(frozen=True)
+@record
 class WorldState:
     layout: Layout = field(compare=False)
     config: EpisodeConfig

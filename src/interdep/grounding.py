@@ -138,7 +138,7 @@ def ground_state(state: WorldState) -> frozenset:
     return frozenset(props)
 
 
-@dataclass(frozen=True)
+@gw.record
 class SymbolicAction:
     """One cook's executed step as a grounded planning action."""
 

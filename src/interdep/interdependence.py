@@ -37,6 +37,7 @@ from .gridworld import (
     initial_state,
     is_terminal,
     load_layout,
+    record,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,7 +98,7 @@ def build_interaction_schema(
     return InteractionSchema(include_counter_empty)
 
 
-@dataclass(frozen=True)
+@record
 class ActionClassification:
     """One step of the trace: who acted when, on which subtask, in which roles.
 

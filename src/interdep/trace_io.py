@@ -103,11 +103,24 @@ def write_trace(trace: ReplayableTrace, sink: Sink) -> None:
     _write_text(sink, trace_to_text(trace))
 
 
+# json.loads on one line is the C scanner behind three Python-level calls.
+# Calling the scanner directly on the line, stripped of the whitespace JSON
+# allows around a value, accepts exactly what json.loads accepts.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _parse_json_line(line: str, lineno: int) -> dict:
+    text = line.strip(" \t\n\r")
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise SchemaViolation(f"line {lineno}: not valid JSON ({e})") from e
+        obj, end = _scan_once(text, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(text):
+        # Not one whole value: json.loads words the error.
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SchemaViolation(f"line {lineno}: not valid JSON ({e})") from e
     if not isinstance(obj, dict):
         raise SchemaViolation(f"line {lineno}: expected a JSON object")
     return obj

@@ -88,6 +88,25 @@ def test_joint_action_requires_exactly_one_actor():
     assert single_action(2, A.UP).acting_agent() == 2
 
 
+@pytest.mark.parametrize(
+    "agent, action",
+    [(0, A.UP), (3, A.UP), (1, "up"), (2, None)],
+    ids=["agent-0", "agent-3", "action-name", "action-none"],
+)
+def test_single_action_rejects_unknown_agent_or_action(agent, action):
+    # Agent 0 used to make agent 2 act, and an action name used to stay.
+    with pytest.raises(MalformedJointAction):
+        single_action(agent, action)
+
+
+def test_single_action_shares_one_joint_action_per_pair():
+    for agent in (1, 2):
+        for action in A:
+            joint = single_action(agent, action)
+            assert joint is single_action(agent, action)
+            assert (joint.acting_agent(), joint.action()) == (agent, action)
+
+
 def test_pickup_from_dispenser(mini_state):
     state, _ = advance(mini_state, turns([A.LEFT, A.INTERACT]))
     assert state.player(1).held is Item.ONION

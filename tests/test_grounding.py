@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import MINI_LAYOUT, advance, interact_states, turns
 from interdep import (
     EpisodeConfig,
+    MalformedJointAction,
     PrimitiveAction,
     ground_state,
     initial_state,
@@ -121,6 +122,12 @@ def test_move_and_noop_have_empty_sets(mini_state):
     sym = ground_step(mini_state, A.STAY, 1)[0]
     assert sym.subtask == NOOP
     assert sym.pre == sym.add == sym.delete == frozenset()
+
+
+def test_ground_step_rejects_an_agent_that_is_not_a_cook(mini_state):
+    # Agent 3 used to move agent 2 and come out as SymbolicAction(agent=3).
+    with pytest.raises(MalformedJointAction):
+        ground_step(mini_state, A.UP, 3)
 
 
 def test_failed_interact_is_noop(mini_state):

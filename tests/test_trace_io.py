@@ -162,6 +162,35 @@ def test_non_json_line_rejected():
         parse([header_line(), "not json"])
 
 
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        (
+            [
+                header_line(),
+                step_line(0, 1, "stay"),
+                '{"action": "stay",',
+                '"agent": 2, "t": 1}',
+            ],
+            3,
+        ),
+        ([header_line(), step_line(0, 1, "stay") + " " + step_line(1, 2, "stay")], 2),
+        ([header_line(), "1,2"], 2),
+    ],
+    ids=["object-split-over-lines", "two-objects-on-a-line", "number-list"],
+)
+def test_step_line_must_hold_one_whole_object(lines, lineno):
+    with pytest.raises(SchemaViolation, match=f"^line {lineno}: "):
+        parse(lines)
+
+
+def test_whitespace_around_a_step_line_is_allowed():
+    trace = parse(
+        [header_line(), " \t" + step_line(0, 1, "up") + "\t  ", step_line(1, 2, "stay")]
+    )
+    assert trace.steps == ((0, 1, A.UP), (1, 2, A.STAY))
+
+
 def test_empty_file_rejected():
     with pytest.raises(SchemaViolation):
         read_trace(io.StringIO(""))
