@@ -97,6 +97,8 @@ def _config_from_args(args) -> EpisodeConfig:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     layout = _read_layout_file(args.layout)
     spec1 = parse_policy_spec(args.p1)
     spec2 = parse_policy_spec(args.p2)
@@ -113,7 +115,7 @@ def cmd_simulate(args) -> int:
         _atomic_write(path, lambda f: write_trace(trace, f))
         return path
 
-    workers = max(1, min(args.jobs, len(seeds)))
+    workers = min(args.jobs, len(seeds))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         paths = list(pool.map(one, seeds))
     for path in paths:

@@ -319,7 +319,9 @@ class WorldState:
     layout: Layout = field(compare=False)
     config: EpisodeConfig
     players: tuple[PlayerState, PlayerState]
-    counters: dict[Cell, Item]  # occupied counters only; absence = empty
+    # Occupied counters only; absence = empty. A dict does not hash, so the
+    # state's hash leaves it out; equal states still hash equal.
+    counters: dict[Cell, Item] = field(hash=False)
     pots: tuple[PotState, ...]
     soups_delivered: int = 0
     onions_dispensed: int = 0

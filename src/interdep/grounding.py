@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Optional
 
 from . import gridworld as gw
 from .gridworld import (
@@ -205,7 +206,7 @@ EFFECTS: dict[str, tuple[str, str, str]] = {
     NOOP: ("", "", ""),
 }
 
-# Argument names in the order of the value tuple `_grounded_sets` builds.
+# Argument names in the order of the value tuple `ground` builds.
 _LITERALS = ("nothing", "onion", "dish", "soup", 0)
 _ARG_NAMES = ("i", "x", "y", "p", "n", "n+1", "k", "k+1") + tuple(map(str, _LITERALS))
 
@@ -241,10 +242,35 @@ def _instantiate(terms: tuple, values: tuple, fills: bool) -> frozenset:
     )
 
 
-def _grounded_sets(
-    state: WorldState, agent: int, subtask: str
-) -> tuple[frozenset, frozenset, frozenset]:
-    """Minimal pre/add/del proposition sets for a subtask taken in `state`."""
+# What a step without an event grounds to: a move, or a stay or an interact
+# that changed nothing, with empty proposition sets.
+_MOVED = (MOVE, frozenset(), frozenset(), frozenset())
+_STAYED = (NOOP, frozenset(), frozenset(), frozenset())
+
+
+def acting_subtask(events) -> Optional[str]:
+    """The subtask the acting cook's event in a step names, None without one."""
+    for event in events:
+        if event.agent is not None:
+            return event.name
+    return None
+
+
+def ground(
+    state: Optional[WorldState],
+    action: PrimitiveAction,
+    agent: int,
+    subtask: Optional[str],
+) -> tuple[str, frozenset, frozenset, frozenset]:
+    """(subtask, pre, add, del) of one cook's step: the grounding rule.
+
+    `subtask` is the acting cook's event in the step. Without one the cook
+    moved (MOVE) or did nothing (NOOP), with empty proposition sets, and
+    `state` is not read. With one, the sets are the subtask's minimal
+    effects, filled in from `state`, the state the step was taken in.
+    """
+    if subtask is None:
+        return _MOVED if action in gw.MOVE_DIRECTION else _STAYED
     sets = _COMPILED.get(subtask)
     if sets is None:
         raise ValueError(f"unknown subtask {subtask!r}")
@@ -258,31 +284,17 @@ def _grounded_sets(
     pre_props = _instantiate(pre, values, fills)
     add_props = _instantiate(add, values, fills)
     if delete is pre:
-        return pre_props, add_props, pre_props
-    return pre_props, add_props, _instantiate(delete, values, fills)
-
-
-# The sets of a step without an event: a move, a stay or an interact that
-# changed nothing.
-_NO_EFFECTS = (frozenset(), frozenset(), frozenset())
+        return subtask, pre_props, add_props, pre_props
+    return subtask, pre_props, add_props, _instantiate(delete, values, fills)
 
 
 def ground_step(
     state: WorldState, action: PrimitiveAction, agent: int
 ) -> tuple[SymbolicAction, WorldState]:
-    """One simulator step, grounded; returns (action, successor).
-
-    The subtask is the acting cook's event in that step. Without one the
-    cook moved (MOVE) or did nothing (NOOP), with empty proposition sets.
-    """
+    """One simulator step, grounded; returns (action, successor)."""
     successor, _, events = gw.step(state, gw.single_action(agent, action))
-    subtask = next((e.name for e in events if e.agent is not None), None)
-    if subtask is None:
-        subtask = MOVE if action in gw.MOVE_DIRECTION else NOOP
-        sets = _NO_EFFECTS
-    else:
-        sets = _grounded_sets(state, agent, subtask)
-    return SymbolicAction(agent, state.t, subtask, *sets), successor
+    grounded = ground(state, action, agent, acting_subtask(events))
+    return SymbolicAction(agent, state.t, *grounded), successor
 
 
 # Predicate-level projection of EFFECTS, conditional adds included. It

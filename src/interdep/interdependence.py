@@ -7,14 +7,18 @@ otherwise, so every step of one subtask plays the same roles. A pair links
 a giver's add effect to the receiver's precondition across agents,
 provided the proposition survived untouched in between.
 
-Analysis runs in two steps. `replay` steps a trace through the simulator
-and yields one grounded action per step; `match` folds those actions into
-the ledger. Matching runs on a provenance map: every currently true shared
-proposition that some step added points at that step's record. A fact
-absent from the map holds since the initial state, or came from the
-environment, and links no one. Acceptance reads the map, deletion clears
-it, addition overwrites it, so freshness is structural rather than
-re-checked.
+Analysis runs in two steps. The first grounds each step into an action.
+A trace read from a file, or built or altered by hand, is replayed:
+`replay` steps it through the simulator, which is the check that it is a
+real episode. A trace `run_episode` just played is grounded from the
+record of its play (`played_actions`), with no second world step. Both
+use one grounding rule, `grounding.ground`. `match` then folds the
+actions into the ledger. Matching runs on a provenance map: every
+currently true shared proposition that some step added points at that
+step's record. A fact absent from the map holds since the initial state,
+or came from the environment, and links no one. Acceptance reads the map,
+deletion clears it, addition overwrites it, so freshness is structural
+rather than re-checked.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .grounding import (
     SUBTASK_TEMPLATES,
     Proposition,
     SymbolicAction,
+    ground,
     ground_step,
     sort_props,
 )
@@ -311,8 +316,30 @@ def match(
     )
 
 
+_UNPLAYED = (None, None)  # the entry of a step without an event
+
+
+def played_actions(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
+    """Ground each step of an in-process trace from the record of its play.
+
+    A step with an entry in `trace.played` is grounded in the state it was
+    played from, by the subtask its event named; any other step was a move
+    or a stay. No step goes through the simulator a second time.
+    """
+    played = trace.played
+    for t, agent, action in trace.steps:
+        state, subtask = played.get(t, _UNPLAYED)
+        yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
+
+
 def analyze_trace(
     trace: "ReplayableTrace", schema: Optional[InteractionSchema] = None
 ) -> InterdependencyLedger:
-    """Replay a trace and match its actions: classifications, pairs, self-accepts."""
-    return match(replay(trace), trace.config, schema)
+    """Ground a trace and match its actions: classifications, pairs, self-accepts.
+
+    A trace `run_episode` returned is grounded from the record of its play
+    (`played_actions`); any other trace, read from a file, built by hand
+    or altered with `dataclasses.replace`, is replayed (`replay`).
+    """
+    actions = replay(trace) if trace.played is None else played_actions(trace)
+    return match(actions, trace.config, schema)

@@ -38,6 +38,7 @@ from .gridworld import (
     single_action,
     step,
 )
+from .grounding import acting_subtask
 from .trace_io import ReplayableTrace
 
 Cell = tuple
@@ -545,22 +546,38 @@ def run_episode(
     spec2: PolicySpec,
     seed: int,
 ) -> ReplayableTrace:
-    """Play one turn-taking episode to termination and return its trace."""
+    """Play one turn-taking episode to termination and return its trace.
+
+    The trace carries the record of its play (`ReplayableTrace.played`):
+    for each step in which the acting cook had an event, its time mapped
+    to the state it was taken in and the subtask the event names. That is
+    all grounding needs beyond the step itself, so analysis grounds the
+    trace from it instead of replaying it.
+    """
     policies = {
         1: make_policy(spec1, 1, layout, config, seed),
         2: make_policy(spec2, 2, layout, config, seed),
     }
     state = initial_state(layout, config)
     steps = []
+    played = {}
     while not is_terminal(state):
-        agent = 1 + (state.t % 2)
+        t = state.t
+        agent = 1 + (t % 2)
         action = policies[agent].next_action(state)
-        steps.append((state.t, agent, action))
-        state, _, _ = step(state, single_action(agent, action))
-    return ReplayableTrace(
+        steps.append((t, agent, action))
+        successor, _, events = step(state, single_action(agent, action))
+        if events:
+            subtask = acting_subtask(events)
+            if subtask is not None:
+                played[t] = (state, subtask)
+        state = successor
+    trace = ReplayableTrace(
         layout_text=layout.text,
         config=config,
         policies=(format_policy_spec(spec1), format_policy_spec(spec2)),
         seed=seed,
         steps=tuple(steps),
     )
+    object.__setattr__(trace, "played", played)
+    return trace

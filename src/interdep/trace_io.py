@@ -23,7 +23,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -46,13 +46,24 @@ Sink = Union[str, Path, io.TextIOBase]
 
 @dataclass(frozen=True)
 class ReplayableTrace:
-    """A replayable episode: header data plus the ordered action steps."""
+    """A replayable episode: header data plus the ordered action steps.
+
+    `played` is the record of play that `run_episode` attaches to the
+    trace it returns: {t: (state, subtask)} for each step in which the
+    acting cook had an event. It is never written or read, takes no part
+    in equality or repr, and `dataclasses.replace` drops it, so it can
+    only describe the steps it was recorded with. A trace without it is
+    analyzed by replay.
+    """
 
     layout_text: str
     config: EpisodeConfig
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
     steps: tuple  # ((t, agent, PrimitiveAction), ...)
+    played: Optional[dict] = field(
+        init=False, default=None, compare=False, repr=False
+    )
 
     def header_dict(self) -> dict:
         return {

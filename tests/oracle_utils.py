@@ -14,6 +14,7 @@ import random
 from interdep import (
     EpisodeConfig,
     PrimitiveAction,
+    analyze_trace,
     build_interaction_schema,
     ground_state,
     initial_state,
@@ -132,11 +133,14 @@ def assert_matches_oracle(trace, schema=None):
     """The replay -> match fold over `trace` agrees with the oracles.
 
     Its pairs and self-acceptances are the brute-force ones, its episode
-    time and soups are those of the oracle replay's final state, and it
-    depends on nothing but the actions it folds.
+    time and soups are those of the oracle replay's final state, it
+    depends on nothing but the actions it folds, and `analyze_trace`,
+    which grounds a trace `run_episode` returned from the record of its
+    play, gives the same ledger.
     """
     schema = schema or build_interaction_schema()
     ledger = match(replay(trace), trace.config, schema)
+    assert analyze_trace(trace, schema) == ledger
     actions, final = replay_symbolic(trace)
     pairs, self_accepts = brute_force_match(actions, schema.linkable)
     assert ledger_pair_keys(ledger) == pairs

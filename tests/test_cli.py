@@ -328,6 +328,22 @@ def test_zero_config_value_is_reported(layout_file, tmp_path, capsys, flag):
     assert not list(tmp_path.glob("*.trace.jsonl"))
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_reported(layout_file, tmp_path, capsys, jobs):
+    # Accepted before: the pool size was clamped to 1 and the batch ran.
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", "solo",
+        "--p2", "idle",
+        "--out", str(tmp_path),
+        "--jobs", jobs,
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not list(tmp_path.glob("*.trace.jsonl"))
+
+
 def test_bad_policy_spec_is_reported(layout_file, capsys):
     argv = ["simulate", "--layout", str(layout_file), "--p1", "warp", "--p2", "idle"]
     assert main(argv) == 1

@@ -252,6 +252,20 @@ def test_determinism_same_script_same_state(mini_state):
     assert a == b
 
 
+def test_equal_states_hash_equal(mini_state):
+    # Fetch an onion and put it on the counter at (1,2).
+    script = turns([A.LEFT, A.INTERACT, A.DOWN, A.INTERACT])
+    a, _ = advance(mini_state, script)
+    b, _ = advance(mini_state, script)
+    assert a.counters and a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, dataclasses.replace(a, counters=dict(a.counters))}) == 1
+    # The hash leaves the counters out; equality still reads them.
+    emptied = dataclasses.replace(a, counters={})
+    assert emptied != a
+    assert len({a, emptied}) == 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 120))
 def test_random_walk_preserves_invariants(seed, n):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 
@@ -16,9 +17,12 @@ from interdep import (
     ReplayMismatch,
     analyze_trace,
     build_interaction_schema,
+    bundled_layout_text,
     classify_action,
     initial_state,
     load_layout,
+    match,
+    replay,
     single_action,
     step,
 )
@@ -33,7 +37,7 @@ from interdep.gridworld import (
 from interdep.grounding import ground_step
 from interdep.interdependence import ACCEPT, TRIGGER
 from interdep.policies import parse_policy_spec, run_episode
-from interdep.trace_io import trace_to_text
+from interdep.trace_io import read_trace, trace_to_text
 from oracle_utils import (
     assert_ledger_arithmetic,
     assert_matches_oracle,
@@ -350,3 +354,62 @@ def test_pinned_episodes_match_oracle(pin, counter_empty):
     assert hashlib.sha256(trace_to_text(trace).encode()).hexdigest() == pin["sha256"]
     schema = build_interaction_schema(include_counter_empty=counter_empty == "on")
     assert_matches_oracle(trace, schema)
+
+
+# the record of play ---------------------------------------------------------
+
+
+def test_only_run_episode_attaches_a_play_record(passer_receiver_trace):
+    trace = passer_receiver_trace
+    assert trace.played
+    read = read_trace(io.StringIO(trace_to_text(trace)))
+    assert read.played is None
+    assert dataclasses.replace(trace, steps=trace.steps).played is None
+    # The record is not part of the trace's value, its repr or its bytes.
+    assert trace == read
+    assert repr(trace) == repr(read)
+    assert trace_to_text(trace) == trace_to_text(read)
+
+
+def test_play_record_cannot_vouch_for_a_forged_step(passer_receiver_trace):
+    trace = passer_receiver_trace
+    t, agent, action = trace.steps[7]
+    forged_steps = list(trace.steps)
+    forged_steps[7] = (t, 3 - agent, action)
+    forged = dataclasses.replace(trace, steps=tuple(forged_steps))
+    with pytest.raises(ReplayMismatch, match="round-robin"):
+        analyze_trace(forged)
+
+
+PLAY_LAYOUTS = {
+    "mini": (MINI_LAYOUT, "(1,2)"),
+    "counter_circuit": (bundled_layout_text(), "(4,2)"),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    where=st.sampled_from(sorted(PLAY_LAYOUTS)),
+    kinds=st.tuples(
+        st.sampled_from(["random", "stochastic"]),
+        st.sampled_from(["random", "stochastic", "receiver"]),
+    ),
+    p=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_played_ledger_equals_replayed_ledger(where, kinds, p, seed):
+    text, counter = PLAY_LAYOUTS[where]
+    params = {
+        "random": "random",
+        "stochastic": f"stochastic:p={p!r},counter={counter},pot=0",
+        "receiver": f"receiver:counter={counter},pot=0",
+    }
+    config = EpisodeConfig(cook_time=3, horizon=300)
+    trace = run_episode(
+        load_layout(text), config, *(parse_policy_spec(params[k]) for k in kinds), seed
+    )
+    assert trace.played is not None
+    played = analyze_trace(trace)
+    replayed = match(replay(trace), config)
+    assert played.to_dict() == replayed.to_dict()
+    assert played == replayed
