@@ -179,6 +179,16 @@ class Layout:
     route search and their blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
     built once, so `cells_of` does not scan the grid.
+
+    `routes` is the policies' route memo, empty when the layout is built.
+    A `(start, blocked)` key holds the distance dict of `bfs_distances`; an
+    `(own cell, partner cell, target cells)` key holds the first move of a
+    cook's walk. Each value is a pure function of the geometry and its key
+    and is never mutated, so the memo only caches answers: a layout shared
+    by any number of episodes or threads plays exactly as a fresh one. At
+    most one entry exists per key, so the geometry bounds its size. It
+    takes no part in equality, hashing or `repr`, and `dataclasses.replace`
+    starts it empty.
     """
 
     width: int
@@ -188,6 +198,7 @@ class Layout:
     text: str
     floor_neighbours: dict[Cell, tuple[Cell, ...]] = field(compare=False, repr=False)
     tile_cells: dict[Tile, tuple[Cell, ...]] = field(compare=False, repr=False)
+    routes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def tile_at(self, cell: Cell) -> Tile:
         x, y = cell
@@ -658,13 +669,15 @@ def adjacent_floor_cells(layout: Layout, cell: Cell) -> tuple[Cell, ...]:
     return layout.floor_neighbours.get(cell, ())
 
 
+_DIRECTION_OF_VECTOR = {vec: orient for orient, vec in DIR_VECTOR.items()}
+
+
 def direction_toward(src: Cell, dst: Cell) -> Optional[Orientation]:
-    """Orientation pointing from src to an orthogonally adjacent dst."""
-    dx, dy = dst[0] - src[0], dst[1] - src[1]
-    for orient, vec in DIR_VECTOR.items():
-        if vec == (dx, dy):
-            return orient
-    return None
+    """Orientation pointing from src to an orthogonally adjacent dst.
+
+    None when dst is src or not next to it.
+    """
+    return _DIRECTION_OF_VECTOR.get((dst[0] - src[0], dst[1] - src[1]))
 
 
 MOVE_FOR_DIRECTION = {v: k for k, v in MOVE_DIRECTION.items()}

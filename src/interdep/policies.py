@@ -11,7 +11,10 @@ continuously; Idle never moves; RandomWalk samples uniform primitives.
 Every scripted move comes from one breadth-first route search over the
 layout's floor-neighbour table (`Layout.floor_neighbours`, N,S,E,W order)
 with the partner's cell treated as a wall, so every policy is reproducible
-action for action from (layout, config, seed).
+action for action from (layout, config, seed). The layout keeps the
+answer to each route question in its `routes` memo, keyed by everything
+the answer depends on, so a question is searched once per layout however
+many turns and episodes ask it again; a warm memo changes no move.
 """
 
 from __future__ import annotations
@@ -114,18 +117,30 @@ def parse_policy_spec(text: str) -> PolicySpec:
                 raise ValueError(f"bad policy parameter {part!r} in {text!r}")
             if key in params:
                 raise ValueError(f"repeated policy parameter {key!r} in {text!r}")
-            if key == "p":
-                params["p"] = float(value)
-            elif key == "counter":
-                if not (value.startswith("(") and value.endswith(")")):
-                    raise ValueError(f"bad counter cell {value!r} in {text!r}")
-                x, _, y = value[1:-1].partition(",")
-                params["counter"] = (int(x), int(y))
-            elif key == "pot":
-                params["pot"] = int(value)
-            else:
+            if key not in _PARAM_PARSERS:
                 raise ValueError(f"unknown policy parameter {key!r} in {text!r}")
+            convert, what = _PARAM_PARSERS[key]
+            try:
+                params[key] = convert(value)
+            except ValueError:
+                raise ValueError(f"bad {what} {value!r} in {text!r}") from None
     return PolicySpec(kind=kind, **params)
+
+
+def _parse_cell(value: str) -> Cell:
+    """`(x,y)` with integer x and y; ValueError otherwise."""
+    if not (value.startswith("(") and value.endswith(")")):
+        raise ValueError(value)
+    x, y = value[1:-1].split(",")
+    return (int(x), int(y))
+
+
+# Each parameter's value parser and the name a bad value is reported under.
+_PARAM_PARSERS = {
+    "p": (float, "probability"),
+    "counter": (_parse_cell, "counter cell"),
+    "pot": (int, "pot index"),
+}
 
 
 def format_policy_spec(spec: PolicySpec) -> str:
@@ -183,11 +198,41 @@ def bfs_path(
 
 
 def bfs_distances(layout: Layout, start: Cell, blocked: frozenset) -> dict:
-    """Floor-cell distances from start, partner cells treated as walls."""
-    dist: dict = {}
-    for cell, prev in _search(layout, start, frozenset(), blocked)[0].items():
-        dist[cell] = 0 if prev is None else dist[prev] + 1
+    """Floor-cell distances from start, partner cells treated as walls.
+
+    The dict is a pure function of the geometry, `start` and `blocked`, so
+    it is searched once per layout and kept in `layout.routes` under
+    `(start, blocked)`. Every caller shares it: read it, never mutate it.
+    """
+    key = (start, blocked)
+    dist = layout.routes.get(key)
+    if dist is None:
+        dist = {}
+        for cell, prev in _search(layout, start, frozenset(), blocked)[0].items():
+            dist[cell] = 0 if prev is None else dist[prev] + 1
+        layout.routes[key] = dist
     return dist
+
+
+def _first_move(
+    layout: Layout, here: Cell, partner: Cell, cells: tuple
+) -> PrimitiveAction:
+    """First step of a shortest route from `here` to any of `cells`.
+
+    The partner's cell is a wall and never a goal. When the partner closes
+    off every route, step to the first open neighbour instead: standing
+    still while the partner occupies a sole approach cell can freeze both
+    cooks, each parked on the cell the other needs.
+    """
+    blocked = frozenset((partner,))
+    goals = frozenset(cells) - blocked
+    path = bfs_path(layout, here, goals, blocked) if goals else None
+    if path is not None:
+        return MOVE_FOR_DIRECTION[direction_toward(here, path[1])]
+    for nxt in adjacent_floor_cells(layout, here):
+        if nxt not in blocked:
+            return MOVE_FOR_DIRECTION[direction_toward(here, nxt)]
+    return PrimitiveAction.STAY
 
 
 class Policy:
@@ -239,24 +284,21 @@ class Policy:
         self._last_interact_target = target
         return PrimitiveAction.INTERACT
 
-    def _walk(self, state: WorldState, cells) -> PrimitiveAction:
-        """First step of a shortest route to any of `cells`, none our own.
+    def _walk(self, state: WorldState, cells: tuple) -> PrimitiveAction:
+        """First step toward any of `cells`, none our own (see `_first_move`).
 
-        When the partner closes off every route, step to the first open
-        neighbour instead: standing still while the partner occupies a sole
-        approach cell can freeze both cooks, each parked on the cell the
-        other needs.
+        The move depends on nothing but the geometry, our cell, the
+        partner's cell and `cells`, so it is kept in `layout.routes` under
+        that key and searched once per layout.
         """
         here = self._me(state).position
-        blocked = frozenset((self._partner_cell(state),))
-        goals = frozenset(cells) - blocked
-        path = bfs_path(self.layout, here, goals, blocked) if goals else None
-        if path is not None:
-            return MOVE_FOR_DIRECTION[direction_toward(here, path[1])]
-        for nxt in adjacent_floor_cells(self.layout, here):
-            if nxt not in blocked:
-                return MOVE_FOR_DIRECTION[direction_toward(here, nxt)]
-        return PrimitiveAction.STAY
+        partner = self._partner_cell(state)
+        key = (here, partner, cells)
+        routes = self.layout.routes
+        move = routes.get(key)
+        if move is None:
+            move = routes[key] = _first_move(self.layout, here, partner, cells)
+        return move
 
     def _nearest(self, state: WorldState, candidates: list) -> Optional[Cell]:
         """Closest target cell by current approach distance; (dist, cell) ties."""

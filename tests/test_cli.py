@@ -58,6 +58,19 @@ def test_simulate_seed_range(layout_file, tmp_path):
     assert [read_trace(p).seed for p in paths] == [3, 4, 5]
 
 
+def test_simulate_pool_writes_the_serial_bytes(layout_file, tmp_path):
+    # The pool's threads share one layout and so one route memo.
+    def traces(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        extra = ["--jobs", str(jobs)]
+        paths = simulate(layout_file, out, "1..6", p1=stochastic(0.5), extra=extra)
+        return {p.name: p.read_bytes() for p in paths}
+
+    serial = traces(1)
+    assert len(serial) == 6
+    assert traces(2) == serial
+
+
 def test_simulate_trace_header_records_run(layout_file, tmp_path):
     out = tmp_path / "traces"
     (path,) = simulate(layout_file, out)
@@ -377,6 +390,21 @@ def test_repeated_policy_parameter_is_reported(layout_file, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: repeated policy parameter 'pot' in 'solo:pot=0,pot=1'\n"
+    assert not list(tmp_path.glob("*.trace.jsonl"))
+
+
+def test_non_numeric_policy_parameter_is_reported(layout_file, tmp_path, capsys):
+    # Used to print int()'s own message, which names neither value nor spec.
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", "passer:counter=(4,2,1)",
+        "--p2", "idle",
+        "--out", str(tmp_path),
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: bad counter cell '(4,2,1)' in 'passer:counter=(4,2,1)'\n"
     assert not list(tmp_path.glob("*.trace.jsonl"))
 
 

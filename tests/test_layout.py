@@ -1,9 +1,11 @@
 """Layout parsing and validation."""
 
+import dataclasses
+
 import pytest
 
 from interdep import MalformedGrid, MissingStation, SpawnCountError, load_layout
-from interdep.gridworld import Orientation, Tile
+from interdep.gridworld import Orientation, Tile, direction_toward
 
 GOOD = "XXPXX\nO1 2D\nXC SX\nXXXXX\n"
 
@@ -45,6 +47,31 @@ def test_station_cells_row_major(layout):
 def test_text_round_trip():
     layout = load_layout(GOOD)
     assert load_layout(layout.text) == layout
+
+
+@pytest.mark.parametrize(
+    "dst,expected",
+    [
+        ((3, 1), Orientation.N),
+        ((3, 3), Orientation.S),
+        ((4, 2), Orientation.E),
+        ((2, 2), Orientation.W),
+        ((4, 3), None),  # diagonal
+        ((3, 2), None),  # the same cell
+        ((3, 4), None),  # two cells away
+    ],
+)
+def test_direction_toward(dst, expected):
+    assert direction_toward((3, 2), dst) is expected
+
+
+def test_route_memo_is_outside_identity():
+    layout = load_layout(GOOD)
+    fresh = load_layout(GOOD)
+    layout.routes[((1, 1), frozenset())] = {(1, 1): 0}
+    assert layout == fresh and hash(layout) == hash(fresh)
+    assert repr(layout) == repr(fresh)
+    assert dataclasses.replace(layout).routes == {}
 
 
 def test_ragged_rows_rejected():

@@ -1,8 +1,11 @@
 """Scripted policies: spec strings, navigation, determinism, termination."""
 
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -15,9 +18,12 @@ from interdep import (
     initial_state,
     load_layout,
 )
+from interdep.gridworld import Tile
 from interdep.policies import (
     POLICY_KINDS,
     PolicySpec,
+    _first_move,
+    bfs_distances,
     bfs_path,
     format_policy_spec,
     make_policy,
@@ -65,28 +71,34 @@ def test_spec_kinds_exposed():
     }
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "chef",                      # unknown kind
-        "stochastic",                # p is required
-        "stochastic:p=1.5",          # out of range
-        "stochastic:p=-0.1",
-        "solo:p=0.5",                # p only applies to stochastic
-        "passer:counter=4,2",        # missing parens
-        "receiver:pot=first",        # non-integer pot
-        "solo:size=3",               # unknown parameter
-        "passer:pot=1",              # parameters the kind never reads
-        "solo:counter=(4,2)",
-        "idle:pot=0",
-        "idle:counter=(99,99)",
-        "solo:pot=0,pot=1",          # a repeated parameter
-        "stochastic:p=0.5,p=1.0",
-        "receiver:counter=(4,2),pot=0,counter=(4,2)",
-    ],
-)
-def test_bad_specs_rejected(text):
-    with pytest.raises(ValueError):
+BAD_SPECS = [
+    ("chef", None),                      # unknown kind
+    ("stochastic", None),                # p is required
+    ("stochastic:p=1.5", None),          # out of range
+    ("stochastic:p=-0.1", None),
+    ("solo:p=0.5", None),                # p only applies to stochastic
+    ("passer:counter=4,2", None),        # missing parens
+    ("receiver:pot=first", "bad pot index 'first' in 'receiver:pot=first'"),
+    ("solo:size=3", None),               # unknown parameter
+    ("passer:pot=1", None),              # parameters the kind never reads
+    ("solo:counter=(4,2)", None),
+    ("idle:pot=0", None),
+    ("idle:counter=(99,99)", None),
+    ("solo:pot=0,pot=1", None),          # a repeated parameter
+    ("stochastic:p=0.5,p=1.0", None),
+    ("receiver:counter=(4,2),pot=0,counter=(4,2)", None),
+    # values that are not numbers name the value and the spec
+    ("passer:counter=(4,2,1)", r"bad counter cell '\(4,2,1\)' in 'passer:counter=\(4,2,1\)'$"),
+    ("passer:counter=(x,2)", r"bad counter cell '\(x,2\)' in"),
+    ("passer:counter=(4,)", r"bad counter cell '\(4,\)' in"),
+    ("solo:pot=1.5", "bad pot index '1.5' in 'solo:pot=1.5'$"),
+    ("stochastic:p=abc", "bad probability 'abc' in 'stochastic:p=abc'$"),
+]
+
+
+@pytest.mark.parametrize("text,match", BAD_SPECS, ids=[text for text, _ in BAD_SPECS])
+def test_bad_specs_rejected(text, match):
+    with pytest.raises(ValueError, match=match):
         parse_policy_spec(text)
 
 
@@ -113,6 +125,12 @@ def test_bfs_respects_blocked_cells(layout):
     assert free is not None and len(free) == 2
     blocked = bfs_path(layout, (1, 1), frozenset({(2, 1)}), frozenset({(2, 1)}))
     assert blocked is None
+
+
+def test_bfs_distances_are_searched_once_per_layout(layout):
+    first = bfs_distances(layout, (1, 1), frozenset({(2, 1)}))
+    assert bfs_distances(layout, (1, 1), frozenset({(2, 1)})) is first
+    assert layout.routes[((1, 1), frozenset({(2, 1)}))] is first
 
 
 def test_unreachable_station_detected():
@@ -231,15 +249,54 @@ def test_productive_pairings_finish_before_horizon(layout, config, p1, p2):
     ids=lambda pin: f"{pin['layout']}-{pin['p1']}+{pin['p2']}-{pin['seed']}",
 )
 def test_navigation_matches_pinned_trace(pin):
+    layout = load_layout(NAV_TRACES["layouts"][pin["layout"]])
+    assert nav_digest(layout, pin) == pin["sha256"]
+
+
+def nav_digest(layout, pin) -> str:
     trace = run_episode(
-        load_layout(NAV_TRACES["layouts"][pin["layout"]]),
+        layout,
         EpisodeConfig(horizon=NAV_TRACES["horizon"]),
         parse_policy_spec(pin["p1"]),
         parse_policy_spec(pin["p2"]),
         pin["seed"],
     )
-    digest = hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
-    assert digest == pin["sha256"]
+    return hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
+
+
+def test_warm_route_memo_changes_no_move():
+    # One layout per name serves every pin, in pinned order and then in
+    # reverse, so most routes come from a memo warmed by other episodes.
+    layouts = {name: load_layout(text) for name, text in NAV_TRACES["layouts"].items()}
+    pins = NAV_TRACES["traces"]
+    for pin in pins + pins[::-1]:
+        assert nav_digest(layouts[pin["layout"]], pin) == pin["sha256"], pin
+    for layout in layouts.values():
+        floor = len(layout.cells_of(Tile.FLOOR))
+        assert layout.routes
+        for key, value in layout.routes.items():
+            fresh = dataclasses.replace(layout)  # same geometry, empty memo
+            if len(key) == 2:
+                assert bfs_distances(fresh, *key) == value, key
+            else:
+                assert _first_move(fresh, *key) is value, key
+        assert sum(1 for key in layout.routes if len(key) == 2) <= floor * (floor + 1)
+
+
+def test_threads_sharing_a_layout_play_as_fresh_layouts():
+    # More threads than cores and a short switch interval interleave memo
+    # misses on the same key; a pure memo still yields every pinned trace.
+    layouts = {name: load_layout(text) for name, text in NAV_TRACES["layouts"].items()}
+    pins = NAV_TRACES["traces"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(nav_digest, layouts[p["layout"]], p) for p in pins]
+            digests = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == [pin["sha256"] for pin in pins]
 
 
 def test_passing_team_produces_nine_onion_pairs(passer_receiver_trace):
