@@ -64,8 +64,6 @@ from .metrics import (
     aggregate,
     build_report,
     contribution_ratio,
-    percent_interdependent,
-    trigger_stats,
 )
 from .policies import (
     PolicySpec,
@@ -137,13 +135,11 @@ __all__ = [
     "make_policy",
     "match",
     "parse_policy_spec",
-    "percent_interdependent",
     "read_trace",
     "replay",
     "run_episode",
     "single_action",
     "step",
-    "trigger_stats",
     "write_report",
     "write_trace",
 ]

@@ -25,7 +25,7 @@ from .errors import InterdepError
 from .grounding import vocabulary_dump
 from .gridworld import EpisodeConfig, load_layout
 from .interdependence import analyze_trace, build_interaction_schema
-from .metrics import aggregate, build_report
+from .metrics import DENOMINATOR_MODES, aggregate, build_report
 from .policies import parse_policy_spec, run_episode
 from .trace_io import read_report, read_trace, write_report, write_trace
 
@@ -200,24 +200,13 @@ def cmd_schema(args) -> int:
     return 0
 
 
-def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+def _add_counter_empty(p: argparse.ArgumentParser, help: Optional[str] = None) -> None:
+    p.add_argument("--counter-empty", choices=["on", "off"], default="on", help=help)
+
+
+def _add_format(p: argparse.ArgumentParser, help: Optional[str] = None) -> None:
     p.add_argument(
-        "--denominator",
-        choices=["subtask-actions", "all-actions"],
-        default="subtask-actions",
-        help="action count used as the interdependence share denominator",
-    )
-    p.add_argument(
-        "--counter-empty",
-        choices=["on", "off"],
-        default="on",
-        help="whether counter-empty can link the two agents' actions",
-    )
-    p.add_argument(
-        "--format",
-        choices=["json", "csv", "markdown", "all"],
-        default="all",
-        help="report formats to write",
+        "--format", choices=[*REPORT_FORMATS, "all"], default="all", help=help
     )
 
 
@@ -245,21 +234,24 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("traces", nargs="+", help="trace files to analyze")
     an.add_argument("--out", default=".", help="output directory")
     an.add_argument("--write-ledgers", action="store_true", help="also dump ledgers")
-    _add_analysis_flags(an)
+    an.add_argument(
+        "--denominator",
+        choices=DENOMINATOR_MODES,
+        default="subtask-actions",
+        help="action count used as the interdependence share denominator",
+    )
+    _add_counter_empty(an, "whether counter-empty can link the two agents' actions")
+    _add_format(an, "report formats to write")
     an.set_defaults(func=cmd_analyze)
 
     rep = sub.add_parser("report", help="aggregate previously written report JSONs")
     rep.add_argument("reports", nargs="+", help="per-episode .report.json files")
     rep.add_argument("--out", default=".", help="output directory")
-    rep.add_argument(
-        "--format",
-        choices=["json", "csv", "markdown", "all"],
-        default="all",
-    )
+    _add_format(rep)
     rep.set_defaults(func=cmd_report)
 
     sch = sub.add_parser("schema", help="dump the vocabulary and subtask templates")
-    sch.add_argument("--counter-empty", choices=["on", "off"], default="on")
+    _add_counter_empty(sch)
     sch.add_argument("--out", default=None, help="write to a file instead of stdout")
     sch.set_defaults(func=cmd_schema)
 

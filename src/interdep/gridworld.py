@@ -289,10 +289,6 @@ class JointAction:
             )
         return 1 if self.a1 is not None else 2
 
-    def action(self) -> PrimitiveAction:
-        agent = self.acting_agent()
-        return self.a1 if agent == 1 else self.a2  # type: ignore[return-value]
-
 
 # The 12 turn-taking joint actions, built once: (agent, action) -> joint.
 _SINGLE_ACTIONS = {
@@ -335,7 +331,6 @@ class WorldState:
     counters: dict[Cell, Item] = field(hash=False)
     pots: tuple[PotState, ...]
     soups_delivered: int = 0
-    onions_dispensed: int = 0
     t: int = 0
 
     def player(self, agent: int) -> PlayerState:
@@ -346,24 +341,6 @@ class WorldState:
             if pot.pot_cell == cell:
                 return i
         return None
-
-    def onion_ledger(self) -> int:
-        """Dispensed onions minus onions accounted for anywhere in the world.
-
-        Zero in every reachable state: onions only enter through dispensers
-        and are never destroyed, only transformed (3 per soup).
-        """
-        held_onions = sum(1 for p in self.players if p.held is Item.ONION)
-        counter_onions = sum(1 for it in self.counters.values() if it is Item.ONION)
-        pot_onions = sum(pot.onion_count for pot in self.pots)
-        held_soups = sum(1 for p in self.players if p.held is Item.SOUP)
-        counter_soups = sum(1 for it in self.counters.values() if it is Item.SOUP)
-        soup_onions = self.config.onions_per_soup * (
-            held_soups + counter_soups + self.soups_delivered
-        )
-        return self.onions_dispensed - (
-            held_onions + counter_onions + pot_onions + soup_onions
-        )
 
 
 _GLYPH_TO_TILE = {t.value: t for t in Tile}
@@ -510,47 +487,53 @@ def _holding(me: PlayerState, item: Item) -> PlayerState:
     return PlayerState(me.agent_id, me.position, me.orientation, item)
 
 
+# The subtask of taking each item off a counter, and of putting it on one.
+_PICKUP_FROM_COUNTER = {
+    Item.ONION: PICKUP_ONION_COUNTER,
+    Item.DISH: PICKUP_DISH_COUNTER,
+    Item.SOUP: PICKUP_SOUP_COUNTER,
+}
+_PLACE_ON_COUNTER = {
+    Item.ONION: PLACE_ONION_COUNTER,
+    Item.DISH: PLACE_DISH_COUNTER,
+    Item.SOUP: PLACE_SOUP_COUNTER,
+}
+
+
 def _resolve_interact(state: WorldState, me: PlayerState):
     """Work out what interact does from (held item, faced tile, pot phase).
 
-    Returns (subtask, new_player, counters, pots, delivered_delta,
-    dispensed_delta). Incompatible combinations are silent no-ops.
+    Returns (subtask, new_player, counters, pots, delivered_delta). The
+    counters and pots are the state's own unless the interact changed them.
+    Incompatible combinations are silent no-ops.
     """
     target = me.facing_cell()
     counters = state.counters
     pots = state.pots
     if not state.layout.in_bounds(target):
-        return NOOP, me, counters, pots, 0, 0
+        return NOOP, me, counters, pots, 0
     tile = state.layout.tile_at(target)
     held = me.held
 
     if tile is Tile.ONION_DISPENSER and held is Item.NOTHING:
-        return PICKUP_ONION_DISPENSER, _holding(me, Item.ONION), counters, pots, 0, 1
+        return PICKUP_ONION_DISPENSER, _holding(me, Item.ONION), counters, pots, 0
 
     if tile is Tile.DISH_DISPENSER and held is Item.NOTHING:
-        return PICKUP_DISH_DISPENSER, _holding(me, Item.DISH), counters, pots, 0, 0
+        return PICKUP_DISH_DISPENSER, _holding(me, Item.DISH), counters, pots, 0
 
     if tile is Tile.COUNTER:
         on_counter = counters.get(target)
         if held is Item.NOTHING and on_counter is not None:
             new_counters = dict(counters)
             del new_counters[target]
-            subtask = {
-                Item.ONION: PICKUP_ONION_COUNTER,
-                Item.DISH: PICKUP_DISH_COUNTER,
-                Item.SOUP: PICKUP_SOUP_COUNTER,
-            }[on_counter]
-            return subtask, _holding(me, on_counter), new_counters, pots, 0, 0
+            subtask = _PICKUP_FROM_COUNTER[on_counter]
+            return subtask, _holding(me, on_counter), new_counters, pots, 0
         if held is not Item.NOTHING and on_counter is None:
             new_counters = dict(counters)
             new_counters[target] = held
-            subtask = {
-                Item.ONION: PLACE_ONION_COUNTER,
-                Item.DISH: PLACE_DISH_COUNTER,
-                Item.SOUP: PLACE_SOUP_COUNTER,
-            }[held]
-            return subtask, _holding(me, Item.NOTHING), new_counters, pots, 0, 0
-        return NOOP, me, counters, pots, 0, 0
+            subtask = _PLACE_ON_COUNTER[held]
+            return subtask, _holding(me, Item.NOTHING), new_counters, pots, 0
+        return NOOP, me, counters, pots, 0
 
     if tile is Tile.POT:
         idx = state.pot_index_at(target)
@@ -565,16 +548,16 @@ def _resolve_interact(state: WorldState, me: PlayerState):
             else:
                 new_pot = PotState(pot.pot_cell, count)
             new_pots = pots[:idx] + (new_pot,) + pots[idx + 1 :]
-            return PLACE_ONION_POT, _holding(me, Item.NOTHING), counters, new_pots, 0, 0
+            return PLACE_ONION_POT, _holding(me, Item.NOTHING), counters, new_pots, 0
         if held is Item.DISH and pot.phase is PotPhase.READY:
             new_pots = pots[:idx] + (PotState(pot.pot_cell),) + pots[idx + 1 :]
-            return GET_SOUP_POT, _holding(me, Item.SOUP), counters, new_pots, 0, 0
-        return NOOP, me, counters, pots, 0, 0
+            return GET_SOUP_POT, _holding(me, Item.SOUP), counters, new_pots, 0
+        return NOOP, me, counters, pots, 0
 
     if tile is Tile.SERVING_STATION and held is Item.SOUP:
-        return SERVE_SOUP, _holding(me, Item.NOTHING), counters, pots, 1, 0
+        return SERVE_SOUP, _holding(me, Item.NOTHING), counters, pots, 1
 
-    return NOOP, me, counters, pots, 0, 0
+    return NOOP, me, counters, pots, 0
 
 
 def _tick_pots(
@@ -622,22 +605,18 @@ def step(
     counters = state.counters
     pots = state.pots
     delivered = state.soups_delivered
-    dispensed = state.onions_dispensed
 
     if action in MOVE_DIRECTION:
         me = _resolve_move(state, me, players[2 - agent], MOVE_DIRECTION[action])
         players = (me, players[1]) if agent == 1 else (players[0], me)
     elif action is PrimitiveAction.INTERACT:
-        subtask, me, counters, pots, d_delivered, d_dispensed = _resolve_interact(
-            state, me
-        )
+        subtask, me, counters, pots, d_delivered = _resolve_interact(state, me)
         if subtask != NOOP:
             players = (me, players[1]) if agent == 1 else (players[0], me)
             events.append(
                 EnvEvent(t=state.t, agent=agent, name=subtask, cell=me.facing_cell())
             )
         delivered += d_delivered
-        dispensed += d_dispensed
         if d_delivered:
             reward = state.config.reward_per_soup * d_delivered
     # STAY changes nothing.
@@ -655,7 +634,6 @@ def step(
         counters,
         pots,
         delivered,
-        dispensed,
         state.t + 1,
     )
     return next_state, reward, events
@@ -681,21 +659,3 @@ def direction_toward(src: Cell, dst: Cell) -> Optional[Orientation]:
 
 
 MOVE_FOR_DIRECTION = {v: k for k, v in MOVE_DIRECTION.items()}
-
-
-def check_invariants(state: WorldState) -> None:
-    """Raise AssertionError if a structural invariant is broken (test aid)."""
-    p1, p2 = state.players
-    assert p1.position != p2.position, "players share a cell"
-    for p in state.players:
-        assert state.layout.is_floor(p.position), "player off the floor"
-    for cell in state.counters:
-        assert state.layout.tile_at(cell) is Tile.COUNTER, "item on a non-counter"
-    for pot in state.pots:
-        if pot.phase is PotPhase.FILLING:
-            assert pot.onion_count < state.config.onions_per_soup and pot.cook_timer == 0
-        elif pot.phase is PotPhase.COOKING:
-            assert pot.onion_count == state.config.onions_per_soup and pot.cook_timer > 0
-        else:
-            assert pot.onion_count == state.config.onions_per_soup and pot.cook_timer == 0
-    assert state.onion_ledger() == 0, "onion conservation violated"

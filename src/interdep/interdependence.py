@@ -195,9 +195,6 @@ class InterdependencyLedger:
     soups_delivered: int = 0
     timed_out: bool = False
 
-    def agent_classifications(self, agent: int) -> tuple:
-        return tuple(c for c in self.classifications if c.agent == agent)
-
     def givers(self, agent: int) -> tuple:
         return tuple(p for p in self.pairs if p.giver.agent == agent)
 

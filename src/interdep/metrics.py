@@ -142,19 +142,6 @@ def _denominator(agents: tuple, mode: str) -> int:
     return den
 
 
-def percent_interdependent(
-    ledger: InterdependencyLedger, mode: str = "subtask-actions"
-) -> float:
-    """Pair participations over the action denominator, as a fraction.
-
-    Each pair contributes two participations (its giver side and its
-    receiver side). The default denominator counts only actions that
-    resolved to an interact subtask; all-actions includes movement and
-    no-ops.
-    """
-    return build_report(ledger, mode).percent_interdependent
-
-
 def contribution_ratio(
     ledger: InterdependencyLedger, agent: int
 ) -> tuple[Optional[float], int, int]:
@@ -204,19 +191,6 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
     )
 
 
-def trigger_stats(
-    ledger: InterdependencyLedger, agent: int
-) -> tuple[Optional[float], Optional[float]]:
-    """(trigger share of coordination actions, trigger acceptance rate).
-
-    The acceptance rate counts the agent's distinct trigger actions matched
-    as giver in at least one pair, over all its trigger actions. Both values
-    are None when their denominators are zero.
-    """
-    report = _agent_report(ledger, agent)
-    return report.trigger_share_of_coordination, report.trigger_acceptance_rate
-
-
 def action_distribution_rings(ledger: InterdependencyLedger, agent: int) -> dict:
     """Nested tallies: total -> independent/coordination -> roles -> success.
 
@@ -251,7 +225,12 @@ def build_report(
     mode: str = "subtask-actions",
     label: str = "",
 ) -> TeamReport:
-    """Assemble the full per-episode report from a ledger."""
+    """Assemble the full per-episode report from a ledger.
+
+    `percent_interdependent` counts each pair twice (giver and receiver
+    side) over the actions `mode` counts: those that resolved to an
+    interact subtask, or with all-actions also movement and no-ops.
+    """
     agents = (_agent_report(ledger, 1), _agent_report(ledger, 2))
     den = _denominator(agents, mode)
     by_predicate: dict = {}

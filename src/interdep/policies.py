@@ -31,6 +31,7 @@ from .gridworld import (
     Item,
     Layout,
     PotPhase,
+    PotState,
     PrimitiveAction,
     Tile,
     WorldState,
@@ -251,8 +252,6 @@ class Policy:
         self.spec = spec
         self.agent = agent
         self.layout = layout
-        self.config = config
-        self.seed = seed
         self._last_interact_target: Optional[Cell] = None
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
@@ -325,6 +324,27 @@ class Policy:
         if target is None:
             return PrimitiveAction.STAY
         return self._face(state, target)
+
+    def _serve_or_plate(
+        self, state: WorldState, held: Item, pot: PotState
+    ) -> PrimitiveAction:
+        """Serve a held soup, or bring a held dish to `pot`.
+
+        A dish waits at a cooking pot, and is parked when the pot is filling
+        (someone else collected the soup). Reads `serve_cell` and `pot_cell`.
+        """
+        if held is Item.SOUP:
+            return self._face(state, self.serve_cell)
+        if pot.phase is PotPhase.READY:
+            return self._face(state, self.pot_cell)
+        if pot.phase is PotPhase.COOKING:
+            return self._face(state, self.pot_cell, wait=True)
+        return self._park_item(state)
+
+    def _pass_onion(self, state: WorldState) -> PrimitiveAction:
+        """Carry the held onion to `counter_cell`; wait there while it is full."""
+        wait = self.counter_cell in state.counters
+        return self._face(state, self.counter_cell, wait=wait)
 
     # construction-time validation ---------------------------------------
 
@@ -423,14 +443,8 @@ class SoloChefPolicy(Policy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
         held = self._me(state).held
-        if held is Item.SOUP:
-            return self._face(state, self.serve_cell)
-        if held is Item.DISH:
-            if pot.phase is PotPhase.READY:
-                return self._face(state, self.pot_cell)
-            if pot.phase is PotPhase.COOKING:
-                return self._face(state, self.pot_cell, wait=True)
-            return self._park_item(state)  # someone else collected the soup
+        if held is Item.SOUP or held is Item.DISH:
+            return self._serve_or_plate(state, held, pot)
         if held is Item.ONION:
             if pot.phase is PotPhase.FILLING:
                 return self._face(state, self.pot_cell)
@@ -477,8 +491,7 @@ class StochasticPasserPolicy(SoloChefPolicy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
         self._update_route(state)
         if self._me(state).held is Item.ONION and self._route == "counter":
-            wait = self.counter_cell in state.counters
-            return self._face(state, self.counter_cell, wait=wait)
+            return self._pass_onion(state)
         return super().next_action(state)
 
 
@@ -493,8 +506,7 @@ class PasserPolicy(Policy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
         held = self._me(state).held
         if held is Item.ONION:
-            wait = self.counter_cell in state.counters
-            return self._face(state, self.counter_cell, wait=wait)
+            return self._pass_onion(state)
         if held is not Item.NOTHING:
             return PrimitiveAction.STAY  # passers only ever hold onions
         return self._face(state, self.onion_cell)
@@ -541,14 +553,8 @@ class ReceiverChefPolicy(Policy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
         held = self._me(state).held
-        if held is Item.SOUP:
-            return self._face(state, self.serve_cell)
-        if held is Item.DISH:
-            if pot.phase is PotPhase.READY:
-                return self._face(state, self.pot_cell)
-            if pot.phase is PotPhase.COOKING:
-                return self._face(state, self.pot_cell, wait=True)
-            return self._park_item(state)
+        if held is Item.SOUP or held is Item.DISH:
+            return self._serve_or_plate(state, held, pot)
         if held is Item.ONION:
             if pot.phase is PotPhase.FILLING:
                 return self._face(state, self.pot_cell)

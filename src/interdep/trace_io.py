@@ -185,6 +185,10 @@ def read_trace(source: Sink) -> ReplayableTrace:
     """Parse and validate a trace file, normalizing to turn-taking steps."""
     text = _read_text(source)
     lines = text.splitlines()
+    # Trailing blank lines are dropped, so a footer above them is still
+    # found and checked; a blank line inside the body stays an error.
+    while lines and not lines[-1].strip(" \t"):
+        lines.pop()
     if not lines:
         raise SchemaViolation("empty trace file")
 

@@ -105,13 +105,17 @@ def interleave(agent1_actions, agent2_actions=None):
 
 
 def play(layout, config, trace: ReplayableTrace):
-    """Replay a trace through the simulator, returning the state sequence."""
+    """Replay a trace through the simulator.
+
+    Returns (state, events of the step that reached it) for every state,
+    the initial one (with no events) first.
+    """
     state = initial_state(layout, config)
-    states = [state]
+    visited = [(state, [])]
     for _, agent, act in trace.steps:
-        state, _, _ = step(state, single_action(agent, act))
-        states.append(state)
-    return states
+        state, _, events = step(state, single_action(agent, act))
+        visited.append((state, events))
+    return visited
 
 
 def interact_states(layout, config):

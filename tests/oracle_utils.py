@@ -25,7 +25,7 @@ from interdep import (
     single_action,
     step,
 )
-from interdep.gridworld import Item
+from interdep.gridworld import Item, PotPhase, Tile
 from interdep.grounding import ground_step, sort_props
 from interdep.trace_io import ReplayableTrace
 
@@ -113,7 +113,7 @@ def assert_ledger_arithmetic(ledger) -> None:
     assert g[1] + g[2] == len(ledger.pairs)
     assert r[1] + r[2] == len(ledger.pairs)
     for a in (1, 2):
-        acts = ledger.agent_classifications(a)
+        acts = [c for c in ledger.classifications if c.agent == a]
         independent = sum(1 for c in acts if c.independent)
         coordination = sum(1 for c in acts if not c.independent)
         assert independent + coordination == len(acts)
@@ -152,8 +152,31 @@ def assert_matches_oracle(trace, schema=None):
     return ledger
 
 
-def onion_imbalance(state) -> int:
-    """Dispensed onions minus onions recounted from scratch on the board."""
+def check_invariants(state) -> None:
+    """Raise AssertionError if a structural invariant of `state` is broken."""
+    p1, p2 = state.players
+    assert p1.position != p2.position, "players share a cell"
+    for p in state.players:
+        assert state.layout.is_floor(p.position), "player off the floor"
+    for cell in state.counters:
+        assert state.layout.tile_at(cell) is Tile.COUNTER, "item on a non-counter"
+    for pot in state.pots:
+        if pot.phase is PotPhase.FILLING:
+            assert pot.onion_count < state.config.onions_per_soup and pot.cook_timer == 0
+        elif pot.phase is PotPhase.COOKING:
+            assert pot.onion_count == state.config.onions_per_soup and pot.cook_timer > 0
+        else:
+            assert pot.onion_count == state.config.onions_per_soup and pot.cook_timer == 0
+
+
+def onion_imbalance(state, dispensed: int) -> int:
+    """`dispensed` onions minus onions recounted from scratch on the board.
+
+    Onions enter the world only through dispensers and are never destroyed,
+    only potted (onions_per_soup to a soup), so this is zero in every
+    reachable state when `dispensed` counts the pickup-onion-dispenser
+    events of the walk that reached it.
+    """
     held_onions = sum(1 for p in state.players if p.held is Item.ONION)
     counter_onions = sum(1 for it in state.counters.values() if it is Item.ONION)
     pot_onions = sum(pot.onion_count for pot in state.pots)
@@ -163,7 +186,7 @@ def onion_imbalance(state) -> int:
         + state.soups_delivered
     )
     on_board = held_onions + counter_onions + pot_onions
-    return state.onions_dispensed - on_board - soups * state.config.onions_per_soup
+    return dispensed - on_board - soups * state.config.onions_per_soup
 
 
 def random_external_trace(

@@ -24,6 +24,7 @@ from interdep import (
     load_layout,
 )
 from interdep.cli import main
+from interdep.gridworld import PICKUP_ONION_DISPENSER
 from interdep.trace_io import (
     read_trace,
     report_to_markdown,
@@ -150,8 +151,10 @@ def test_ledger_arithmetic_and_onion_conservation(layout, config):
         build_interaction_schema(include_counter_empty=False),
     )
     for trace in traces:
-        for state in play(load_layout(trace.layout_text), trace.config, trace):
-            assert onion_imbalance(state) == 0
+        dispensed = 0
+        for state, events in play(load_layout(trace.layout_text), trace.config, trace):
+            dispensed += sum(e.name == PICKUP_ONION_DISPENSER for e in events)
+            assert onion_imbalance(state, dispensed) == 0
         for schema in schemas:
             ledger = analyze_trace(trace, schema)
             assert_ledger_arithmetic(ledger)

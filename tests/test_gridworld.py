@@ -30,9 +30,8 @@ from interdep.gridworld import (
     PlayerState,
     PotPhase,
     PotState,
-    check_invariants,
 )
-from oracle_utils import onion_imbalance
+from oracle_utils import check_invariants, onion_imbalance
 
 A = PrimitiveAction
 
@@ -104,13 +103,15 @@ def test_single_action_shares_one_joint_action_per_pair():
         for action in A:
             joint = single_action(agent, action)
             assert joint is single_action(agent, action)
-            assert (joint.acting_agent(), joint.action()) == (agent, action)
+            slots = (action, None) if agent == 1 else (None, action)
+            assert (joint.a1, joint.a2) == slots
+            assert joint.acting_agent() == agent
 
 
 def test_pickup_from_dispenser(mini_state):
-    state, _ = advance(mini_state, turns([A.LEFT, A.INTERACT]))
+    state, events = advance(mini_state, turns([A.LEFT, A.INTERACT]))
     assert state.player(1).held is Item.ONION
-    assert state.onions_dispensed == 1
+    assert [e.name for e in events] == [PICKUP_ONION_DISPENSER]
 
 
 def test_interact_facing_nothing_is_noop(mini_state):
@@ -121,11 +122,11 @@ def test_interact_facing_nothing_is_noop(mini_state):
 
 
 def test_pickup_with_full_hands_is_noop(mini_state):
-    state, _ = advance(
+    state, events = advance(
         mini_state, turns([A.LEFT, A.INTERACT, A.INTERACT])
     )
     assert state.player(1).held is Item.ONION
-    assert state.onions_dispensed == 1
+    assert [e.name for e in events] == [PICKUP_ONION_DISPENSER]
 
 
 ONE_ONION = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT]
@@ -275,15 +276,17 @@ def test_random_walk_preserves_invariants(seed, n):
     layout = load_layout(MINI_LAYOUT)
     state = initial_state(layout, EpisodeConfig(cook_time=3, horizon=300))
     acts = list(PrimitiveAction)
+    dispensed = 0
     for i in range(n):
         if is_terminal(state):
             break
         agent = 1 + (i % 2)
         act = rng.choice(acts)
-        state, reward, _ = step(state, single_action(agent, act))
+        state, reward, events = step(state, single_action(agent, act))
+        dispensed += sum(e.name == PICKUP_ONION_DISPENSER for e in events)
         assert reward >= 0
         assert state.t == i + 1
-        assert onion_imbalance(state) == 0
+        assert onion_imbalance(state, dispensed) == 0
         check_invariants(state)
 
 
@@ -295,7 +298,6 @@ def _snapshot(state):
         tuple(map(dataclasses.astuple, state.pots)),
         state.t,
         state.soups_delivered,
-        state.onions_dispensed,
     )
 
 
@@ -344,7 +346,6 @@ def test_two_pots_tick_only_if_cooking_before_the_action(layout, timer):
             PotState((2, 0), 3, timer, PotPhase.COOKING),
             PotState((3, 0), 2),
         ),
-        onions_dispensed=6,
     )
     check_invariants(state)
     state, _, events = step(state, single_action(1, A.INTERACT))

@@ -18,8 +18,6 @@ from interdep import (
     build_interaction_schema,
     build_report,
     contribution_ratio,
-    percent_interdependent,
-    trigger_stats,
 )
 from interdep.gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS
 
@@ -51,8 +49,9 @@ def pr_report(pr_ledger):
 
 def test_percent_interdependent_known_value(pass_ledger):
     # one pair, three interact actions (pickup, place, partner pickup)
-    assert percent_interdependent(pass_ledger) == pytest.approx(2 / 3)
-    assert percent_interdependent(pass_ledger, "all-actions") == pytest.approx(2 / 8)
+    assert build_report(pass_ledger).percent_interdependent == pytest.approx(2 / 3)
+    all_actions = build_report(pass_ledger, "all-actions")
+    assert all_actions.percent_interdependent == pytest.approx(2 / 8)
 
 
 def test_percent_uses_interact_denominator(pr_ledger):
@@ -62,18 +61,17 @@ def test_percent_uses_interact_denominator(pr_ledger):
         if c.subtask in INTERACT_SUBTASKS
     )
     expected = 2 * len(pr_ledger.pairs) / interacts
-    assert percent_interdependent(pr_ledger) == pytest.approx(expected)
+    assert build_report(pr_ledger).percent_interdependent == pytest.approx(expected)
 
 
 def test_all_actions_dilutes_the_share(pr_ledger):
-    assert percent_interdependent(pr_ledger, "all-actions") < percent_interdependent(
-        pr_ledger
-    )
+    diluted = build_report(pr_ledger, "all-actions").percent_interdependent
+    assert diluted < build_report(pr_ledger).percent_interdependent
 
 
 def test_unknown_denominator_mode_rejected(pr_ledger):
     with pytest.raises(ValueError):
-        percent_interdependent(pr_ledger, "per-minute")
+        build_report(pr_ledger, "per-minute")
 
 
 def test_zero_denominator_raises_empty_trace():
@@ -82,11 +80,9 @@ def test_zero_denominator_raises_empty_trace():
     )
     ledger = analyze_trace(trace)
     with pytest.raises(EmptyTrace):
-        percent_interdependent(ledger)
-    with pytest.raises(EmptyTrace):
         build_report(ledger)
     # movement steps still count in all-actions mode
-    assert percent_interdependent(ledger, "all-actions") == 0.0
+    assert build_report(ledger, "all-actions").percent_interdependent == 0.0
 
 
 def test_contribution_ratio_undefined_not_zero(pass_ledger):
@@ -98,19 +94,21 @@ def test_contribution_ratio_undefined_not_zero(pass_ledger):
     assert ratio == 0.0
 
 
-def test_trigger_stats_bounds(pr_ledger):
-    for agent in (1, 2):
-        share, acceptance = trigger_stats(pr_ledger, agent)
+def test_trigger_rates_bounds(pr_report):
+    for agent in pr_report.agents:
+        share = agent.trigger_share_of_coordination
+        acceptance = agent.trigger_acceptance_rate
         assert share is None or 0.0 <= share <= 1.0
         assert acceptance is None or 0.0 <= acceptance <= 1.0
 
 
-def test_trigger_stats_recount(pr_ledger):
+def test_trigger_rates_recount(pr_ledger, pr_report):
     for agent in (1, 2):
-        acts = pr_ledger.agent_classifications(agent)
+        acts = [c for c in pr_ledger.classifications if c.agent == agent]
         coord = [c for c in acts if not c.independent]
         trig = [c for c in acts if c.is_trigger]
-        share, acceptance = trigger_stats(pr_ledger, agent)
+        share = pr_report.agent(agent).trigger_share_of_coordination
+        acceptance = pr_report.agent(agent).trigger_acceptance_rate
         assert share == pytest.approx(len(trig) / len(coord))
         matched = {
             (p.giver.agent, p.giver.t) for p in pr_ledger.pairs

@@ -1,7 +1,9 @@
-"""The README's library example runs and prints what it shows."""
+"""The public API: the README example runs as shown, and every export resolves."""
 
 import pathlib
 import re
+
+import interdep
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +21,10 @@ def test_library_use_example_runs(capsys):
     for line in lines[:3]:
         assert re.match(r"[a-z-]+\([\d,]+\) \{.*\} -> \{.*\}$", line), line
     assert re.fullmatch(r"\d+\.\d\d% interdependent", lines[3])
+
+
+def test_every_export_resolves_once_in_sorted_order():
+    names = interdep.__all__
+    assert [n for n in names if not hasattr(interdep, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

@@ -85,12 +85,22 @@ def test_checksum_footer_optional(small_trace):
     assert read_trace(io.StringIO(text)) == small_trace
 
 
-def test_tampered_trace_rejected(small_trace):
+def test_trailing_blank_lines_keep_the_footer(passer_receiver_trace):
+    # The footer used to be read as a step when a blank line followed it.
+    text = trace_to_text(passer_receiver_trace)
+    for tail in ("\n", "\n \t\n"):
+        assert read_trace(io.StringIO(text + tail)) == passer_receiver_trace
+    with pytest.raises(SchemaViolation, match="line 2"):
+        parse([header_line(), "", step_line(0, 1, "up")])
+
+
+@pytest.mark.parametrize("tail", ["", "\n"], ids=["no-tail", "blank-tail"])
+def test_tampered_trace_rejected(small_trace, tail):
     text = trace_to_text(small_trace)
     tampered = text.replace('"action": "left"', '"action": "right"', 1)
     assert tampered != text
     with pytest.raises(ChecksumMismatch):
-        read_trace(io.StringIO(tampered))
+        read_trace(io.StringIO(tampered + tail))
 
 
 # validation ----------------------------------------------------------------
