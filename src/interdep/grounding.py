@@ -14,16 +14,20 @@ tally) that can never link one cook's action to the other's.
 Each subtask's effects are written once, in the EFFECTS table, as
 propositions whose arguments name roles (the acting cook, the faced cell,
 the faced pot and its fill, the delivered count) instead of values.
-Grounding a step fills the roles in from the state; SUBTASK_TEMPLATES,
-which drives the interaction schema and the schema dump, is the same table
-projected to predicate names.
+Grounding a step reads the roles off the state and looks the event up in
+one cached table (`_effects`) keyed by the subtask and those values, so
+each distinct event is grounded once, however many steps repeat it. Every
+step with that key shares the cached frozensets, which nothing mutates.
+The table is bounded by faced cells x pot fill levels x soups target (for
+each subtask and cook); a whole sweep needs a few dozen entries.
+SUBTASK_TEMPLATES, which drives the interaction schema and the schema
+dump, is the same EFFECTS text projected to predicate names.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from . import gridworld as gw
@@ -106,11 +110,6 @@ class Proposition:
 
 def prop(predicate: str, *args) -> Proposition:
     return Proposition(predicate, tuple(args))
-
-
-def sort_props(props) -> tuple[Proposition, ...]:
-    """Canonical deterministic ordering for any proposition collection."""
-    return tuple(sorted(props, key=Proposition.canonical))
 
 
 def ground_state(state: WorldState) -> frozenset:
@@ -206,39 +205,37 @@ EFFECTS: dict[str, tuple[str, str, str]] = {
     NOOP: ("", "", ""),
 }
 
-# Argument names in the order of the value tuple `ground` builds.
-_LITERALS = ("nothing", "onion", "dish", "soup", 0)
-_ARG_NAMES = ("i", "x", "y", "p", "n", "n+1", "k", "k+1") + tuple(map(str, _LITERALS))
+
+def _terms(text: str):
+    """(conditional, predicate, argument names) of each term of one effect set."""
+    for term in text.split():
+        predicate, _, args = term.lstrip("?").rstrip(")").partition("(")
+        yield term.startswith("?"), predicate, args.split(",")
 
 
 @functools.cache
-def _compile(text: str) -> tuple:
-    """One effect set as ((conditional, predicate, argument getter), ...).
+def _effects(
+    subtask: str, agent: int, cell: tuple, pot: Optional[int], n: int, k: int, fills: bool
+) -> tuple[str, frozenset, frozenset, frozenset]:
+    """(subtask, pre, add, del) of one event, grounded from its key.
 
-    A getter picks a proposition's argument tuple out of the value tuple.
-    Cached, so equal sets (pre and del of most subtasks) compile to one
-    object and are grounded once.
+    The key is everything EFFECTS reads: the acting cook, the faced cell,
+    the faced pot and its onion count, the soups delivered and whether the
+    placement fills the pot. An argument that names no role is a literal
+    item name; the literal count 0 sits with the roles to stay an int.
     """
-    out = []
-    for term in text.split():
-        predicate, _, args = term.lstrip("?").rstrip(")").partition("(")
-        idx = [_ARG_NAMES.index(a) for a in args.split(",")]
-        if len(idx) == 1:  # a one-index itemgetter returns a bare value
-            idx = [slice(idx[0], idx[0] + 1)]
-        out.append((term.startswith("?"), predicate, itemgetter(*idx)))
-    return tuple(out)
-
-
-_COMPILED = {name: tuple(map(_compile, sets)) for name, sets in EFFECTS.items()}
-
-
-def _instantiate(terms: tuple, values: tuple, fills: bool) -> frozenset:
-    return frozenset(
-        [
-            Proposition(predicate, getter(values))
-            for conditional, predicate, getter in terms
+    sets = EFFECTS.get(subtask)
+    if sets is None:
+        raise ValueError(f"unknown subtask {subtask!r}")
+    roles = {"i": agent, "x": cell[0], "y": cell[1], "p": pot, "0": 0}
+    roles.update({"n": n, "n+1": n + 1, "k": k, "k+1": k + 1})
+    return subtask, *(
+        frozenset(
+            Proposition(predicate, tuple(roles.get(a, a) for a in args))
+            for conditional, predicate, args in _terms(text)
             if fills or not conditional
-        ]
+        )
+        for text in sets
     )
 
 
@@ -267,25 +264,16 @@ def ground(
     `subtask` is the acting cook's event in the step. Without one the cook
     moved (MOVE) or did nothing (NOOP), with empty proposition sets, and
     `state` is not read. With one, the sets are the subtask's minimal
-    effects, filled in from `state`, the state the step was taken in.
+    effects, filled in from `state`, the state the step was taken in, and
+    shared with every earlier step of the same event.
     """
     if subtask is None:
         return _MOVED if action in gw.MOVE_DIRECTION else _STAYED
-    sets = _COMPILED.get(subtask)
-    if sets is None:
-        raise ValueError(f"unknown subtask {subtask!r}")
     cell = state.player(agent).facing_cell()
     pot = state.pot_index_at(cell)
     n = 0 if pot is None else state.pots[pot].onion_count
-    k = state.soups_delivered
-    values = (agent, *cell, pot, n, n + 1, k, k + 1, *_LITERALS)
     fills = n + 1 == state.config.onions_per_soup
-    pre, add, delete = sets
-    pre_props = _instantiate(pre, values, fills)
-    add_props = _instantiate(add, values, fills)
-    if delete is pre:
-        return subtask, pre_props, add_props, pre_props
-    return subtask, pre_props, add_props, _instantiate(delete, values, fills)
+    return _effects(subtask, agent, cell, pot, n, state.soups_delivered, fills)
 
 
 def ground_step(
@@ -302,10 +290,10 @@ def ground_step(
 # and the schema dump.
 SUBTASK_TEMPLATES: dict[str, dict[str, frozenset]] = {
     name: {
-        key: frozenset(predicate for _, predicate, _ in terms)
-        for key, terms in zip(("pre", "add", "del"), sets)
+        key: frozenset(predicate for _, predicate, _ in _terms(text))
+        for key, text in zip(("pre", "add", "del"), sets)
     }
-    for name, sets in _COMPILED.items()
+    for name, sets in EFFECTS.items()
 }
 
 

@@ -34,7 +34,6 @@ from .grounding import (
     SymbolicAction,
     ground,
     ground_step,
-    sort_props,
 )
 from .gridworld import (
     SERVE_SOUP,
@@ -273,7 +272,11 @@ def match(
         cls = classify_action(sym, schema)
         classifications.append(cls)
         if cls.is_accept:
-            for p in sort_props(q for q in sym.pre if q.predicate in linkable):
+            # Every template requires at most one shared predicate, so an
+            # accept links at most one fact and needs no sorted order.
+            for p in sym.pre:
+                if p.predicate not in linkable:
+                    continue
                 src = provenance.get(p)
                 if src is None:
                     continue

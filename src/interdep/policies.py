@@ -241,14 +241,7 @@ class Policy:
 
     avoid_counter: Optional[Cell] = None  # a passing counter never parked on
 
-    def __init__(
-        self,
-        spec: PolicySpec,
-        agent: int,
-        layout: Layout,
-        config: EpisodeConfig,
-        seed: int,
-    ) -> None:
+    def __init__(self, spec: PolicySpec, agent: int, layout: Layout, seed: int) -> None:
         self.spec = spec
         self.agent = agent
         self.layout = layout
@@ -408,8 +401,8 @@ class IdlePolicy(Policy):
 
 
 class RandomWalkPolicy(Policy):
-    def __init__(self, spec, agent, layout, config, seed) -> None:
-        super().__init__(spec, agent, layout, config, seed)
+    def __init__(self, spec, agent, layout, seed) -> None:
+        super().__init__(spec, agent, layout, seed)
         self.rng = random.Random(f"{seed}/{agent}/random-walk")
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
@@ -425,8 +418,8 @@ class SoloChefPolicy(Policy):
     passing counter out of both source and parking decisions.
     """
 
-    def __init__(self, spec, agent, layout, config, seed) -> None:
-        super().__init__(spec, agent, layout, config, seed)
+    def __init__(self, spec, agent, layout, seed) -> None:
+        super().__init__(spec, agent, layout, seed)
         self.pot_cell = self._resolve_pot()
         self.pot_index = layout.pot_cells.index(self.pot_cell)
         self.onion_cell = self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
@@ -467,8 +460,8 @@ class StochasticPasserPolicy(SoloChefPolicy):
     like SoloChef, and p=1 always passes.
     """
 
-    def __init__(self, spec, agent, layout, config, seed) -> None:
-        super().__init__(spec, agent, layout, config, seed)
+    def __init__(self, spec, agent, layout, seed) -> None:
+        super().__init__(spec, agent, layout, seed)
         self.counter_cell = self._resolve_counter()
         self.avoid_counter = self.counter_cell
         self.rng = random.Random(f"{seed}/{agent}/stochastic-route")
@@ -498,8 +491,8 @@ class StochasticPasserPolicy(SoloChefPolicy):
 class PasserPolicy(Policy):
     """Shuttle onions from the dispenser to one counter, nothing else."""
 
-    def __init__(self, spec, agent, layout, config, seed) -> None:
-        super().__init__(spec, agent, layout, config, seed)
+    def __init__(self, spec, agent, layout, seed) -> None:
+        super().__init__(spec, agent, layout, seed)
         self.counter_cell = self._resolve_counter()
         self.onion_cell = self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
 
@@ -520,8 +513,8 @@ class ReceiverChefPolicy(Policy):
     serving lane stays clear.
     """
 
-    def __init__(self, spec, agent, layout, config, seed) -> None:
-        super().__init__(spec, agent, layout, config, seed)
+    def __init__(self, spec, agent, layout, seed) -> None:
+        super().__init__(spec, agent, layout, seed)
         self.counter_cell = self._resolve_counter()
         self.avoid_counter = self.counter_cell
         self.pot_cell = self._resolve_pot()
@@ -580,11 +573,9 @@ _POLICY_CLASSES = {
 }
 
 
-def make_policy(
-    spec: PolicySpec, agent: int, layout: Layout, config: EpisodeConfig, seed: int
-) -> Policy:
+def make_policy(spec: PolicySpec, agent: int, layout: Layout, seed: int) -> Policy:
     """Instantiate and validate a policy for one agent and layout."""
-    return _POLICY_CLASSES[spec.kind](spec, agent, layout, config, seed)
+    return _POLICY_CLASSES[spec.kind](spec, agent, layout, seed)
 
 
 def run_episode(
@@ -603,8 +594,8 @@ def run_episode(
     trace from it instead of replaying it.
     """
     policies = {
-        1: make_policy(spec1, 1, layout, config, seed),
-        2: make_policy(spec2, 2, layout, config, seed),
+        1: make_policy(spec1, 1, layout, seed),
+        2: make_policy(spec2, 2, layout, seed),
     }
     state = initial_state(layout, config)
     steps = []

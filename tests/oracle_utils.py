@@ -26,7 +26,7 @@ from interdep import (
     step,
 )
 from interdep.gridworld import Item, PotPhase, Tile
-from interdep.grounding import ground_step, sort_props
+from interdep.grounding import Proposition, ground_step
 from interdep.trace_io import ReplayableTrace
 
 
@@ -53,7 +53,7 @@ def brute_force_match(actions, accept_predicates):
     pairs = []
     self_accepts = []
     for v in actions:
-        for p in sort_props(v.pre):
+        for p in sorted(v.pre, key=Proposition.canonical):
             if not p.shared or p.predicate not in accept_predicates:
                 continue
             giver = None

@@ -7,11 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_LAYOUT, advance, interact_states, turns
+from conftest import (
+    MINI_LAYOUT,
+    PASSER,
+    RECEIVER,
+    advance,
+    interact_states,
+    policy_trace,
+    stochastic,
+    turns,
+)
 from interdep import (
     EpisodeConfig,
     MalformedJointAction,
     PrimitiveAction,
+    analyze_trace,
+    build_report,
     ground_state,
     initial_state,
     is_terminal,
@@ -40,11 +51,15 @@ from interdep.grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
     Proposition,
+    _effects,
+    acting_subtask,
+    ground,
     ground_step,
     prop,
-    sort_props,
     vocabulary_dump,
 )
+from interdep.trace_io import report_to_markdown
+from oracle_utils import random_external_trace
 
 A = PrimitiveAction
 ONE_ONION = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT]
@@ -73,10 +88,23 @@ def test_proposition_validation():
 def test_canonical_form_and_sorting():
     a = prop("onion-on-counter", 4, 2)
     assert a.canonical() == "onion-on-counter(4,2)"
-    props = [prop("soup-ready", 1), prop("counter-empty", 1, 2), a]
-    assert [p.canonical() for p in sort_props(props)] == sorted(
-        p.canonical() for p in props
-    )
+    assert prop("holding", 1, "onion").canonical() == "holding(1,onion)"
+    # Distinct facts have distinct canonical forms, so sorting by them is a
+    # total, hash-independent order.
+    props = [
+        prop("soup-ready", 1),
+        prop("counter-empty", 1, 2),
+        a,
+        prop("soup-ready", 0),
+    ]
+    ordered = sorted(props, key=Proposition.canonical)
+    assert len({p.canonical() for p in props}) == len(props)
+    assert [p.canonical() for p in ordered] == [
+        "counter-empty(1,2)",
+        "onion-on-counter(4,2)",
+        "soup-ready(0)",
+        "soup-ready(1)",
+    ]
 
 
 def test_shared_versus_private():
@@ -270,6 +298,21 @@ def test_templates_equal_projection_of_grounded_actions(layout, config):
         assert seen[name] == SUBTASK_TEMPLATES[name], name
 
 
+def test_each_template_requires_at_most_one_shared_predicate(layout, config):
+    # What lets `match` link an accept's facts in any order: at most one of
+    # them can be linkable, so the pair order cannot follow the hash seed.
+    for name, tpl in SUBTASK_TEMPLATES.items():
+        assert len(tpl["pre"] & SHARED_PREDICATES) <= 1, name
+    for agent, state in interact_states(layout, config):
+        sym = ground_step(state, A.INTERACT, agent)[0]
+        assert sum(p.shared for p in sym.pre) <= 1, sym
+
+
+def test_ground_rejects_an_unknown_subtask(mini_state):
+    with pytest.raises(ValueError, match="unknown subtask 'juggle-onions'"):
+        ground(mini_state, A.INTERACT, 1, "juggle-onions")
+
+
 def test_vocabulary_dump_shape():
     dump = vocabulary_dump()
     assert set(dump["predicates"]["shared"]) == SHARED_PREDICATES
@@ -309,3 +352,54 @@ def test_strips_contract_on_random_walks(seed, n):
         if late:
             assert sym.subtask == PLACE_ONION_POT
             assert all(p.predicate == "soup-ready" for p in late)
+
+
+BASELINE_TEAMS = (
+    (PASSER, RECEIVER),
+    (stochastic(0.5), RECEIVER),
+    ("solo", "idle"),
+    ("random", "random"),
+)
+
+
+def test_warm_effects_table_changes_no_action(layout, config):
+    # The four baseline teams, grounded from the record of their play, and
+    # fuzzed external logs, replayed, analyzed from an empty table and again
+    # from the table the first pass filled.
+    traces = [policy_trace(layout, config, p1, p2, seed=1) for p1, p2 in BASELINE_TEAMS]
+    fuzz_config = EpisodeConfig(cook_time=3, horizon=300)
+    traces += [random_external_trace(MINI_LAYOUT, fuzz_config, s, 300) for s in range(6)]
+
+    def analyze_all():
+        ledgers = [analyze_trace(trace) for trace in traces]
+        texts = [report_to_markdown(build_report(ledger)) for ledger in ledgers]
+        return ledgers, texts
+
+    _effects.cache_clear()
+    cold = analyze_all()
+    assert _effects.cache_info().misses > 0
+    warm = analyze_all()
+    assert warm[0] == cold[0]
+    assert warm[1] == cold[1]
+
+    # Every step of one event key gets the very same sets.
+    by_key: dict = {}
+    events = 0
+    for trace in traces:
+        state = initial_state(load_layout(trace.layout_text), trace.config)
+        for _, agent, act in trace.steps:
+            successor, _, step_events = step(state, single_action(agent, act))
+            subtask = acting_subtask(step_events)
+            if subtask is not None:
+                cell = state.player(agent).facing_cell()
+                pot = state.pot_index_at(cell)
+                n = 0 if pot is None else state.pots[pot].onion_count
+                fills = n + 1 == state.config.onions_per_soup
+                key = (subtask, agent, cell, pot, n, state.soups_delivered, fills)
+                grounded = ground(state, act, agent, subtask)
+                first = by_key.setdefault(key, grounded)
+                assert all(a is b for a, b in zip(first[1:], grounded[1:])), key
+                events += 1
+            state = successor
+    assert events > len(by_key)
+    assert _effects.cache_info().currsize <= len(by_key)

@@ -138,9 +138,7 @@ def test_unreachable_station_detected():
     text = "XXPXX\nO1X2D\nXC SX\nXXXXX\n"
     layout = load_layout(text)
     with pytest.raises(Unreachable):
-        make_policy(
-            parse_policy_spec("solo"), 1, layout, EpisodeConfig(), seed=1
-        )
+        make_policy(parse_policy_spec("solo"), 1, layout, seed=1)
 
 
 # behavior -------------------------------------------------------------------
@@ -314,5 +312,5 @@ def test_solo_team_produces_no_pairs(solo_idle_trace):
 
 def test_policies_only_act_on_their_turn(layout, config):
     state = initial_state(layout, config)
-    policy = make_policy(parse_policy_spec("idle"), 2, layout, config, seed=1)
+    policy = make_policy(parse_policy_spec("idle"), 2, layout, seed=1)
     assert policy.next_action(state) is A.STAY
