@@ -248,10 +248,19 @@ class EpisodeConfig:
                 raise ValueError(f"config {name} must be at least 1, got {value}")
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # The class's field table, not vars(self): giving an instance a
+        # __dict__ slows every later attribute read on it, and is_terminal
+        # reads the shared config on every step.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeConfig":
+        """The config `to_dict` wrote: every field, and no other key."""
+        names = cls.__dataclass_fields__
+        wrong = [f"missing {n!r}" for n in names if n not in d]
+        wrong += [f"unknown {k!r}" for k in d if k not in names]
+        if wrong:
+            raise ValueError(f"config keys: {', '.join(wrong)}")
         return cls(**d)
 
 

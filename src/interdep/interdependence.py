@@ -3,26 +3,30 @@
 A shared predicate is linkable when some subtask adds it and some subtask
 requires it. A subtask's template fixes its roles: it is a trigger when it
 adds a linkable predicate, an accept when it requires one, and independent
-otherwise, so every step of one subtask plays the same roles. A pair links
-a giver's add effect to the receiver's precondition across agents,
-provided the proposition survived untouched in between.
+otherwise. A pair links a giver's add effect to the receiver's
+precondition across agents, provided the proposition survived untouched
+in between.
 
-Analysis runs in two steps. The first grounds each step into an action.
-A trace read from a file, or built or altered by hand, is replayed:
-`replay` steps it through the simulator, which is the check that it is a
-real episode. A trace `run_episode` just played is grounded from the
-record of its play (`played_actions`), with no second world step. Both
-use one grounding rule, `grounding.ground`. `match` then folds the
-actions into the ledger. Matching runs on a provenance map: every
-currently true shared proposition that some step added points at that
-step's record. A fact absent from the map holds since the initial state,
-or came from the environment, and links no one. Acceptance reads the map,
-deletion clears it, addition overwrites it, so freshness is structural
-rather than re-checked.
+Only events, the steps in which a cook's interact did something, add or
+require anything, so analysis grounds and folds events only and its cost
+grows with the events, not the steps. A trace read from a file, or built
+or altered by hand, is replayed: `replay` steps all of it through the
+simulator, which is the check that it is a real episode, and yields its
+events. A trace `run_episode` just played is grounded from the record of
+its play (`played_actions`). Both use one grounding rule,
+`grounding.ground`. `match` folds the events into the ledger through a
+provenance map: every currently true shared proposition that some event
+added points at that event's record. A fact absent from the map holds
+since the initial state, or came from the environment, and links no one.
+Acceptance reads the map, deletion clears it, addition overwrites it, so
+freshness is structural rather than re-checked. Moves and stays are
+counted from the trace's steps; `ledger.classifications` builds their
+records only when asked.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -32,16 +36,19 @@ from .grounding import (
     SUBTASK_TEMPLATES,
     Proposition,
     SymbolicAction,
+    acting_subtask,
     ground,
-    ground_step,
 )
 from .gridworld import (
     SERVE_SOUP,
     EpisodeConfig,
+    WorldState,
     initial_state,
     is_terminal,
     load_layout,
     record,
+    single_action,
+    step,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,10 +102,11 @@ class InteractionSchema:
         }
 
 
+@functools.cache
 def build_interaction_schema(
     *, include_counter_empty: bool = True
 ) -> InteractionSchema:
-    """The interaction schema, with or without counter-empty."""
+    """The interaction schema, with or without counter-empty; built once each."""
     return InteractionSchema(include_counter_empty)
 
 
@@ -182,17 +190,40 @@ class SelfAcceptance:
 
 @dataclass
 class InterdependencyLedger:
-    """Everything the analysis extracted from one episode."""
+    """Everything the analysis extracted from one episode.
+
+    `events` are the records of the steps with an event, in step order;
+    `steps` is the trace's own step tuple, which holds the moves and stays.
+    """
 
     schema: InteractionSchema
     config: EpisodeConfig
-    classifications: tuple = ()
+    events: tuple = ()
+    steps: tuple = ()
     pairs: tuple = ()
     self_accepts: tuple = ()
     unaccepted_triggers: dict = field(default_factory=dict)
     episode_time: int = 0
     soups_delivered: int = 0
     timed_out: bool = False
+
+    @property
+    def classifications(self) -> tuple:
+        """One record per step, built on demand from the events and steps.
+
+        A step without an event is the move or the stay that
+        `grounding.ground` makes of it, with the roles of its subtask.
+        """
+        by_t = {c.t: c for c in self.events}
+        roles = self.schema.roles
+        out = []
+        for t, agent, action in self.steps:
+            cls = by_t.get(t)
+            if cls is None:
+                subtask = ground(None, action, agent, None)[0]
+                cls = ActionClassification(agent, t, subtask, *roles[subtask])
+            out.append(cls)
+        return tuple(out)
 
     def givers(self, agent: int) -> tuple:
         return tuple(p for p in self.pairs if p.giver.agent == agent)
@@ -222,14 +253,25 @@ class InterdependencyLedger:
         }
 
 
-def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
-    """Step a trace through the simulator, yielding each step grounded.
+@functools.cache
+def _start(layout_text: str, config: EpisodeConfig) -> WorldState:
+    """The state a trace replays from, parsed once per layout and config.
 
-    Each step replays once from the embedded layout and config and takes
-    the subtask that step reports. Turn order must be round-robin from
-    agent 1; no step may follow the terminal state or horizon.
+    Every trace of a batch on one kitchen shares it; states are never
+    mutated, so sharing one is the same as building it again.
     """
-    state = initial_state(load_layout(trace.layout_text), trace.config)
+    return initial_state(load_layout(layout_text), config)
+
+
+def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
+    """Step a trace through the simulator, yielding each event grounded.
+
+    Every step replays once from the embedded layout and config. Turn
+    order must be round-robin from agent 1, and no step may follow the
+    terminal state or horizon. Only a step in which the acting cook had
+    an event is grounded and yielded.
+    """
+    state = _start(trace.layout_text, trace.config)
     for idx, (t, agent, action) in enumerate(trace.steps):
         if t != idx:
             raise ReplayMismatch(f"step {idx}: timestep {t} breaks the 0..n sequence")
@@ -240,37 +282,39 @@ def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
             )
         if is_terminal(state):
             raise ReplayMismatch(f"step {idx}: trace continues past the terminal state")
-        sym, state = ground_step(state, action, agent)
-        yield sym
+        successor, _, events = step(state, single_action(agent, action))
+        subtask = acting_subtask(events)
+        if subtask is not None:
+            yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
+        state = successor
 
 
 def match(
-    actions: Iterable[SymbolicAction],
-    config: EpisodeConfig,
+    events: Iterable[SymbolicAction],
+    trace: "ReplayableTrace",
     schema: Optional[InteractionSchema] = None,
 ) -> InterdependencyLedger:
-    """Fold one episode's grounded actions, in step order, into its ledger.
+    """Fold one episode's grounded events, in step order, into its ledger.
 
-    Each action is classified, then each linkable precondition of an
+    Each event is classified, then each linkable precondition of an
     accept is looked up in the provenance map: a fact another cook added
-    is a pair, one the same cook added is a self-acceptance. The episode
-    time is the number of actions and the delivered soups are its
-    serve-soup actions.
+    is a pair, one the same cook added is a self-acceptance. Moves and
+    stays link nothing and are not folded. The episode time is the number
+    of steps in `trace` and the delivered soups are its serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
     linkable = schema.linkable
 
     provenance: dict = {}
-    classifications: list = []
+    records: list = []
     pairs: list = []
     self_accepts: list = []
-    matched_givers: set = set()  # t of every action matched as a giver
     soups = 0
 
-    for sym in actions:
+    for sym in events:
         cls = classify_action(sym, schema)
-        classifications.append(cls)
+        records.append(cls)
         if cls.is_accept:
             # Every template requires at most one shared predicate, so an
             # accept links at most one fact and needs no sorted order.
@@ -282,7 +326,6 @@ def match(
                     continue
                 if src.agent != cls.agent:
                     pairs.append(InterdependentPair(prop=p, giver=src, receiver=cls))
-                    matched_givers.add(src.t)
                 else:
                     self_accepts.append(
                         SelfAcceptance(
@@ -298,48 +341,46 @@ def match(
         if sym.subtask == SERVE_SOUP:
             soups += 1
 
+    matched = {pair.giver.t for pair in pairs}
     unaccepted: dict = {1: [], 2: []}
-    for cls in classifications:
-        if cls.is_trigger and cls.t not in matched_givers:
+    for cls in records:
+        if cls.is_trigger and cls.t not in matched:
             unaccepted[cls.agent].append(cls)
 
     return InterdependencyLedger(
         schema=schema,
-        config=config,
-        classifications=tuple(classifications),
+        config=trace.config,
+        events=tuple(records),
+        steps=trace.steps,
         pairs=tuple(pairs),
         self_accepts=tuple(self_accepts),
         unaccepted_triggers={k: tuple(v) for k, v in unaccepted.items()},
-        episode_time=len(classifications),
+        episode_time=len(trace.steps),
         soups_delivered=soups,
-        timed_out=soups < config.target_soups,
+        timed_out=soups < trace.config.target_soups,
     )
 
 
-_UNPLAYED = (None, None)  # the entry of a step without an event
-
-
 def played_actions(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
-    """Ground each step of an in-process trace from the record of its play.
+    """Ground each event of an in-process trace from the record of its play.
 
-    A step with an entry in `trace.played` is grounded in the state it was
-    played from, by the subtask its event named; any other step was a move
-    or a stay. No step goes through the simulator a second time.
+    Each entry of `trace.played` is grounded in the state it was played
+    from. No other step is visited, and none is simulated a second time.
     """
-    played = trace.played
-    for t, agent, action in trace.steps:
-        state, subtask = played.get(t, _UNPLAYED)
+    steps = trace.steps
+    for t, (state, subtask) in trace.played.items():
+        _, agent, action = steps[t]
         yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
 
 
 def analyze_trace(
     trace: "ReplayableTrace", schema: Optional[InteractionSchema] = None
 ) -> InterdependencyLedger:
-    """Ground a trace and match its actions: classifications, pairs, self-accepts.
+    """Ground a trace and match its events: classifications, pairs, self-accepts.
 
     A trace `run_episode` returned is grounded from the record of its play
     (`played_actions`); any other trace, read from a file, built by hand
     or altered with `dataclasses.replace`, is replayed (`replay`).
     """
-    actions = replay(trace) if trace.played is None else played_actions(trace)
-    return match(actions, trace.config, schema)
+    events = replay(trace) if trace.played is None else played_actions(trace)
+    return match(events, trace, schema)

@@ -14,7 +14,14 @@ from dataclasses import dataclass, fields
 from typing import Optional, get_args, get_type_hints
 
 from .errors import ConfigMismatch, EmptyTrace
-from .gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS, EpisodeConfig
+from .gridworld import (
+    ALL_SUBTASKS,
+    INTERACT_SUBTASKS,
+    MOVE,
+    MOVE_DIRECTION,
+    NOOP,
+    EpisodeConfig,
+)
 from .interdependence import InterdependencyLedger
 
 DENOMINATOR_MODES = ("subtask-actions", "all-actions")
@@ -33,10 +40,13 @@ def _plain(value):
 
 
 class _Serializable:
-    """`to_dict` over the dataclass fields, shared by the report types."""
+    """`to_dict` over the dataclass fields, shared by the report types.
+
+    It reads the class's field table; `fields()` builds a tuple per call.
+    """
 
     def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {n: _plain(getattr(self, n)) for n in self.__dataclass_fields__}
 
 
 def _from_fields(cls, d: dict, **converted):
@@ -146,20 +156,22 @@ def contribution_ratio(
     ledger: InterdependencyLedger, agent: int
 ) -> tuple[Optional[float], int, int]:
     """(giver/receiver ratio or None, giver count, receiver count)."""
-    g = len(ledger.givers(agent))
-    r = len(ledger.receivers(agent))
+    g = sum(1 for p in ledger.pairs if p.giver.agent == agent)
+    r = sum(1 for p in ledger.pairs if p.receiver.agent == agent)
     return _ratio(g, r), g, r
 
 
 def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
-    """Every per-agent count and rate, from one pass over the agent's actions.
+    """Every per-agent count and rate, from the agent's events and turns.
 
+    The agent's turns are every other step, round-robin from agent 1; one
+    without an event was a move or a stay, counted from the trace's steps.
     A trigger counts as accepted when it was matched as giver in some pair,
     i.e. when the ledger does not list it among the unaccepted triggers.
     """
     dist = dict.fromkeys(ALL_SUBTASKS, 0)
     independent = triggers = accepts = overlap = 0
-    for c in ledger.classifications:
+    for c in ledger.events:
         if c.agent == agent:
             dist[c.subtask] += 1
             trig, acc = c.is_trigger, c.is_accept
@@ -167,7 +179,12 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
             accepts += acc
             overlap += trig and acc
             independent += not (trig or acc)
-    total = sum(dist.values())
+    steps = ledger.steps
+    turns = range(agent - 1, len(steps), 2)
+    total = len(turns)
+    dist[MOVE] = sum(1 for i in turns if steps[i][2] in MOVE_DIRECTION)
+    dist[NOOP] = total - sum(dist.values())
+    independent += dist[MOVE] + dist[NOOP]
     coordination = total - independent
     ratio, g, r = contribution_ratio(ledger, agent)
     unaccepted = len(ledger.unaccepted_triggers.get(agent, ()))

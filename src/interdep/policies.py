@@ -589,9 +589,9 @@ def run_episode(
 
     The trace carries the record of its play (`ReplayableTrace.played`):
     for each step in which the acting cook had an event, its time mapped
-    to the state it was taken in and the subtask the event names. That is
-    all grounding needs beyond the step itself, so analysis grounds the
-    trace from it instead of replaying it.
+    to the state it was taken in and the subtask the event names. Moves
+    and stays get no entry. Those events are all that analysis grounds,
+    so it grounds the trace from them instead of replaying it.
     """
     policies = {
         1: make_policy(spec1, 1, layout, seed),

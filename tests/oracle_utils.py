@@ -16,6 +16,7 @@ from interdep import (
     PrimitiveAction,
     analyze_trace,
     build_interaction_schema,
+    classify_action,
     ground_state,
     initial_state,
     is_terminal,
@@ -25,7 +26,7 @@ from interdep import (
     single_action,
     step,
 )
-from interdep.gridworld import Item, PotPhase, Tile
+from interdep.gridworld import INTERACT_SUBTASKS, Item, PotPhase, Tile
 from interdep.grounding import Proposition, ground_step
 from interdep.trace_io import ReplayableTrace
 
@@ -133,13 +134,14 @@ def assert_matches_oracle(trace, schema=None):
     """The replay -> match fold over `trace` agrees with the oracles.
 
     Its pairs and self-acceptances are the brute-force ones, its episode
-    time and soups are those of the oracle replay's final state, it
-    depends on nothing but the actions it folds, and `analyze_trace`,
-    which grounds a trace `run_episode` returned from the record of its
-    play, gives the same ledger.
+    time and soups are those of the oracle replay's final state, its
+    per-step view is the oracle's per-step fold, it depends on nothing but
+    the events it folds and the trace's steps, and `analyze_trace`, which
+    grounds a trace `run_episode` returned from the record of its play,
+    gives the same ledger.
     """
     schema = schema or build_interaction_schema()
-    ledger = match(replay(trace), trace.config, schema)
+    ledger = match(replay(trace), trace, schema)
     assert analyze_trace(trace, schema) == ledger
     actions, final = replay_symbolic(trace)
     pairs, self_accepts = brute_force_match(actions, schema.linkable)
@@ -147,9 +149,17 @@ def assert_matches_oracle(trace, schema=None):
     assert ledger_self_accept_keys(ledger) == self_accepts
     assert ledger.episode_time == final.t
     assert ledger.soups_delivered == final.soups_delivered
-    assert match(actions, trace.config, schema) == ledger
+    assert ledger.classifications == per_step_fold(actions, schema)
+    assert ledger.steps is trace.steps
+    events = [a for a in actions if a.subtask in INTERACT_SUBTASKS]
+    assert match(events, trace, schema) == ledger
     assert_ledger_arithmetic(ledger)
     return ledger
+
+
+def per_step_fold(actions, schema):
+    """One classification per grounded step: the reference per-step view."""
+    return tuple(classify_action(a, schema) for a in actions)
 
 
 def check_invariants(state) -> None:

@@ -250,6 +250,22 @@ def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, cor
     assert not (tmp_path / "second").exists()
 
 
+def test_report_rejects_a_config_with_a_missing_field(layout_file, tmp_path, capsys):
+    # The missing horizon used to be read as the default 1000.
+    traces = simulate(layout_file, tmp_path / "traces")
+    first = tmp_path / "first"
+    assert main(["analyze", str(traces[0]), "--out", str(first), "--format", "json"]) == 0
+    path = first / "counter_circuit_1.report.json"
+    data = json.loads(path.read_text())
+    del data["config"]["horizon"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["report", str(path), "--out", str(tmp_path / "second")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing 'horizon'" in err
+
+
 # schema ----------------------------------------------------------------------
 
 
@@ -454,6 +470,22 @@ def test_malformed_trace_is_reported(layout_file, tmp_path, capsys, tail):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_trace_config_with_a_missing_field_is_reported(layout_file, tmp_path, capsys):
+    # The trace used to be analyzed under the default reward and exit 0.
+    lines = simulate(layout_file, tmp_path)[0].read_text().splitlines()
+    if "sha256" in json.loads(lines[-1]):
+        lines.pop()  # its checksum would refuse the edited header first
+    header = json.loads(lines[0])
+    del header["config"]["reward_per_soup"]
+    bad = tmp_path / "bad.trace.jsonl"
+    bad.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing 'reward_per_soup'" in err
 
 
 @pytest.mark.parametrize(

@@ -239,11 +239,26 @@ def test_terminal_at_horizon(mini_layout):
 def test_config_rejects_values_no_episode_can_use(field, value):
     # A zero cook time would leave a pot cooking forever; a zero target or
     # horizon yields an empty trace that only fails later, at analysis;
-    # from_dict must not truncate 2.7 to 2.
+    # from_dict must not truncate 2.7 to 2. The dict is complete, so it is
+    # the value that is refused, not a missing key.
     with pytest.raises(ValueError):
         EpisodeConfig(**{field: value})
-    with pytest.raises(ValueError):
-        EpisodeConfig.from_dict({field: value})
+    with pytest.raises(ValueError, match=field):
+        EpisodeConfig.from_dict({**EpisodeConfig().to_dict(), field: value})
+
+
+def test_config_from_dict_requires_exactly_the_fields():
+    full = EpisodeConfig(horizon=50).to_dict()
+    assert EpisodeConfig.from_dict(full) == EpisodeConfig(horizon=50)
+    # A missing key used to take its default without a word.
+    partial = {k: v for k, v in full.items() if k != "reward_per_soup"}
+    with pytest.raises(ValueError, match="missing 'reward_per_soup'"):
+        EpisodeConfig.from_dict(partial)
+    with pytest.raises(ValueError, match="unknown 'speed'"):
+        EpisodeConfig.from_dict({**full, "speed": 2})
+    renamed = {("horizn" if k == "horizon" else k): v for k, v in full.items()}
+    with pytest.raises(ValueError, match="missing 'horizon', unknown 'horizn'"):
+        EpisodeConfig.from_dict(renamed)
 
 
 def test_determinism_same_script_same_state(mini_state):

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from conftest import MINI_LAYOUT, external_trace, interact_states
 from interdep import (
+    EmptyTrace,
     EpisodeConfig,
     PrimitiveAction,
     ReplayMismatch,
     analyze_trace,
     build_interaction_schema,
+    build_report,
     bundled_layout_text,
     classify_action,
     initial_state,
@@ -29,20 +31,23 @@ from interdep import (
 from interdep.gridworld import (
     INTERACT_SUBTASKS,
     MOVE,
+    MOVE_DIRECTION,
     NOOP,
     PICKUP_ONION_COUNTER,
     PLACE_ONION_COUNTER,
     PLACE_ONION_POT,
 )
 from interdep.grounding import ground_step
-from interdep.interdependence import ACCEPT, TRIGGER
+from interdep.interdependence import ACCEPT, TRIGGER, played_actions
 from interdep.policies import parse_policy_spec, run_episode
 from interdep.trace_io import read_trace, trace_to_text
 from oracle_utils import (
     assert_ledger_arithmetic,
     assert_matches_oracle,
     ledger_self_accept_keys,
+    per_step_fold,
     random_external_trace,
+    replay_symbolic,
 )
 
 A = PrimitiveAction
@@ -410,6 +415,82 @@ def test_played_ledger_equals_replayed_ledger(where, kinds, p, seed):
     )
     assert trace.played is not None
     played = analyze_trace(trace)
-    replayed = match(replay(trace), config)
+    replayed = match(replay(trace), trace)
     assert played.to_dict() == replayed.to_dict()
     assert played == replayed
+
+
+# the event-only ledger ------------------------------------------------------
+
+BASELINE_TEAMS = [
+    ("passer:counter=(4,2)", "receiver:counter=(4,2),pot=0"),
+    ("stochastic:p=0.5,counter=(4,2),pot=0", "receiver:counter=(4,2),pot=0"),
+    ("solo", "idle"),
+    ("random", "random"),
+]
+
+
+def assert_event_only(trace, ledger):
+    """The ledger folds events only, yet its per-step view and its report's
+    move and stay counts are those of grounding every step of `trace`."""
+    actions, _ = replay_symbolic(trace)
+    assert ledger.steps is trace.steps
+    assert [c.t for c in ledger.events] == [
+        a.t for a in actions if a.subtask in INTERACT_SUBTASKS
+    ]
+    assert ledger.classifications == per_step_fold(actions, ledger.schema)
+    assert len(ledger.classifications) == len(trace.steps) == ledger.episode_time
+    report = build_report(ledger, "all-actions")
+    for agent in report.agents:
+        turns = [a for _, who, a in trace.steps if who == agent.agent]
+        mine = [a for a in actions if a.agent == agent.agent]
+        assert agent.total_actions == len(turns) == len(mine)
+        dist = agent.event_distribution
+        assert dist[MOVE] == sum(1 for a in turns if a in MOVE_DIRECTION)
+        assert dist[MOVE] == sum(1 for a in mine if a.subtask == MOVE)
+        assert dist[NOOP] == sum(1 for a in mine if a.subtask == NOOP)
+        assert sum(dist.values()) == agent.total_actions
+
+
+@pytest.mark.parametrize("p1,p2", BASELINE_TEAMS, ids=lambda s: s.split(":")[0])
+def test_event_only_ledger_on_baseline_teams(layout, config, p1, p2):
+    trace = run_episode(
+        layout, config, parse_policy_spec(p1), parse_policy_spec(p2), 1
+    )
+    events = list(played_actions(trace))
+    assert len(events) == len(trace.played)
+    assert [a.t for a in events] == list(trace.played)
+    ledger = analyze_trace(trace)
+    assert_event_only(trace, ledger)
+    assert ledger == match(replay(trace), trace)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 100_000), bias=st.sampled_from([0.1, 0.5, 0.9]))
+def test_event_only_ledger_on_fuzzed_logs(seed, bias):
+    config = EpisodeConfig(cook_time=3, horizon=200)
+    trace = random_external_trace(MINI_LAYOUT, config, seed, 200, bias)
+    assert_event_only(trace, analyze_trace(trace))
+
+
+def test_an_episode_without_events(layout):
+    # Two idle cooks never interact: no step has an event to fold.
+    trace = run_episode(
+        layout,
+        EpisodeConfig(horizon=12),
+        parse_policy_spec("idle"),
+        parse_policy_spec("idle"),
+        1,
+    )
+    assert trace.played == {} and len(trace.steps) == 12
+    played = analyze_trace(trace)
+    replayed = match(replay(trace), trace)
+    assert played == replayed and played.to_dict() == replayed.to_dict()
+    assert played.events == () and played.pairs == ()
+    with pytest.raises(EmptyTrace):
+        build_report(played)
+    report = build_report(played, "all-actions")
+    for agent in report.agents:
+        assert agent.total_actions == 6 == agent.event_distribution[NOOP]
+        assert agent.independent == 6 and agent.coordination == 0
+    assert_event_only(trace, played)
