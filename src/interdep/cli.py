@@ -2,8 +2,9 @@
 
 `simulate` plays seeded episodes and writes one trace file per seed;
 `analyze` replays traces into per-episode reports plus an aggregate
-summary; `report` re-aggregates previously written report JSON files;
-`schema` dumps the predicate vocabulary and subtask templates.
+summary, and writes nothing unless every trace analyzes; `report`
+re-aggregates previously written report JSON files; `schema` dumps the
+predicate vocabulary and subtask templates.
 
 Every failure path exits 1 with a single `error: ...` line on stderr. Set
 INTERDEP_LOG=DEBUG (or INFO) for progress logging. Seed batches run on a
@@ -156,22 +157,29 @@ def cmd_analyze(args) -> int:
         include_counter_empty=args.counter_empty == "on"
     )
     labels = _labels(args.traces)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     formats = _formats(args.format)
 
-    reports = []
+    # Every report and ledger text is built before the first file is
+    # written, so a trace that fails leaves no output behind.
+    reports, ledgers = [], []
     for trace_path, label in zip(args.traces, labels):
         LOG.info("analyzing %s", trace_path)
-        trace = read_trace(trace_path)
-        ledger = analyze_trace(trace, schema)
-        report = build_report(ledger, mode=args.denominator, label=label)
-        reports.append(report)
+        try:
+            ledger = analyze_trace(read_trace(trace_path), schema)
+            reports.append(build_report(ledger, mode=args.denominator, label=label))
+        except (InterdepError, ValueError, OSError) as e:
+            raise InterdepError(f"{trace_path}: {e}") from e
         if args.write_ledgers:
             text = json.dumps(ledger.to_dict(), sort_keys=True, indent=2) + "\n"
+            ledgers.append(text)
+
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for i, (report, label) in enumerate(zip(reports, labels)):
+        if ledgers:
+            text = ledgers[i]
             _atomic_write(outdir / f"{label}.ledger.json", lambda f: f.write(text))
         _write_reports(report, label, formats, outdir)
-
     if len(reports) > 1:
         _write_reports(aggregate(reports), "summary", formats, outdir)
     return 0

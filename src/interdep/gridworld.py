@@ -13,6 +13,13 @@ The state and step records (players, pots, joint actions, events, world
 states) are built by `record`: frozen, slotted dataclasses whose
 constructor sets each slot directly, since the analyzer builds several of
 them per step. They stay frozen and hashable like any frozen dataclass.
+
+`step` does its geometry by table lookup: a loaded layout keeps the cell
+and tile each grid cell faces in each direction (`Layout.faced`), and the
+player and pot records a step produces come from the layout's shared
+`records` memo, keyed by their field values, instead of being built anew
+each turn. Records are frozen, so sharing one is the same as building it
+again, and no output depends on the memo.
 """
 
 from __future__ import annotations
@@ -178,7 +185,10 @@ class Layout:
     the one place that order lives: `adjacent_floor_cells`, the policies'
     route search and their blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
-    built once, so `cells_of` does not scan the grid.
+    built once, so `cells_of` does not scan the grid. `faced` maps an
+    orientation and an in-grid cell (`faced[orientation][cell]`) to the
+    cell it faces and that cell's tile, or None when that cell is off the
+    grid; `step` and grounding read it instead of doing the arithmetic.
 
     `routes` is the policies' route memo, empty when the layout is built.
     A `(start, blocked)` key holds the distance dict of `bfs_distances`; an
@@ -189,6 +199,14 @@ class Layout:
     most one entry exists per key, so the geometry bounds its size. It
     takes no part in equality, hashing or `repr`, and `dataclasses.replace`
     starts it empty.
+
+    `records` is the same kind of memo for the player and pot records
+    `step` produces. A key is the record's class followed by its field
+    values, and the value is that record, built once and never mutated, so
+    a step that takes its record from the memo returns the very value it
+    would have built. It holds at most agents x floor cells x 4
+    orientations x items player records, plus pots x fill levels x timer
+    values pot records, and follows the rules of `routes`.
     """
 
     width: int
@@ -198,7 +216,11 @@ class Layout:
     text: str
     floor_neighbours: dict[Cell, tuple[Cell, ...]] = field(compare=False, repr=False)
     tile_cells: dict[Tile, tuple[Cell, ...]] = field(compare=False, repr=False)
+    faced: dict[Orientation, dict[Cell, Optional[tuple[Cell, Tile]]]] = field(
+        compare=False, repr=False
+    )
     routes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def tile_at(self, cell: Cell) -> Tile:
         x, y = cell
@@ -207,9 +229,6 @@ class Layout:
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
-
-    def is_floor(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and self.tile_at(cell) is Tile.FLOOR
 
     def cells_of(self, tile: Tile) -> tuple[Cell, ...]:
         return self.tile_cells[tile]
@@ -270,10 +289,6 @@ class PlayerState:
     position: Cell
     orientation: Orientation
     held: Item = Item.NOTHING
-
-    def facing_cell(self) -> Cell:
-        dx, dy = DIR_VECTOR[self.orientation]
-        return (self.position[0] + dx, self.position[1] + dy)
 
 
 @record
@@ -419,6 +434,17 @@ def load_layout(text: str) -> Layout:
             for x, y in cells
         },
         tile_cells=tile_cells,
+        faced={
+            orient: {
+                (x, y): (
+                    ((x + dx, y + dy), tiles[y + dy][x + dx])
+                    if 0 <= x + dx < width and 0 <= y + dy < height
+                    else None
+                )
+                for x, y in cells
+            }
+            for orient, (dx, dy) in DIR_VECTOR.items()
+        },
     )
     _check_stations(layout)
     _check_enclosure(layout)
@@ -480,20 +506,30 @@ def is_terminal(state: WorldState) -> bool:
     return state.soups_delivered >= cfg.target_soups or state.t >= cfg.horizon
 
 
-def _resolve_move(
-    state: WorldState, me: PlayerState, other: PlayerState, direction: Orientation
-) -> PlayerState:
-    dx, dy = DIR_VECTOR[direction]
-    target = (me.position[0] + dx, me.position[1] + dy)
-    # Blocked by anything non-floor and by the partner; orientation always
-    # follows the attempted direction.
-    if state.layout.is_floor(target) and target != other.position:
-        return PlayerState(me.agent_id, target, direction, me.held)
-    return PlayerState(me.agent_id, me.position, direction, me.held)
+# The members `step` compares against, bound to module names once. On
+# Python 3.11 reading a member through its class (`Tile.FLOOR`) goes
+# through EnumType's `__getattr__` hook and costs about 0.1 us, several
+# times per step.
+_FLOOR, _COUNTER, _POT = Tile.FLOOR, Tile.COUNTER, Tile.POT
+_ONION_DISPENSER, _DISH_DISPENSER = Tile.ONION_DISPENSER, Tile.DISH_DISPENSER
+_SERVING_STATION = Tile.SERVING_STATION
+_NOTHING, _ONION, _DISH, _SOUP = Item.NOTHING, Item.ONION, Item.DISH, Item.SOUP
+_FILLING, _COOKING, _READY = PotPhase.FILLING, PotPhase.COOKING, PotPhase.READY
+_INTERACT = PrimitiveAction.INTERACT
 
 
-def _holding(me: PlayerState, item: Item) -> PlayerState:
-    return PlayerState(me.agent_id, me.position, me.orientation, item)
+def _shared(layout: Layout, key: tuple):
+    """The record `key[0](*key[1:])`, built once per layout (`Layout.records`)."""
+    records = layout.records
+    shared = records.get(key)
+    if shared is None:
+        shared = records.setdefault(key, key[0](*key[1:]))
+    return shared
+
+
+def _holding(layout: Layout, me: PlayerState, item: Item) -> PlayerState:
+    key = (PlayerState, me.agent_id, me.position, me.orientation, item)
+    return _shared(layout, key)
 
 
 # The subtask of taking each item off a counter, and of putting it on one.
@@ -509,62 +545,61 @@ _PLACE_ON_COUNTER = {
 }
 
 
-def _resolve_interact(state: WorldState, me: PlayerState):
+def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Tile):
     """Work out what interact does from (held item, faced tile, pot phase).
 
-    Returns (subtask, new_player, counters, pots, delivered_delta). The
-    counters and pots are the state's own unless the interact changed them.
-    Incompatible combinations are silent no-ops.
+    `target` is the faced cell and `tile` its tile. Returns (subtask,
+    new_player, counters, pots, delivered_delta). The counters and pots are
+    the state's own unless the interact changed them. Incompatible
+    combinations are silent no-ops.
     """
-    target = me.facing_cell()
+    layout = state.layout
     counters = state.counters
     pots = state.pots
-    if not state.layout.in_bounds(target):
-        return NOOP, me, counters, pots, 0
-    tile = state.layout.tile_at(target)
     held = me.held
 
-    if tile is Tile.ONION_DISPENSER and held is Item.NOTHING:
-        return PICKUP_ONION_DISPENSER, _holding(me, Item.ONION), counters, pots, 0
+    if tile is _ONION_DISPENSER and held is _NOTHING:
+        return PICKUP_ONION_DISPENSER, _holding(layout, me, _ONION), counters, pots, 0
 
-    if tile is Tile.DISH_DISPENSER and held is Item.NOTHING:
-        return PICKUP_DISH_DISPENSER, _holding(me, Item.DISH), counters, pots, 0
+    if tile is _DISH_DISPENSER and held is _NOTHING:
+        return PICKUP_DISH_DISPENSER, _holding(layout, me, _DISH), counters, pots, 0
 
-    if tile is Tile.COUNTER:
+    if tile is _COUNTER:
         on_counter = counters.get(target)
-        if held is Item.NOTHING and on_counter is not None:
+        if held is _NOTHING and on_counter is not None:
             new_counters = dict(counters)
             del new_counters[target]
             subtask = _PICKUP_FROM_COUNTER[on_counter]
-            return subtask, _holding(me, on_counter), new_counters, pots, 0
-        if held is not Item.NOTHING and on_counter is None:
+            return subtask, _holding(layout, me, on_counter), new_counters, pots, 0
+        if held is not _NOTHING and on_counter is None:
             new_counters = dict(counters)
             new_counters[target] = held
             subtask = _PLACE_ON_COUNTER[held]
-            return subtask, _holding(me, Item.NOTHING), new_counters, pots, 0
+            return subtask, _holding(layout, me, _NOTHING), new_counters, pots, 0
         return NOOP, me, counters, pots, 0
 
-    if tile is Tile.POT:
+    if tile is _POT:
         idx = state.pot_index_at(target)
         assert idx is not None
         pot = pots[idx]
-        if held is Item.ONION and pot.phase is PotPhase.FILLING:
+        if held is _ONION and pot.phase is _FILLING:
             count = pot.onion_count + 1
             if count == state.config.onions_per_soup:
-                new_pot = PotState(
-                    pot.pot_cell, count, state.config.cook_time, PotPhase.COOKING
-                )
+                timer, phase = state.config.cook_time, _COOKING
             else:
-                new_pot = PotState(pot.pot_cell, count)
+                timer, phase = 0, _FILLING
+            new_pot = _shared(layout, (PotState, target, count, timer, phase))
             new_pots = pots[:idx] + (new_pot,) + pots[idx + 1 :]
-            return PLACE_ONION_POT, _holding(me, Item.NOTHING), counters, new_pots, 0
-        if held is Item.DISH and pot.phase is PotPhase.READY:
-            new_pots = pots[:idx] + (PotState(pot.pot_cell),) + pots[idx + 1 :]
-            return GET_SOUP_POT, _holding(me, Item.SOUP), counters, new_pots, 0
+            new_me = _holding(layout, me, _NOTHING)
+            return PLACE_ONION_POT, new_me, counters, new_pots, 0
+        if held is _DISH and pot.phase is _READY:
+            emptied = _shared(layout, (PotState, target, 0, 0, _FILLING))
+            new_pots = pots[:idx] + (emptied,) + pots[idx + 1 :]
+            return GET_SOUP_POT, _holding(layout, me, _SOUP), counters, new_pots, 0
         return NOOP, me, counters, pots, 0
 
-    if tile is Tile.SERVING_STATION and held is Item.SOUP:
-        return SERVE_SOUP, _holding(me, Item.NOTHING), counters, pots, 1
+    if tile is _SERVING_STATION and held is _SOUP:
+        return SERVE_SOUP, _holding(layout, me, _NOTHING), counters, pots, 1
 
     return NOOP, me, counters, pots, 0
 
@@ -577,15 +612,16 @@ def _tick_pots(
     A pot the action just filled is cooking in `pots` but not in `state`,
     so it starts counting down on the next turn.
     """
+    layout = state.layout
     ticked: list[PotState] = []
     for before, pot in zip(state.pots, pots):
-        if before.phase is PotPhase.COOKING and pot.phase is PotPhase.COOKING:
+        if before.phase is _COOKING and pot.phase is _COOKING:
             cell, count, timer = pot.pot_cell, pot.onion_count, pot.cook_timer - 1
             if timer == 0:
-                pot = PotState(cell, count, 0, PotPhase.READY)
+                pot = _shared(layout, (PotState, cell, count, 0, _READY))
                 events.append(EnvEvent(state.t, None, EVENT_SOUP_READY, cell))
             else:
-                pot = PotState(cell, count, timer, PotPhase.COOKING)
+                pot = _shared(layout, (PotState, cell, count, timer, _COOKING))
         ticked.append(pot)
     return tuple(ticked)
 
@@ -602,10 +638,12 @@ def step(
 
     `state` is never mutated. The successor shares with it the parts the
     turn left unchanged (the counters dict, the pots tuple, the players
-    tuple), so no caller may write into a state's counters either.
+    tuple), so no caller may write into a state's counters either. Its
+    player and pot records come from the layout's `records` memo.
     """
     agent = joint.acting_agent()
     action = joint.a1 if agent == 1 else joint.a2
+    layout = state.layout
     players = state.players
     me = players[agent - 1]
 
@@ -615,29 +653,45 @@ def step(
     pots = state.pots
     delivered = state.soups_delivered
 
-    if action in MOVE_DIRECTION:
-        me = _resolve_move(state, me, players[2 - agent], MOVE_DIRECTION[action])
+    direction = MOVE_DIRECTION.get(action)
+    if direction is not None:
+        # Blocked by anything non-floor and by the partner; orientation always
+        # follows the attempted direction.
+        cell = me.position
+        faced = layout.faced[direction][cell]
+        if (
+            faced is not None
+            and faced[1] is _FLOOR
+            and faced[0] != players[2 - agent].position
+        ):
+            cell = faced[0]
+        key = (PlayerState, me.agent_id, cell, direction, me.held)
+        me = layout.records.get(key) or _shared(layout, key)
         players = (me, players[1]) if agent == 1 else (players[0], me)
-    elif action is PrimitiveAction.INTERACT:
-        subtask, me, counters, pots, d_delivered = _resolve_interact(state, me)
-        if subtask != NOOP:
-            players = (me, players[1]) if agent == 1 else (players[0], me)
-            events.append(
-                EnvEvent(t=state.t, agent=agent, name=subtask, cell=me.facing_cell())
+    elif action is _INTERACT:
+        # Facing off the grid, an interact does nothing.
+        faced = layout.faced[me.orientation][me.position]
+        if faced is not None:
+            target, tile = faced
+            subtask, me, counters, pots, d_delivered = _resolve_interact(
+                state, me, target, tile
             )
-        delivered += d_delivered
-        if d_delivered:
-            reward = state.config.reward_per_soup * d_delivered
+            if subtask != NOOP:
+                players = (me, players[1]) if agent == 1 else (players[0], me)
+                events.append(EnvEvent(state.t, agent, subtask, target))
+            delivered += d_delivered
+            if d_delivered:
+                reward = state.config.reward_per_soup * d_delivered
     # STAY changes nothing.
 
     # Most turns no pot cooks, and then the pots pass through untouched.
     for pot in state.pots:
-        if pot.phase is PotPhase.COOKING:
+        if pot.phase is _COOKING:
             pots = _tick_pots(state, pots, events)
             break
 
     next_state = WorldState(
-        state.layout,
+        layout,
         state.config,
         players,
         counters,

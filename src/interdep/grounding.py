@@ -269,7 +269,8 @@ def ground(
     """
     if subtask is None:
         return _MOVED if action in gw.MOVE_DIRECTION else _STAYED
-    cell = state.player(agent).facing_cell()
+    me = state.player(agent)
+    cell = state.layout.faced[me.orientation][me.position][0]
     pot = state.pot_index_at(cell)
     n = 0 if pot is None else state.pots[pot].onion_count
     fills = n + 1 == state.config.onions_per_soup

@@ -283,9 +283,10 @@ def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
         if is_terminal(state):
             raise ReplayMismatch(f"step {idx}: trace continues past the terminal state")
         successor, _, events = step(state, single_action(agent, action))
-        subtask = acting_subtask(events)
-        if subtask is not None:
-            yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
+        if events:
+            subtask = acting_subtask(events)
+            if subtask is not None:
+                yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
         state = successor
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from interdep import (
@@ -19,6 +22,7 @@ from interdep.gridworld import (
     PlayerState,
     PotPhase,
     PotState,
+    Tile,
     WorldState,
 )
 from interdep.policies import parse_policy_spec, run_episode
@@ -34,6 +38,19 @@ RECEIVER = "receiver:counter=(4,2),pot=0"
 
 def stochastic(p: float) -> str:
     return f"stochastic:p={p!r},counter=(4,2),pot=0"
+
+
+BASELINE_TEAMS = (
+    (PASSER, RECEIVER),
+    (stochastic(0.5), RECEIVER),
+    ("solo", "idle"),
+    ("random", "random"),
+)
+
+# Pinned navigation traces and the layouts they are played on.
+NAV_TRACES = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "nav_traces.json").read_text()
+)
 
 
 @pytest.fixture(scope="session")
@@ -125,12 +142,7 @@ def interact_states(layout, config):
     partner stands on some other floor cell. Built by hand, so states random
     walks never reach (a soup waiting on a counter) are covered too.
     """
-    floor = [
-        (x, y)
-        for y in range(layout.height)
-        for x in range(layout.width)
-        if layout.is_floor((x, y))
-    ]
+    floor = layout.cells_of(Tile.FLOOR)
     full = config.onions_per_soup
     pots = [(n, 0, PotPhase.FILLING) for n in range(full)]
     pots += [(full, config.cook_time, PotPhase.COOKING), (full, 0, PotPhase.READY)]
@@ -138,7 +150,7 @@ def interact_states(layout, config):
         spare = next(f for f in floor if f != cell)
         for orient, (dx, dy) in DIR_VECTOR.items():
             faced = (cell[0] + dx, cell[1] + dy)
-            if layout.is_floor(faced):
+            if faced in floor:
                 continue
             on_counter = [None]
             if faced in layout.counter_cells:

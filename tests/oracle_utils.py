@@ -5,6 +5,11 @@ precondition of every action it scans backwards through all earlier actions
 (O(n^2)) for the latest add of that proposition, with any intervening delete
 severing the link. The analyzer's single-pass provenance map must agree
 exactly.
+
+The reference transition (`reference_step`) re-derives each turn from the
+grid itself, through `DIR_VECTOR`, `in_bounds` and `tile_at`, and builds
+every record afresh. The simulator's table-driven `step` must agree with it
+on the successor, the reward and the events.
 """
 
 from __future__ import annotations
@@ -26,7 +31,25 @@ from interdep import (
     single_action,
     step,
 )
-from interdep.gridworld import INTERACT_SUBTASKS, Item, PotPhase, Tile
+from interdep.gridworld import (
+    DIR_VECTOR,
+    EVENT_SOUP_READY,
+    GET_SOUP_POT,
+    INTERACT_SUBTASKS,
+    MOVE_DIRECTION,
+    NOOP,
+    PICKUP_DISH_DISPENSER,
+    PICKUP_ONION_DISPENSER,
+    PLACE_ONION_POT,
+    SERVE_SOUP,
+    EnvEvent,
+    Item,
+    PlayerState,
+    PotPhase,
+    PotState,
+    Tile,
+    WorldState,
+)
 from interdep.grounding import Proposition, ground_step
 from interdep.trace_io import ReplayableTrace
 
@@ -167,7 +190,7 @@ def check_invariants(state) -> None:
     p1, p2 = state.players
     assert p1.position != p2.position, "players share a cell"
     for p in state.players:
-        assert state.layout.is_floor(p.position), "player off the floor"
+        assert p.position in state.layout.cells_of(Tile.FLOOR), "player off the floor"
     for cell in state.counters:
         assert state.layout.tile_at(cell) is Tile.COUNTER, "item on a non-counter"
     for pot in state.pots:
@@ -229,3 +252,107 @@ def random_external_trace(
         seed=seed,
         steps=tuple(steps),
     )
+
+
+def facing_cell(player) -> tuple:
+    """The cell in front of `player`, by vector arithmetic."""
+    dx, dy = DIR_VECTOR[player.orientation]
+    return (player.position[0] + dx, player.position[1] + dy)
+
+
+def _reference_interact(state, me):
+    """(subtask, player, counters, pots, delivered) of one interact.
+
+    The counters and pots are fresh copies, changed or not.
+    """
+    layout, config = state.layout, state.config
+    target = facing_cell(me)
+    counters, pots = dict(state.counters), list(state.pots)
+    if not layout.in_bounds(target):
+        return NOOP, me, counters, pots, 0
+    tile, held = layout.tile_at(target), me.held
+
+    def holding(item):
+        return PlayerState(me.agent_id, me.position, me.orientation, item)
+
+    if held is Item.NOTHING and tile is Tile.ONION_DISPENSER:
+        return PICKUP_ONION_DISPENSER, holding(Item.ONION), counters, pots, 0
+    if held is Item.NOTHING and tile is Tile.DISH_DISPENSER:
+        return PICKUP_DISH_DISPENSER, holding(Item.DISH), counters, pots, 0
+    if tile is Tile.COUNTER:
+        on_counter = counters.get(target)
+        if held is Item.NOTHING and on_counter is not None:
+            del counters[target]
+            subtask = f"pickup-{on_counter.value}-counter"
+            return subtask, holding(on_counter), counters, pots, 0
+        if held is not Item.NOTHING and on_counter is None:
+            counters[target] = held
+            subtask = f"place-{held.value}-counter"
+            return subtask, holding(Item.NOTHING), counters, pots, 0
+    if tile is Tile.POT:
+        (idx,) = [i for i, pot in enumerate(pots) if pot.pot_cell == target]
+        pot = pots[idx]
+        if held is Item.ONION and pot.phase is PotPhase.FILLING:
+            n = pot.onion_count + 1
+            if n == config.onions_per_soup:
+                pots[idx] = PotState(target, n, config.cook_time, PotPhase.COOKING)
+            else:
+                pots[idx] = PotState(target, n, 0, PotPhase.FILLING)
+            return PLACE_ONION_POT, holding(Item.NOTHING), counters, pots, 0
+        if held is Item.DISH and pot.phase is PotPhase.READY:
+            pots[idx] = PotState(target, 0, 0, PotPhase.FILLING)
+            return GET_SOUP_POT, holding(Item.SOUP), counters, pots, 0
+    if tile is Tile.SERVING_STATION and held is Item.SOUP:
+        return SERVE_SOUP, holding(Item.NOTHING), counters, pots, 1
+    return NOOP, me, counters, pots, 0
+
+
+def reference_step(state, joint):
+    """(successor, reward, events) of one turn, re-derived from the grid.
+
+    The acting cook's move turns it toward the attempted direction and
+    enters the faced cell only if that is floor without the partner on it;
+    its interact resolves against the faced tile. Then every pot that was
+    cooking before the action ticks down, turning ready at zero.
+    """
+    agent = joint.acting_agent()
+    action = joint.a1 if agent == 1 else joint.a2
+    me, other = state.player(agent), state.player(3 - agent)
+    layout = state.layout
+    counters, pots, delivered = dict(state.counters), state.pots, 0
+    events = []
+    if action in MOVE_DIRECTION:
+        direction = MOVE_DIRECTION[action]
+        dx, dy = DIR_VECTOR[direction]
+        target = (me.position[0] + dx, me.position[1] + dy)
+        free = (
+            layout.in_bounds(target)
+            and layout.tile_at(target) is Tile.FLOOR
+            and target != other.position
+        )
+        position = target if free else me.position
+        me = PlayerState(me.agent_id, position, direction, me.held)
+    elif action is PrimitiveAction.INTERACT:
+        subtask, me, counters, pots, delivered = _reference_interact(state, me)
+        if subtask != NOOP:
+            events.append(EnvEvent(state.t, agent, subtask, facing_cell(me)))
+    ticked = []
+    for before, pot in zip(state.pots, pots):
+        if before.phase is PotPhase.COOKING and pot.phase is PotPhase.COOKING:
+            timer = pot.cook_timer - 1
+            phase = PotPhase.READY if timer == 0 else PotPhase.COOKING
+            pot = PotState(pot.pot_cell, pot.onion_count, timer, phase)
+            if phase is PotPhase.READY:
+                events.append(EnvEvent(state.t, None, EVENT_SOUP_READY, pot.pot_cell))
+        ticked.append(pot)
+    players = (me, other) if agent == 1 else (other, me)
+    successor = WorldState(
+        layout=layout,
+        config=state.config,
+        players=players,
+        counters=counters,
+        pots=tuple(ticked),
+        soups_delivered=state.soups_delivered + delivered,
+        t=state.t + 1,
+    )
+    return successor, delivered * state.config.reward_per_soup, events

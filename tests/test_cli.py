@@ -453,6 +453,22 @@ def test_corrupt_trace_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_failing_trace_is_named_and_nothing_is_written(layout_file, tmp_path, capsys):
+    # Reports and ledgers of the good traces used to be written before the
+    # bad one failed, and the error line did not name it.
+    traces = simulate(layout_file, tmp_path / "traces", seeds="1..2")
+    bad = tmp_path / "traces" / "bad.trace.jsonl"
+    bad.write_text("not json\n")
+    out = tmp_path / "reports"
+    capsys.readouterr()
+    argv = ["analyze", *map(str, traces), str(bad), "--out", str(out), "--write-ledgers"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert str(bad) in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "tail",
     ['{"sha256": 5}', '{"action": ["up"], "agent": 1, "t": 0}', None],

@@ -1,12 +1,13 @@
 """Simulator dynamics: movement, interactions, pot timing, conservation."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_LAYOUT, advance, turns
+from conftest import MINI_LAYOUT, NAV_TRACES, advance, turns
 from interdep import (
     EpisodeConfig,
     bundled_layout_text,
@@ -31,7 +32,7 @@ from interdep.gridworld import (
     PotPhase,
     PotState,
 )
-from oracle_utils import check_invariants, onion_imbalance
+from oracle_utils import check_invariants, onion_imbalance, reference_step
 
 A = PrimitiveAction
 
@@ -285,8 +286,6 @@ def test_equal_states_hash_equal(mini_state):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 120))
 def test_random_walk_preserves_invariants(seed, n):
-    import random
-
     rng = random.Random(seed)
     layout = load_layout(MINI_LAYOUT)
     state = initial_state(layout, EpisodeConfig(cook_time=3, horizon=300))
@@ -327,8 +326,6 @@ def test_step_never_mutates_its_input(text, seed, n):
     # tuples with its input when the turn leaves them alone; a step that
     # wrote into a shared part would change the state it was given. One
     # onion per soup lets random play reach cooking and ready pots.
-    import random
-
     rng = random.Random(seed)
     config = EpisodeConfig(cook_time=3, horizon=400, onions_per_soup=1)
     state = initial_state(load_layout(text), config)
@@ -346,6 +343,32 @@ def test_step_never_mutates_its_input(text, seed, n):
             assert nxt.counters is state.counters
         check_invariants(nxt)
         state = nxt
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    text=st.sampled_from(
+        [MINI_LAYOUT, *(NAV_TRACES["layouts"][k] for k in ("counter_circuit", "corridor"))]
+    ),
+    onions=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 400),
+)
+def test_step_agrees_with_the_reference_transition(text, onions, seed, n):
+    # Random play, half of it interacts, checked turn by turn against a
+    # transition re-derived from the grid with fresh records.
+    rng = random.Random(seed)
+    config = EpisodeConfig(cook_time=3, horizon=400, onions_per_soup=onions)
+    state = initial_state(load_layout(text), config)
+    moves = [a for a in PrimitiveAction if a is not A.INTERACT]
+    for i in range(n):
+        if is_terminal(state):
+            break
+        act = A.INTERACT if rng.random() < 0.5 else rng.choice(moves)
+        joint = single_action(1 + i % 2, act)
+        got = step(state, joint)
+        assert got == reference_step(state, joint), (i, act)
+        state = got[0]
 
 
 @pytest.mark.parametrize("timer", [1, 2])

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BASELINE_TEAMS,
     MINI_LAYOUT,
-    PASSER,
-    RECEIVER,
     advance,
     interact_states,
     policy_trace,
-    stochastic,
     turns,
 )
 from interdep import (
@@ -59,7 +57,7 @@ from interdep.grounding import (
     vocabulary_dump,
 )
 from interdep.trace_io import report_to_markdown
-from oracle_utils import random_external_trace
+from oracle_utils import facing_cell, random_external_trace
 
 A = PrimitiveAction
 ONE_ONION = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT]
@@ -354,14 +352,6 @@ def test_strips_contract_on_random_walks(seed, n):
             assert all(p.predicate == "soup-ready" for p in late)
 
 
-BASELINE_TEAMS = (
-    (PASSER, RECEIVER),
-    (stochastic(0.5), RECEIVER),
-    ("solo", "idle"),
-    ("random", "random"),
-)
-
-
 def test_warm_effects_table_changes_no_action(layout, config):
     # The four baseline teams, grounded from the record of their play, and
     # fuzzed external logs, replayed, analyzed from an empty table and again
@@ -391,7 +381,7 @@ def test_warm_effects_table_changes_no_action(layout, config):
             successor, _, step_events = step(state, single_action(agent, act))
             subtask = acting_subtask(step_events)
             if subtask is not None:
-                cell = state.player(agent).facing_cell()
+                cell = facing_cell(state.player(agent))
                 pot = state.pot_index_at(cell)
                 n = 0 if pot is None else state.pots[pot].onion_count
                 fills = n + 1 == state.config.onions_per_soup

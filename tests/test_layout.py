@@ -4,8 +4,22 @@ import dataclasses
 
 import pytest
 
-from interdep import MalformedGrid, MissingStation, SpawnCountError, load_layout
-from interdep.gridworld import Orientation, Tile, direction_toward
+from conftest import NAV_TRACES
+from interdep import (
+    MalformedGrid,
+    MissingStation,
+    SpawnCountError,
+    bundled_layout_text,
+    load_layout,
+)
+from interdep.gridworld import (
+    DIR_VECTOR,
+    Item,
+    Orientation,
+    PlayerState,
+    Tile,
+    direction_toward,
+)
 
 GOOD = "XXPXX\nO1 2D\nXC SX\nXXXXX\n"
 
@@ -30,7 +44,7 @@ def test_spawns_in_agent_order_facing_north():
 def test_spawn_cells_are_floor():
     layout = load_layout(GOOD)
     for cell, _ in layout.spawns:
-        assert layout.is_floor(cell)
+        assert layout.tile_at(cell) is Tile.FLOOR
 
 
 def test_bundled_layout_parses(layout):
@@ -66,12 +80,38 @@ def test_direction_toward(dst, expected):
 
 
 def test_route_memo_is_outside_identity():
+    # The route memo and the record memo alike.
     layout = load_layout(GOOD)
     fresh = load_layout(GOOD)
     layout.routes[((1, 1), frozenset())] = {(1, 1): 0}
+    key = (PlayerState, 1, (1, 1), Orientation.N, Item.NOTHING)
+    layout.records[key] = PlayerState(*key[1:])
     assert layout == fresh and hash(layout) == hash(fresh)
     assert repr(layout) == repr(fresh)
-    assert dataclasses.replace(layout).routes == {}
+    replaced = dataclasses.replace(layout)
+    assert replaced.routes == {} and replaced.records == {}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [GOOD, bundled_layout_text(), *NAV_TRACES["layouts"].values()],
+    ids=["mini", "bundled", *NAV_TRACES["layouts"]],
+)
+def test_faced_table_is_the_grid_arithmetic(text):
+    layout = load_layout(text)
+    grid = [(x, y) for y in range(layout.height) for x in range(layout.width)]
+    assert list(layout.faced) == list(DIR_VECTOR)
+    for orient, (dx, dy) in DIR_VECTOR.items():
+        assert list(layout.faced[orient]) == grid
+        for x, y in grid:
+            cell = (x + dx, y + dy)
+            expected = (cell, layout.tile_at(cell)) if layout.in_bounds(cell) else None
+            assert layout.faced[orient][x, y] == expected, (orient, x, y)
+    # A border cell facing out of the grid faces nothing.
+    assert layout.faced[Orientation.N][2, 0] is None
+    assert layout.faced[Orientation.W][0, 1] is None
+    assert layout.faced[Orientation.S][0, layout.height - 1] is None
+    assert layout.faced[Orientation.E][layout.width - 1, 1] is None
 
 
 def test_ragged_rows_rejected():

@@ -3,22 +3,30 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import io
 import json
-import pathlib
 import sys
 
 import pytest
 
-from conftest import PASSER, RECEIVER, stochastic
+from conftest import (
+    BASELINE_TEAMS,
+    NAV_TRACES,
+    PASSER,
+    RECEIVER,
+    policy_trace,
+    stochastic,
+)
 from interdep import (
     EpisodeConfig,
     PrimitiveAction,
     Unreachable,
     analyze_trace,
+    build_report,
     initial_state,
     load_layout,
 )
-from interdep.gridworld import Tile
+from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
 from interdep.policies import (
     POLICY_KINDS,
     PolicySpec,
@@ -30,13 +38,10 @@ from interdep.policies import (
     parse_policy_spec,
     run_episode,
 )
-from interdep.trace_io import trace_to_text
+from interdep.interdependence import _start
+from interdep.trace_io import read_trace, trace_to_text, write_report
 
 A = PrimitiveAction
-
-NAV_TRACES = json.loads(
-    (pathlib.Path(__file__).parent / "golden" / "nav_traces.json").read_text()
-)
 
 
 # spec strings --------------------------------------------------------------
@@ -269,6 +274,7 @@ def test_warm_route_memo_changes_no_move():
     pins = NAV_TRACES["traces"]
     for pin in pins + pins[::-1]:
         assert nav_digest(layouts[pin["layout"]], pin) == pin["sha256"], pin
+    config = EpisodeConfig(horizon=NAV_TRACES["horizon"])
     for layout in layouts.values():
         floor = len(layout.cells_of(Tile.FLOOR))
         assert layout.routes
@@ -279,6 +285,45 @@ def test_warm_route_memo_changes_no_move():
             else:
                 assert _first_move(fresh, *key) is value, key
         assert sum(1 for key in layout.routes if len(key) == 2) <= floor * (floor + 1)
+        # The record memo the same episodes filled: every entry is the
+        # record its key builds, within the bound its fields give.
+        assert layout.records
+        for key, value in layout.records.items():
+            assert key[0] in (PlayerState, PotState), key
+            assert value == key[0](*key[1:]), key
+        players = sum(1 for key in layout.records if key[0] is PlayerState)
+        pots = len(layout.records) - players
+        assert players <= 2 * floor * len(Orientation) * len(Item)
+        fills, timers = config.onions_per_soup + 1, config.cook_time + 1
+        assert pots <= len(layout.pot_cells) * fills * timers
+
+
+def test_warm_layout_changes_no_output_byte(layout_text, config):
+    # The four baseline teams, played and analyzed twice on one layout:
+    # first with its memos empty, then with the memos the first pass
+    # filled. Replay steps through the layout it keeps per layout text,
+    # emptied for the first pass too.
+    def outputs(layout):
+        out = []
+        for p1, p2 in BASELINE_TEAMS:
+            trace = policy_trace(layout, config, p1, p2, seed=1)
+            text = trace_to_text(trace)
+            out.append(text)
+            for analyzed in (trace, read_trace(io.StringIO(text))):
+                ledger = analyze_trace(analyzed)
+                out.append(json.dumps(ledger.to_dict(), sort_keys=True, indent=2))
+                for fmt in ("json", "csv", "markdown"):
+                    sink = io.StringIO()
+                    write_report(build_report(ledger), fmt, sink)
+                    out.append(sink.getvalue())
+        return out
+
+    layout = load_layout(layout_text)
+    _start.cache_clear()
+    cold = outputs(layout)
+    assert layout.routes and layout.records
+    assert _start(layout.text, config).layout.records
+    assert outputs(layout) == cold
 
 
 def test_threads_sharing_a_layout_play_as_fresh_layouts():
