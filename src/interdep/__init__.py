@@ -6,75 +6,81 @@ propositions, actions are classified as independent or coordination
 (trigger/accept roles), and giver-receiver pairs are extracted wherever one
 cook's effect became the other's precondition. Reports aggregate the
 resulting team metrics across seeded episodes.
+
+Importing the package loads none of its modules. The first use of an
+exported name, or of a submodule name such as ``interdep.trace_io``, imports
+the module it lives in and keeps the value here, so a caller that only loads
+a layout never imports the policies, the reports or the trace I/O.
 """
 
-from importlib import resources
-
-from .errors import (
-    ChecksumMismatch,
-    ConfigMismatch,
-    EmptyTrace,
-    InterdepError,
-    IoFailure,
-    MalformedGrid,
-    MalformedJointAction,
-    MissingStation,
-    ReplayMismatch,
-    SchemaViolation,
-    SpawnCountError,
-    Unreachable,
-    VersionUnsupported,
-)
-from .gridworld import (
-    EpisodeConfig,
-    JointAction,
-    Layout,
-    PlayerState,
-    PotState,
-    PrimitiveAction,
-    WorldState,
-    initial_state,
-    is_terminal,
-    load_layout,
-    single_action,
-    step,
-)
-from .grounding import (
-    Proposition,
-    SymbolicAction,
-    ground_state,
-)
-from .interdependence import (
-    ActionClassification,
-    InteractionSchema,
-    InterdependencyLedger,
-    InterdependentPair,
-    SelfAcceptance,
-    analyze_trace,
-    build_interaction_schema,
-    classify_action,
-    match,
-    replay,
-)
-from .metrics import (
-    AggregateSummary,
-    AgentReport,
-    TeamReport,
-    action_distribution_rings,
-    aggregate,
-    build_report,
-    contribution_ratio,
-)
-from .policies import (
-    PolicySpec,
-    format_policy_spec,
-    make_policy,
-    parse_policy_spec,
-    run_episode,
-)
-from .trace_io import ReplayableTrace, read_trace, write_report, write_trace
+from importlib import import_module, resources
 
 __version__ = "0.1.0"
+
+# Each exported name, listed once under the module it lives in.
+_EXPORTS = {
+    "errors": (
+        "ChecksumMismatch",
+        "ConfigMismatch",
+        "EmptyTrace",
+        "InterdepError",
+        "IoFailure",
+        "MalformedGrid",
+        "MalformedJointAction",
+        "MissingStation",
+        "ReplayMismatch",
+        "SchemaViolation",
+        "SpawnCountError",
+        "Unreachable",
+        "VersionUnsupported",
+    ),
+    "gridworld": (
+        "EpisodeConfig",
+        "JointAction",
+        "Layout",
+        "PlayerState",
+        "PotState",
+        "PrimitiveAction",
+        "WorldState",
+        "initial_state",
+        "is_terminal",
+        "load_layout",
+        "single_action",
+        "step",
+    ),
+    "grounding": ("Proposition", "SymbolicAction", "ground_state"),
+    "interdependence": (
+        "ActionClassification",
+        "InteractionSchema",
+        "InterdependencyLedger",
+        "InterdependentPair",
+        "SelfAcceptance",
+        "analyze_trace",
+        "build_interaction_schema",
+        "classify_action",
+        "match",
+        "replay",
+    ),
+    "metrics": (
+        "AggregateSummary",
+        "AgentReport",
+        "TeamReport",
+        "action_distribution_rings",
+        "aggregate",
+        "build_report",
+        "contribution_ratio",
+    ),
+    "policies": (
+        "PolicySpec",
+        "format_policy_spec",
+        "make_policy",
+        "parse_policy_spec",
+        "run_episode",
+    ),
+    "trace_io": ("ReplayableTrace", "read_trace", "write_report", "write_trace"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset({*_EXPORTS, "cli"})
 
 
 def bundled_layout_text(name: str = "counter_circuit") -> str:
@@ -86,60 +92,20 @@ def bundled_layout_text(name: str = "counter_circuit") -> str:
     )
 
 
-__all__ = [
-    "ActionClassification",
-    "AgentReport",
-    "AggregateSummary",
-    "ChecksumMismatch",
-    "ConfigMismatch",
-    "EmptyTrace",
-    "EpisodeConfig",
-    "InteractionSchema",
-    "InterdepError",
-    "InterdependencyLedger",
-    "InterdependentPair",
-    "IoFailure",
-    "JointAction",
-    "Layout",
-    "MalformedGrid",
-    "MalformedJointAction",
-    "MissingStation",
-    "PlayerState",
-    "PolicySpec",
-    "PotState",
-    "PrimitiveAction",
-    "Proposition",
-    "ReplayMismatch",
-    "ReplayableTrace",
-    "SchemaViolation",
-    "SelfAcceptance",
-    "SpawnCountError",
-    "SymbolicAction",
-    "TeamReport",
-    "Unreachable",
-    "VersionUnsupported",
-    "WorldState",
-    "action_distribution_rings",
-    "aggregate",
-    "analyze_trace",
-    "build_interaction_schema",
-    "build_report",
-    "bundled_layout_text",
-    "classify_action",
-    "contribution_ratio",
-    "format_policy_spec",
-    "ground_state",
-    "initial_state",
-    "is_terminal",
-    "load_layout",
-    "make_policy",
-    "match",
-    "parse_policy_spec",
-    "read_trace",
-    "replay",
-    "run_episode",
-    "single_action",
-    "step",
-    "write_report",
-    "write_trace",
-]
+__all__ = sorted([*_HOME, "bundled_layout_text"])
+
+
+def __getattr__(name: str):
+    """Import the module behind `name` on its first use (PEP 562)."""
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

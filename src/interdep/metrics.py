@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, fields
-from typing import Optional, get_args, get_type_hints
+from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
 from .errors import ConfigMismatch, EmptyTrace
 from .gridworld import (
@@ -22,7 +22,9 @@ from .gridworld import (
     NOOP,
     EpisodeConfig,
 )
-from .interdependence import InterdependencyLedger
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .interdependence import InterdependencyLedger
 
 DENOMINATOR_MODES = ("subtask-actions", "all-actions")
 _SCALARS = (int, float, str, type(None))

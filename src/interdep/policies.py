@@ -69,6 +69,15 @@ _ALL_ACTIONS = (
 )
 
 
+# The members the decision path compares against, bound to module names once
+# as in `gridworld`: reading one through its enum class costs several times
+# a module-name read on Python 3.11, and `next_action` runs every turn.
+_NOTHING, _ONION, _DISH, _SOUP = Item.NOTHING, Item.ONION, Item.DISH, Item.SOUP
+_FILLING, _COOKING, _READY = PotPhase.FILLING, PotPhase.COOKING, PotPhase.READY
+_STAY, _INTERACT = PrimitiveAction.STAY, PrimitiveAction.INTERACT
+_ONION_DISPENSER = Tile.ONION_DISPENSER
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Parseable description of a scripted agent."""
@@ -233,7 +242,7 @@ def _first_move(
     for nxt in adjacent_floor_cells(layout, here):
         if nxt not in blocked:
             return MOVE_FOR_DIRECTION[direction_toward(here, nxt)]
-    return PrimitiveAction.STAY
+    return _STAY
 
 
 class Policy:
@@ -272,9 +281,9 @@ class Policy:
         if me.orientation is not d:
             return MOVE_FOR_DIRECTION[d]  # target is never floor: turns in place
         if wait:
-            return PrimitiveAction.STAY
+            return _STAY
         self._last_interact_target = target
-        return PrimitiveAction.INTERACT
+        return _INTERACT
 
     def _walk(self, state: WorldState, cells: tuple) -> PrimitiveAction:
         """First step toward any of `cells`, none our own (see `_first_move`).
@@ -315,7 +324,7 @@ class Policy:
         ]
         target = self._nearest(state, free)
         if target is None:
-            return PrimitiveAction.STAY
+            return _STAY
         return self._face(state, target)
 
     def _serve_or_plate(
@@ -326,11 +335,11 @@ class Policy:
         A dish waits at a cooking pot, and is parked when the pot is filling
         (someone else collected the soup). Reads `serve_cell` and `pot_cell`.
         """
-        if held is Item.SOUP:
+        if held is _SOUP:
             return self._face(state, self.serve_cell)
-        if pot.phase is PotPhase.READY:
+        if pot.phase is _READY:
             return self._face(state, self.pot_cell)
-        if pot.phase is PotPhase.COOKING:
+        if pot.phase is _COOKING:
             return self._face(state, self.pot_cell, wait=True)
         return self._park_item(state)
 
@@ -397,7 +406,7 @@ class Policy:
 
 class IdlePolicy(Policy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
-        return PrimitiveAction.STAY
+        return _STAY
 
 
 class RandomWalkPolicy(Policy):
@@ -427,26 +436,26 @@ class SoloChefPolicy(Policy):
         self.serve_cell = self._require_station(Tile.SERVING_STATION, "serving station")
 
     def _onion_sources(self, state: WorldState) -> list:
-        sources = list(self.layout.cells_of(Tile.ONION_DISPENSER))
+        sources = list(self.layout.cells_of(_ONION_DISPENSER))
         for cell, item in state.counters.items():
-            if item is Item.ONION and cell != self.avoid_counter:
+            if item is _ONION and cell != self.avoid_counter:
                 sources.append(cell)
         return sources
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
         held = self._me(state).held
-        if held is Item.SOUP or held is Item.DISH:
+        if held is _SOUP or held is _DISH:
             return self._serve_or_plate(state, held, pot)
-        if held is Item.ONION:
-            if pot.phase is PotPhase.FILLING:
+        if held is _ONION:
+            if pot.phase is _FILLING:
                 return self._face(state, self.pot_cell)
             return self._park_item(state)
-        if pot.phase is not PotPhase.FILLING:
+        if pot.phase is not _FILLING:
             return self._face(state, self.dish_cell)
         target = self._nearest(state, self._onion_sources(state))
         if target is None:
-            return PrimitiveAction.STAY
+            return _STAY
         return self._face(state, target)
 
 
@@ -468,7 +477,7 @@ class StochasticPasserPolicy(SoloChefPolicy):
         self._route: Optional[str] = None
 
     def _update_route(self, state: WorldState) -> None:
-        if self._me(state).held is not Item.ONION:
+        if self._me(state).held is not _ONION:
             self._route = None
             return
         if self._route is not None:
@@ -476,14 +485,14 @@ class StochasticPasserPolicy(SoloChefPolicy):
         source = self._last_interact_target
         from_dispenser = (
             source is not None
-            and self.layout.tile_at(source) is Tile.ONION_DISPENSER
+            and self.layout.tile_at(source) is _ONION_DISPENSER
         )
         passes = from_dispenser and self.rng.random() < self.spec.p
         self._route = "counter" if passes else "pot"
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         self._update_route(state)
-        if self._me(state).held is Item.ONION and self._route == "counter":
+        if self._me(state).held is _ONION and self._route == "counter":
             return self._pass_onion(state)
         return super().next_action(state)
 
@@ -498,10 +507,10 @@ class PasserPolicy(Policy):
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         held = self._me(state).held
-        if held is Item.ONION:
+        if held is _ONION:
             return self._pass_onion(state)
-        if held is not Item.NOTHING:
-            return PrimitiveAction.STAY  # passers only ever hold onions
+        if held is not _NOTHING:
+            return _STAY  # passers only ever hold onions
         return self._face(state, self.onion_cell)
 
 
@@ -546,19 +555,19 @@ class ReceiverChefPolicy(Policy):
     def next_action(self, state: WorldState) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
         held = self._me(state).held
-        if held is Item.SOUP or held is Item.DISH:
+        if held is _SOUP or held is _DISH:
             return self._serve_or_plate(state, held, pot)
-        if held is Item.ONION:
-            if pot.phase is PotPhase.FILLING:
+        if held is _ONION:
+            if pot.phase is _FILLING:
                 return self._face(state, self.pot_cell)
             # pot busy; hold the onion off its approach so the plater fits
             return self._stand_at_park(state)
-        if pot.phase is not PotPhase.FILLING:
-            if state.player(3 - self.agent).held is Item.DISH:
+        if pot.phase is not _FILLING:
+            if state.player(3 - self.agent).held is _DISH:
                 # partner already plating this soup; keep the lane clear
                 return self._stand_at_park(state)
             return self._face(state, self.dish_cell)
-        if state.counters.get(self.counter_cell) is Item.ONION:
+        if state.counters.get(self.counter_cell) is _ONION:
             return self._face(state, self.counter_cell)
         return self._stand_at_park(state)
 
