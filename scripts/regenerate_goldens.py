@@ -1,8 +1,8 @@
 """Rebuild the pinned golden files under tests/golden/.
 
-These are three markdown reports, two `analyze --write-ledgers` ledgers,
-the `interdep schema` dump and the sha256 of scripted-navigation traces
-on two layouts. Run from the repository root after an intentional change
+These are four markdown reports, one CSV summary, two `analyze
+--write-ledgers` ledgers, the `interdep schema` dump and the sha256 of
+scripted-navigation traces on two layouts. Run from the repository root after an intentional change
 to any of them:
 
     python3 scripts/regenerate_goldens.py
@@ -28,7 +28,12 @@ from interdep import (
 )
 from interdep.cli import main as cli_main
 from interdep.policies import parse_policy_spec, run_episode
-from interdep.trace_io import report_to_markdown, summary_to_markdown, trace_to_text
+from interdep.trace_io import (
+    report_to_csv,
+    report_to_markdown,
+    summary_to_markdown,
+    trace_to_text,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -129,6 +134,12 @@ def main() -> None:
     summary = aggregate([episode_report(*MIXED_TEAM, seed=s) for s in (1, 2, 3)])
     (GOLDEN_DIR / "summary_stochastic.md").write_text(summary_to_markdown(summary))
 
+    # Solo + idle leaves both contribution ratios and agent 2's two rates
+    # undefined in every episode, so their mean cells render as undefined.
+    solo_summary = aggregate([episode_report(*SOLO_TEAM, seed=s) for s in (1, 2)])
+    (GOLDEN_DIR / "summary_solo.md").write_text(summary_to_markdown(solo_summary))
+    (GOLDEN_DIR / "summary_solo.csv").write_text(report_to_csv(solo_summary))
+
     nav = json.dumps(nav_traces(), indent=2) + "\n"
     (GOLDEN_DIR / "nav_traces.json").write_text(nav)
 
@@ -139,6 +150,8 @@ def main() -> None:
         "report_passing.md",
         "report_solo.md",
         "summary_stochastic.md",
+        "summary_solo.md",
+        "summary_solo.csv",
         "nav_traces.json",
         *LEDGERS,
     ):

@@ -277,15 +277,6 @@ def ground(
     return _effects(subtask, agent, cell, pot, n, state.soups_delivered, fills)
 
 
-def ground_step(
-    state: WorldState, action: PrimitiveAction, agent: int
-) -> tuple[SymbolicAction, WorldState]:
-    """One simulator step, grounded; returns (action, successor)."""
-    successor, _, events = gw.step(state, gw.single_action(agent, action))
-    grounded = ground(state, action, agent, acting_subtask(events))
-    return SymbolicAction(agent, state.t, *grounded), successor
-
-
 # Predicate-level projection of EFFECTS, conditional adds included. It
 # drives the static derivation of which fluents can link two cooks' actions,
 # and the schema dump.

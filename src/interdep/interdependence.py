@@ -225,12 +225,6 @@ class InterdependencyLedger:
             out.append(cls)
         return tuple(out)
 
-    def givers(self, agent: int) -> tuple:
-        return tuple(p for p in self.pairs if p.giver.agent == agent)
-
-    def receivers(self, agent: int) -> tuple:
-        return tuple(p for p in self.pairs if p.receiver.agent == agent)
-
     def to_dict(self) -> dict:
         return {
             "schema": self.schema.to_dict(),

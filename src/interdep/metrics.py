@@ -218,7 +218,7 @@ def action_distribution_rings(ledger: InterdependencyLedger, agent: int) -> dict
     overlap is reported so the layers telescope exactly.
     """
     r = _agent_report(ledger, agent)
-    accept_ok = len({p.receiver.t for p in ledger.receivers(agent)})
+    accept_ok = len({p.receiver.t for p in ledger.pairs if p.receiver.agent == agent})
     return {
         "total": r.total_actions,
         "independent": r.independent,
@@ -292,9 +292,6 @@ class AggregateSummary(_Serializable):
     config: EpisodeConfig
     fields: dict
     reports: tuple
-
-    def field(self, name: str) -> FieldSummary:
-        return self.fields[name]
 
 
 def _summarize(values: list) -> FieldSummary:

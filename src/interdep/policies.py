@@ -57,7 +57,6 @@ POLICY_PARAMS = {
     "receiver": ("counter", "pot"),
     "stochastic": ("p", "counter", "pot"),
 }
-POLICY_KINDS = tuple(POLICY_PARAMS)
 
 _ALL_ACTIONS = (
     PrimitiveAction.STAY,

@@ -14,7 +14,10 @@ two turn-taking steps with agent 1 first.
 Reports (single-episode or aggregate) serialize to JSON, CSV (one episode
 per row plus a mean row for aggregates) and a markdown table pair: team
 performance (time, interdependence share, giver/receiver counts) and
-coordination rates (trigger share, trigger acceptance).
+coordination rates (trigger share, trigger acceptance). Each CSV and
+markdown column is declared once, in a column table that names its
+field and how it renders; the header, every episode row and the mean row
+are all built from that table.
 """
 
 from __future__ import annotations
@@ -120,18 +123,22 @@ def write_trace(trace: ReplayableTrace, sink: Sink) -> None:
 # allows around a value, accepts exactly what json.loads accepts.
 _scan_once = json.JSONDecoder().scan_once
 
+# What the decoder raises on a line it rejects. A value nested deeper than
+# the interpreter's recursion limit raises RecursionError, not a decode error.
+_JSON_ERRORS = (json.JSONDecodeError, RecursionError)
+
 
 def _parse_json_line(line: str, lineno: int) -> dict:
     text = line.strip(" \t\n\r")
     try:
         obj, end = _scan_once(text, 0)
-    except (StopIteration, json.JSONDecodeError):
+    except (StopIteration, *_JSON_ERRORS):
         end = -1
     if end != len(text):
         # Not one whole value: json.loads words the error.
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except _JSON_ERRORS as e:
             raise SchemaViolation(f"line {lineno}: not valid JSON ({e})") from e
     if not isinstance(obj, dict):
         raise SchemaViolation(f"line {lineno}: expected a JSON object")
@@ -155,7 +162,9 @@ def _parse_header(obj: dict) -> tuple:
         )
     try:
         config = EpisodeConfig.from_dict(obj["config"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        # RecursionError: a value nested nearly as deep as the decoder
+        # allows is too deep to repr in the error a few calls further in.
         raise SchemaViolation(f"bad config in header: {e}") from e
     policies = obj["policies"]
     if isinstance(policies, list):
@@ -199,7 +208,7 @@ def read_trace(source: Sink) -> ReplayableTrace:
         maybe = json.loads(lines[-1])
         if isinstance(maybe, dict) and set(maybe) == {"sha256"}:
             footer = maybe
-    except json.JSONDecodeError:
+    except _JSON_ERRORS:
         pass
     if footer is not None:
         if not isinstance(footer["sha256"], str):
@@ -255,16 +264,11 @@ def read_trace(source: Sink) -> ReplayableTrace:
     )
 
 
-def _fmt_pct(v: Optional[float]) -> str:
-    return "undef" if v is None else f"{100 * v:.2f}"
-
-
-def _fmt_ratio(v: Optional[float]) -> str:
-    return "undef" if v is None else f"{v:.2f}"
-
-
-def _fmt_frac(v: Optional[float]) -> str:
-    return "" if v is None else f"{v:.6f}"
+def _value(r: TeamReport, key: str):
+    """The value `aggregate` summarizes as `key`, e.g. "agent1.triggers"."""
+    agent, _, name = key.rpartition(".")
+    owner = r.agent(int(agent.removeprefix("agent"))) if agent else r
+    return getattr(owner, name)
 
 
 def _md_table(headers: list, rows: list) -> list:
@@ -275,46 +279,69 @@ def _md_table(headers: list, rows: list) -> list:
     return out
 
 
-_TEAM_HEADERS = [
-    "Episode",
-    "Time",
-    "%Interdependent",
-    "Ag1 G/R",
-    "Ag1 ratio",
-    "Ag2 G/R",
-    "Ag2 ratio",
-]
-_RATE_HEADERS = [
-    "Episode",
-    "Ag1 trigger share",
-    "Ag1 trigger acceptance",
-    "Ag2 trigger share",
-    "Ag2 trigger acceptance",
-]
+# The two column tables of every markdown report, after the Episode
+# column: (header, kind, `aggregate` field names). A count shows as is, a
+# ratio with two decimals and a pct as a percentage; an undefined value
+# shows as "undef". A column of two fields shows them as "g/r" and their
+# means as "g / r".
+_MARKDOWN_TABLES = {
+    "Team performance": (
+        ("Time", "count", ("episode_time",)),
+        ("%Interdependent", "pct", ("percent_interdependent",)),
+        ("Ag1 G/R", "count", ("agent1.giver_count", "agent1.receiver_count")),
+        ("Ag1 ratio", "ratio", ("agent1.contribution_ratio",)),
+        ("Ag2 G/R", "count", ("agent2.giver_count", "agent2.receiver_count")),
+        ("Ag2 ratio", "ratio", ("agent2.contribution_ratio",)),
+    ),
+    "Coordination rates": (
+        ("Ag1 trigger share", "pct", ("agent1.trigger_share_of_coordination",)),
+        ("Ag1 trigger acceptance", "pct", ("agent1.trigger_acceptance_rate",)),
+        ("Ag2 trigger share", "pct", ("agent2.trigger_share_of_coordination",)),
+        ("Ag2 trigger acceptance", "pct", ("agent2.trigger_acceptance_rate",)),
+    ),
+}
 
 
-def _team_row(r: TeamReport) -> list:
-    a1, a2 = r.agents
-    return [
-        r.label or "episode",
-        str(r.episode_time),
-        _fmt_pct(r.percent_interdependent),
-        f"{a1.giver_count}/{a1.receiver_count}",
-        _fmt_ratio(a1.contribution_ratio),
-        f"{a2.giver_count}/{a2.receiver_count}",
-        _fmt_ratio(a2.contribution_ratio),
-    ]
+def _md_cell(v, kind: str) -> str:
+    if kind == "count":
+        return str(v)
+    if v is None:
+        return "undef"
+    return f"{100 * v:.2f}" if kind == "pct" else f"{v:.2f}"
 
 
-def _rate_row(r: TeamReport) -> list:
-    a1, a2 = r.agents
-    return [
-        r.label or "episode",
-        _fmt_pct(a1.trigger_share_of_coordination),
-        _fmt_pct(a1.trigger_acceptance_rate),
-        _fmt_pct(a2.trigger_share_of_coordination),
-        _fmt_pct(a2.trigger_acceptance_rate),
-    ]
+def _md_mean(f, kind: str) -> str:
+    if f.mean is None:
+        return "undef"
+    scale = 100.0 if kind == "pct" else 1.0
+    return f"{scale * f.mean:.2f} ± {scale * f.stddev:.2f}"
+
+
+def _md_column_tables(
+    reports: tuple, summary: Optional[AggregateSummary] = None
+) -> list:
+    """Both column tables: a row per report, then a summary's mean row."""
+    lines = []
+    for title, columns in _MARKDOWN_TABLES.items():
+        rows = [
+            [r.label or "episode"]
+            + [
+                "/".join(_md_cell(_value(r, k), kind) for k in keys)
+                for _, kind, keys in columns
+            ]
+            for r in reports
+        ]
+        if summary is not None:
+            rows.append(
+                ["mean ± std"]
+                + [
+                    " / ".join(_md_mean(summary.fields[k], kind) for k in keys)
+                    for _, kind, keys in columns
+                ]
+            )
+        headers = ["Episode"] + [header for header, _, _ in columns]
+        lines += ["", f"## {title}", ""] + _md_table(headers, rows)
+    return lines
 
 
 def _config_lines(
@@ -332,17 +359,12 @@ def report_to_markdown(report: TeamReport) -> str:
     lines += _config_lines(
         report.config, report.denominator_mode, report.include_counter_empty
     )
-    lines += [
+    lines.append(
         f"- outcome: {report.soups_delivered}/{report.config.target_soups} soups "
         f"in {report.episode_time} ticks"
-        + (" (timed out)" if report.timed_out else ""),
-        "",
-        "## Team performance",
-        "",
-    ]
-    lines += _md_table(_TEAM_HEADERS, [_team_row(report)])
-    lines += ["", "## Coordination rates", ""]
-    lines += _md_table(_RATE_HEADERS, [_rate_row(report)])
+        + (" (timed out)" if report.timed_out else "")
+    )
+    lines += _md_column_tables((report,))
     lines += ["", "## Event distribution", ""]
     a1, a2 = report.agents
     dist_rows = [
@@ -359,141 +381,92 @@ def report_to_markdown(report: TeamReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _mean_std(summary: AggregateSummary, name: str, pct: bool = False) -> str:
-    f = summary.fields[name]
-    if f.mean is None:
-        return "undef"
-    scale = 100.0 if pct else 1.0
-    return f"{scale * f.mean:.2f} ± {scale * f.stddev:.2f}"
-
-
 def summary_to_markdown(summary: AggregateSummary) -> str:
     lines = [f"# Cooperation summary: {summary.n_reports} episodes", ""]
     lines += _config_lines(
         summary.config, summary.denominator_mode, summary.include_counter_empty
     )
-    excluded = [
+    lines += [
         f"- excluded undefined values: {name} ({f.excluded} of {summary.n_reports})"
         for name, f in summary.fields.items()
         if f.excluded
     ]
-    lines += excluded
-    lines += ["", "## Team performance", ""]
-    team_rows = [_team_row(r) for r in summary.reports]
-    team_rows.append(
-        [
-            "mean ± std",
-            _mean_std(summary, "episode_time"),
-            _mean_std(summary, "percent_interdependent", pct=True),
-            f"{_mean_std(summary, 'agent1.giver_count')} / "
-            f"{_mean_std(summary, 'agent1.receiver_count')}",
-            _mean_std(summary, "agent1.contribution_ratio"),
-            f"{_mean_std(summary, 'agent2.giver_count')} / "
-            f"{_mean_std(summary, 'agent2.receiver_count')}",
-            _mean_std(summary, "agent2.contribution_ratio"),
-        ]
-    )
-    lines += _md_table(_TEAM_HEADERS, team_rows)
-    lines += ["", "## Coordination rates", ""]
-    rate_rows = [_rate_row(r) for r in summary.reports]
-    rate_rows.append(
-        [
-            "mean ± std",
-            _mean_std(summary, "agent1.trigger_share_of_coordination", pct=True),
-            _mean_std(summary, "agent1.trigger_acceptance_rate", pct=True),
-            _mean_std(summary, "agent2.trigger_share_of_coordination", pct=True),
-            _mean_std(summary, "agent2.trigger_acceptance_rate", pct=True),
-        ]
-    )
-    lines += _md_table(_RATE_HEADERS, rate_rows)
+    lines += _md_column_tables(summary.reports, summary)
     return "\n".join(lines) + "\n"
 
 
+# The CSV columns after the label: (`aggregate` field name, kind). A rate
+# has six decimals and is empty when undefined; a pct is a percentage with
+# two; a flag is 0 or 1. A mean row averages what `aggregate` summarizes
+# (a count with four decimals), repeats the settings every report shares,
+# and leaves the rest empty.
 _CSV_AGENT_FIELDS = (
-    "giver_count",
-    "receiver_count",
-    "contribution_ratio",
-    "trigger_share_of_coordination",
-    "trigger_acceptance_rate",
-    "triggers",
-    "accepts",
-    "trigger_accept_overlap",
-    "independent",
-    "coordination",
-    "subtask_actions",
-    "total_actions",
-    "self_accept_count",
-    "unaccepted_triggers",
+    ("giver_count", "count"),
+    ("receiver_count", "count"),
+    ("contribution_ratio", "rate"),
+    ("trigger_share_of_coordination", "rate"),
+    ("trigger_acceptance_rate", "rate"),
+    ("triggers", "count"),
+    ("accepts", "count"),
+    ("trigger_accept_overlap", "count"),
+    ("independent", "count"),
+    ("coordination", "count"),
+    ("subtask_actions", "count"),
+    ("total_actions", "count"),
+    ("self_accept_count", "count"),
+    ("unaccepted_triggers", "count"),
+)
+_CSV_FIELDS = (
+    ("episode_time", "count"),
+    ("timed_out", "flag"),
+    ("soups_delivered", "count"),
+    ("percent_interdependent", "pct"),
+    ("pair_count", "count"),
+    ("denominator", "count"),
+    ("denominator_mode", "text"),
+    ("include_counter_empty", "flag"),
+    *(
+        (f"agent{a}.{name}", kind)
+        for a in (1, 2)
+        for name, kind in _CSV_AGENT_FIELDS
+    ),
 )
 
 CSV_COLUMNS = (
     "label",
-    "episode_time",
-    "timed_out",
-    "soups_delivered",
-    "percent_interdependent",
-    "pair_count",
-    "denominator",
-    "denominator_mode",
-    "include_counter_empty",
-    *(f"ag1_{name}" for name in _CSV_AGENT_FIELDS),
-    *(f"ag2_{name}" for name in _CSV_AGENT_FIELDS),
+    *(key.replace("agent", "ag").replace(".", "_") for key, _ in _CSV_FIELDS),
 )
 
-_RATE_FIELDS = {
-    "contribution_ratio",
-    "trigger_share_of_coordination",
-    "trigger_acceptance_rate",
-}
+
+def _csv_cell(v, kind: str) -> str:
+    if v is None:
+        return ""
+    if kind == "rate":
+        return f"{v:.6f}"
+    if kind == "pct":
+        return f"{100 * v:.2f}"
+    return str(int(v)) if kind == "flag" else str(v)
+
+
+def _csv_mean(summary: AggregateSummary, key: str, kind: str) -> str:
+    f = summary.fields.get(key)
+    if f is None:
+        # Not averaged: a setting `aggregate` checked every report shares,
+        # or else empty.
+        return _csv_cell(getattr(summary, key, None), kind)
+    if f.mean is None:
+        return ""
+    return f"{f.mean:.4f}" if kind == "count" else _csv_cell(f.mean, kind)
 
 
 def _csv_row(r: TeamReport) -> list:
-    row = [
-        r.label,
-        str(r.episode_time),
-        str(int(r.timed_out)),
-        str(r.soups_delivered),
-        f"{100 * r.percent_interdependent:.2f}",
-        str(r.pair_count),
-        str(r.denominator),
-        r.denominator_mode,
-        str(int(r.include_counter_empty)),
+    return [r.label] + [
+        _csv_cell(_value(r, key), kind) for key, kind in _CSV_FIELDS
     ]
-    for agent in r.agents:
-        for name in _CSV_AGENT_FIELDS:
-            v = getattr(agent, name)
-            row.append(_fmt_frac(v) if name in _RATE_FIELDS else str(v))
-    return row
 
 
 def _csv_mean_row(summary: AggregateSummary) -> list:
-    def mean(name: str, pct: bool = False):
-        f = summary.fields[name]
-        if f.mean is None:
-            return ""
-        return f"{100 * f.mean:.2f}" if pct else f"{f.mean:.4f}"
-
-    row = [
-        "mean",
-        mean("episode_time"),
-        "",
-        mean("soups_delivered"),
-        mean("percent_interdependent", pct=True),
-        mean("pair_count"),
-        "",
-        summary.denominator_mode,
-        str(int(summary.include_counter_empty)),
-    ]
-    for agent in (1, 2):
-        for name in _CSV_AGENT_FIELDS:
-            f = summary.fields.get(f"agent{agent}.{name}")
-            if f is None or f.mean is None:
-                row.append("")
-            elif name in _RATE_FIELDS:
-                row.append(f"{f.mean:.6f}")
-            else:
-                row.append(f"{f.mean:.4f}")
-    return row
+    return ["mean"] + [_csv_mean(summary, key, kind) for key, kind in _CSV_FIELDS]
 
 
 def report_to_csv(obj: Union[TeamReport, AggregateSummary]) -> str:
@@ -533,5 +506,5 @@ def read_report(source: Sink) -> TeamReport:
     try:
         data = json.loads(_read_text(source))
         return TeamReport.from_dict(data)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise SchemaViolation(f"bad report file {source}: {e}") from e

@@ -50,8 +50,17 @@ from interdep.gridworld import (
     Tile,
     WorldState,
 )
-from interdep.grounding import Proposition, ground_step
+from interdep.grounding import Proposition, SymbolicAction, acting_subtask, ground
 from interdep.trace_io import ReplayableTrace
+
+
+def ground_step(
+    state: WorldState, action: PrimitiveAction, agent: int
+) -> tuple[SymbolicAction, WorldState]:
+    """One simulator step, grounded; returns (action, successor)."""
+    successor, _, events = step(state, single_action(agent, action))
+    grounded = ground(state, action, agent, acting_subtask(events))
+    return SymbolicAction(agent, state.t, *grounded), successor
 
 
 def replay_symbolic(trace: ReplayableTrace):
@@ -132,8 +141,8 @@ def ledger_self_accept_keys(ledger):
 
 def assert_ledger_arithmetic(ledger) -> None:
     """Bookkeeping identities every ledger must satisfy."""
-    g = {a: len(ledger.givers(a)) for a in (1, 2)}
-    r = {a: len(ledger.receivers(a)) for a in (1, 2)}
+    g = {a: sum(p.giver.agent == a for p in ledger.pairs) for a in (1, 2)}
+    r = {a: sum(p.receiver.agent == a for p in ledger.pairs) for a in (1, 2)}
     assert g[1] + g[2] == len(ledger.pairs)
     assert r[1] + r[2] == len(ledger.pairs)
     for a in (1, 2):

@@ -77,8 +77,6 @@ def test_perfect_passing_yields_nine_onion_pairs(passer_receiver_trace):
     assert all(
         p.giver.agent == 1 and p.receiver.agent == 2 for p in restricted.pairs
     )
-    assert len(restricted.givers(1)) == 9 and len(restricted.receivers(1)) == 0
-    assert len(restricted.givers(2)) == 0 and len(restricted.receivers(2)) == 9
 
     # clearing the shared counter flows the opposite way
     full = assert_matches_oracle(trace, build_interaction_schema())

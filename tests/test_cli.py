@@ -471,8 +471,13 @@ def test_failing_trace_is_named_and_nothing_is_written(layout_file, tmp_path, ca
 
 @pytest.mark.parametrize(
     "tail",
-    ['{"sha256": 5}', '{"action": ["up"], "agent": 1, "t": 0}', None],
-    ids=["footer-int", "action-list", "footer-only"],
+    [
+        '{"sha256": 5}',
+        '{"action": ["up"], "agent": 1, "t": 0}',
+        None,
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["footer-int", "action-list", "footer-only", "deeply-nested"],
 )
 def test_malformed_trace_is_reported(layout_file, tmp_path, capsys, tail):
     # Each used to end in a traceback instead of one error line.
@@ -486,6 +491,17 @@ def test_malformed_trace_is_reported(layout_file, tmp_path, capsys, tail):
     assert main(["analyze", str(bad), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_report_file_is_reported(tmp_path, capsys):
+    bad = tmp_path / "deep.report.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["report", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "bad report file" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_trace_config_with_a_missing_field_is_reported(layout_file, tmp_path, capsys):

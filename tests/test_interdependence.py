@@ -37,13 +37,13 @@ from interdep.gridworld import (
     PLACE_ONION_COUNTER,
     PLACE_ONION_POT,
 )
-from interdep.grounding import ground_step
 from interdep.interdependence import ACCEPT, TRIGGER, played_actions
 from interdep.policies import parse_policy_spec, run_episode
 from interdep.trace_io import read_trace, trace_to_text
 from oracle_utils import (
     assert_ledger_arithmetic,
     assert_matches_oracle,
+    ground_step,
     ledger_self_accept_keys,
     per_step_fold,
     random_external_trace,

@@ -173,7 +173,7 @@ def test_counter_empty_flag_restricts_pairs(passer_receiver_trace):
 def test_aggregate_singleton_identity(pr_report):
     summary = aggregate([pr_report])
     assert summary.n_reports == 1
-    pct = summary.field("percent_interdependent")
+    pct = summary.fields["percent_interdependent"]
     assert pct.mean == pytest.approx(pr_report.percent_interdependent)
     assert pct.stddev == 0.0
     assert pct.n == 1 and pct.excluded == 0
@@ -183,7 +183,7 @@ def test_aggregate_mean_and_sample_stddev(pr_report):
     a = dataclasses.replace(pr_report, episode_time=800)
     b = dataclasses.replace(pr_report, episode_time=900)
     summary = aggregate([a, b])
-    fs = summary.field("episode_time")
+    fs = summary.fields["episode_time"]
     assert fs.mean == pytest.approx(850.0)
     assert fs.stddev == pytest.approx(statistics.stdev([800.0, 900.0]))
     assert fs.n == 2
@@ -192,10 +192,10 @@ def test_aggregate_mean_and_sample_stddev(pr_report):
 def test_aggregate_excludes_undefined(solo_idle_trace):
     report = build_report(analyze_trace(solo_idle_trace), label="solo-idle")
     summary = aggregate([report, report])
-    fs = summary.field("agent2.trigger_acceptance_rate")
+    fs = summary.fields["agent2.trigger_acceptance_rate"]
     assert fs.mean is None and fs.n == 0 and fs.excluded == 2
     # the defined fields still aggregate
-    assert summary.field("pair_count").mean == 0.0
+    assert summary.fields["pair_count"].mean == 0.0
 
 
 def test_aggregate_rejects_mixed_config(pr_report):

@@ -28,7 +28,7 @@ from interdep import (
 )
 from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
 from interdep.policies import (
-    POLICY_KINDS,
+    POLICY_PARAMS,
     PolicySpec,
     _first_move,
     bfs_distances,
@@ -66,7 +66,7 @@ def test_spec_round_trip(text):
 
 
 def test_spec_kinds_exposed():
-    assert set(POLICY_KINDS) == {
+    assert set(POLICY_PARAMS) == {
         "solo",
         "idle",
         "random",

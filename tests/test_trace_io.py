@@ -7,11 +7,14 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import MINI_LAYOUT, external_trace, interleave, policy_trace
 from interdep import (
     ChecksumMismatch,
     EpisodeConfig,
+    InterdepError,
     IoFailure,
     PrimitiveAction,
     SchemaViolation,
@@ -321,6 +324,104 @@ def test_malformed_trace_file_rejected(tmp_path, data):
         read_trace(path)
 
 
+# Valid JSON nested deeper than any interpreter's recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "lines, lineno",
+    [
+        ([DEEP], 1),
+        ([header_line(), DEEP, step_line(1, 2, "stay")], 2),
+        ([header_line(), step_line(0, 1, "stay"), DEEP], 3),
+    ],
+    ids=["header", "step", "last-line"],
+)
+def test_deeply_nested_line_rejected(lines, lineno):
+    # Each used to escape as RecursionError.
+    with pytest.raises(SchemaViolation, match=f"^line {lineno}: not valid JSON"):
+        parse(lines)
+
+
+def test_config_value_nested_to_the_decoder_limit_rejected():
+    # A config value the decoder just accepts used to raise RecursionError
+    # when the config check, a few calls further in, wrote its repr.
+    def error(depth):
+        config = {**EpisodeConfig().to_dict(), "horizon": "\0"}
+        nested = "[" * depth + "]" * depth
+        with pytest.raises(SchemaViolation) as info:
+            parse([header_line(config=config).replace('"\\u0000"', nested)])
+        return str(info.value)
+
+    # Bisect for the deepest value the decoder accepts here, then try every
+    # depth just below it.
+    accepted, rejected = 1, 100_000
+    while rejected - accepted > 1:
+        mid = (accepted + rejected) // 2
+        if error(mid).startswith("bad config in header"):
+            accepted = mid
+        else:
+            rejected = mid
+    assert error(rejected).startswith("line 1: not valid JSON")
+    for depth in range(max(1, accepted - 50), accepted + 1):
+        assert error(depth).startswith("bad config in header")
+
+
+def test_deeply_nested_report_file_rejected(tmp_path):
+    path = tmp_path / "deep.report.json"
+    path.write_text(DEEP)
+    with pytest.raises(SchemaViolation, match="^bad report file "):
+        read_report(path)
+
+
+# One short valid trace, footer dropped, as parsed lines, and every value
+# in it a bad input could replace: a header field, a config field or a
+# step field.
+_VALID_LINES = [
+    json.loads(line)
+    for line in trace_to_text(
+        external_trace(
+            MINI_LAYOUT,
+            EpisodeConfig(cook_time=3, horizon=6),
+            interleave([A.LEFT, A.INTERACT, A.DOWN]),
+        )
+    ).splitlines()[:-1]
+]
+_VALUE_SITES = (
+    [(0, (key,)) for key in _VALID_LINES[0]]
+    + [(0, ("config", key)) for key in _VALID_LINES[0]["config"]]
+    + [(i, (key,)) for i in range(1, len(_VALID_LINES)) for key in _VALID_LINES[i]]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=10,
+).map(json.dumps)
+_NESTED_LISTS = st.integers(1, 200_000).map(lambda n: "[" * n + "]" * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    site=st.sampled_from(_VALUE_SITES),
+    value=_JSON_VALUES | _NESTED_LISTS,
+)
+def test_any_replaced_value_fails_as_one_error_line(site, value):
+    # `interdep analyze` prints these three as one `error:` line; anything
+    # else would end in a traceback.
+    lineno, path = site
+    lines = [json.dumps(obj, sort_keys=True) for obj in _VALID_LINES]
+    obj = json.loads(lines[lineno])
+    owner = obj
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = "\0value"
+    lines[lineno] = json.dumps(obj, sort_keys=True).replace('"\\u0000value"', value)
+    try:
+        build_report(analyze_trace(parse(lines)))
+    except (InterdepError, ValueError, OSError):
+        pass
+
+
 # report writers --------------------------------------------------------------
 
 
@@ -401,6 +502,21 @@ def test_markdown_summary_matches_golden(layout, config):
     ]
     text = summary_to_markdown(aggregate(reports))
     assert text == (GOLDEN / "summary_stochastic.md").read_text()
+
+
+def test_summary_with_undefined_means_matches_golden(layout, config):
+    # Both contribution ratios and agent 2's two rates are undefined in
+    # both episodes: "undef" in markdown, an empty CSV cell.
+    reports = [
+        build_report(
+            analyze_trace(policy_trace(layout, config, "solo", "idle", seed)),
+            label=f"counter_circuit_{seed}",
+        )
+        for seed in (1, 2)
+    ]
+    summary = aggregate(reports)
+    assert summary_to_markdown(summary) == (GOLDEN / "summary_solo.md").read_text()
+    assert report_to_csv(summary) == (GOLDEN / "summary_solo.csv").read_text()
 
 
 def test_summary_csv_has_mean_row(pr_report):
