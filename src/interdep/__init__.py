@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "gridworld": (
         "EpisodeConfig",
-        "JointAction",
         "Layout",
         "PlayerState",
         "PotState",

@@ -24,7 +24,7 @@ class SpawnCountError(InterdepError):
 
 
 class MalformedJointAction(InterdepError):
-    """Joint action violates turn-taking (both or neither agent acting)."""
+    """A turn names no cook (agent 1 or 2) or no `PrimitiveAction`."""
 
 
 # --- interdependence analysis ---

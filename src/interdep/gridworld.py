@@ -5,14 +5,14 @@ dispensers, filling pots (3 onions per soup), waiting for the cook timer,
 plating the soup and delivering it at a serving station. Counters hold at
 most one item and double as a passing surface between the agents.
 
-The simulator is strictly turn-based: exactly one agent acts per timestep,
-round-robin starting with agent 1. All transitions are deterministic, so an
-episode is fully reproducible from (layout, config, action sequence).
+The simulator is strictly turn-based: one turn `(agent, action)` per
+timestep, round-robin from agent 1. All transitions are deterministic, so
+an episode is fully reproducible from (layout, config, turn sequence).
 
-The state and step records (players, pots, joint actions, events, world
-states) are built by `record`: frozen, slotted dataclasses whose
-constructor sets each slot directly, since the analyzer builds several of
-them per step. They stay frozen and hashable like any frozen dataclass.
+The state and step records (players, pots, events, world states) are
+built by `record`: frozen, slotted dataclasses whose constructor sets each
+slot directly, since the analyzer builds several of them per step. They
+stay frozen and hashable like any frozen dataclass.
 
 `step` does its geometry by table lookup: a loaded layout keeps the cell
 and tile each grid cell faces in each direction (`Layout.faced`), and the
@@ -299,37 +299,19 @@ class PotState:
     phase: PotPhase = PotPhase.FILLING
 
 
-@record
-class JointAction:
-    """One slot per agent; None marks the agent whose turn it is not."""
-
-    a1: Optional[PrimitiveAction]
-    a2: Optional[PrimitiveAction]
-
-    def acting_agent(self) -> int:
-        if (self.a1 is None) == (self.a2 is None):
-            raise MalformedJointAction(
-                "exactly one agent must act per step in turn-taking mode"
-            )
-        return 1 if self.a1 is not None else 2
+# The 12 turns, built once: each (agent, action) maps to its shared pair.
+_SINGLE_ACTIONS = {(agent, a): (agent, a) for agent in (1, 2) for a in PrimitiveAction}
 
 
-# The 12 turn-taking joint actions, built once: (agent, action) -> joint.
-_SINGLE_ACTIONS = {
-    **{(1, a): JointAction(a, None) for a in PrimitiveAction},
-    **{(2, a): JointAction(None, a) for a in PrimitiveAction},
-}
-
-
-def single_action(agent: int, action: PrimitiveAction) -> JointAction:
-    """Embed one agent's action into a turn-taking joint action.
+def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAction]:
+    """The shared `(agent, action)` turn that `step` takes.
 
     Raises MalformedJointAction unless `agent` is 1 or 2 and `action` is a
     PrimitiveAction.
     """
     try:
         return _SINGLE_ACTIONS[agent, action]
-    except KeyError:
+    except (KeyError, TypeError):
         raise MalformedJointAction(
             f"no turn-taking action for agent {agent!r} taking {action!r}"
         ) from None
@@ -627,9 +609,9 @@ def _tick_pots(
 
 
 def step(
-    state: WorldState, joint: JointAction
+    state: WorldState, turn: tuple[int, PrimitiveAction]
 ) -> tuple[WorldState, int, list[EnvEvent]]:
-    """Advance the world by one turn.
+    """Advance the world by one turn, an `(agent, action)` from `single_action`.
 
     The acting agent's action resolves against the current state, then pots
     that were already cooking tick down by one (flipping to ready at zero),
@@ -641,8 +623,7 @@ def step(
     tuple), so no caller may write into a state's counters either. Its
     player and pot records come from the layout's `records` memo.
     """
-    agent = joint.acting_agent()
-    action = joint.a1 if agent == 1 else joint.a2
+    agent, action = turn
     layout = state.layout
     players = state.players
     me = players[agent - 1]

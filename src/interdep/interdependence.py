@@ -217,7 +217,7 @@ class InterdependencyLedger:
         by_t = {c.t: c for c in self.events}
         roles = self.schema.roles
         out = []
-        for t, agent, action in self.steps:
+        for t, (agent, action) in enumerate(self.steps):
             cls = by_t.get(t)
             if cls is None:
                 subtask = ground(None, action, agent, None)[0]
@@ -257,7 +257,7 @@ def _start(layout_text: str, config: EpisodeConfig) -> WorldState:
     return initial_state(load_layout(layout_text), config)
 
 
-def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
+def replay(trace: ReplayableTrace) -> Iterator[SymbolicAction]:
     """Step a trace through the simulator, yielding each event grounded.
 
     Every step replays once from the embedded layout and config. Turn
@@ -266,16 +266,14 @@ def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
     an event is grounded and yielded.
     """
     state = _start(trace.layout_text, trace.config)
-    for idx, (t, agent, action) in enumerate(trace.steps):
-        if t != idx:
-            raise ReplayMismatch(f"step {idx}: timestep {t} breaks the 0..n sequence")
-        expected = 1 + (idx % 2)
+    for t, (agent, action) in enumerate(trace.steps):
+        expected = 1 + (t % 2)
         if agent != expected:
             raise ReplayMismatch(
-                f"step {idx}: agent {agent} acted, round-robin expects {expected}"
+                f"step {t}: agent {agent} acted, round-robin expects {expected}"
             )
         if is_terminal(state):
-            raise ReplayMismatch(f"step {idx}: trace continues past the terminal state")
+            raise ReplayMismatch(f"step {t}: trace continues past the terminal state")
         successor, _, events = step(state, single_action(agent, action))
         if events:
             subtask = acting_subtask(events)
@@ -286,7 +284,7 @@ def replay(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
 
 def match(
     events: Iterable[SymbolicAction],
-    trace: "ReplayableTrace",
+    trace: ReplayableTrace,
     schema: Optional[InteractionSchema] = None,
 ) -> InterdependencyLedger:
     """Fold one episode's grounded events, in step order, into its ledger.
@@ -356,7 +354,7 @@ def match(
     )
 
 
-def played_actions(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
+def played_actions(trace: ReplayableTrace) -> Iterator[SymbolicAction]:
     """Ground each event of an in-process trace from the record of its play.
 
     Each entry of `trace.played` is grounded in the state it was played
@@ -364,12 +362,12 @@ def played_actions(trace: "ReplayableTrace") -> Iterator[SymbolicAction]:
     """
     steps = trace.steps
     for t, (state, subtask) in trace.played.items():
-        _, agent, action = steps[t]
+        agent, action = steps[t]
         yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
 
 
 def analyze_trace(
-    trace: "ReplayableTrace", schema: Optional[InteractionSchema] = None
+    trace: ReplayableTrace, schema: Optional[InteractionSchema] = None
 ) -> InterdependencyLedger:
     """Ground a trace and match its events: classifications, pairs, self-accepts.
 

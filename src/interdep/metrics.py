@@ -10,6 +10,7 @@ denominator.
 from __future__ import annotations
 
 import statistics
+import sys
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
@@ -56,19 +57,24 @@ def _from_fields(cls, d: dict, **converted):
     return cls(**{f.name: d[f.name] for f in fields(cls)} | converted)
 
 
-def _check_types(record, names) -> None:
-    """ValueError unless each named field has exactly its declared type.
+def _check_types(record) -> None:
+    """ValueError unless each field has exactly its declared type.
 
     Exact, because `aggregate` would average a bool or a numeric string as
-    a number: counts must be ints and rates floats (or None if undefined).
+    a number: counts must be ints and rates floats (or None if undefined),
+    all finite as floats; a tally dict must map names to int counts.
     """
-    hints = get_type_hints(type(record))
-    for name in names:
-        allowed = get_args(hints[name]) or (hints[name],)
+    for name, hint in get_type_hints(type(record)).items():
+        allowed = get_args(hint) or (hint,)
         value = getattr(record, name)
         if type(value) not in allowed:
             expected = " or ".join(t.__name__ for t in allowed)
             raise ValueError(f"{name} must be {expected}, got {value!r}")
+        if type(value) in (int, float) and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        tally = value.items() if type(value) is dict else ()
+        if any(type(k) is not str or type(v) is not int for k, v in tally):
+            raise ValueError(f"{name} must map names to int counts, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,8 @@ class TeamReport(_Serializable):
     def from_dict(cls, d: dict) -> "TeamReport":
         """Rebuild a report, rejecting what `aggregate` would misread.
 
-        The agents must be agent 1 then agent 2, and every field that
-        `aggregate` reads must have its declared type; ValueError otherwise.
+        The agents must be agent 1 then agent 2, and every field must have
+        its declared type (`_check_types`); ValueError otherwise.
         """
         report = _from_fields(
             cls,
@@ -130,9 +136,8 @@ class TeamReport(_Serializable):
             config=EpisodeConfig.from_dict(d["config"]),
             agents=tuple(AgentReport.from_dict(a) for a in d["agents"]),
         )
-        _check_types(report, AGGREGATE_TEAM_FIELDS)
-        for a in report.agents:
-            _check_types(a, ("agent",) + AGGREGATE_AGENT_FIELDS)
+        for record in (report, *report.agents):
+            _check_types(record)
         ids = [a.agent for a in report.agents]
         if ids != [1, 2]:
             raise ValueError(f"agents must be agent 1 then agent 2, got {ids}")
@@ -184,7 +189,7 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
     steps = ledger.steps
     turns = range(agent - 1, len(steps), 2)
     total = len(turns)
-    dist[MOVE] = sum(1 for i in turns if steps[i][2] in MOVE_DIRECTION)
+    dist[MOVE] = sum(1 for i in turns if steps[i][1] in MOVE_DIRECTION)
     dist[NOOP] = total - sum(dist.values())
     independent += dist[MOVE] + dist[NOOP]
     coordination = total - independent

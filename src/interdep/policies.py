@@ -58,14 +58,7 @@ POLICY_PARAMS = {
     "stochastic": ("p", "counter", "pot"),
 }
 
-_ALL_ACTIONS = (
-    PrimitiveAction.STAY,
-    PrimitiveAction.UP,
-    PrimitiveAction.DOWN,
-    PrimitiveAction.LEFT,
-    PrimitiveAction.RIGHT,
-    PrimitiveAction.INTERACT,
-)
+_ALL_ACTIONS = tuple(PrimitiveAction)
 
 
 # The members the decision path compares against, bound to module names once
@@ -609,15 +602,14 @@ def run_episode(
     steps = []
     played = {}
     while not is_terminal(state):
-        t = state.t
-        agent = 1 + (t % 2)
-        action = policies[agent].next_action(state)
-        steps.append((t, agent, action))
-        successor, _, events = step(state, single_action(agent, action))
+        agent = 1 + (state.t % 2)
+        turn = single_action(agent, policies[agent].next_action(state))
+        steps.append(turn)
+        successor, _, events = step(state, turn)
         if events:
             subtask = acting_subtask(events)
             if subtask is not None:
-                played[t] = (state, subtask)
+                played[state.t] = (state, subtask)
         state = successor
     trace = ReplayableTrace(
         layout_text=layout.text,

@@ -36,7 +36,7 @@ from .errors import (
     SchemaViolation,
     VersionUnsupported,
 )
-from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction
+from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction, single_action
 from .metrics import AggregateSummary, TeamReport
 
 FORMAT_NAME = "interdep-trace"
@@ -64,7 +64,7 @@ class ReplayableTrace:
     config: EpisodeConfig
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
-    steps: tuple  # ((t, agent, PrimitiveAction), ...)
+    steps: tuple  # steps[t] is the (agent, PrimitiveAction) turn `step` takes
     played: Optional[dict] = field(
         init=False, default=None, compare=False, repr=False
     )
@@ -105,7 +105,7 @@ def _read_text(source: Sink) -> str:
 
 def trace_to_text(trace: ReplayableTrace) -> str:
     lines = [json.dumps(trace.header_dict(), sort_keys=True)]
-    for t, agent, action in trace.steps:
+    for t, (agent, action) in enumerate(trace.steps):
         lines.append(
             json.dumps({"action": action.value, "agent": agent, "t": t}, sort_keys=True)
         )
@@ -184,11 +184,12 @@ def _parse_header(obj: dict) -> tuple:
     return obj["layout"], config, policies, seed, serialize
 
 
-def _parse_action(name, lineno: int) -> PrimitiveAction:
+def _parse_turn(agent: int, name, lineno: int) -> tuple:
+    """The shared turn of `agent` (1 or 2) taking the action called `name`."""
     action = _ACTION_BY_NAME.get(name) if isinstance(name, str) else None
     if action is None:
         raise SchemaViolation(f"line {lineno}: unknown action name {name!r}")
-    return action
+    return single_action(agent, action)
 
 
 def read_trace(source: Sink) -> ReplayableTrace:
@@ -238,8 +239,8 @@ def read_trace(source: Sink) -> ReplayableTrace:
                 raise SchemaViolation(
                     f"line {lineno}: tick {obj['t']!r} breaks the 0..n sequence"
                 )
-            steps.append((2 * i, 1, _parse_action(obj["a1"], lineno)))
-            steps.append((2 * i + 1, 2, _parse_action(obj["a2"], lineno)))
+            steps.append(_parse_turn(1, obj["a1"], lineno))
+            steps.append(_parse_turn(2, obj["a2"], lineno))
         elif keys == {"t", "agent", "action"}:
             if serialize == "agent1-first":
                 raise SchemaViolation(
@@ -251,7 +252,7 @@ def read_trace(source: Sink) -> ReplayableTrace:
                 )
             if type(obj["agent"]) is not int or obj["agent"] not in (1, 2):
                 raise SchemaViolation(f"line {lineno}: bad agent {obj['agent']!r}")
-            steps.append((i, obj["agent"], _parse_action(obj["action"], lineno)))
+            steps.append(_parse_turn(obj["agent"], obj["action"], lineno))
         else:
             raise SchemaViolation(f"line {lineno}: unexpected step fields {sorted(keys)}")
 

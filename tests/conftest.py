@@ -75,13 +75,12 @@ def mini_layout():
 
 def external_trace(layout_text: str, config: EpisodeConfig, actions) -> ReplayableTrace:
     """Wrap a round-robin (agent, action) script as a replayable trace."""
-    steps = tuple((i, agent, act) for i, (agent, act) in enumerate(actions))
     return ReplayableTrace(
         layout_text=layout_text,
         config=config,
         policies="external",
         seed=None,
-        steps=steps,
+        steps=tuple(actions),
     )
 
 
@@ -129,8 +128,8 @@ def play(layout, config, trace: ReplayableTrace):
     """
     state = initial_state(layout, config)
     visited = [(state, [])]
-    for _, agent, act in trace.steps:
-        state, _, events = step(state, single_action(agent, act))
+    for turn in trace.steps:
+        state, _, events = step(state, turn)
         visited.append((state, events))
     return visited
 

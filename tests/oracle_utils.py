@@ -68,7 +68,7 @@ def replay_symbolic(trace: ReplayableTrace):
     layout = load_layout(trace.layout_text)
     state = initial_state(layout, trace.config)
     actions = []
-    for _, agent, act in trace.steps:
+    for agent, act in trace.steps:
         sym, state = ground_step(state, act, agent)
         actions.append(sym)
     return actions, state
@@ -252,8 +252,9 @@ def random_external_trace(
             act = PrimitiveAction.INTERACT
         else:
             act = rng.choice(moves)
-        steps.append((i, agent, act))
-        state, _, _ = step(state, single_action(agent, act))
+        turn = single_action(agent, act)
+        steps.append(turn)
+        state, _, _ = step(state, turn)
     return ReplayableTrace(
         layout_text=layout_text,
         config=config,
@@ -316,7 +317,7 @@ def _reference_interact(state, me):
     return NOOP, me, counters, pots, 0
 
 
-def reference_step(state, joint):
+def reference_step(state, turn):
     """(successor, reward, events) of one turn, re-derived from the grid.
 
     The acting cook's move turns it toward the attempted direction and
@@ -324,8 +325,7 @@ def reference_step(state, joint):
     its interact resolves against the faced tile. Then every pot that was
     cooking before the action ticks down, turning ready at zero.
     """
-    agent = joint.acting_agent()
-    action = joint.a1 if agent == 1 else joint.a2
+    agent, action = turn
     me, other = state.player(agent), state.player(3 - agent)
     layout = state.layout
     counters, pots, delivered = dict(state.counters), state.pots, 0

@@ -11,7 +11,6 @@ from conftest import MINI_LAYOUT, NAV_TRACES, advance, turns
 from interdep import (
     EpisodeConfig,
     bundled_layout_text,
-    JointAction,
     MalformedJointAction,
     PrimitiveAction,
     initial_state,
@@ -79,19 +78,10 @@ def test_stay_keeps_player_unchanged(mini_state):
     assert nxt.t == 1
 
 
-def test_joint_action_requires_exactly_one_actor():
-    with pytest.raises(MalformedJointAction):
-        JointAction(None, None).acting_agent()
-    with pytest.raises(MalformedJointAction):
-        JointAction(A.UP, A.UP).acting_agent()
-    assert single_action(1, A.STAY).acting_agent() == 1
-    assert single_action(2, A.UP).acting_agent() == 2
-
-
 @pytest.mark.parametrize(
     "agent, action",
-    [(0, A.UP), (3, A.UP), (1, "up"), (2, None)],
-    ids=["agent-0", "agent-3", "action-name", "action-none"],
+    [(0, A.UP), (3, A.UP), (1, "up"), (2, None), (1, [A.UP])],
+    ids=["agent-0", "agent-3", "action-name", "action-none", "action-list"],
 )
 def test_single_action_rejects_unknown_agent_or_action(agent, action):
     # Agent 0 used to make agent 2 act, and an action name used to stay.
@@ -99,14 +89,12 @@ def test_single_action_rejects_unknown_agent_or_action(agent, action):
         single_action(agent, action)
 
 
-def test_single_action_shares_one_joint_action_per_pair():
+def test_single_action_shares_one_pair_per_turn():
     for agent in (1, 2):
         for action in A:
-            joint = single_action(agent, action)
-            assert joint is single_action(agent, action)
-            slots = (action, None) if agent == 1 else (None, action)
-            assert (joint.a1, joint.a2) == slots
-            assert joint.acting_agent() == agent
+            turn = single_action(agent, action)
+            assert turn is single_action(agent, action)
+            assert turn == (agent, action) and type(turn) is tuple
 
 
 def test_pickup_from_dispenser(mini_state):
@@ -365,9 +353,9 @@ def test_step_agrees_with_the_reference_transition(text, onions, seed, n):
         if is_terminal(state):
             break
         act = A.INTERACT if rng.random() < 0.5 else rng.choice(moves)
-        joint = single_action(1 + i % 2, act)
-        got = step(state, joint)
-        assert got == reference_step(state, joint), (i, act)
+        turn = single_action(1 + i % 2, act)
+        got = step(state, turn)
+        assert got == reference_step(state, turn), (i, act)
         state = got[0]
 
 

@@ -369,7 +369,7 @@ def test_warm_effects_table_changes_no_action(layout, config):
     events = 0
     for trace in traces:
         state = initial_state(load_layout(trace.layout_text), trace.config)
-        for _, agent, act in trace.steps:
+        for agent, act in trace.steps:
             successor, _, step_events = step(state, single_action(agent, act))
             subtask = acting_subtask(step_events)
             if subtask is not None:

@@ -14,6 +14,7 @@ from conftest import MINI_LAYOUT, external_trace, interact_states
 from interdep import (
     EmptyTrace,
     EpisodeConfig,
+    MalformedJointAction,
     PrimitiveAction,
     ReplayMismatch,
     analyze_trace,
@@ -287,23 +288,19 @@ def test_pot_coproduction_pairs():
 # replay guards -----------------------------------------------------------
 
 
-def test_replay_rejects_time_gap():
-    steps = [(1, A.STAY), (2, A.STAY)]
-    trace = mini_trace(steps)
-    broken = dataclasses.replace(
-        trace, steps=((0, 1, A.STAY), (2, 2, A.STAY))
-    )
-    with pytest.raises(ReplayMismatch):
-        analyze_trace(broken)
-
-
 def test_replay_rejects_turn_order_violation():
     trace = mini_trace([(1, A.STAY), (2, A.STAY)])
-    broken = dataclasses.replace(
-        trace, steps=((0, 1, A.STAY), (1, 1, A.STAY))
-    )
-    with pytest.raises(ReplayMismatch):
+    broken = dataclasses.replace(trace, steps=((1, A.STAY), (1, A.STAY)))
+    with pytest.raises(ReplayMismatch, match="step 1: agent 1 acted"):
         analyze_trace(broken)
+
+
+@pytest.mark.parametrize("action", ["stay", None, 5], ids=repr)
+def test_replay_rejects_an_action_that_is_not_a_primitive_action(action):
+    trace = mini_trace([(1, A.STAY), (2, A.STAY)])
+    broken = dataclasses.replace(trace, steps=((1, A.STAY), (2, action)))
+    with pytest.raises(MalformedJointAction):
+        list(replay(broken))
 
 
 def test_replay_rejects_steps_past_terminal():
@@ -378,9 +375,9 @@ def test_only_run_episode_attaches_a_play_record(passer_receiver_trace):
 
 def test_play_record_cannot_vouch_for_a_forged_step(passer_receiver_trace):
     trace = passer_receiver_trace
-    t, agent, action = trace.steps[7]
+    agent, action = trace.steps[7]
     forged_steps = list(trace.steps)
-    forged_steps[7] = (t, 3 - agent, action)
+    forged_steps[7] = (3 - agent, action)
     forged = dataclasses.replace(trace, steps=tuple(forged_steps))
     with pytest.raises(ReplayMismatch, match="round-robin"):
         analyze_trace(forged)
@@ -442,7 +439,7 @@ def assert_event_only(trace, ledger):
     assert len(ledger.classifications) == len(trace.steps) == ledger.episode_time
     report = build_report(ledger, "all-actions")
     for agent in report.agents:
-        turns = [a for _, who, a in trace.steps if who == agent.agent]
+        turns = [a for who, a in trace.steps if who == agent.agent]
         mine = [a for a in actions if a.agent == agent.agent]
         assert agent.total_actions == len(turns) == len(mine)
         dist = agent.event_distribution

@@ -25,6 +25,7 @@ from interdep import (
     build_report,
     initial_state,
     load_layout,
+    single_action,
 )
 from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
 from interdep.policies import (
@@ -158,7 +159,7 @@ def test_idle_policy_stays(layout, config):
         seed=3,
     )
     assert len(trace.steps) == 12
-    assert all(act is A.STAY for _, _, act in trace.steps)
+    assert all(act is A.STAY for _, act in trace.steps)
 
 
 def test_episode_trace_header(layout, config, passer_receiver_trace):
@@ -167,10 +168,17 @@ def test_episode_trace_header(layout, config, passer_receiver_trace):
     assert trace.seed == 1
     assert trace.layout_text == layout.text
     assert trace.config == config
-    ts = [t for t, _, _ in trace.steps]
-    assert ts == list(range(len(trace.steps)))
-    agents = [agent for _, agent, _ in trace.steps]
+    agents = [agent for agent, _ in trace.steps]
     assert agents == [1 + (i % 2) for i in range(len(trace.steps))]
+
+
+@pytest.mark.parametrize("p1,p2", BASELINE_TEAMS, ids=lambda s: s.split(":")[0])
+def test_every_played_step_is_the_shared_turn(layout, config, p1, p2):
+    # The pair `run_episode` passed to `step` is the one it stores, and
+    # the file form reads back to equal pairs.
+    trace = policy_trace(layout, config, p1, p2, seed=1)
+    assert all(turn is single_action(*turn) for turn in trace.steps)
+    assert read_trace(io.StringIO(trace_to_text(trace))).steps == trace.steps
 
 
 def test_run_episode_deterministic(layout, config):

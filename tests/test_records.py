@@ -7,10 +7,9 @@ import pickle
 import pytest
 
 from conftest import PASSER, RECEIVER, policy_trace
-from interdep import analyze_trace, initial_state, single_action, step
+from interdep import analyze_trace, initial_state, step
 from interdep.gridworld import (
     EnvEvent,
-    JointAction,
     PlayerState,
     PotState,
     WorldState,
@@ -22,7 +21,6 @@ from interdep.interdependence import ActionClassification, replay
 RECORDS = (
     PlayerState,
     PotState,
-    JointAction,
     EnvEvent,
     WorldState,
     SymbolicAction,
@@ -54,10 +52,8 @@ def samples(layout, config):
     trace = policy_trace(layout, config, PASSER, RECEIVER, seed=1)
     found = {cls: [] for cls in RECORDS}
     state = initial_state(layout, config)
-    for _, agent, action in trace.steps:
-        joint = single_action(agent, action)
-        state, _, events = step(state, joint)
-        found[JointAction].append(joint)
+    for turn in trace.steps:
+        state, _, events = step(state, turn)
         found[EnvEvent].extend(events)
         found[WorldState].append(state)
         found[PlayerState].extend(state.players)

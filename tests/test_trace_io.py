@@ -201,7 +201,7 @@ def test_whitespace_around_a_step_line_is_allowed():
     trace = parse(
         [header_line(), " \t" + step_line(0, 1, "up") + "\t  ", step_line(1, 2, "stay")]
     )
-    assert trace.steps == ((0, 1, A.UP), (1, 2, A.STAY))
+    assert trace.steps == ((1, A.UP), (2, A.STAY))
 
 
 def test_empty_file_rejected():
@@ -228,12 +228,7 @@ def test_simultaneous_trace_expands_agent1_first():
         sim_line(1, "interact", "down"),
     ]
     trace = parse(lines)
-    assert trace.steps == (
-        (0, 1, A.LEFT),
-        (1, 2, A.LEFT),
-        (2, 1, A.INTERACT),
-        (3, 2, A.DOWN),
-    )
+    assert trace.steps == ((1, A.LEFT), (2, A.LEFT), (1, A.INTERACT), (2, A.DOWN))
 
 
 def test_simultaneous_expansion_matches_hand_serialization():
@@ -418,6 +413,62 @@ def test_any_replaced_value_fails_as_one_error_line(site, value):
     lines[lineno] = json.dumps(obj, sort_keys=True).replace('"\\u0000value"', value)
     try:
         build_report(analyze_trace(parse(lines)))
+    except (InterdepError, ValueError, OSError):
+        pass
+
+
+# One written report of a passing episode, and every value in it a bad
+# input could replace: a team field, a config field, an agent field or a
+# tally entry. Numbers past a float's range come as literals too.
+_PASS_REPORT = build_report(
+    analyze_trace(
+        external_trace(
+            MINI_LAYOUT,
+            EpisodeConfig(cook_time=3),
+            interleave(
+                [A.LEFT, A.INTERACT, A.DOWN, A.INTERACT],
+                [A.LEFT, A.DOWN, A.LEFT, A.INTERACT],
+            ),
+        )
+    ),
+    label="pass",
+)
+_REPORT = _PASS_REPORT.to_dict()
+_REPORT_SITES = (
+    [(key,) for key in _REPORT]
+    + [("config", key) for key in _REPORT["config"]]
+    + [("pairs_by_predicate", key) for key in _REPORT["pairs_by_predicate"]]
+    + [("agents", i, key) for i in (0, 1) for key in _REPORT["agents"][i]]
+    + [
+        ("agents", i, "event_distribution", key)
+        for i in (0, 1)
+        for key in _REPORT["agents"][i]["event_distribution"]
+    ]
+)
+_OUT_OF_RANGE = st.sampled_from([str(10**400), "-1e400", "NaN", "Infinity"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    site=st.sampled_from(_REPORT_SITES),
+    value=_JSON_VALUES | _NESTED_LISTS | _OUT_OF_RANGE,
+)
+def test_any_replaced_report_value_fails_as_one_error_line(site, value):
+    # `interdep report` prints these three as one `error:` line; anything
+    # else would end in a traceback.
+    assert _PASS_REPORT.pair_count == 1
+    data = json.loads(json.dumps(_REPORT))
+    owner = data
+    for key in site[:-1]:
+        owner = owner[key]
+    owner[site[-1]] = "\0value"
+    text = json.dumps(data, sort_keys=True).replace('"\\u0000value"', value)
+    try:
+        report = read_report(io.StringIO(text))
+        summary = aggregate([report, _PASS_REPORT])
+        for obj in (report, summary):
+            for fmt in ("json", "csv", "markdown"):
+                write_report(obj, fmt, io.StringIO())
     except (InterdepError, ValueError, OSError):
         pass
 
