@@ -172,9 +172,6 @@ INTERACT_SUBTASKS = (
 
 ALL_SUBTASKS = INTERACT_SUBTASKS + (MOVE, NOOP)
 
-# Environment-side event, not caused by any single action.
-EVENT_SOUP_READY = "soup-ready"
-
 
 @dataclass(frozen=True)
 class Layout:
@@ -319,10 +316,10 @@ def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAc
 
 @record
 class EnvEvent:
-    """Something observable that happened during one step."""
+    """What the acting cook's interact did in one step: its subtask and cell."""
 
     t: int
-    agent: Optional[int]  # None for environment-driven events
+    agent: int
     name: str
     cell: Optional[Cell] = None
 
@@ -586,9 +583,7 @@ def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Ti
     return NOOP, me, counters, pots, 0
 
 
-def _tick_pots(
-    state: WorldState, pots: tuple[PotState, ...], events: list[EnvEvent]
-) -> tuple[PotState, ...]:
+def _tick_pots(state: WorldState, pots: tuple[PotState, ...]) -> tuple[PotState, ...]:
     """Count down the pots of `pots` that were already cooking in `state`.
 
     A pot the action just filled is cooking in `pots` but not in `state`,
@@ -599,11 +594,8 @@ def _tick_pots(
     for before, pot in zip(state.pots, pots):
         if before.phase is _COOKING and pot.phase is _COOKING:
             cell, count, timer = pot.pot_cell, pot.onion_count, pot.cook_timer - 1
-            if timer == 0:
-                pot = _shared(layout, (PotState, cell, count, 0, _READY))
-                events.append(EnvEvent(state.t, None, EVENT_SOUP_READY, cell))
-            else:
-                pot = _shared(layout, (PotState, cell, count, timer, _COOKING))
+            phase = _COOKING if timer else _READY
+            pot = _shared(layout, (PotState, cell, count, timer, phase))
         ticked.append(pot)
     return tuple(ticked)
 
@@ -616,7 +608,8 @@ def step(
     The acting agent's action resolves against the current state, then pots
     that were already cooking tick down by one (flipping to ready at zero),
     then the clock advances. Blocked moves keep the position but still turn
-    the agent toward the attempted direction.
+    the agent toward the attempted direction. `events` is the acting cook's
+    one event if its interact did something, and empty otherwise.
 
     `state` is never mutated. The successor shares with it the parts the
     turn left unchanged (the counters dict, the pots tuple, the players
@@ -668,7 +661,7 @@ def step(
     # Most turns no pot cooks, and then the pots pass through untouched.
     for pot in state.pots:
         if pot.phase is _COOKING:
-            pots = _tick_pots(state, pots, events)
+            pots = _tick_pots(state, pots)
             break
 
     next_state = WorldState(

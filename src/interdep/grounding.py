@@ -30,10 +30,10 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import gridworld as gw
 from .gridworld import (
     GET_SOUP_POT,
     MOVE,
+    MOVE_DIRECTION,
     NOOP,
     PICKUP_DISH_DISPENSER,
     PICKUP_ONION_DISPENSER,
@@ -43,6 +43,7 @@ from .gridworld import (
     PotPhase,
     PrimitiveAction,
     WorldState,
+    record,
 )
 
 SHARED_PREDICATES = frozenset(
@@ -138,7 +139,7 @@ def ground_state(state: WorldState) -> frozenset:
     return frozenset(props)
 
 
-@gw.record
+@record
 class SymbolicAction:
     """One cook's executed step as a grounded planning action."""
 
@@ -245,14 +246,6 @@ _MOVED = (MOVE, frozenset(), frozenset(), frozenset())
 _STAYED = (NOOP, frozenset(), frozenset(), frozenset())
 
 
-def acting_subtask(events) -> Optional[str]:
-    """The subtask the acting cook's event in a step names, None without one."""
-    for event in events:
-        if event.agent is not None:
-            return event.name
-    return None
-
-
 def ground(
     state: Optional[WorldState],
     action: PrimitiveAction,
@@ -261,14 +254,14 @@ def ground(
 ) -> tuple[str, frozenset, frozenset, frozenset]:
     """(subtask, pre, add, del) of one cook's step: the grounding rule.
 
-    `subtask` is the acting cook's event in the step. Without one the cook
+    `subtask` names the step's event, the acting cook's. Without one the cook
     moved (MOVE) or did nothing (NOOP), with empty proposition sets, and
     `state` is not read. With one, the sets are the subtask's minimal
     effects, filled in from `state`, the state the step was taken in, and
     shared with every earlier step of the same event.
     """
     if subtask is None:
-        return _MOVED if action in gw.MOVE_DIRECTION else _STAYED
+        return _MOVED if action in MOVE_DIRECTION else _STAYED
     me = state.player(agent)
     cell = state.layout.faced[me.orientation][me.position][0]
     pot = state.pot_index_at(cell)

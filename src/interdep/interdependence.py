@@ -9,17 +9,17 @@ in between.
 
 Only events, the steps in which a cook's interact did something, add or
 require anything, so analysis grounds and folds events only and its cost
-grows with the events, not the steps. A trace read from a file, or built
-or altered by hand, is replayed: `replay` steps all of it through the
-simulator, which is the check that it is a real episode, and yields its
-events. A trace `run_episode` just played is grounded from the record of
-its play (`played_actions`). Both use one grounding rule,
-`grounding.ground`. `match` folds the events into the ledger through a
-provenance map: every currently true shared proposition that some event
-added points at that event's record. A fact absent from the map holds
-since the initial state, or came from the environment, and links no one.
-Acceptance reads the map, deletion clears it, addition overwrites it, so
-freshness is structural rather than re-checked. Moves and stays are
+grows with the events, not the steps. Its one input is the record of play,
+{t: (state, subtask)} per step with an event, which `run_episode` keeps
+(`ReplayableTrace.played`). For a trace read from a file, or built or
+altered by hand, `replay` steps all of it through the simulator, which is
+the check that it is a real episode, and returns the same record. `match`
+grounds each entry with `grounding.ground` and folds it into the ledger
+through a provenance map: every currently true shared proposition that
+some event added points at that event's record. A fact absent from the map
+holds since the initial state, or came from the environment, and links no
+one. Acceptance reads the map, deletion clears it, addition overwrites it,
+so freshness is structural rather than re-checked. Moves and stays are
 counted from the trace's steps; `ledger.classifications` builds their
 records only when asked.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ReplayMismatch
 from .grounding import (
@@ -36,7 +36,6 @@ from .grounding import (
     SUBTASK_TEMPLATES,
     Proposition,
     SymbolicAction,
-    acting_subtask,
     ground,
 )
 from .gridworld import (
@@ -257,15 +256,16 @@ def _start(layout_text: str, config: EpisodeConfig) -> WorldState:
     return initial_state(load_layout(layout_text), config)
 
 
-def replay(trace: ReplayableTrace) -> Iterator[SymbolicAction]:
-    """Step a trace through the simulator, yielding each event grounded.
+def replay(trace: ReplayableTrace) -> dict:
+    """Step a trace through the simulator and return the record of its play.
 
     Every step replays once from the embedded layout and config. Turn
     order must be round-robin from agent 1, and no step may follow the
-    terminal state or horizon. Only a step in which the acting cook had
-    an event is grounded and yielded.
+    terminal state or horizon. The record is the one `run_episode` keeps:
+    {t: (state, subtask)} for each step with an event, in step order.
     """
     state = _start(trace.layout_text, trace.config)
+    played = {}
     for t, (agent, action) in enumerate(trace.steps):
         expected = 1 + (t % 2)
         if agent != expected:
@@ -276,24 +276,26 @@ def replay(trace: ReplayableTrace) -> Iterator[SymbolicAction]:
             raise ReplayMismatch(f"step {t}: trace continues past the terminal state")
         successor, _, events = step(state, single_action(agent, action))
         if events:
-            subtask = acting_subtask(events)
-            if subtask is not None:
-                yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
+            played[t] = (state, events[0].name)
         state = successor
+    return played
 
 
 def match(
-    events: Iterable[SymbolicAction],
+    played: dict,
     trace: ReplayableTrace,
     schema: Optional[InteractionSchema] = None,
 ) -> InterdependencyLedger:
-    """Fold one episode's grounded events, in step order, into its ledger.
+    """Ground a record of play and fold it, in step order, into a ledger.
 
-    Each event is classified, then each linkable precondition of an
-    accept is looked up in the provenance map: a fact another cook added
-    is a pair, one the same cook added is a self-acceptance. Moves and
-    stays link nothing and are not folded. The episode time is the number
-    of steps in `trace` and the delivered soups are its serve-soup events.
+    `played` is {t: (state, subtask)} for each step of `trace` with an
+    event, as `run_episode` keeps it and `replay` returns it. Each event is
+    grounded in the state it was played from and classified, then each
+    linkable precondition of an accept is looked up in the provenance map:
+    a fact another cook added is a pair, one the same cook added is a
+    self-acceptance. Moves and stays link nothing and are not folded. The
+    episode time is the number of steps in `trace` and the delivered soups
+    are its serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
@@ -305,7 +307,10 @@ def match(
     self_accepts: list = []
     soups = 0
 
-    for sym in events:
+    steps = trace.steps
+    for t, (state, subtask) in played.items():
+        agent, action = steps[t]
+        sym = SymbolicAction(agent, t, *ground(state, action, agent, subtask))
         cls = classify_action(sym, schema)
         records.append(cls)
         if cls.is_accept:
@@ -354,26 +359,14 @@ def match(
     )
 
 
-def played_actions(trace: ReplayableTrace) -> Iterator[SymbolicAction]:
-    """Ground each event of an in-process trace from the record of its play.
-
-    Each entry of `trace.played` is grounded in the state it was played
-    from. No other step is visited, and none is simulated a second time.
-    """
-    steps = trace.steps
-    for t, (state, subtask) in trace.played.items():
-        agent, action = steps[t]
-        yield SymbolicAction(agent, t, *ground(state, action, agent, subtask))
-
-
 def analyze_trace(
     trace: ReplayableTrace, schema: Optional[InteractionSchema] = None
 ) -> InterdependencyLedger:
     """Ground a trace and match its events: classifications, pairs, self-accepts.
 
-    A trace `run_episode` returned is grounded from the record of its play
-    (`played_actions`); any other trace, read from a file, built by hand
-    or altered with `dataclasses.replace`, is replayed (`replay`).
+    A trace `run_episode` returned is matched from the record of its play;
+    any other trace, read from a file, built by hand or altered with
+    `dataclasses.replace`, is replayed (`replay`) to rebuild that record.
     """
-    events = replay(trace) if trace.played is None else played_actions(trace)
-    return match(events, trace, schema)
+    played = replay(trace) if trace.played is None else trace.played
+    return match(played, trace, schema)

@@ -29,6 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DENOMINATOR_MODES = ("subtask-actions", "all-actions")
 _SCALARS = (int, float, str, type(None))
+_FRACTIONS = ("trigger_share_of_coordination", "trigger_acceptance_rate")
 
 
 def _plain(value):
@@ -58,11 +59,13 @@ def _from_fields(cls, d: dict, **converted):
 
 
 def _check_types(record) -> None:
-    """ValueError unless each field has exactly its declared type.
+    """ValueError unless each field has exactly its declared type and range.
 
     Exact, because `aggregate` would average a bool or a numeric string as
     a number: counts must be ints and rates floats (or None if undefined),
-    all finite as floats; a tally dict must map names to int counts.
+    finite, not negative, and the trigger rates at most 1; a tally dict must
+    map names to int counts >= 0. The share and the contribution ratio have
+    no cap: a counter handoff's place and pickup can each give and receive.
     """
     for name, hint in get_type_hints(type(record)).items():
         allowed = get_args(hint) or (hint,)
@@ -70,11 +73,12 @@ def _check_types(record) -> None:
         if type(value) not in allowed:
             expected = " or ".join(t.__name__ for t in allowed)
             raise ValueError(f"{name} must be {expected}, got {value!r}")
-        if type(value) in (int, float) and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        top = 1 if name in _FRACTIONS else sys.float_info.max
+        if type(value) in (int, float) and not 0 <= value <= top:
+            raise ValueError(f"{name} must be a number from 0 to {top:g}, got {value!r}")
         tally = value.items() if type(value) is dict else ()
-        if any(type(k) is not str or type(v) is not int for k, v in tally):
-            raise ValueError(f"{name} must map names to int counts, got {value!r}")
+        if any(type(k) is not str or type(v) is not int or v < 0 for k, v in tally):
+            raise ValueError(f"{name} must map names to counts >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .gridworld import (
     single_action,
     step,
 )
-from .grounding import acting_subtask
 from .trace_io import ReplayableTrace
 
 Cell = tuple
@@ -589,10 +588,10 @@ def run_episode(
     """Play one turn-taking episode to termination and return its trace.
 
     The trace carries the record of its play (`ReplayableTrace.played`):
-    for each step in which the acting cook had an event, its time mapped
-    to the state it was taken in and the subtask the event names. Moves
-    and stays get no entry. Those events are all that analysis grounds,
-    so it grounds the trace from them instead of replaying it.
+    for each step with an event, its time mapped to the state it was taken
+    in and the subtask the event names. Moves and stays get no entry. It
+    is the record `replay` rebuilds from a file, so analysis reads it
+    instead of replaying the trace.
     """
     policies = {
         1: make_policy(spec1, 1, layout, seed),
@@ -607,9 +606,7 @@ def run_episode(
         steps.append(turn)
         successor, _, events = step(state, turn)
         if events:
-            subtask = acting_subtask(events)
-            if subtask is not None:
-                played[state.t] = (state, subtask)
+            played[state.t] = (state, events[0].name)
         state = successor
     trace = ReplayableTrace(
         layout_text=layout.text,

@@ -52,12 +52,12 @@ class ReplayableTrace:
     """A replayable episode: header data plus the ordered action steps.
 
     `played` is the record of play that `run_episode` attaches to the
-    trace it returns: {t: (state, subtask)} for each step in which the
-    acting cook had an event, in step order, and nothing for a move or a
-    stay. Analysis visits these entries and no other step. It is never
-    written or read, takes no part in equality or repr, and
-    `dataclasses.replace` drops it, so it can only describe the steps it
-    was recorded with. A trace without it is analyzed by replay.
+    trace it returns: {t: (state, subtask)} for each step with an event,
+    in step order, and nothing for a move or a stay. Analysis matches
+    these entries and no other step. It is never written or read, takes
+    no part in equality or repr, and `dataclasses.replace` drops it, so it
+    can only describe the steps it was recorded with. A trace without it
+    is replayed, which returns the same record.
     """
 
     layout_text: str

@@ -9,7 +9,8 @@ exactly.
 The reference transition (`reference_step`) re-derives each turn from the
 grid itself, through `DIR_VECTOR`, `in_bounds` and `tile_at`, and builds
 every record afresh. The simulator's table-driven `step` must agree with it
-on the successor, the reward and the events.
+on the successor, the reward and the events, and `replay` with the record
+of play that walking it builds (`reference_record`).
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from interdep import (
 )
 from interdep.gridworld import (
     DIR_VECTOR,
-    EVENT_SOUP_READY,
     GET_SOUP_POT,
-    INTERACT_SUBTASKS,
     MOVE_DIRECTION,
     NOOP,
     PICKUP_DISH_DISPENSER,
@@ -50,7 +49,7 @@ from interdep.gridworld import (
     Tile,
     WorldState,
 )
-from interdep.grounding import Proposition, SymbolicAction, acting_subtask, ground
+from interdep.grounding import Proposition, SymbolicAction, ground
 from interdep.trace_io import ReplayableTrace
 
 
@@ -59,7 +58,7 @@ def ground_step(
 ) -> tuple[SymbolicAction, WorldState]:
     """One simulator step, grounded; returns (action, successor)."""
     successor, _, events = step(state, single_action(agent, action))
-    grounded = ground(state, action, agent, acting_subtask(events))
+    grounded = ground(state, action, agent, events[0].name if events else None)
     return SymbolicAction(agent, state.t, *grounded), successor
 
 
@@ -162,15 +161,27 @@ def assert_ledger_arithmetic(ledger) -> None:
         assert s.trigger_t < s.accept_t
 
 
+def reference_record(trace):
+    """{t: (state, subtask)} of each step with an event, by `reference_step`."""
+    state = initial_state(load_layout(trace.layout_text), trace.config)
+    record = {}
+    for t, turn in enumerate(trace.steps):
+        successor, _, events = reference_step(state, turn)
+        if events:
+            record[t] = (state, events[0].name)
+        state = successor
+    return record
+
+
 def assert_matches_oracle(trace, schema=None):
     """The replay -> match fold over `trace` agrees with the oracles.
 
     Its pairs and self-acceptances are the brute-force ones, its episode
     time and soups are those of the oracle replay's final state, its
-    per-step view is the oracle's per-step fold, it depends on nothing but
-    the events it folds and the trace's steps, and `analyze_trace`, which
-    grounds a trace `run_episode` returned from the record of its play,
-    gives the same ledger.
+    per-step view is the oracle's per-step fold, `replay` returns the
+    record walking `reference_step` builds, `match` gives the same ledger
+    from that record, and `analyze_trace`, which matches a trace
+    `run_episode` returned from the record of its play, does too.
     """
     schema = schema or build_interaction_schema()
     ledger = match(replay(trace), trace, schema)
@@ -183,8 +194,9 @@ def assert_matches_oracle(trace, schema=None):
     assert ledger.soups_delivered == final.soups_delivered
     assert ledger.classifications == per_step_fold(actions, schema)
     assert ledger.steps is trace.steps
-    events = [a for a in actions if a.subtask in INTERACT_SUBTASKS]
-    assert match(events, trace, schema) == ledger
+    record = reference_record(trace)
+    assert replay(trace) == record
+    assert match(record, trace, schema) == ledger
     assert_ledger_arithmetic(ledger)
     return ledger
 
@@ -322,8 +334,9 @@ def reference_step(state, turn):
 
     The acting cook's move turns it toward the attempted direction and
     enters the faced cell only if that is floor without the partner on it;
-    its interact resolves against the faced tile. Then every pot that was
-    cooking before the action ticks down, turning ready at zero.
+    its interact resolves against the faced tile, the turn's one event if it
+    did something. Then every pot that was cooking before the action ticks
+    down, turning ready at zero.
     """
     agent, action = turn
     me, other = state.player(agent), state.player(3 - agent)
@@ -351,8 +364,6 @@ def reference_step(state, turn):
             timer = pot.cook_timer - 1
             phase = PotPhase.READY if timer == 0 else PotPhase.COOKING
             pot = PotState(pot.pot_cell, pot.onion_count, timer, phase)
-            if phase is PotPhase.READY:
-                events.append(EnvEvent(state.t, None, EVENT_SOUP_READY, pot.pot_cell))
         ticked.append(pot)
     players = (me, other) if agent == 1 else (other, me)
     successor = WorldState(

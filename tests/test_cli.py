@@ -231,8 +231,21 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         lambda d: d.update(agents=[d["agents"][0], d["agents"][0]]),
         lambda d: d["agents"][0].update(giver_count="7"),
         lambda d: d["agents"][1].update(contribution_ratio=True),
+        lambda d: d["agents"][0].update(giver_count=-50),
+        lambda d: d.update(percent_interdependent=-3.5),
+        lambda d: d["agents"][1].update(trigger_acceptance_rate=42.0),
+        lambda d: d["agents"][0]["event_distribution"].update(move=-1),
     ],
-    ids=["one-agent", "agent-1-twice", "string-count", "bool-rate"],
+    ids=[
+        "one-agent",
+        "agent-1-twice",
+        "string-count",
+        "bool-rate",
+        "negative-count",
+        "negative-percent",
+        "rate-above-1",
+        "negative-tally",
+    ],
 )
 def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):
     # Each used to crash `aggregate` or be averaged as a plausible number.

@@ -20,7 +20,6 @@ from interdep import (
     step,
 )
 from interdep.gridworld import (
-    EVENT_SOUP_READY,
     GET_SOUP_POT,
     PICKUP_ONION_DISPENSER,
     PLACE_ONION_POT,
@@ -146,14 +145,16 @@ def test_cook_countdown_and_ready_event(mini_state):
     assert not ev1
     state, ev2 = advance(state, [(2, A.STAY)])
     assert state.pots[0].phase is PotPhase.READY
-    assert [e.name for e in ev2] == [EVENT_SOUP_READY]
+    # Turning ready is the pot's phase, not an event: the stay has none.
+    assert not ev2
 
 
 def test_pot_does_not_tick_on_its_starting_step(mini_state):
     # the step that adds the third onion must not also count down
     state, events = advance(mini_state, turns(ONE_ONION * 3)[:-1])
     assert state.pots[0].cook_timer == 3
-    assert all(e.name != EVENT_SOUP_READY for e in events)
+    assert state.pots[0].phase is PotPhase.COOKING
+    assert [e.name for e in events][-1] == PLACE_ONION_POT
 
 
 def test_full_delivery_cycle(mini_state):
@@ -376,14 +377,10 @@ def test_two_pots_tick_only_if_cooking_before_the_action(layout, timer):
     check_invariants(state)
     state, _, events = step(state, single_action(1, A.INTERACT))
     assert state.pots[1] == PotState((3, 0), 3, config.cook_time, PotPhase.COOKING)
-    if timer == 1:
-        assert state.pots[0] == PotState((2, 0), 3, 0, PotPhase.READY)
-        assert [(e.name, e.cell) for e in events] == [
-            (PLACE_ONION_POT, (3, 0)),
-            (EVENT_SOUP_READY, (2, 0)),
-        ]
-    else:
-        assert state.pots[0] == PotState((2, 0), 3, 1, PotPhase.COOKING)
-        assert [e.name for e in events] == [PLACE_ONION_POT]
+    phase = PotPhase.READY if timer == 1 else PotPhase.COOKING
+    assert state.pots[0] == PotState((2, 0), 3, timer - 1, phase)
+    # The cook's placement is the step's one event, whether pot 0 turned
+    # ready in it or not.
+    assert [(e.agent, e.name, e.cell) for e in events] == [(1, PLACE_ONION_POT, (3, 0))]
     state, _, _ = step(state, single_action(2, A.STAY))
     assert state.pots[1].cook_timer == config.cook_time - 1

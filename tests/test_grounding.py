@@ -49,7 +49,6 @@ from interdep.grounding import (
     SUBTASK_TEMPLATES,
     Proposition,
     _effects,
-    acting_subtask,
     ground,
     prop,
     vocabulary_dump,
@@ -259,14 +258,14 @@ def test_extraction_labels_interact_move_and_stay(mini_state):
 
 
 def test_labels_on_the_tick_a_pot_turns_ready(mini_state):
-    """The step's only event is the environment's soup-ready, not the cook's."""
+    """The pot turning ready is no event, and leaves the cook's label as it is."""
     pot = PotState(mini_state.layout.pot_cells[0], 3, 1, PotPhase.COOKING)
     state = replace(mini_state, pots=(pot,))
     facing_wall = replace(state.player(1), orientation=Orientation.N)
     state = replace(state, players=(facing_wall, state.player(2)))
     for act, subtask in ((A.INTERACT, NOOP), (A.STAY, NOOP), (A.RIGHT, MOVE)):
-        _, _, events = step(state, single_action(1, act))
-        assert [(e.agent, e.name) for e in events] == [(None, "soup-ready")]
+        successor, _, events = step(state, single_action(1, act))
+        assert successor.pots[0].phase is PotPhase.READY and events == []
         assert ground_step(state, act, 1)[0].subtask == subtask
 
 
@@ -371,8 +370,8 @@ def test_warm_effects_table_changes_no_action(layout, config):
         state = initial_state(load_layout(trace.layout_text), trace.config)
         for agent, act in trace.steps:
             successor, _, step_events = step(state, single_action(agent, act))
-            subtask = acting_subtask(step_events)
-            if subtask is not None:
+            if step_events:
+                subtask = step_events[0].name
                 cell = facing_cell(state.player(agent))
                 pot = state.pot_index_at(cell)
                 n = 0 if pot is None else state.pots[pot].onion_count

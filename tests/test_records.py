@@ -16,7 +16,8 @@ from interdep.gridworld import (
     record,
 )
 from interdep.grounding import SymbolicAction
-from interdep.interdependence import ActionClassification, replay
+from interdep.interdependence import ActionClassification
+from oracle_utils import ground_step
 
 RECORDS = (
     PlayerState,
@@ -52,13 +53,13 @@ def samples(layout, config):
     trace = policy_trace(layout, config, PASSER, RECEIVER, seed=1)
     found = {cls: [] for cls in RECORDS}
     state = initial_state(layout, config)
-    for turn in trace.steps:
-        state, _, events = step(state, turn)
-        found[EnvEvent].extend(events)
+    for agent, action in trace.steps:
+        found[EnvEvent].extend(step(state, (agent, action))[2])
+        sym, state = ground_step(state, action, agent)
+        found[SymbolicAction].append(sym)
         found[WorldState].append(state)
         found[PlayerState].extend(state.players)
         found[PotState].extend(state.pots)
-    found[SymbolicAction] = list(replay(trace))
     found[ActionClassification] = list(analyze_trace(trace).classifications)
     # A spread of 30 per class keeps the pairwise checks quick.
     return {cls: values[:: max(1, len(values) // 30)] for cls, values in found.items()}
