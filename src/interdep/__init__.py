@@ -47,13 +47,12 @@ _EXPORTS = {
         "single_action",
         "step",
     ),
-    "grounding": ("Proposition", "SymbolicAction", "ground_state"),
+    "grounding": ("Proposition", "ground_state"),
     "interdependence": (
         "ActionClassification",
         "InteractionSchema",
         "InterdependencyLedger",
         "InterdependentPair",
-        "SelfAcceptance",
         "analyze_trace",
         "build_interaction_schema",
         "classify_action",

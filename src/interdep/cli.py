@@ -8,13 +8,13 @@ predicate vocabulary and subtask templates.
 
 Every failure path exits 1 with a single `error: ...` line on stderr. Set
 INTERDEP_LOG=DEBUG (or INFO) for progress logging. Seed batches run on a
-thread pool; all files are written atomically (temp file + rename).
+thread pool; all files are written atomically (temp file + rename). Each
+command imports only the modules it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -23,12 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import InterdepError
-from .grounding import vocabulary_dump
-from .gridworld import EpisodeConfig, load_layout
-from .interdependence import analyze_trace, build_interaction_schema
-from .metrics import DENOMINATOR_MODES, aggregate, build_report
-from .policies import parse_policy_spec, run_episode
-from .trace_io import read_report, read_trace, write_report, write_trace
+from .metrics import DENOMINATOR_MODES
 
 LOG = logging.getLogger("interdep")
 
@@ -80,30 +75,28 @@ def _atomic_write(path: Path, write: Callable) -> None:
         raise
 
 
-def _read_layout_file(path: str):
+def cmd_simulate(args) -> int:
+    import concurrent.futures
+
+    from .gridworld import EpisodeConfig, load_layout
+    from .policies import parse_policy_spec, run_episode
+    from .trace_io import write_trace
+
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.layout).read_text(encoding="utf-8")
     except OSError as e:
-        raise InterdepError(f"cannot read layout {path}: {e}") from e
-    return load_layout(text)
-
-
-def _config_from_args(args) -> EpisodeConfig:
-    return EpisodeConfig(
+        raise InterdepError(f"cannot read layout {args.layout}: {e}") from e
+    layout = load_layout(text)
+    spec1 = parse_policy_spec(args.p1)
+    spec2 = parse_policy_spec(args.p2)
+    config = EpisodeConfig(
         target_soups=args.target_soups,
         horizon=args.horizon,
         cook_time=args.cook_time,
         reward_per_soup=args.reward_per_soup,
     )
-
-
-def cmd_simulate(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    layout = _read_layout_file(args.layout)
-    spec1 = parse_policy_spec(args.p1)
-    spec2 = parse_policy_spec(args.p2)
-    config = _config_from_args(args)
     seeds = _parse_seeds(args.seeds)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -129,6 +122,8 @@ def _formats(arg: str) -> list:
 
 
 def _write_reports(obj, stem: str, formats: list, outdir: Path) -> None:
+    from .trace_io import write_report
+
     for fmt in formats:
         path = outdir / f"{stem}{REPORT_FORMATS[fmt]}"
         _atomic_write(path, lambda f: write_report(obj, fmt, f))
@@ -153,6 +148,10 @@ def _labels(trace_paths: list) -> list:
 
 
 def cmd_analyze(args) -> int:
+    from .interdependence import analyze_trace, build_interaction_schema
+    from .metrics import aggregate, build_report
+    from .trace_io import read_trace
+
     schema = build_interaction_schema(
         include_counter_empty=args.counter_empty == "on"
     )
@@ -186,6 +185,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .metrics import aggregate
+    from .trace_io import read_report
+
     reports = [read_report(p) for p in args.reports]
     summary = aggregate(reports)
     outdir = Path(args.out)
@@ -195,6 +197,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_schema(args) -> int:
+    from .grounding import vocabulary_dump
+    from .interdependence import build_interaction_schema
+
     schema = build_interaction_schema(
         include_counter_empty=args.counter_empty == "on"
     )

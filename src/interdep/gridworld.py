@@ -179,8 +179,8 @@ class Layout:
 
     `floor_neighbours` maps every in-grid cell to the floor cells next to
     it, in N,S,E,W order. `load_layout` builds it once per layout, and it is
-    the one place that order lives: `adjacent_floor_cells`, the policies'
-    route search and their blocked-cook sidestep all read it.
+    the one place that order lives: the policies' approach cells, route
+    search and blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
     built once, so `cells_of` does not scan the grid. `faced` maps an
     orientation and an in-grid cell (`faced[orientation][cell]`) to the
@@ -674,14 +674,6 @@ def step(
         state.t + 1,
     )
     return next_state, reward, events
-
-
-def adjacent_floor_cells(layout: Layout, cell: Cell) -> tuple[Cell, ...]:
-    """Floor cells from which an agent can face `cell` (N,S,E,W order).
-
-    Empty for a cell outside the grid.
-    """
-    return layout.floor_neighbours.get(cell, ())
 
 
 _DIRECTION_OF_VECTOR = {vec: orient for orient, vec in DIR_VECTOR.items()}

@@ -43,7 +43,6 @@ from .gridworld import (
     PotPhase,
     PrimitiveAction,
     WorldState,
-    record,
 )
 
 SHARED_PREDICATES = frozenset(
@@ -137,18 +136,6 @@ def ground_state(state: WorldState) -> frozenset:
         props.add(prop("holding", player.agent_id, player.held.value))
     props.add(prop("soups-delivered", state.soups_delivered))
     return frozenset(props)
-
-
-@record
-class SymbolicAction:
-    """One cook's executed step as a grounded planning action."""
-
-    agent: int
-    t: int
-    subtask: str
-    pre: frozenset
-    add: frozenset
-    delete: frozenset
 
 
 # Pre, add and delete sets of every subtask, each written once. An argument

@@ -4,8 +4,9 @@ A shared predicate is linkable when some subtask adds it and some subtask
 requires it. A subtask's template fixes its roles: it is a trigger when it
 adds a linkable predicate, an accept when it requires one, and independent
 otherwise. A pair links a giver's add effect to the receiver's
-precondition across agents, provided the proposition survived untouched
-in between.
+precondition, provided the proposition survived untouched in between. A
+pair whose giver and receiver are the same cook is a self-acceptance, kept
+apart in `ledger.self_accepts`.
 
 Only events, the steps in which a cook's interact did something, add or
 require anything, so analysis grounds and folds events only and its cost
@@ -35,7 +36,6 @@ from .grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
     Proposition,
-    SymbolicAction,
     ground,
 )
 from .gridworld import (
@@ -145,17 +145,19 @@ class ActionClassification:
 
 
 def classify_action(
-    action: SymbolicAction, schema: InteractionSchema
+    agent: int, t: int, subtask: str, schema: InteractionSchema
 ) -> ActionClassification:
     """The step's record, with the roles the schema gives its subtask."""
-    return ActionClassification(
-        action.agent, action.t, action.subtask, *schema.roles[action.subtask]
-    )
+    return ActionClassification(agent, t, subtask, *schema.roles[subtask])
 
 
 @dataclass(frozen=True)
 class InterdependentPair:
-    """A giver's add effect consumed as the receiver's precondition."""
+    """A giver's add effect consumed as the receiver's precondition.
+
+    When the giver and the receiver are the same cook, the pair is a
+    self-acceptance.
+    """
 
     prop: Proposition
     giver: ActionClassification
@@ -166,24 +168,6 @@ class InterdependentPair:
             "prop": self.prop.canonical(),
             "giver": self.giver.to_dict(),
             "receiver": self.receiver.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
-class SelfAcceptance:
-    """An agent consuming a precondition it itself established."""
-
-    agent: int
-    trigger_t: int
-    accept_t: int
-    prop: Proposition
-
-    def to_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "trigger_t": self.trigger_t,
-            "accept_t": self.accept_t,
-            "prop": self.prop.canonical(),
         }
 
 
@@ -238,7 +222,15 @@ class InterdependencyLedger:
                 for c in self.classifications
             ],
             "pairs": [p.to_dict() for p in self.pairs],
-            "self_accepts": [s.to_dict() for s in self.self_accepts],
+            "self_accepts": [
+                {
+                    "agent": s.receiver.agent,
+                    "trigger_t": s.giver.t,
+                    "accept_t": s.receiver.t,
+                    "prop": s.prop.canonical(),
+                }
+                for s in self.self_accepts
+            ],
             "unaccepted_triggers": {
                 str(agent): [r.to_dict() for r in refs]
                 for agent, refs in sorted(self.unaccepted_triggers.items())
@@ -291,11 +283,12 @@ def match(
     `played` is {t: (state, subtask)} for each step of `trace` with an
     event, as `run_episode` keeps it and `replay` returns it. Each event is
     grounded in the state it was played from and classified, then each
-    linkable precondition of an accept is looked up in the provenance map:
-    a fact another cook added is a pair, one the same cook added is a
-    self-acceptance. Moves and stays link nothing and are not folded. The
-    episode time is the number of steps in `trace` and the delivered soups
-    are its serve-soup events.
+    linkable precondition of an accept is looked up in the provenance map.
+    A fact an earlier event added makes one pair of the two events, kept in
+    `ledger.pairs` across cooks and in `ledger.self_accepts` within one.
+    Moves and stays link nothing and are not folded. The episode time is
+    the number of steps in `trace` and the delivered soups are its
+    serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
@@ -310,33 +303,26 @@ def match(
     steps = trace.steps
     for t, (state, subtask) in played.items():
         agent, action = steps[t]
-        sym = SymbolicAction(agent, t, *ground(state, action, agent, subtask))
-        cls = classify_action(sym, schema)
+        _, pre, add, delete = ground(state, action, agent, subtask)
+        cls = classify_action(agent, t, subtask, schema)
         records.append(cls)
         if cls.is_accept:
             # Every template requires at most one shared predicate, so an
             # accept links at most one fact and needs no sorted order.
-            for p in sym.pre:
+            for p in pre:
                 if p.predicate not in linkable:
                     continue
                 src = provenance.get(p)
-                if src is None:
-                    continue
-                if src.agent != cls.agent:
-                    pairs.append(InterdependentPair(prop=p, giver=src, receiver=cls))
-                else:
-                    self_accepts.append(
-                        SelfAcceptance(
-                            agent=cls.agent, trigger_t=src.t, accept_t=cls.t, prop=p
-                        )
-                    )
-        for p in sym.delete:
+                if src is not None:
+                    links = pairs if src.agent != agent else self_accepts
+                    links.append(InterdependentPair(p, src, cls))
+        for p in delete:
             if p.shared:
                 provenance.pop(p, None)
-        for p in sym.add:
+        for p in add:
             if p.shared:
                 provenance[p] = cls
-        if sym.subtask == SERVE_SOUP:
+        if subtask == SERVE_SOUP:
             soups += 1
 
     matched = {pair.giver.t for pair in pairs}

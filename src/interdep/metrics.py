@@ -213,7 +213,7 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
         contribution_ratio=ratio,
         trigger_share_of_coordination=_ratio(triggers, coordination),
         trigger_acceptance_rate=_ratio(triggers - unaccepted, triggers),
-        self_accept_count=sum(1 for s in ledger.self_accepts if s.agent == agent),
+        self_accept_count=sum(s.receiver.agent == agent for s in ledger.self_accepts),
         unaccepted_triggers=unaccepted,
         event_distribution=dist,
     )

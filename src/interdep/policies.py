@@ -35,7 +35,6 @@ from .gridworld import (
     PrimitiveAction,
     Tile,
     WorldState,
-    adjacent_floor_cells,
     direction_toward,
     initial_state,
     is_terminal,
@@ -230,7 +229,7 @@ def _first_move(
     path = bfs_path(layout, here, goals, blocked) if goals else None
     if path is not None:
         return MOVE_FOR_DIRECTION[direction_toward(here, path[1])]
-    for nxt in adjacent_floor_cells(layout, here):
+    for nxt in layout.floor_neighbours[here]:
         if nxt not in blocked:
             return MOVE_FOR_DIRECTION[direction_toward(here, nxt)]
     return _STAY
@@ -245,7 +244,6 @@ class Policy:
         self.spec = spec
         self.agent = agent
         self.layout = layout
-        self._last_interact_target: Optional[Cell] = None
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
         raise NotImplementedError
@@ -261,20 +259,14 @@ class Policy:
     def _face(
         self, state: WorldState, target: Cell, wait: bool = False
     ) -> PrimitiveAction:
-        """Walk next to target and face it, then interact (or stay if `wait`).
-
-        Remembers the target of every interact it returns.
-        """
+        """Walk next to target and face it, then interact (or stay if `wait`)."""
         me = self._me(state)
         d = direction_toward(me.position, target)
         if d is None:
-            return self._walk(state, adjacent_floor_cells(self.layout, target))
+            return self._walk(state, self.layout.floor_neighbours[target])
         if me.orientation is not d:
             return MOVE_FOR_DIRECTION[d]  # target is never floor: turns in place
-        if wait:
-            return _STAY
-        self._last_interact_target = target
-        return _INTERACT
+        return _STAY if wait else _INTERACT
 
     def _walk(self, state: WorldState, cells: tuple) -> PrimitiveAction:
         """First step toward any of `cells`, none our own (see `_first_move`).
@@ -301,7 +293,7 @@ class Policy:
         )
         keys = []
         for cell in candidates:
-            ds = [dist[a] for a in adjacent_floor_cells(self.layout, cell) if a in dist]
+            ds = [dist[a] for a in self.layout.floor_neighbours[cell] if a in dist]
             if ds:
                 keys.append((min(ds), cell))
         return min(keys)[1] if keys else None
@@ -347,7 +339,7 @@ class Policy:
     def _reachable(self, cell: Cell) -> bool:
         """True when some floor cell next to `cell` is reachable from spawn."""
         dist = bfs_distances(self.layout, self._spawn(), frozenset())
-        return any(a in dist for a in adjacent_floor_cells(self.layout, cell))
+        return any(a in dist for a in self.layout.floor_neighbours[cell])
 
     def _require_reachable(self, cell: Cell, what: str) -> None:
         if not self._reachable(cell):
@@ -368,7 +360,7 @@ class Policy:
         cell = self.spec.counter
         if cell is None:
             for c in self.layout.counter_cells:
-                if len(adjacent_floor_cells(self.layout, c)) >= 2:
+                if len(self.layout.floor_neighbours[c]) >= 2:
                     cell = c
                     break
             if cell is None:
@@ -468,16 +460,16 @@ class StochasticPasserPolicy(SoloChefPolicy):
         self._route: Optional[str] = None
 
     def _update_route(self, state: WorldState) -> None:
-        if self._me(state).held is not _ONION:
+        me = self._me(state)
+        if me.held is not _ONION:
             self._route = None
             return
         if self._route is not None:
             return
-        source = self._last_interact_target
-        from_dispenser = (
-            source is not None
-            and self.layout.tile_at(source) is _ONION_DISPENSER
-        )
+        # The onion came from the cell the cook faces: a cook neither moves
+        # nor turns between its own interact and its next turn.
+        source = self.layout.faced[me.orientation][me.position]
+        from_dispenser = source is not None and source[1] is _ONION_DISPENSER
         passes = from_dispenser and self.rng.random() < self.spec.p
         self._route = "counter" if passes else "pot"
 
@@ -524,9 +516,9 @@ class ReceiverChefPolicy(Policy):
         self.park_cell = self._pick_park_cell()
 
     def _pick_park_cell(self) -> Cell:
-        pot_approaches = adjacent_floor_cells(self.layout, self.pot_cell)
+        pot_approaches = self.layout.floor_neighbours[self.pot_cell]
         keys = []
-        for cell in adjacent_floor_cells(self.layout, self.counter_cell):
+        for cell in self.layout.floor_neighbours[self.counter_cell]:
             dist = bfs_distances(self.layout, cell, frozenset())
             ds = [dist[a] for a in pot_approaches if a in dist]
             if ds:

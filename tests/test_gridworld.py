@@ -20,10 +20,8 @@ from interdep import (
     step,
 )
 from interdep.gridworld import (
-    GET_SOUP_POT,
     PICKUP_ONION_DISPENSER,
     PLACE_ONION_POT,
-    SERVE_SOUP,
     Item,
     Orientation,
     PlayerState,

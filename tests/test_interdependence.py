@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -103,7 +105,8 @@ def mini_state(mini_layout):
 
 def classify_here(state, action, agent, schema=None):
     sym = ground_step(state, action, agent)[0]
-    return classify_action(sym, schema or build_interaction_schema())
+    schema = schema or build_interaction_schema()
+    return classify_action(sym.agent, sym.t, sym.subtask, schema)
 
 
 def test_move_and_pickup_dispenser_are_independent(mini_state):
@@ -227,13 +230,15 @@ def test_self_acceptance_not_a_pair():
     assert_ledger_arithmetic(ledger)
 
 
+REPEATED_PLACE_SCRIPT = PASS_SCRIPT[:6] + [
+    (1, A.INTERACT), (2, A.STAY),     # t6 place
+    (1, A.INTERACT), (2, A.STAY),     # t8 take back (delete severs t6 link)
+    (1, A.INTERACT), (2, A.INTERACT), # t10 place again; t11 partner takes
+]
+
+
 def test_repeated_place_pairs_with_latest_giver():
-    script = PASS_SCRIPT[:6] + [
-        (1, A.INTERACT), (2, A.STAY),     # t6 place
-        (1, A.INTERACT), (2, A.STAY),     # t8 take back (delete severs t6 link)
-        (1, A.INTERACT), (2, A.INTERACT), # t10 place again; t11 partner takes
-    ]
-    ledger = analyze_trace(mini_trace(script))
+    ledger = analyze_trace(mini_trace(REPEATED_PLACE_SCRIPT))
     onion_pairs = [p for p in ledger.pairs if p.prop.predicate == "onion-on-counter"]
     assert len(onion_pairs) == 1
     assert onion_pairs[0].giver.t == 10  # not the deleted t6 placement
@@ -331,6 +336,26 @@ def test_fuzzed_traces_match_oracle(seed):
     assert_matches_oracle(trace)
     no_ce = build_interaction_schema(include_counter_empty=False)
     assert_matches_oracle(trace, no_ce)
+
+
+def test_oracle_runs_when_loaded_as_the_benchmark_loads_it():
+    """The oracle works executed from its file with no `sys.modules` entry.
+
+    The benchmark loads it that way, where a module-level dataclass cannot
+    resolve its string annotations and fails at import.
+    """
+    path = pathlib.Path(__file__).with_name("oracle_utils.py")
+    spec = importlib.util.spec_from_file_location("unregistered_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert spec.name not in sys.modules
+    trace = mini_trace(REPEATED_PLACE_SCRIPT)
+    ledger = analyze_trace(trace)
+    actions, _ = oracle.replay_symbolic(trace)
+    pairs, self_accepts = oracle.brute_force_match(actions, ledger.schema.linkable)
+    assert pairs and self_accepts
+    assert oracle.ledger_pair_keys(ledger) == pairs
+    assert oracle.ledger_self_accept_keys(ledger) == self_accepts
 
 
 NAV = json.loads(

@@ -15,6 +15,8 @@ import sys
 import textwrap
 
 import interdep
+from interdep import analyze_trace, build_report
+from interdep.trace_io import write_report
 
 SRC = pathlib.Path(interdep.__file__).resolve().parents[1]
 SUBMODULES = (
@@ -29,6 +31,7 @@ SUBMODULES = (
 )
 SUBMODULES_LOADED = "sorted(m for m in sys.modules if m.startswith('interdep.'))"
 LOADED = f"print(json.dumps({SUBMODULES_LOADED}))"
+ALL_LOADED = "print(json.dumps(sorted(sys.modules)))"
 
 
 def run_fresh(code: str):
@@ -78,6 +81,34 @@ def test_report_path_loads_no_analyzer():
     )
     assert "interdep.grounding" not in loaded
     assert "interdep.interdependence" not in loaded
+
+
+def run_command(argv: list) -> list:
+    """Every module loaded after `interdep.cli.main(argv)` in a new interpreter."""
+    return run_fresh(
+        f"""
+        import interdep.cli
+        assert interdep.cli.main({argv!r}) == 0
+        {ALL_LOADED}
+        """
+    )
+
+
+def test_schema_command_loads_no_policies_trace_io_or_pool(tmp_path):
+    loaded = run_command(["schema", "--out", str(tmp_path / "schema.json")])
+    assert "interdep.interdependence" in loaded
+    for name in ("interdep.policies", "interdep.trace_io", "concurrent.futures"):
+        assert name not in loaded
+
+
+def test_report_command_loads_no_policies_or_analyzer(tmp_path, passer_receiver_trace):
+    report = tmp_path / "a.report.json"
+    with report.open("w", encoding="utf-8") as f:
+        write_report(build_report(analyze_trace(passer_receiver_trace)), "json", f)
+    loaded = run_command(["report", str(report), "--out", str(tmp_path)])
+    assert "interdep.trace_io" in loaded
+    for name in ("interdep.policies", "interdep.grounding", "interdep.interdependence"):
+        assert name not in loaded
 
 
 def test_every_export_is_the_object_in_its_home_module():

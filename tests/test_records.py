@@ -15,16 +15,13 @@ from interdep.gridworld import (
     WorldState,
     record,
 )
-from interdep.grounding import SymbolicAction
 from interdep.interdependence import ActionClassification
-from oracle_utils import ground_step
 
 RECORDS = (
     PlayerState,
     PotState,
     EnvEvent,
     WorldState,
-    SymbolicAction,
     ActionClassification,
 )
 
@@ -54,9 +51,8 @@ def samples(layout, config):
     found = {cls: [] for cls in RECORDS}
     state = initial_state(layout, config)
     for agent, action in trace.steps:
-        found[EnvEvent].extend(step(state, (agent, action))[2])
-        sym, state = ground_step(state, action, agent)
-        found[SymbolicAction].append(sym)
+        state, _, events = step(state, (agent, action))
+        found[EnvEvent].extend(events)
         found[WorldState].append(state)
         found[PlayerState].extend(state.players)
         found[PotState].extend(state.pots)

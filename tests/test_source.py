@@ -1,9 +1,10 @@
-"""Static checks on the package source, read with `ast` and never imported."""
+"""Static checks on the project's source, read with `ast` and never imported."""
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "interdep"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SOURCES = ("src/interdep", "tests", "scripts")
 
 
 def unused_imports(source: str) -> list:
@@ -38,9 +39,11 @@ def test_unused_imports_are_found():
 
 
 def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(path for folder in SOURCES for path in (ROOT / folder).glob("*.py"))
+    assert {path.parent.name for path in paths} == {"interdep", "tests", "scripts"}
     found = [
-        f"{path.name}:{line}: {name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
