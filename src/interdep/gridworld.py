@@ -182,7 +182,7 @@ class Layout:
     the one place that order lives: the policies' approach cells, route
     search and blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
-    built once, so `cells_of` does not scan the grid. `faced` maps an
+    built once, so no reader scans the grid. `faced` maps an
     orientation and an in-grid cell (`faced[orientation][cell]`) to the
     cell it faces and that cell's tile, or None when that cell is off the
     grid; `step` and grounding read it instead of doing the arithmetic.
@@ -227,16 +227,13 @@ class Layout:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def cells_of(self, tile: Tile) -> tuple[Cell, ...]:
-        return self.tile_cells[tile]
-
     @property
     def counter_cells(self) -> tuple[Cell, ...]:
-        return self.cells_of(Tile.COUNTER)
+        return self.tile_cells[Tile.COUNTER]
 
     @property
     def pot_cells(self) -> tuple[Cell, ...]:
-        return self.cells_of(Tile.POT)
+        return self.tile_cells[Tile.POT]
 
 
 @dataclass(frozen=True)
@@ -432,7 +429,7 @@ def load_layout(text: str) -> Layout:
 
 def _check_stations(layout: Layout) -> None:
     for station in _REQUIRED_STATIONS:
-        if not layout.cells_of(station):
+        if not layout.tile_cells[station]:
             raise MissingStation(f"layout has no {station.name} tile")
 
 

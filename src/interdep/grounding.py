@@ -1,11 +1,12 @@
-"""Symbolic grounding: world states as proposition sets, steps as planning actions.
+"""Symbolic grounding: world states as proposition sets, events as planning actions.
 
 A grounded proposition is a binary fact about the kitchen, drawn from a
 closed vocabulary (what sits on each counter, each pot's fill level and
-phase, what each cook holds, soups delivered so far). A transition becomes
-a planning-style action with a precondition set, an add set and a delete
-set over those propositions, tagged with the subtask the simulator's step
-reports for the acting cook, so one step decides what an action did.
+phase, what each cook holds, soups delivered so far). An event, what
+`gridworld.step` reports one cook's interact did, becomes a planning-style
+action with a precondition set, an add set and a delete set over those
+propositions, so the simulator alone decides what an action did. A move or
+a stay has no event and grounds to nothing.
 
 Propositions split into shared fluents, observable surfaces both cooks act
 through (counters, pots), and private fluents (held items, the delivery
@@ -14,10 +15,11 @@ tally) that can never link one cook's action to the other's.
 Each subtask's effects are written once, in the EFFECTS table, as
 propositions whose arguments name roles (the acting cook, the faced cell,
 the faced pot and its fill, the delivered count) instead of values.
-Grounding a step reads the roles off the state and looks the event up in
-one cached table (`_effects`) keyed by the subtask and those values, so
-each distinct event is grounded once, however many steps repeat it. Every
-step with that key shares the cached frozensets, which nothing mutates.
+Grounding an event takes the cook and the cell from the event and the rest
+from the state its step was taken in, and looks it up in one cached table
+(`_effects`) keyed by the subtask and those values, so each distinct event
+is grounded once, however many steps repeat it. Every event with that key
+shares the cached frozensets, which nothing mutates.
 The table is bounded by faced cells x pot fill levels x soups target (for
 each subtask and cook); a whole sweep needs a few dozen entries.
 SUBTASK_TEMPLATES, which drives the interaction schema and the schema
@@ -33,15 +35,14 @@ from typing import Optional
 from .gridworld import (
     GET_SOUP_POT,
     MOVE,
-    MOVE_DIRECTION,
     NOOP,
     PICKUP_DISH_DISPENSER,
     PICKUP_ONION_DISPENSER,
     PLACE_ONION_POT,
     SERVE_SOUP,
+    EnvEvent,
     Item,
     PotPhase,
-    PrimitiveAction,
     WorldState,
 )
 
@@ -103,9 +104,6 @@ class Proposition:
 
     def canonical(self) -> str:
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
 
 
 def prop(predicate: str, *args) -> Proposition:
@@ -204,8 +202,8 @@ def _terms(text: str):
 @functools.cache
 def _effects(
     subtask: str, agent: int, cell: tuple, pot: Optional[int], n: int, k: int, fills: bool
-) -> tuple[str, frozenset, frozenset, frozenset]:
-    """(subtask, pre, add, del) of one event, grounded from its key.
+) -> tuple[frozenset, frozenset, frozenset]:
+    """(pre, add, del) of one event, grounded from its key.
 
     The key is everything EFFECTS reads: the acting cook, the faced cell,
     the faced pot and its onion count, the soups delivered and whether the
@@ -217,7 +215,7 @@ def _effects(
         raise ValueError(f"unknown subtask {subtask!r}")
     roles = {"i": agent, "x": cell[0], "y": cell[1], "p": pot, "0": 0}
     roles.update({"n": n, "n+1": n + 1, "k": k, "k+1": k + 1})
-    return subtask, *(
+    return tuple(
         frozenset(
             Proposition(predicate, tuple(roles.get(a, a) for a in args))
             for conditional, predicate, args in _terms(text)
@@ -227,34 +225,19 @@ def _effects(
     )
 
 
-# What a step without an event grounds to: a move, or a stay or an interact
-# that changed nothing, with empty proposition sets.
-_MOVED = (MOVE, frozenset(), frozenset(), frozenset())
-_STAYED = (NOOP, frozenset(), frozenset(), frozenset())
+def ground(state: WorldState, event: EnvEvent) -> tuple[frozenset, frozenset, frozenset]:
+    """(pre, add, del) of one event: the grounding rule.
 
-
-def ground(
-    state: Optional[WorldState],
-    action: PrimitiveAction,
-    agent: int,
-    subtask: Optional[str],
-) -> tuple[str, frozenset, frozenset, frozenset]:
-    """(subtask, pre, add, del) of one cook's step: the grounding rule.
-
-    `subtask` names the step's event, the acting cook's. Without one the cook
-    moved (MOVE) or did nothing (NOOP), with empty proposition sets, and
-    `state` is not read. With one, the sets are the subtask's minimal
-    effects, filled in from `state`, the state the step was taken in, and
-    shared with every earlier step of the same event.
+    The acting cook and the cell it faced are the event's own; the faced
+    pot, its fill and the soups delivered are read from `state`, the state
+    the event's step was taken in. The sets are the subtask's minimal
+    effects, shared with every earlier event of the same key.
     """
-    if subtask is None:
-        return _MOVED if action in MOVE_DIRECTION else _STAYED
-    me = state.player(agent)
-    cell = state.layout.faced[me.orientation][me.position][0]
+    cell = event.cell
     pot = state.pot_index_at(cell)
     n = 0 if pot is None else state.pots[pot].onion_count
     fills = n + 1 == state.config.onions_per_soup
-    return _effects(subtask, agent, cell, pot, n, state.soups_delivered, fills)
+    return _effects(event.name, event.agent, cell, pot, n, state.soups_delivered, fills)
 
 
 # Predicate-level projection of EFFECTS, conditional adds included. It

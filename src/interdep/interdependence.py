@@ -11,11 +11,13 @@ apart in `ledger.self_accepts`.
 Only events, the steps in which a cook's interact did something, add or
 require anything, so analysis grounds and folds events only and its cost
 grows with the events, not the steps. Its one input is the record of play,
-{t: (state, subtask)} per step with an event, which `run_episode` keeps
-(`ReplayableTrace.played`). For a trace read from a file, or built or
+a list of (state, event) in step order: for each event, the state its step
+was taken in and the `EnvEvent` that `gridworld.step` reported, which
+names the cook, the time, the subtask and the cell. `run_episode` keeps
+it (`ReplayableTrace.played`). For a trace read from a file, or built or
 altered by hand, `replay` steps all of it through the simulator, which is
 the check that it is a real episode, and returns the same record. `match`
-grounds each entry with `grounding.ground` and folds it into the ledger
+grounds each event with `grounding.ground` and folds it into the ledger
 through a provenance map: every currently true shared proposition that
 some event added points at that event's record. A fact absent from the map
 holds since the initial state, or came from the environment, and links no
@@ -39,6 +41,9 @@ from .grounding import (
     ground,
 )
 from .gridworld import (
+    MOVE,
+    MOVE_DIRECTION,
+    NOOP,
     SERVE_SOUP,
     EpisodeConfig,
     WorldState,
@@ -52,10 +57,6 @@ from .gridworld import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trace_io import ReplayableTrace
-
-TRIGGER = "Trigger"
-ACCEPT = "Accept"
-
 
 @dataclass(frozen=True)
 class InteractionSchema:
@@ -111,10 +112,11 @@ def build_interaction_schema(
 
 @record
 class ActionClassification:
-    """One step of the trace: who acted when, on which subtask, in which roles.
+    """One step of the trace: its event's cook, time and subtask, and two roles.
 
-    The same record is a pair's giver or receiver and an unaccepted
-    trigger; `to_dict` names the step.
+    The roles are those the schema gives the subtask; a step that is
+    neither trigger nor accept is independent. The same record is a pair's
+    giver or receiver and an unaccepted trigger; `to_dict` names the step.
     """
 
     agent: int
@@ -122,23 +124,6 @@ class ActionClassification:
     subtask: str
     is_trigger: bool
     is_accept: bool
-
-    @property
-    def roles(self) -> frozenset:
-        out = set()
-        if self.is_trigger:
-            out.add(TRIGGER)
-        if self.is_accept:
-            out.add(ACCEPT)
-        return frozenset(out)
-
-    @property
-    def independent(self) -> bool:
-        return not (self.is_trigger or self.is_accept)
-
-    @property
-    def klass(self) -> str:
-        return "Independent" if self.independent else "Coordination"
 
     def to_dict(self) -> dict:
         return {"agent": self.agent, "t": self.t, "subtask": self.subtask}
@@ -194,8 +179,8 @@ class InterdependencyLedger:
     def classifications(self) -> tuple:
         """One record per step, built on demand from the events and steps.
 
-        A step without an event is the move or the stay that
-        `grounding.ground` makes of it, with the roles of its subtask.
+        A turn without an event is a move if its action is one, and a stay
+        otherwise, with the roles of that subtask.
         """
         by_t = {c.t: c for c in self.events}
         roles = self.schema.roles
@@ -203,7 +188,7 @@ class InterdependencyLedger:
         for t, (agent, action) in enumerate(self.steps):
             cls = by_t.get(t)
             if cls is None:
-                subtask = ground(None, action, agent, None)[0]
+                subtask = MOVE if action in MOVE_DIRECTION else NOOP
                 cls = ActionClassification(agent, t, subtask, *roles[subtask])
             out.append(cls)
         return tuple(out)
@@ -218,7 +203,14 @@ class InterdependencyLedger:
                 "timed_out": self.timed_out,
             },
             "classifications": [
-                {**c.to_dict(), "klass": c.klass, "roles": sorted(c.roles)}
+                {
+                    **c.to_dict(),
+                    "klass": (
+                        "Coordination" if c.is_trigger or c.is_accept else "Independent"
+                    ),
+                    # In sorted order: Accept before Trigger.
+                    "roles": ["Accept"] * c.is_accept + ["Trigger"] * c.is_trigger,
+                }
                 for c in self.classifications
             ],
             "pairs": [p.to_dict() for p in self.pairs],
@@ -248,16 +240,17 @@ def _start(layout_text: str, config: EpisodeConfig) -> WorldState:
     return initial_state(load_layout(layout_text), config)
 
 
-def replay(trace: ReplayableTrace) -> dict:
+def replay(trace: ReplayableTrace) -> list:
     """Step a trace through the simulator and return the record of its play.
 
     Every step replays once from the embedded layout and config. Turn
     order must be round-robin from agent 1, and no step may follow the
     terminal state or horizon. The record is the one `run_episode` keeps:
-    {t: (state, subtask)} for each step with an event, in step order.
+    (state, event) for each step with an event, in step order, where the
+    event is the one `step` reported and the state the one it stepped from.
     """
     state = _start(trace.layout_text, trace.config)
-    played = {}
+    played = []
     for t, (agent, action) in enumerate(trace.steps):
         expected = 1 + (t % 2)
         if agent != expected:
@@ -268,27 +261,27 @@ def replay(trace: ReplayableTrace) -> dict:
             raise ReplayMismatch(f"step {t}: trace continues past the terminal state")
         successor, _, events = step(state, single_action(agent, action))
         if events:
-            played[t] = (state, events[0].name)
+            played.append((state, events[0]))
         state = successor
     return played
 
 
 def match(
-    played: dict,
+    played: list,
     trace: ReplayableTrace,
     schema: Optional[InteractionSchema] = None,
 ) -> InterdependencyLedger:
     """Ground a record of play and fold it, in step order, into a ledger.
 
-    `played` is {t: (state, subtask)} for each step of `trace` with an
-    event, as `run_episode` keeps it and `replay` returns it. Each event is
-    grounded in the state it was played from and classified, then each
-    linkable precondition of an accept is looked up in the provenance map.
-    A fact an earlier event added makes one pair of the two events, kept in
-    `ledger.pairs` across cooks and in `ledger.self_accepts` within one.
-    Moves and stays link nothing and are not folded. The episode time is
-    the number of steps in `trace` and the delivered soups are its
-    serve-soup events.
+    `played` is (state, event) for each step of `trace` with an event, as
+    `run_episode` keeps it and `replay` returns it. Each event is grounded
+    in the state it was played from and classified by its own cook, time
+    and subtask, then each linkable precondition of an accept is looked up
+    in the provenance map. A fact an earlier event added makes one pair of
+    the two events, kept in `ledger.pairs` across cooks and in
+    `ledger.self_accepts` within one. Moves and stays link nothing and are
+    not folded. The episode time is the number of steps in `trace` and the
+    delivered soups are its serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
@@ -300,11 +293,10 @@ def match(
     self_accepts: list = []
     soups = 0
 
-    steps = trace.steps
-    for t, (state, subtask) in played.items():
-        agent, action = steps[t]
-        _, pre, add, delete = ground(state, action, agent, subtask)
-        cls = classify_action(agent, t, subtask, schema)
+    for state, event in played:
+        agent, subtask = event.agent, event.name
+        pre, add, delete = ground(state, event)
+        cls = classify_action(agent, event.t, subtask, schema)
         records.append(cls)
         if cls.is_accept:
             # Every template requires at most one shared predicate, so an

@@ -349,7 +349,7 @@ class Policy:
             )
 
     def _require_station(self, tile: Tile, what: str) -> Cell:
-        for cell in self.layout.cells_of(tile):
+        for cell in self.layout.tile_cells[tile]:
             if self._reachable(cell):
                 return cell
         raise Unreachable(
@@ -419,7 +419,7 @@ class SoloChefPolicy(Policy):
         self.serve_cell = self._require_station(Tile.SERVING_STATION, "serving station")
 
     def _onion_sources(self, state: WorldState) -> list:
-        sources = list(self.layout.cells_of(_ONION_DISPENSER))
+        sources = list(self.layout.tile_cells[_ONION_DISPENSER])
         for cell, item in state.counters.items():
             if item is _ONION and cell != self.avoid_counter:
                 sources.append(cell)
@@ -580,10 +580,10 @@ def run_episode(
     """Play one turn-taking episode to termination and return its trace.
 
     The trace carries the record of its play (`ReplayableTrace.played`):
-    for each step with an event, its time mapped to the state it was taken
-    in and the subtask the event names. Moves and stays get no entry. It
-    is the record `replay` rebuilds from a file, so analysis reads it
-    instead of replaying the trace.
+    for each step with an event, in step order, the state it was taken in
+    and the event `step` reported. Moves and stays get no entry. It is the
+    record `replay` rebuilds from a file, so analysis reads it instead of
+    replaying the trace.
     """
     policies = {
         1: make_policy(spec1, 1, layout, seed),
@@ -591,14 +591,14 @@ def run_episode(
     }
     state = initial_state(layout, config)
     steps = []
-    played = {}
+    played = []
     while not is_terminal(state):
         agent = 1 + (state.t % 2)
         turn = single_action(agent, policies[agent].next_action(state))
         steps.append(turn)
         successor, _, events = step(state, turn)
         if events:
-            played[state.t] = (state, events[0].name)
+            played.append((state, events[0]))
         state = successor
     trace = ReplayableTrace(
         layout_text=layout.text,

@@ -52,12 +52,13 @@ class ReplayableTrace:
     """A replayable episode: header data plus the ordered action steps.
 
     `played` is the record of play that `run_episode` attaches to the
-    trace it returns: {t: (state, subtask)} for each step with an event,
-    in step order, and nothing for a move or a stay. Analysis matches
-    these entries and no other step. It is never written or read, takes
-    no part in equality or repr, and `dataclasses.replace` drops it, so it
-    can only describe the steps it was recorded with. A trace without it
-    is replayed, which returns the same record.
+    trace it returns: for each step with an event, in step order, the
+    state it was taken in and the `EnvEvent` that `step` reported. A move
+    or a stay has no entry. Analysis matches these entries and no other
+    step. It is never written or read, takes no part in equality or repr,
+    and `dataclasses.replace` drops it, so it can only describe the steps
+    it was recorded with. A trace without it is replayed, which returns
+    the same record.
     """
 
     layout_text: str
@@ -65,7 +66,7 @@ class ReplayableTrace:
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
     steps: tuple  # steps[t] is the (agent, PrimitiveAction) turn `step` takes
-    played: Optional[dict] = field(
+    played: Optional[list] = field(
         init=False, default=None, compare=False, repr=False
     )
 

@@ -32,6 +32,11 @@ from interdep.trace_io import ReplayableTrace
 # can be scripted directly without pathfinding.
 MINI_LAYOUT = "XXPXX\nO1 2D\nXC SX\nXXXXX\n"
 
+# Overcooked-AI's forced_coordination: a counter column splits the kitchen,
+# so only the left cook (agent 2) reaches the onions and only the right cook
+# (agent 1) reaches the pots.
+FORCED_COORDINATION = "XXXPX\nO C1P\nO2C D\nD C X\nXXXSX\n"
+
 PASSER = "passer:counter=(4,2)"
 RECEIVER = "receiver:counter=(4,2),pot=0"
 
@@ -141,7 +146,7 @@ def interact_states(layout, config):
     partner stands on some other floor cell. Built by hand, so states random
     walks never reach (a soup waiting on a counter) are covered too.
     """
-    floor = layout.cells_of(Tile.FLOOR)
+    floor = layout.tile_cells[Tile.FLOOR]
     full = config.onions_per_soup
     pots = [(n, 0, PotPhase.FILLING) for n in range(full)]
     pots += [(full, config.cook_time, PotPhase.COOKING), (full, 0, PotPhase.READY)]

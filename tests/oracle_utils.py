@@ -10,7 +10,8 @@ The reference transition (`reference_step`) re-derives each turn from the
 grid itself, through `DIR_VECTOR`, `in_bounds` and `tile_at`, and builds
 every record afresh. The simulator's table-driven `step` must agree with it
 on the successor, the reward and the events, and `replay` with the record
-of play that walking it builds (`reference_record`).
+of play that walking it builds (`reference_record`), each event's cook and
+cell included.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from interdep import (
 from interdep.gridworld import (
     DIR_VECTOR,
     GET_SOUP_POT,
+    MOVE,
     MOVE_DIRECTION,
     NOOP,
     PICKUP_DISH_DISPENSER,
@@ -61,10 +63,17 @@ SymbolicAction = namedtuple("SymbolicAction", "agent t subtask pre add delete")
 def ground_step(
     state: WorldState, action: PrimitiveAction, agent: int
 ) -> tuple[SymbolicAction, WorldState]:
-    """One simulator step, grounded; returns (action, successor)."""
+    """One simulator step, grounded; returns (action, successor).
+
+    A step without an event is a move or a stay, with empty sets.
+    """
     successor, _, events = step(state, single_action(agent, action))
-    grounded = ground(state, action, agent, events[0].name if events else None)
-    return SymbolicAction(agent, state.t, *grounded), successor
+    if events:
+        subtask, sets = events[0].name, ground(state, events[0])
+    else:
+        subtask = MOVE if action in MOVE_DIRECTION else NOOP
+        sets = (frozenset(),) * 3
+    return SymbolicAction(agent, state.t, subtask, *sets), successor
 
 
 def replay_symbolic(trace: ReplayableTrace):
@@ -151,8 +160,8 @@ def assert_ledger_arithmetic(ledger) -> None:
     assert r[1] + r[2] == len(ledger.pairs)
     for a in (1, 2):
         acts = [c for c in ledger.classifications if c.agent == a]
-        independent = sum(1 for c in acts if c.independent)
-        coordination = sum(1 for c in acts if not c.independent)
+        independent = sum(1 for c in acts if not (c.is_trigger or c.is_accept))
+        coordination = sum(1 for c in acts if c.is_trigger or c.is_accept)
         assert independent + coordination == len(acts)
         triggers = [c for c in acts if c.is_trigger]
         matched = {(p.giver.agent, p.giver.t) for p in ledger.pairs}
@@ -169,13 +178,13 @@ def assert_ledger_arithmetic(ledger) -> None:
 
 
 def reference_record(trace):
-    """{t: (state, subtask)} of each step with an event, by `reference_step`."""
+    """(state, event) of each step with an event, by `reference_step`."""
     state = initial_state(load_layout(trace.layout_text), trace.config)
-    record = {}
-    for t, turn in enumerate(trace.steps):
+    record = []
+    for turn in trace.steps:
         successor, _, events = reference_step(state, turn)
         if events:
-            record[t] = (state, events[0].name)
+            record.append((state, events[0]))
         state = successor
     return record
 
@@ -218,7 +227,7 @@ def check_invariants(state) -> None:
     p1, p2 = state.players
     assert p1.position != p2.position, "players share a cell"
     for p in state.players:
-        assert p.position in state.layout.cells_of(Tile.FLOOR), "player off the floor"
+        assert p.position in state.layout.tile_cells[Tile.FLOOR], "player off the floor"
     for cell in state.counters:
         assert state.layout.tile_at(cell) is Tile.COUNTER, "item on a non-counter"
     for pot in state.pots:

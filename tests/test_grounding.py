@@ -38,6 +38,7 @@ from interdep.gridworld import (
     PLACE_ONION_POT,
     SERVE_SOUP,
     ALL_SUBTASKS,
+    EnvEvent,
     Orientation,
     PotPhase,
     PotState,
@@ -298,8 +299,9 @@ def test_each_template_requires_at_most_one_shared_predicate(layout, config):
 
 
 def test_ground_rejects_an_unknown_subtask(mini_state):
+    event = EnvEvent(0, 1, "juggle-onions", facing_cell(mini_state.player(1)))
     with pytest.raises(ValueError, match="unknown subtask 'juggle-onions'"):
-        ground(mini_state, A.INTERACT, 1, "juggle-onions")
+        ground(mini_state, event)
 
 
 def test_vocabulary_dump_shape():
@@ -377,9 +379,9 @@ def test_warm_effects_table_changes_no_action(layout, config):
                 n = 0 if pot is None else state.pots[pot].onion_count
                 fills = n + 1 == state.config.onions_per_soup
                 key = (subtask, agent, cell, pot, n, state.soups_delivered, fills)
-                grounded = ground(state, act, agent, subtask)
+                grounded = ground(state, step_events[0])
                 first = by_key.setdefault(key, grounded)
-                assert all(a is b for a, b in zip(first[1:], grounded[1:])), key
+                assert all(a is b for a, b in zip(first, grounded)), key
                 events += 1
             state = successor
     assert events > len(by_key)

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_LAYOUT, external_trace, interact_states
+from conftest import (
+    FORCED_COORDINATION,
+    MINI_LAYOUT,
+    external_trace,
+    interact_states,
+)
 from interdep import (
     EmptyTrace,
     EpisodeConfig,
@@ -37,10 +42,10 @@ from interdep.gridworld import (
     MOVE_DIRECTION,
     NOOP,
     PICKUP_ONION_COUNTER,
+    PICKUP_ONION_DISPENSER,
     PLACE_ONION_COUNTER,
     PLACE_ONION_POT,
 )
-from interdep.interdependence import ACCEPT, TRIGGER
 from interdep.policies import parse_policy_spec, run_episode
 from interdep.trace_io import read_trace, trace_to_text
 from oracle_utils import (
@@ -111,11 +116,11 @@ def classify_here(state, action, agent, schema=None):
 
 def test_move_and_pickup_dispenser_are_independent(mini_state):
     cls = classify_here(mini_state, A.RIGHT, 1)
-    assert cls.independent and cls.klass == "Independent"
+    assert not (cls.is_trigger or cls.is_accept)
     state, _, _ = step(mini_state, single_action(1, A.LEFT))
     cls = classify_here(state, A.INTERACT, 1)
     # only private holding fluents change: no way to link the partner
-    assert cls.independent
+    assert not (cls.is_trigger or cls.is_accept)
 
 
 def test_place_counter_roles(mini_state):
@@ -125,8 +130,6 @@ def test_place_counter_roles(mini_state):
     cls = classify_here(state, A.INTERACT, 1)
     # adds onion-on-counter (trigger) and consumes counter-empty (accept)
     assert cls.is_trigger and cls.is_accept
-    assert cls.roles == frozenset({TRIGGER, ACCEPT})
-    assert cls.klass == "Coordination"
     no_ce = build_interaction_schema(include_counter_empty=False)
     cls = classify_here(state, A.INTERACT, 1, no_ce)
     assert cls.is_trigger and not cls.is_accept
@@ -143,7 +146,7 @@ def test_place_pot_is_dual_role(mini_state):
 
 def test_noop_is_independent(mini_state):
     cls = classify_here(mini_state, A.STAY, 1)
-    assert cls.independent
+    assert not (cls.is_trigger or cls.is_accept)
 
 
 def per_step_roles(sym, linkable):
@@ -443,6 +446,45 @@ def test_played_ledger_equals_replayed_ledger(where, kinds, p, seed):
     assert played == replayed
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    right=st.sampled_from(["random", "receiver:counter=(2,1),pot=0"]),
+    left=st.sampled_from(["random", "passer:counter=(2,1)"]),
+    seed=st.integers(0, 10_000),
+)
+def test_every_potted_onion_crossed_the_middle_counters(right, left, seed):
+    """On forced_coordination the geometry bounds the pairs from below.
+
+    Agent 1 can hold an onion only by taking one from a counter, and only
+    agent 2 brings onions in, so each onion agent 1 pots was handed over
+    by agent 2 at least once: a bound from the grid, not from the rules
+    grounding and matching share with the oracle.
+    """
+    config = EpisodeConfig(cook_time=3, horizon=1000)
+    trace = run_episode(
+        load_layout(FORCED_COORDINATION),
+        config,
+        parse_policy_spec(right),
+        parse_policy_spec(left),
+        seed,
+    )
+    for counter_empty in (True, False):
+        schema = build_interaction_schema(include_counter_empty=counter_empty)
+        ledger = match(trace.played, trace, schema)
+        done = {(c.agent, c.subtask) for c in ledger.events}
+        assert (2, PLACE_ONION_POT) not in done
+        assert (1, PICKUP_ONION_DISPENSER) not in done
+        potted = sum(
+            1 for c in ledger.events if (c.agent, c.subtask) == (1, PLACE_ONION_POT)
+        )
+        handed = sum(
+            1
+            for p in ledger.pairs
+            if p.prop.predicate == "onion-on-counter" and p.giver.agent == 2
+        )
+        assert handed >= potted
+
+
 # the event-only ledger ------------------------------------------------------
 
 BASELINE_TEAMS = [
@@ -502,7 +544,7 @@ def test_an_episode_without_events(layout):
         parse_policy_spec("idle"),
         1,
     )
-    assert trace.played == {} and len(trace.steps) == 12
+    assert trace.played == [] and len(trace.steps) == 12
     played = analyze_trace(trace)
     replayed = match(replay(trace), trace)
     assert played == replayed and played.to_dict() == replayed.to_dict()

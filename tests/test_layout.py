@@ -29,9 +29,9 @@ def test_parses_dimensions_and_stations():
     assert (layout.width, layout.height) == (5, 4)
     assert layout.pot_cells == ((2, 0),)
     assert layout.counter_cells == ((1, 2),)
-    assert layout.cells_of(Tile.ONION_DISPENSER) == ((0, 1),)
-    assert layout.cells_of(Tile.DISH_DISPENSER) == ((4, 1),)
-    assert layout.cells_of(Tile.SERVING_STATION) == ((3, 2),)
+    assert layout.tile_cells[Tile.ONION_DISPENSER] == ((0, 1),)
+    assert layout.tile_cells[Tile.DISH_DISPENSER] == ((4, 1),)
+    assert layout.tile_cells[Tile.SERVING_STATION] == ((3, 2),)
 
 
 def test_spawns_in_agent_order_facing_north():

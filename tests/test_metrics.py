@@ -105,7 +105,7 @@ def test_trigger_rates_bounds(pr_report):
 def test_trigger_rates_recount(pr_ledger, pr_report):
     for agent in (1, 2):
         acts = [c for c in pr_ledger.classifications if c.agent == agent]
-        coord = [c for c in acts if not c.independent]
+        coord = [c for c in acts if c.is_trigger or c.is_accept]
         trig = [c for c in acts if c.is_trigger]
         share = pr_report.agent(agent).trigger_share_of_coordination
         acceptance = pr_report.agent(agent).trigger_acceptance_rate

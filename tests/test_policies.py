@@ -284,7 +284,7 @@ def test_warm_route_memo_changes_no_move():
         assert nav_digest(layouts[pin["layout"]], pin) == pin["sha256"], pin
     config = EpisodeConfig(horizon=NAV_TRACES["horizon"])
     for layout in layouts.values():
-        floor = len(layout.cells_of(Tile.FLOOR))
+        floor = len(layout.tile_cells[Tile.FLOOR])
         assert layout.routes
         for key, value in layout.routes.items():
             fresh = dataclasses.replace(layout)  # same geometry, empty memo

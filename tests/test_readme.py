@@ -1,11 +1,14 @@
-"""The public API: the README example runs as shown, and every export resolves."""
+"""The README's claims: its example runs as shown, its sweep table is what
+the sweep script prints, and every export resolves."""
 
+import importlib.util
 import pathlib
 import re
 
 import interdep
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_example() -> str:
@@ -28,3 +31,30 @@ def test_every_export_resolves_once_in_sorted_order():
     assert [n for n in names if not hasattr(interdep, n)] == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def table_rows(lines, header: str) -> dict:
+    """{p: cells} of the markdown table whose header row starts `header`."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    rows = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1:]
+    return rows
+
+
+def test_readme_sweep_table_is_what_the_script_prints(tmp_path, capsys):
+    path = ROOT / "scripts" / "run_cooperation_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_cooperation_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--probs", "0", "0.5", "1", "--out", str(tmp_path)]) == 0
+    printed = table_rows(capsys.readouterr().out.splitlines(), "| p | %Interdependent |")
+    section = README.read_text(encoding="utf-8").split("\n## Scripted policies\n")[1]
+    shown = table_rows(section.splitlines(), "| p | %Interdependent | soups |")
+    assert list(shown) == list(printed) == ["0.0", "0.5", "1.0"]
+    for p, (percent, soups) in shown.items():
+        percent_printed, _, soups_printed, _ = printed[p]
+        assert (percent, soups) == (percent_printed, soups_printed), p

@@ -47,3 +47,70 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def unread_private_names(source: str) -> list:
+    """(line, name) of each private module-level name or method never read.
+
+    Private means one leading underscore, not a dunder. A name counts as
+    read where an expression loads it or an attribute access names it, so
+    a use from another module does not count.
+    """
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [
+                (t.lineno, t.id)
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+            ]
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (item.lineno, item.name)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    read = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+    return [
+        (line, name)
+        for line, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
+def test_unread_private_names_are_found():
+    source = (
+        "_USED = 1\n"
+        "_UNUSED, PUBLIC = 2, 3\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class Thing:\n"
+        "    def __init__(self):\n"
+        "        self._go()\n"
+        "    def _go(self):\n"
+        "        pass\n"
+        "    def _stale(self):\n"
+        "        pass\n"
+    )
+    assert unread_private_names(source) == [(2, "_UNUSED"), (3, "_helper"), (10, "_stale")]
+
+
+def test_no_private_name_in_the_package_goes_unread():
+    paths = sorted((ROOT / "src" / "interdep").glob("*.py"))
+    assert paths
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in paths
+        for line, name in unread_private_names(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
