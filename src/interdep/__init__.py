@@ -47,7 +47,7 @@ _EXPORTS = {
         "single_action",
         "step",
     ),
-    "grounding": ("Proposition", "ground_state"),
+    "grounding": ("Proposition",),
     "interdependence": (
         "ActionClassification",
         "InteractionSchema",

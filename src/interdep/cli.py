@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -25,13 +24,13 @@ from typing import Callable, Optional
 from .errors import InterdepError
 from .metrics import DENOMINATOR_MODES
 
-LOG = logging.getLogger("interdep")
-
 TRACE_SUFFIX = ".trace.jsonl"
 REPORT_FORMATS = {"json": ".report.json", "csv": ".report.csv", "markdown": ".report.md"}
 
 
 def _configure_logging() -> None:
+    import logging
+
     name = os.environ.get("INTERDEP_LOG", "WARNING").upper()
     level = getattr(logging, name, None)
     if not isinstance(level, int):
@@ -77,6 +76,7 @@ def _atomic_write(path: Path, write: Callable) -> None:
 
 def cmd_simulate(args) -> int:
     import concurrent.futures
+    import logging
 
     from .gridworld import EpisodeConfig, load_layout
     from .policies import parse_policy_spec, run_episode
@@ -103,13 +103,15 @@ def cmd_simulate(args) -> int:
     stem = Path(args.layout).name.removesuffix(".layout")
 
     def one(seed: int) -> Path:
-        LOG.info("simulating seed %d", seed)
+        logging.getLogger("interdep").info("simulating seed %d", seed)
         trace = run_episode(layout, config, spec1, spec2, seed)
         path = outdir / f"{stem}_{seed}{TRACE_SUFFIX}"
         _atomic_write(path, lambda f: write_trace(trace, f))
         return path
 
-    workers = min(args.jobs, len(seeds))
+    # Play is pure Python under the GIL: a thread past one per CPU adds no
+    # speed, only a thread.
+    workers = min(args.jobs, len(seeds), os.cpu_count() or 1)
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         paths = list(pool.map(one, seeds))
     for path in paths:
@@ -148,6 +150,8 @@ def _labels(trace_paths: list) -> list:
 
 
 def cmd_analyze(args) -> int:
+    import logging
+
     from .interdependence import analyze_trace, build_interaction_schema
     from .metrics import aggregate, build_report
     from .trace_io import read_trace
@@ -162,7 +166,7 @@ def cmd_analyze(args) -> int:
     # written, so a trace that fails leaves no output behind.
     reports, ledgers = [], []
     for trace_path, label in zip(args.traces, labels):
-        LOG.info("analyzing %s", trace_path)
+        logging.getLogger("interdep").info("analyzing %s", trace_path)
         try:
             ledger = analyze_trace(read_trace(trace_path), schema)
             reports.append(build_report(ledger, mode=args.denominator, label=label))

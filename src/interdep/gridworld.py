@@ -190,12 +190,14 @@ class Layout:
     `routes` is the policies' route memo, empty when the layout is built.
     A `(start, blocked)` key holds the distance dict of `bfs_distances`; an
     `(own cell, partner cell, target cells)` key holds the first move of a
-    cook's walk. Each value is a pure function of the geometry and its key
-    and is never mutated, so the memo only caches answers: a layout shared
-    by any number of episodes or threads plays exactly as a fresh one. At
-    most one entry exists per key, so the geometry bounds its size. It
-    takes no part in equality, hashing or `repr`, and `dataclasses.replace`
-    starts it empty.
+    cook's walk; an `(own cell, orientation, partner cell, station, wait)`
+    key holds the move that faces that station, or interacts with it (stays
+    if `wait`) once faced. Each value is a pure function of the geometry
+    and its key and is never mutated, so the memo only caches answers: a
+    layout shared by any number of episodes or threads plays exactly as a
+    fresh one. At most one entry exists per key, so the geometry bounds its
+    size. It takes no part in equality, hashing or `repr`, and
+    `dataclasses.replace` starts it empty.
 
     `records` is the same kind of memo for the player and pot records
     `step` produces. A key is the record's class followed by its field

@@ -1,4 +1,4 @@
-"""Symbolic grounding: world states as proposition sets, events as planning actions.
+"""Symbolic grounding: events as planning actions over kitchen propositions.
 
 A grounded proposition is a binary fact about the kitchen, drawn from a
 closed vocabulary (what sits on each counter, each pot's fill level and
@@ -42,7 +42,6 @@ from .gridworld import (
     SERVE_SOUP,
     EnvEvent,
     Item,
-    PotPhase,
     WorldState,
 )
 
@@ -108,32 +107,6 @@ class Proposition:
 
 def prop(predicate: str, *args) -> Proposition:
     return Proposition(predicate, tuple(args))
-
-
-def ground_state(state: WorldState) -> frozenset:
-    """The set of all propositions true in a world state.
-
-    Per counter exactly one of {onion,dish,soup}-on-counter / counter-empty;
-    per pot one pot-contains(p,n) plus the phase fluent if cooking or ready;
-    one holding(i,item) per cook; one soups-delivered(k).
-    """
-    props: set[Proposition] = set()
-    for cell in state.layout.counter_cells:
-        item = state.counters.get(cell)
-        if item is None:
-            props.add(prop("counter-empty", cell[0], cell[1]))
-        else:
-            props.add(prop(f"{item.value}-on-counter", cell[0], cell[1]))
-    for idx, pot in enumerate(state.pots):
-        props.add(prop("pot-contains", idx, pot.onion_count))
-        if pot.phase is PotPhase.COOKING:
-            props.add(prop("soup-cooking", idx))
-        elif pot.phase is PotPhase.READY:
-            props.add(prop("soup-ready", idx))
-    for player in state.players:
-        props.add(prop("holding", player.agent_id, player.held.value))
-    props.add(prop("soups-delivered", state.soups_delivered))
-    return frozenset(props)
 
 
 # Pre, add and delete sets of every subtask, each written once. An argument

@@ -14,7 +14,11 @@ with the partner's cell treated as a wall, so every policy is reproducible
 action for action from (layout, config, seed). The layout keeps the
 answer to each route question in its `routes` memo, keyed by everything
 the answer depends on, so a question is searched once per layout however
-many turns and episodes ask it again; a warm memo changes no move.
+many turns and episodes ask it again; a warm memo changes no move. The
+questions are a walk's first move, keyed `(own cell, partner cell, target
+cells)`, and the move that faces a station, keyed `(own cell, orientation,
+partner cell, station, wait)`. Each decision reads its own and its
+partner's player record from the state once and passes them down.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .gridworld import (
     EpisodeConfig,
     Item,
     Layout,
+    Orientation,
+    PlayerState,
     PotPhase,
     PotState,
     PrimitiveAction,
@@ -235,6 +241,33 @@ def _first_move(
     return _STAY
 
 
+def _walk(layout: Layout, here: Cell, partner: Cell, cells: tuple) -> PrimitiveAction:
+    """`_first_move`, kept in `layout.routes` under `(here, partner, cells)`."""
+    key = (here, partner, cells)
+    routes = layout.routes
+    move = routes.get(key)
+    if move is None:
+        move = routes[key] = _first_move(layout, here, partner, cells)
+    return move
+
+
+def _face_move(
+    layout: Layout,
+    here: Cell,
+    orientation: Orientation,
+    partner: Cell,
+    target: Cell,
+    wait: bool,
+) -> PrimitiveAction:
+    """Walk next to target and face it, then interact (or stay if `wait`)."""
+    d = direction_toward(here, target)
+    if d is None:
+        return _walk(layout, here, partner, layout.floor_neighbours[target])
+    if orientation is not d:
+        return MOVE_FOR_DIRECTION[d]  # target is never floor: turns in place
+    return _STAY if wait else _INTERACT
+
+
 class Policy:
     """Per-episode stateful agent; next_action is called on its turns only."""
 
@@ -250,47 +283,22 @@ class Policy:
 
     # navigation helpers -------------------------------------------------
 
-    def _me(self, state: WorldState):
-        return state.player(self.agent)
-
-    def _partner_cell(self, state: WorldState) -> Cell:
-        return state.player(3 - self.agent).position
-
     def _face(
-        self, state: WorldState, target: Cell, wait: bool = False
+        self, me: PlayerState, partner: PlayerState, target: Cell, wait: bool = False
     ) -> PrimitiveAction:
-        """Walk next to target and face it, then interact (or stay if `wait`)."""
-        me = self._me(state)
-        d = direction_toward(me.position, target)
-        if d is None:
-            return self._walk(state, self.layout.floor_neighbours[target])
-        if me.orientation is not d:
-            return MOVE_FOR_DIRECTION[d]  # target is never floor: turns in place
-        return _STAY if wait else _INTERACT
-
-    def _walk(self, state: WorldState, cells: tuple) -> PrimitiveAction:
-        """First step toward any of `cells`, none our own (see `_first_move`).
-
-        The move depends on nothing but the geometry, our cell, the
-        partner's cell and `cells`, so it is kept in `layout.routes` under
-        that key and searched once per layout.
-        """
-        here = self._me(state).position
-        partner = self._partner_cell(state)
-        key = (here, partner, cells)
+        """`_face_move`, kept in `layout.routes` under its five arguments."""
+        key = (me.position, me.orientation, partner.position, target, wait)
         routes = self.layout.routes
         move = routes.get(key)
         if move is None:
-            move = routes[key] = _first_move(self.layout, here, partner, cells)
+            move = routes[key] = _face_move(self.layout, *key)
         return move
 
-    def _nearest(self, state: WorldState, candidates: list) -> Optional[Cell]:
+    def _nearest(
+        self, me: PlayerState, partner: PlayerState, candidates: list
+    ) -> Optional[Cell]:
         """Closest target cell by current approach distance; (dist, cell) ties."""
-        dist = bfs_distances(
-            self.layout,
-            self._me(state).position,
-            frozenset((self._partner_cell(state),)),
-        )
+        dist = bfs_distances(self.layout, me.position, frozenset((partner.position,)))
         keys = []
         for cell in candidates:
             ds = [dist[a] for a in self.layout.floor_neighbours[cell] if a in dist]
@@ -298,38 +306,42 @@ class Policy:
                 keys.append((min(ds), cell))
         return min(keys)[1] if keys else None
 
-    def _park_item(self, state: WorldState) -> PrimitiveAction:
+    def _park_item(
+        self, state: WorldState, me: PlayerState, partner: PlayerState
+    ) -> PrimitiveAction:
         """Put the held item on the nearest free counter, never `avoid_counter`."""
         free = [
             c
             for c in self.layout.counter_cells
             if c not in state.counters and c != self.avoid_counter
         ]
-        target = self._nearest(state, free)
+        target = self._nearest(me, partner, free)
         if target is None:
             return _STAY
-        return self._face(state, target)
+        return self._face(me, partner, target)
 
     def _serve_or_plate(
-        self, state: WorldState, held: Item, pot: PotState
+        self, state: WorldState, me: PlayerState, partner: PlayerState, pot: PotState
     ) -> PrimitiveAction:
         """Serve a held soup, or bring a held dish to `pot`.
 
         A dish waits at a cooking pot, and is parked when the pot is filling
         (someone else collected the soup). Reads `serve_cell` and `pot_cell`.
         """
-        if held is _SOUP:
-            return self._face(state, self.serve_cell)
+        if me.held is _SOUP:
+            return self._face(me, partner, self.serve_cell)
         if pot.phase is _READY:
-            return self._face(state, self.pot_cell)
+            return self._face(me, partner, self.pot_cell)
         if pot.phase is _COOKING:
-            return self._face(state, self.pot_cell, wait=True)
-        return self._park_item(state)
+            return self._face(me, partner, self.pot_cell, wait=True)
+        return self._park_item(state, me, partner)
 
-    def _pass_onion(self, state: WorldState) -> PrimitiveAction:
+    def _pass_onion(
+        self, state: WorldState, me: PlayerState, partner: PlayerState
+    ) -> PrimitiveAction:
         """Carry the held onion to `counter_cell`; wait there while it is full."""
         wait = self.counter_cell in state.counters
-        return self._face(state, self.counter_cell, wait=wait)
+        return self._face(me, partner, self.counter_cell, wait=wait)
 
     # construction-time validation ---------------------------------------
 
@@ -426,20 +438,26 @@ class SoloChefPolicy(Policy):
         return sources
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
+        players = state.players
+        return self._decide(state, players[self.agent - 1], players[2 - self.agent])
+
+    def _decide(
+        self, state: WorldState, me: PlayerState, partner: PlayerState
+    ) -> PrimitiveAction:
         pot = state.pots[self.pot_index]
-        held = self._me(state).held
+        held = me.held
         if held is _SOUP or held is _DISH:
-            return self._serve_or_plate(state, held, pot)
+            return self._serve_or_plate(state, me, partner, pot)
         if held is _ONION:
             if pot.phase is _FILLING:
-                return self._face(state, self.pot_cell)
-            return self._park_item(state)
+                return self._face(me, partner, self.pot_cell)
+            return self._park_item(state, me, partner)
         if pot.phase is not _FILLING:
-            return self._face(state, self.dish_cell)
-        target = self._nearest(state, self._onion_sources(state))
+            return self._face(me, partner, self.dish_cell)
+        target = self._nearest(me, partner, self._onion_sources(state))
         if target is None:
             return _STAY
-        return self._face(state, target)
+        return self._face(me, partner, target)
 
 
 class StochasticPasserPolicy(SoloChefPolicy):
@@ -459,8 +477,7 @@ class StochasticPasserPolicy(SoloChefPolicy):
         self.rng = random.Random(f"{seed}/{agent}/stochastic-route")
         self._route: Optional[str] = None
 
-    def _update_route(self, state: WorldState) -> None:
-        me = self._me(state)
+    def _update_route(self, me: PlayerState) -> None:
         if me.held is not _ONION:
             self._route = None
             return
@@ -474,10 +491,11 @@ class StochasticPasserPolicy(SoloChefPolicy):
         self._route = "counter" if passes else "pot"
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
-        self._update_route(state)
-        if self._me(state).held is _ONION and self._route == "counter":
-            return self._pass_onion(state)
-        return super().next_action(state)
+        me, partner = state.players[self.agent - 1], state.players[2 - self.agent]
+        self._update_route(me)
+        if me.held is _ONION and self._route == "counter":
+            return self._pass_onion(state, me, partner)
+        return self._decide(state, me, partner)
 
 
 class PasserPolicy(Policy):
@@ -489,12 +507,12 @@ class PasserPolicy(Policy):
         self.onion_cell = self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
-        held = self._me(state).held
-        if held is _ONION:
-            return self._pass_onion(state)
-        if held is not _NOTHING:
+        me, partner = state.players[self.agent - 1], state.players[2 - self.agent]
+        if me.held is _ONION:
+            return self._pass_onion(state, me, partner)
+        if me.held is not _NOTHING:
             return _STAY  # passers only ever hold onions
-        return self._face(state, self.onion_cell)
+        return self._face(me, partner, self.onion_cell)
 
 
 class ReceiverChefPolicy(Policy):
@@ -530,29 +548,30 @@ class ReceiverChefPolicy(Policy):
             )
         return min(keys)[1]
 
-    def _stand_at_park(self, state: WorldState) -> PrimitiveAction:
-        if self._me(state).position != self.park_cell:
-            return self._walk(state, (self.park_cell,))
-        return self._face(state, self.counter_cell, wait=True)
+    def _stand_at_park(self, me: PlayerState, partner: PlayerState) -> PrimitiveAction:
+        if me.position != self.park_cell:
+            return _walk(self.layout, me.position, partner.position, (self.park_cell,))
+        return self._face(me, partner, self.counter_cell, wait=True)
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
+        me, partner = state.players[self.agent - 1], state.players[2 - self.agent]
         pot = state.pots[self.pot_index]
-        held = self._me(state).held
+        held = me.held
         if held is _SOUP or held is _DISH:
-            return self._serve_or_plate(state, held, pot)
+            return self._serve_or_plate(state, me, partner, pot)
         if held is _ONION:
             if pot.phase is _FILLING:
-                return self._face(state, self.pot_cell)
+                return self._face(me, partner, self.pot_cell)
             # pot busy; hold the onion off its approach so the plater fits
-            return self._stand_at_park(state)
+            return self._stand_at_park(me, partner)
         if pot.phase is not _FILLING:
-            if state.player(3 - self.agent).held is _DISH:
+            if partner.held is _DISH:
                 # partner already plating this soup; keep the lane clear
-                return self._stand_at_park(state)
-            return self._face(state, self.dish_cell)
+                return self._stand_at_park(me, partner)
+            return self._face(me, partner, self.dish_cell)
         if state.counters.get(self.counter_cell) is _ONION:
-            return self._face(state, self.counter_cell)
-        return self._stand_at_park(state)
+            return self._face(me, partner, self.counter_cell)
+        return self._stand_at_park(me, partner)
 
 
 _POLICY_CLASSES = {
@@ -585,16 +604,17 @@ def run_episode(
     record `replay` rebuilds from a file, so analysis reads it instead of
     replaying the trace.
     """
-    policies = {
-        1: make_policy(spec1, 1, layout, seed),
-        2: make_policy(spec2, 2, layout, seed),
-    }
+    # Agent 1 moves on even ticks and agent 2 on odd ones.
+    decide = (
+        make_policy(spec1, 1, layout, seed).next_action,
+        make_policy(spec2, 2, layout, seed).next_action,
+    )
     state = initial_state(layout, config)
     steps = []
     played = []
     while not is_terminal(state):
-        agent = 1 + (state.t % 2)
-        turn = single_action(agent, policies[agent].next_action(state))
+        turn_of = state.t & 1
+        turn = single_action(turn_of + 1, decide[turn_of](state))
         steps.append(turn)
         successor, _, events = step(state, turn)
         if events:

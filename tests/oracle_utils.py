@@ -12,6 +12,9 @@ every record afresh. The simulator's table-driven `step` must agree with it
 on the successor, the reward and the events, and `replay` with the record
 of play that walking it builds (`reference_record`), each event's cook and
 cell included.
+
+`ground_state` lists every proposition true in a state, so a test can
+check an event's sets against the states before and after its step.
 """
 
 from __future__ import annotations
@@ -51,13 +54,39 @@ from interdep.gridworld import (
     Tile,
     WorldState,
 )
-from interdep.grounding import Proposition, ground
+from interdep.grounding import Proposition, ground, prop
 from interdep.trace_io import ReplayableTrace
 
 # One cook's executed step as a grounded planning action. A named tuple, not
 # a dataclass: the benchmark executes this file without registering it in
 # `sys.modules`, where `dataclass` cannot resolve the module's annotations.
 SymbolicAction = namedtuple("SymbolicAction", "agent t subtask pre add delete")
+
+
+def ground_state(state: WorldState) -> frozenset:
+    """The set of all propositions true in a world state.
+
+    Per counter exactly one of {onion,dish,soup}-on-counter / counter-empty;
+    per pot one pot-contains(p,n) plus the phase fluent if cooking or ready;
+    one holding(i,item) per cook; one soups-delivered(k).
+    """
+    props = set()
+    for cell in state.layout.counter_cells:
+        item = state.counters.get(cell)
+        if item is None:
+            props.add(prop("counter-empty", cell[0], cell[1]))
+        else:
+            props.add(prop(f"{item.value}-on-counter", cell[0], cell[1]))
+    for idx, pot in enumerate(state.pots):
+        props.add(prop("pot-contains", idx, pot.onion_count))
+        if pot.phase is PotPhase.COOKING:
+            props.add(prop("soup-cooking", idx))
+        elif pot.phase is PotPhase.READY:
+            props.add(prop("soup-ready", idx))
+    for player in state.players:
+        props.add(prop("holding", player.agent_id, player.held.value))
+    props.add(prop("soups-delivered", state.soups_delivered))
+    return frozenset(props)
 
 
 def ground_step(

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process via main(argv)."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -69,6 +70,37 @@ def test_simulate_pool_writes_the_serial_bytes(layout_file, tmp_path):
     serial = traces(1)
     assert len(serial) == 6
     assert traces(2) == serial
+
+
+@pytest.mark.parametrize(
+    "jobs, seeds, cpus, workers",
+    [("50000", 3, 2, 2), ("50000", 3, None, 1), ("8", 2, 4, 2), ("1", 3, 4, 1)],
+)
+def test_simulate_pool_is_capped_by_cpus_and_seeds(
+    layout_file, tmp_path, monkeypatch, jobs, seeds, cpus, workers
+):
+    # A recording stand-in for the pool runs the batch serially, so no
+    # thread starts however large --jobs is.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    paths = simulate(layout_file, tmp_path, f"1..{seeds}", "solo", "idle", ["--jobs", jobs])
+    assert sizes == [workers]
+    assert len(paths) == seeds
 
 
 def test_simulate_trace_header_records_run(layout_file, tmp_path):

@@ -20,7 +20,6 @@ from interdep import (
     PrimitiveAction,
     analyze_trace,
     build_report,
-    ground_state,
     initial_state,
     is_terminal,
     load_layout,
@@ -55,7 +54,7 @@ from interdep.grounding import (
     vocabulary_dump,
 )
 from interdep.trace_io import report_to_markdown
-from oracle_utils import facing_cell, ground_step, random_external_trace
+from oracle_utils import facing_cell, ground_state, ground_step, random_external_trace
 
 A = PrimitiveAction
 ONE_ONION = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT]

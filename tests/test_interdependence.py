@@ -47,7 +47,7 @@ from interdep.gridworld import (
     PLACE_ONION_POT,
 )
 from interdep.policies import parse_policy_spec, run_episode
-from interdep.trace_io import read_trace, trace_to_text
+from interdep.trace_io import read_trace, trace_to_text, write_report
 from oracle_utils import (
     assert_ledger_arithmetic,
     assert_matches_oracle,
@@ -556,3 +556,72 @@ def test_an_episode_without_events(layout):
         assert agent.total_actions == 6 == agent.event_distribution[NOOP]
         assert agent.independent == 6 and agent.coordination == 0
     assert_event_only(trace, played)
+
+
+# mirrored kitchens ----------------------------------------------------------
+
+MIRRORED_TURN = {A.LEFT: A.RIGHT, A.RIGHT: A.LEFT}
+CELL_PREDICATES = {"onion-on-counter", "dish-on-counter", "soup-on-counter", "counter-empty"}
+POT_PREDICATES = {"pot-contains", "soup-cooking", "soup-ready"}
+
+
+def mirrored(trace):
+    """`trace` in its kitchen reversed left to right: every row reversed,
+    and `left` and `right` swapped in every turn."""
+    rows = trace.layout_text.splitlines()
+    return dataclasses.replace(
+        trace,
+        layout_text="".join(row[::-1] + "\n" for row in rows),
+        steps=tuple((agent, MIRRORED_TURN.get(a, a)) for agent, a in trace.steps),
+    )
+
+
+@pytest.mark.parametrize(
+    "layout_text",
+    [bundled_layout_text(), FORCED_COORDINATION, MINI_LAYOUT],
+    ids=["counter_circuit", "forced_coordination", "mini"],
+)
+def test_mirrored_kitchen_scores_the_same(layout_text):
+    """A left-right mirror of the kitchen and of every turn is the same play.
+
+    `step`, the faced-cell table and grounding's cell and pot arguments
+    share no fault with this relation. Only external traces qualify: the
+    scripted cooks break ties by cell order, so their play is not
+    mirror-symmetric. Both cooks start facing N, which the mirror keeps.
+    """
+    layout = load_layout(layout_text)
+    config = EpisodeConfig(cook_time=3, horizon=1500)
+    paired = 0
+    for seed in range(20):
+        trace = random_external_trace(layout_text, config, seed, 1500, 0.5)
+        image = mirrored(trace)
+        mirror_layout = load_layout(image.layout_text)
+        width = layout.width
+
+        def cell(x, y):
+            return (width - 1 - x, y)
+
+        pot_index = [mirror_layout.pot_cells.index(cell(*c)) for c in layout.pot_cells]
+
+        def mirror(prop):
+            args = prop.args
+            if prop.predicate in CELL_PREDICATES:
+                args = cell(*args)
+            elif prop.predicate in POT_PREDICATES:
+                args = (pot_index[args[0]], *args[1:])
+            return dataclasses.replace(prop, args=args)
+
+        ledger, image_ledger = analyze_trace(trace), analyze_trace(image)
+        assert {(mirror(p.prop), p.giver, p.receiver) for p in ledger.pairs} == {
+            (p.prop, p.giver, p.receiver) for p in image_ledger.pairs
+        }, seed
+        paired += len(ledger.pairs)
+        for mode in ("subtask-actions", "all-actions"):
+            for fmt in ("json", "csv", "markdown"):
+                texts = []
+                for analyzed in (ledger, image_ledger):
+                    sink = io.StringIO()
+                    write_report(build_report(analyzed, mode), fmt, sink)
+                    texts.append(sink.getvalue())
+                assert texts[0] == texts[1], (seed, mode, fmt)
+    assert paired  # the relation was held on some pairs

@@ -31,6 +31,7 @@ from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
 from interdep.policies import (
     POLICY_PARAMS,
     PolicySpec,
+    _face_move,
     _first_move,
     bfs_distances,
     bfs_path,
@@ -285,14 +286,22 @@ def test_warm_route_memo_changes_no_move():
     config = EpisodeConfig(horizon=NAV_TRACES["horizon"])
     for layout in layouts.values():
         floor = len(layout.tile_cells[Tile.FLOOR])
+        stations = sum(
+            len(cells)
+            for tile, cells in layout.tile_cells.items()
+            if tile not in (Tile.FLOOR, Tile.WALL)
+        )
         assert layout.routes
+        # Three key shapes: distances (start, blocked), a walk's first move
+        # (own cell, partner cell, target cells) and the move that faces a
+        # station (own cell, orientation, partner cell, station, wait).
+        checks = {2: bfs_distances, 3: _first_move, 5: _face_move}
         for key, value in layout.routes.items():
             fresh = dataclasses.replace(layout)  # same geometry, empty memo
-            if len(key) == 2:
-                assert bfs_distances(fresh, *key) == value, key
-            else:
-                assert _first_move(fresh, *key) is value, key
-        assert sum(1 for key in layout.routes if len(key) == 2) <= floor * (floor + 1)
+            assert checks[len(key)](fresh, *key) == value, key
+        sizes = [len(key) for key in layout.routes]
+        assert sizes.count(2) <= floor * (floor + 1)
+        assert 0 < sizes.count(5) <= floor * len(Orientation) * floor * stations * 2
         # The record memo the same episodes filled: every entry is the
         # record its key builds, within the bound its fields give.
         assert layout.records
