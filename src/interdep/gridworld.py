@@ -295,8 +295,9 @@ class PotState:
     phase: PotPhase = PotPhase.FILLING
 
 
-# The 12 turns, built once: each (agent, action) maps to its shared pair.
-_SINGLE_ACTIONS = {(agent, a): (agent, a) for agent in (1, 2) for a in PrimitiveAction}
+# Each cook's six turns, agent 1's first: every (agent, action) maps to itself.
+COOK_TURNS = tuple({(i, a): (i, a) for a in PrimitiveAction} for i in (1, 2))
+_SINGLE_ACTIONS = {**COOK_TURNS[0], **COOK_TURNS[1]}
 
 
 def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAction]:
@@ -306,11 +307,13 @@ def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAc
     PrimitiveAction.
     """
     try:
-        return _SINGLE_ACTIONS[agent, action]
+        if type(agent) is int:  # True, 1.0 and 2.0 equal 1 and 2
+            return _SINGLE_ACTIONS[agent, action]
     except (KeyError, TypeError):
-        raise MalformedJointAction(
-            f"no turn-taking action for agent {agent!r} taking {action!r}"
-        ) from None
+        pass
+    raise MalformedJointAction(
+        f"no turn-taking action for agent {agent!r} taking {action!r}"
+    )
 
 
 @record

@@ -105,10 +105,6 @@ class Proposition:
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"
 
 
-def prop(predicate: str, *args) -> Proposition:
-    return Proposition(predicate, tuple(args))
-
-
 # Pre, add and delete sets of every subtask, each written once. An argument
 # is a role filled in from the state at grounding time (i the acting cook,
 # x,y the faced cell, p the faced pot, n its onion count, k the soups

@@ -12,6 +12,7 @@ from __future__ import annotations
 import statistics
 import sys
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
 from .errors import ConfigMismatch, EmptyTrace
@@ -190,10 +191,9 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
             accepts += acc
             overlap += trig and acc
             independent += not (trig or acc)
-    steps = ledger.steps
-    turns = range(agent - 1, len(steps), 2)
+    turns = ledger.steps[agent - 1 :: 2]
     total = len(turns)
-    dist[MOVE] = sum(1 for i in turns if steps[i][1] in MOVE_DIRECTION)
+    dist[MOVE] = sum(map(MOVE_DIRECTION.__contains__, map(itemgetter(1), turns)))
     dist[NOOP] = total - sum(dist.values())
     independent += dist[MOVE] + dist[NOOP]
     coordination = total - independent

@@ -42,7 +42,16 @@ from .metrics import AggregateSummary, TeamReport
 FORMAT_NAME = "interdep-trace"
 FORMAT_VERSION = 1
 
-_ACTION_BY_NAME = {a.value: a for a in PrimitiveAction}
+_ACTION_NAMES = tuple(a.value for a in PrimitiveAction)
+# A step line's (agent, action name), and a tick's two action names,
+# mapped to the shared turns `single_action` returns.
+_TURN_BY_NAMES = {
+    (i, a.value): single_action(i, a) for i in (1, 2) for a in PrimitiveAction
+}
+_TICK_BY_NAMES = {
+    (a, b): (_TURN_BY_NAMES[1, a], _TURN_BY_NAMES[2, b])
+    for a in _ACTION_NAMES for b in _ACTION_NAMES
+}
 
 Sink = Union[str, Path, io.TextIOBase]
 
@@ -185,14 +194,6 @@ def _parse_header(obj: dict) -> tuple:
     return obj["layout"], config, policies, seed, serialize
 
 
-def _parse_turn(agent: int, name, lineno: int) -> tuple:
-    """The shared turn of `agent` (1 or 2) taking the action called `name`."""
-    action = _ACTION_BY_NAME.get(name) if isinstance(name, str) else None
-    if action is None:
-        raise SchemaViolation(f"line {lineno}: unknown action name {name!r}")
-    return single_action(agent, action)
-
-
 def read_trace(source: Sink) -> ReplayableTrace:
     """Parse and validate a trace file, normalizing to turn-taking steps."""
     text = _read_text(source)
@@ -230,20 +231,32 @@ def read_trace(source: Sink) -> ReplayableTrace:
         _parse_json_line(lines[0], 1)
     )
 
+    ticks = serialize == "agent1-first"
     steps = []
     for i, line in enumerate(lines[1:]):
         lineno = i + 2
         obj = _parse_json_line(line, lineno)
+        # A well-formed line is accepted with one table lookup. The checks
+        # below word the error of any other line.
+        try:
+            if len(obj) == 3 and type(obj["t"]) is int and obj["t"] == i:
+                if ticks:
+                    steps += _TICK_BY_NAMES[obj["a1"], obj["a2"]]
+                    continue
+                if type(obj["agent"]) is int:
+                    steps.append(_TURN_BY_NAMES[obj["agent"], obj["action"]])
+                    continue
+        except (KeyError, TypeError):
+            pass
         keys = set(obj)
-        if serialize == "agent1-first" and keys == {"t", "a1", "a2"}:
+        if ticks and keys == {"t", "a1", "a2"}:
             if type(obj["t"]) is not int or obj["t"] != i:
                 raise SchemaViolation(
                     f"line {lineno}: tick {obj['t']!r} breaks the 0..n sequence"
                 )
-            steps.append(_parse_turn(1, obj["a1"], lineno))
-            steps.append(_parse_turn(2, obj["a2"], lineno))
+            names = (obj["a1"], obj["a2"])
         elif keys == {"t", "agent", "action"}:
-            if serialize == "agent1-first":
+            if ticks:
                 raise SchemaViolation(
                     f"line {lineno}: per-agent step in a simultaneous trace"
                 )
@@ -253,9 +266,12 @@ def read_trace(source: Sink) -> ReplayableTrace:
                 )
             if type(obj["agent"]) is not int or obj["agent"] not in (1, 2):
                 raise SchemaViolation(f"line {lineno}: bad agent {obj['agent']!r}")
-            steps.append(_parse_turn(obj["agent"], obj["action"], lineno))
+            names = (obj["action"],)
         else:
             raise SchemaViolation(f"line {lineno}: unexpected step fields {sorted(keys)}")
+        # The line passed every check but its lookup, so a name is unknown.
+        name = next(n for n in names if not (isinstance(n, str) and n in _ACTION_NAMES))
+        raise SchemaViolation(f"line {lineno}: unknown action name {name!r}")
 
     return ReplayableTrace(
         layout_text=layout_text,

@@ -14,7 +14,8 @@ of play that walking it builds (`reference_record`), each event's cook and
 cell included.
 
 `ground_state` lists every proposition true in a state, so a test can
-check an event's sets against the states before and after its step.
+check an event's sets against the states before and after its step;
+`prop` builds one proposition from its predicate and arguments.
 """
 
 from __future__ import annotations
@@ -54,13 +55,18 @@ from interdep.gridworld import (
     Tile,
     WorldState,
 )
-from interdep.grounding import Proposition, ground, prop
+from interdep.grounding import Proposition, ground
 from interdep.trace_io import ReplayableTrace
 
 # One cook's executed step as a grounded planning action. A named tuple, not
 # a dataclass: the benchmark executes this file without registering it in
 # `sys.modules`, where `dataclass` cannot resolve the module's annotations.
 SymbolicAction = namedtuple("SymbolicAction", "agent t subtask pre add delete")
+
+
+def prop(predicate: str, *args) -> Proposition:
+    """The proposition `predicate(*args)`, e.g. prop("holding", 1, "onion")."""
+    return Proposition(predicate, tuple(args))
 
 
 def ground_state(state: WorldState) -> frozenset:

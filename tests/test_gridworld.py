@@ -77,11 +77,30 @@ def test_stay_keeps_player_unchanged(mini_state):
 
 @pytest.mark.parametrize(
     "agent, action",
-    [(0, A.UP), (3, A.UP), (1, "up"), (2, None), (1, [A.UP])],
-    ids=["agent-0", "agent-3", "action-name", "action-none", "action-list"],
+    [
+        (0, A.UP),
+        (3, A.UP),
+        (True, A.UP),
+        (1.0, A.UP),
+        (2.0, A.UP),
+        (1, "up"),
+        (2, None),
+        (1, [A.UP]),
+    ],
+    ids=[
+        "agent-0",
+        "agent-3",
+        "agent-true",
+        "agent-1.0",
+        "agent-2.0",
+        "action-name",
+        "action-none",
+        "action-list",
+    ],
 )
 def test_single_action_rejects_unknown_agent_or_action(agent, action):
-    # Agent 0 used to make agent 2 act, and an action name used to stay.
+    # Agent 0 used to make agent 2 act, and an action name used to stay;
+    # True, 1.0 and 2.0 used to act as agents 1 and 2.
     with pytest.raises(MalformedJointAction):
         single_action(agent, action)
 

@@ -50,11 +50,16 @@ from interdep.grounding import (
     Proposition,
     _effects,
     ground,
-    prop,
     vocabulary_dump,
 )
 from interdep.trace_io import report_to_markdown
-from oracle_utils import facing_cell, ground_state, ground_step, random_external_trace
+from oracle_utils import (
+    facing_cell,
+    ground_state,
+    ground_step,
+    prop,
+    random_external_trace,
+)
 
 A = PrimitiveAction
 ONE_ONION = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT]

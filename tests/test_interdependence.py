@@ -320,6 +320,59 @@ def test_replay_rejects_steps_past_terminal():
         analyze_trace(trace)
 
 
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (
+            [(1, A.STAY), (2, A.STAY), (1, A.STAY), (1, A.STAY)],
+            "step 2: trace continues past the terminal state",
+        ),
+        (
+            [(1, A.STAY), (2, A.STAY), (2, A.STAY)],
+            "step 2: agent 2 acted, round-robin expects 1",
+        ),
+    ],
+    ids=["terminal-then-out-of-turn", "out-of-turn-past-terminal"],
+)
+def test_replay_checks_turn_order_then_terminal_state(steps, message):
+    with pytest.raises(ReplayMismatch) as caught:
+        analyze_trace(mini_trace(steps, horizon=2))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        [(True, A.STAY), (2, A.STAY)],
+        [(1.0, A.STAY), (2, A.STAY)],
+        [(1, A.STAY), (2.0, A.STAY)],
+        [(1, A.STAY), (2, [A.STAY])],
+    ],
+    ids=["agent-true", "agent-1.0", "agent-2.0", "unhashable-turn"],
+)
+def test_replay_rejects_a_turn_that_only_equals_a_shared_one(steps):
+    # True, 1.0 and 2.0 equal 1 and 2, so each turn finds its cook's
+    # shared pair by equality; it is still not one.
+    with pytest.raises(MalformedJointAction):
+        analyze_trace(mini_trace(steps))
+
+
+@pytest.mark.parametrize("build", [tuple, list], ids=["fresh-tuples", "lists"])
+def test_fresh_equal_turns_replay_as_the_shared_ones(passer_receiver_trace, build):
+    trace = passer_receiver_trace
+    fresh = dataclasses.replace(
+        trace, steps=tuple(build([agent, action]) for agent, action in trace.steps)
+    )
+    assert fresh.steps[0] is not trace.steps[0]
+    assert replay(fresh) == replay(trace)
+
+    def ledger_and_report(t):
+        ledger = analyze_trace(t)
+        return json.dumps([ledger.to_dict(), build_report(ledger).to_dict()])
+
+    assert ledger_and_report(fresh) == ledger_and_report(trace)
+
+
 # oracle agreement --------------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from interdep import (
     aggregate,
     analyze_trace,
     build_report,
+    single_action,
 )
 from interdep.trace_io import (
     CSV_COLUMNS,
@@ -293,6 +294,150 @@ def test_bool_or_float_where_an_integer_belongs_rejected(lines):
     # JSON true and 2.0 compare equal to 1 and 2 in Python; neither is an int.
     with pytest.raises(SchemaViolation):
         parse(lines)
+
+
+def turn_obj(t, agent, action):
+    return {"t": t, "agent": agent, "action": action}
+
+
+def tick_obj(t, a1, a2):
+    return {"t": t, "a1": a1, "a2": a2}
+
+
+TICKS = "agent1-first"
+
+# (serialize mode, step objects, the whole error text): every way a step
+# line is rejected. The last rows hold the order of the checks on a line
+# that breaks two rules.
+_STEP_LINE_ERRORS = {
+    "t-true": (None, [turn_obj(True, 1, "stay")], "line 2: step t=True breaks the 0..n sequence"),
+    "t-float": (None, [turn_obj(0.0, 1, "stay")], "line 2: step t=0.0 breaks the 0..n sequence"),
+    "t-string": (None, [turn_obj("0", 1, "stay")], "line 2: step t='0' breaks the 0..n sequence"),
+    "t-gap": (
+        None,
+        [turn_obj(0, 1, "stay"), turn_obj(2, 2, "stay")],
+        "line 3: step t=2 breaks the 0..n sequence",
+    ),
+    "tick-true": (TICKS, [tick_obj(True, "stay", "stay")], "line 2: tick True breaks the 0..n sequence"),
+    "tick-float": (TICKS, [tick_obj(0.0, "stay", "stay")], "line 2: tick 0.0 breaks the 0..n sequence"),
+    "tick-string": (TICKS, [tick_obj("0", "stay", "stay")], "line 2: tick '0' breaks the 0..n sequence"),
+    "tick-gap": (
+        TICKS,
+        [tick_obj(0, "stay", "stay"), tick_obj(2, "stay", "stay")],
+        "line 3: tick 2 breaks the 0..n sequence",
+    ),
+    "action-unknown": (None, [turn_obj(0, 1, "teleport")], "line 2: unknown action name 'teleport'"),
+    "action-null": (None, [turn_obj(0, 1, None)], "line 2: unknown action name None"),
+    "action-list": (None, [turn_obj(0, 1, ["up"])], "line 2: unknown action name ['up']"),
+    "a1-unknown": (TICKS, [tick_obj(0, "teleport", "stay")], "line 2: unknown action name 'teleport'"),
+    "a1-null": (TICKS, [tick_obj(0, None, "stay")], "line 2: unknown action name None"),
+    "a1-list": (TICKS, [tick_obj(0, ["up"], "stay")], "line 2: unknown action name ['up']"),
+    "a2-unknown": (TICKS, [tick_obj(0, "stay", "teleport")], "line 2: unknown action name 'teleport'"),
+    "a2-null": (TICKS, [tick_obj(0, "stay", None)], "line 2: unknown action name None"),
+    "a2-list": (TICKS, [tick_obj(0, "stay", ["up"])], "line 2: unknown action name ['up']"),
+    "agent-true": (None, [turn_obj(0, True, "stay")], "line 2: bad agent True"),
+    "agent-float": (None, [turn_obj(0, 2.0, "stay")], "line 2: bad agent 2.0"),
+    "agent-3": (None, [turn_obj(0, 3, "stay")], "line 2: bad agent 3"),
+    "key-missing": (None, [{"t": 0, "agent": 1}], "line 2: unexpected step fields ['agent', 't']"),
+    "key-extra": (
+        None,
+        [dict(turn_obj(0, 1, "stay"), extra=1)],
+        "line 2: unexpected step fields ['action', 'agent', 'extra', 't']",
+    ),
+    "tick-key-missing": (TICKS, [{"t": 0, "a1": "stay"}], "line 2: unexpected step fields ['a1', 't']"),
+    "tick-key-extra": (
+        TICKS,
+        [dict(tick_obj(0, "stay", "stay"), extra=1)],
+        "line 2: unexpected step fields ['a1', 'a2', 'extra', 't']",
+    ),
+    "turn-in-ticks": (TICKS, [turn_obj(0, 1, "stay")], "line 2: per-agent step in a simultaneous trace"),
+    "tick-in-turns": (None, [tick_obj(0, "stay", "stay")], "line 2: unexpected step fields ['a1', 'a2', 't']"),
+    "t-before-action": (None, [turn_obj(1, 1, "teleport")], "line 2: step t=1 breaks the 0..n sequence"),
+    "t-before-agent": (None, [turn_obj(1, 3, "stay")], "line 2: step t=1 breaks the 0..n sequence"),
+    "agent-before-action": (None, [turn_obj(0, 3, "teleport")], "line 2: bad agent 3"),
+    "tick-before-a1": (TICKS, [tick_obj(1, "teleport", "stay")], "line 2: tick 1 breaks the 0..n sequence"),
+    "a1-before-a2": (TICKS, [tick_obj(0, "teleport", None)], "line 2: unknown action name 'teleport'"),
+}
+
+
+@pytest.mark.parametrize(
+    "serialize, objs, message",
+    list(_STEP_LINE_ERRORS.values()),
+    ids=list(_STEP_LINE_ERRORS),
+)
+def test_every_step_line_rejection_keeps_its_text(serialize, objs, message):
+    header = header_line(serialize=serialize) if serialize else header_line()
+    with pytest.raises(SchemaViolation) as caught:
+        parse([header] + [json.dumps(obj, sort_keys=True) for obj in objs])
+    assert str(caught.value) == message
+
+
+_NAMES = [a.value for a in A]
+_STEP_VALUES = (
+    st.integers(-1, 3)
+    | st.booleans()
+    | st.sampled_from([0.0, 1.0, 2.0, "0", "1", None, ["up"]])
+    | st.sampled_from(_NAMES + ["teleport", "UP"])
+)
+# The t of a built line, replaced by the line's place so that it can pass.
+_PLACE = "<place>"
+_STEP_OBJECTS = st.dictionaries(
+    st.sampled_from(["t", "agent", "action", "a1", "a2", "extra"]),
+    _STEP_VALUES,
+)
+
+
+def _is_name(value):
+    return isinstance(value, str) and value in _NAMES
+
+
+def _readme_turns(obj, i, serialize):
+    """The turns the README's rules read from the step object on line i + 2, or None."""
+    if type(obj.get("t")) is not int or obj["t"] != i:
+        return None
+    if serialize == TICKS:
+        if set(obj) != {"t", "a1", "a2"} or not (_is_name(obj["a1"]) and _is_name(obj["a2"])):
+            return None
+        return [(1, A(obj["a1"])), (2, A(obj["a2"]))]
+    agent, action = obj.get("agent"), obj.get("action")
+    if set(obj) != {"t", "agent", "action"} or type(agent) is not int:
+        return None
+    if agent not in (1, 2) or not _is_name(action):
+        return None
+    return [(agent, A(action))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    serialize=st.sampled_from([None, TICKS]),
+    objs=st.lists(
+        # Mostly well-formed lines, so that later lines get read too.
+        st.one_of(
+            _STEP_OBJECTS,
+            st.builds(turn_obj, st.just(_PLACE), st.sampled_from([1, 2]), st.sampled_from(_NAMES)),
+            st.builds(tick_obj, st.just(_PLACE), st.sampled_from(_NAMES), st.sampled_from(_NAMES)),
+        ),
+        max_size=4,
+    ),
+)
+def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs):
+    objs = [dict(obj, t=i) if obj.get("t") == _PLACE else obj for i, obj in enumerate(objs)]
+    expected, bad = [], None
+    for i, obj in enumerate(objs):
+        turns = _readme_turns(obj, i, serialize)
+        if turns is None:
+            bad = i + 2
+            break
+        expected += turns
+    header = header_line(serialize=serialize) if serialize else header_line()
+    lines = [header] + [json.dumps(obj) for obj in objs]
+    if bad is None:
+        trace = parse(lines)
+        assert trace.steps == tuple(expected)
+        assert all(turn is single_action(*turn) for turn in trace.steps)
+    else:
+        with pytest.raises(SchemaViolation, match=f"^line {bad}: "):
+            parse(lines)
 
 
 @pytest.mark.parametrize(
