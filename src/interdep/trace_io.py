@@ -7,6 +7,13 @@ World states are never stored; replaying the action sequence through the
 deterministic simulator reconstructs them, which keeps files small and
 makes the simulator the single source of transition truth.
 
+Each step line is its turn's fixed text, `{"action": "up", "agent": 1,
+"t": `, from a table with one entry per shared turn, then `t` and `}`.
+The writer accepts exactly the turns replay accepts: a shared turn that
+`single_action` returns, or an equal tuple or list, which it looks up
+through `single_action`; any other turn (agent True, 1.0 or 3, or no
+`PrimitiveAction`) raises MalformedJointAction.
+
 Externally produced traces with simultaneous actions are accepted when the
 header carries `"serialize": "agent1-first"`; each tick is expanded into
 two turn-taking steps with agent 1 first.
@@ -51,6 +58,12 @@ _TURN_BY_NAMES = {
 _TICK_BY_NAMES = {
     (a, b): (_TURN_BY_NAMES[1, a], _TURN_BY_NAMES[2, b])
     for a in _ACTION_NAMES for b in _ACTION_NAMES
+}
+# Each shared turn's step line up to its `t` value, keyed by the turn's
+# identity, so a turn that only equals one (agent True) is not found.
+_STEP_PREFIX = {
+    id(turn): json.dumps({"action": name, "agent": agent, "t": 0}, sort_keys=True)[:-2]
+    for (agent, name), turn in _TURN_BY_NAMES.items()
 }
 
 Sink = Union[str, Path, io.TextIOBase]
@@ -115,10 +128,12 @@ def _read_text(source: Sink) -> str:
 
 def trace_to_text(trace: ReplayableTrace) -> str:
     lines = [json.dumps(trace.header_dict(), sort_keys=True)]
-    for t, (agent, action) in enumerate(trace.steps):
-        lines.append(
-            json.dumps({"action": action.value, "agent": agent, "t": t}, sort_keys=True)
-        )
+    for t, turn in enumerate(trace.steps):
+        prefix = _STEP_PREFIX.get(id(turn))
+        if prefix is None:
+            # An equal tuple or a list; any other turn raises.
+            prefix = _STEP_PREFIX[id(single_action(*turn))]
+        lines.append(f"{prefix}{t}}}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + json.dumps({"sha256": digest}) + "\n"
@@ -521,8 +536,13 @@ def write_report(
 
 def read_report(source: Sink) -> TeamReport:
     """Load a single-episode report back from its JSON form."""
+    bad = f"bad report file {source}:"
     try:
         data = json.loads(_read_text(source))
+        if isinstance(data, dict) and {"n_reports", "reports", "fields"} <= data.keys():
+            raise SchemaViolation(f"{bad} an aggregate summary, not a per-episode report")
         return TeamReport.from_dict(data)
-    except (KeyError, TypeError, ValueError, RecursionError) as e:
-        raise SchemaViolation(f"bad report file {source}: {e}") from e
+    except KeyError as e:
+        raise SchemaViolation(f"{bad} missing field {e.args[0]!r}") from e
+    except (TypeError, ValueError, RecursionError) as e:
+        raise SchemaViolation(f"{bad} {e}") from e

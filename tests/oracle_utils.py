@@ -16,10 +16,16 @@ cell included.
 `ground_state` lists every proposition true in a state, so a test can
 check an event's sets against the states before and after its step;
 `prop` builds one proposition from its predicate and arguments.
+
+`reference_trace_text` writes a trace with one sorted-key `json.dumps`
+per line; the trace writer, which takes each step line from a table,
+must match it byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import namedtuple
 
@@ -325,6 +331,18 @@ def random_external_trace(
         seed=seed,
         steps=tuple(steps),
     )
+
+
+def reference_trace_text(trace: ReplayableTrace) -> str:
+    """The trace's text: header, one step object per line, sha256 footer."""
+    lines = [json.dumps(trace.header_dict(), sort_keys=True)]
+    for t, (agent, action) in enumerate(trace.steps):
+        lines.append(
+            json.dumps({"action": action.value, "agent": agent, "t": t}, sort_keys=True)
+        )
+    body = "\n".join(lines) + "\n"
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return body + json.dumps({"sha256": digest}) + "\n"
 
 
 def facing_cell(player) -> tuple:

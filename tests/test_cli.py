@@ -311,6 +311,33 @@ def test_report_rejects_a_config_with_a_missing_field(layout_file, tmp_path, cap
     assert "missing 'horizon'" in err
 
 
+@pytest.mark.parametrize(
+    "name, problem",
+    [
+        ("summary.report.json", "an aggregate summary, not a per-episode report"),
+        ("counter_circuit_1.report.json", "missing field 'agents'"),
+    ],
+    ids=["summary", "missing-field"],
+)
+def test_report_names_a_file_it_cannot_read(layout_file, tmp_path, capsys, name, problem):
+    # A glob that picks up the summary used to end in the bare KeyError
+    # "error: bad report file .../summary.report.json: 'agents'".
+    traces = simulate(layout_file, tmp_path / "traces", seeds="1..2")
+    first = tmp_path / "first"
+    assert main(["analyze", *map(str, traces), "--out", str(first), "--format", "json"]) == 0
+    path = first / name
+    if name != "summary.report.json":
+        data = json.loads(path.read_text())
+        del data["agents"]
+        path.write_text(json.dumps(data))
+    capsys.readouterr()
+    reports = sorted(first.glob("*.report.json"))
+    assert main(["report", *map(str, reports), "--out", str(tmp_path / "second")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad report file {path}: {problem}\n"
+    assert not (tmp_path / "second").exists()
+
+
 # schema ----------------------------------------------------------------------
 
 

@@ -10,18 +10,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MINI_LAYOUT, external_trace, interleave, policy_trace
+from conftest import (
+    BASELINE_TEAMS,
+    MINI_LAYOUT,
+    external_trace,
+    interleave,
+    policy_trace,
+)
 from interdep import (
     ChecksumMismatch,
     EpisodeConfig,
     InterdepError,
     IoFailure,
+    MalformedJointAction,
     PrimitiveAction,
     SchemaViolation,
     VersionUnsupported,
     aggregate,
     analyze_trace,
     build_report,
+    bundled_layout_text,
+    load_layout,
     single_action,
 )
 from interdep.trace_io import (
@@ -37,6 +46,7 @@ from interdep.trace_io import (
     write_report,
     write_trace,
 )
+from oracle_utils import random_external_trace, reference_trace_text
 
 A = PrimitiveAction
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -105,6 +115,46 @@ def test_tampered_trace_rejected(small_trace, tail):
     assert tampered != text
     with pytest.raises(ChecksumMismatch):
         read_trace(io.StringIO(tampered + tail))
+
+
+# the step-line table --------------------------------------------------------
+
+_COUNTER_CIRCUIT = bundled_layout_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    episode=st.sampled_from(["random-mini", "random", "scripted"]),
+    team=st.sampled_from(BASELINE_TEAMS),
+    seed=st.integers(0, 2**16),
+    build=st.sampled_from(["shared", "fresh-tuples", "lists"]),
+)
+def test_writer_matches_one_json_dumps_per_line(episode, team, seed, build):
+    config = EpisodeConfig(cook_time=3, horizon=120)
+    if episode == "scripted":
+        trace = policy_trace(load_layout(_COUNTER_CIRCUIT), config, *team, seed)
+    else:
+        layout = MINI_LAYOUT if episode == "random-mini" else _COUNTER_CIRCUIT
+        trace = random_external_trace(layout, config, seed, 120)
+    if build != "shared":
+        make = tuple if build == "fresh-tuples" else list
+        steps = tuple(make([agent, action]) for agent, action in trace.steps)
+        assert not steps or steps[0] is not trace.steps[0]
+        trace = dataclasses.replace(trace, steps=steps)
+    assert trace_to_text(trace) == reference_trace_text(trace)
+
+
+@pytest.mark.parametrize(
+    "turn",
+    [(True, A.UP), (1.0, A.UP), (2.0, A.STAY), (3, A.UP), (1, "up")],
+    ids=["agent-true", "agent-1.0", "agent-2.0", "agent-3", "not-an-action"],
+)
+def test_writer_rejects_a_turn_that_replay_rejects(small_trace, turn):
+    # Each agent here used to be written as a line that read_trace rejects,
+    # such as "agent": true; True, 1.0 and 2.0 equal a shared turn's agent.
+    trace = dataclasses.replace(small_trace, steps=small_trace.steps + (turn,))
+    with pytest.raises(MalformedJointAction):
+        trace_to_text(trace)
 
 
 # validation ----------------------------------------------------------------
