@@ -1,9 +1,9 @@
 """Simulate two-cook kitchen episodes and audit their cooperation.
 
 The package couples a deterministic turn-taking gridworld with a symbolic
-analyzer: every executed step becomes a planning-style action over grounded
-propositions, actions are classified as independent or coordination
-(trigger/accept roles), and giver-receiver pairs are extracted wherever one
+analyzer: every event a step reports becomes a planning-style action over
+grounded propositions, each subtask plays trigger and accept roles or
+none, and giver-receiver pairs of events are extracted wherever one
 cook's effect became the other's precondition. Reports aggregate the
 resulting team metrics across seeded episodes.
 
@@ -55,7 +55,6 @@ _EXPORTS = {
         "InterdependentPair",
         "analyze_trace",
         "build_interaction_schema",
-        "classify_action",
         "match",
         "replay",
     ),
@@ -63,7 +62,6 @@ _EXPORTS = {
         "AggregateSummary",
         "AgentReport",
         "TeamReport",
-        "action_distribution_rings",
         "aggregate",
         "build_report",
         "contribution_ratio",

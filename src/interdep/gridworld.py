@@ -316,6 +316,15 @@ def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAc
     )
 
 
+def unpack_turn(turn) -> tuple:
+    """`turn`'s agent and action; MalformedJointAction unless it has two items."""
+    try:
+        agent, action = turn
+    except (TypeError, ValueError):
+        raise MalformedJointAction(f"a turn is (agent, action), got {turn!r}") from None
+    return agent, action
+
+
 @record
 class EnvEvent:
     """What the acting cook's interact did in one step: its subtask and cell."""

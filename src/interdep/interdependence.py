@@ -1,12 +1,13 @@
-"""Classifying actions and extracting interdependent pairs from a trace.
+"""Extracting interdependent pairs from a trace.
 
 A shared predicate is linkable when some subtask adds it and some subtask
-requires it. A subtask's template fixes its roles: it is a trigger when it
-adds a linkable predicate, an accept when it requires one, and independent
-otherwise. A pair links a giver's add effect to the receiver's
-precondition, provided the proposition survived untouched in between. A
-pair whose giver and receiver are the same cook is a self-acceptance, kept
-apart in `ledger.self_accepts`.
+requires it. A subtask's template fixes its roles, one entry of
+`schema.roles`: it is a trigger when it adds a linkable predicate, an
+accept when it requires one, and independent otherwise. A pair links a
+giver's add effect to the receiver's precondition, provided the
+proposition survived untouched in between. A pair whose giver and
+receiver are the same cook is a self-acceptance, kept apart in
+`ledger.self_accepts`.
 
 Only events, the steps in which a cook's interact did something, add or
 require anything, so analysis grounds and folds events only and its cost
@@ -19,12 +20,14 @@ altered by hand, `replay` steps all of it through the simulator, which is
 the check that it is a real episode, and returns the same record. `match`
 grounds each event with `grounding.ground` and folds it into the ledger
 through a provenance map: every currently true shared proposition that
-some event added points at that event's record. A fact absent from the map
-holds since the initial state, or came from the environment, and links no
-one. Acceptance reads the map, deletion clears it, addition overwrites it,
-so freshness is structural rather than re-checked. Moves and stays are
-counted from the trace's steps; `ledger.classifications` builds their
-records only when asked.
+some event added points at that event. A fact absent from the map holds
+since the initial state, or came from the environment, and links no one.
+Acceptance reads the map, deletion clears it, addition overwrites it, so
+freshness is structural rather than re-checked. The ledger's events, the
+pairs' givers and receivers and the unaccepted triggers are the events of
+the record itself; no other record is built per event. Moves and stays
+are counted from the trace's steps; `ledger.classifications` builds a
+per-step view, with roles, only when asked.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .gridworld import (
     MOVE_DIRECTION,
     NOOP,
     SERVE_SOUP,
+    EnvEvent,
     EpisodeConfig,
     WorldState,
     initial_state,
@@ -54,6 +58,7 @@ from .gridworld import (
     record,
     single_action,
     step,
+    unpack_turn,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,13 +116,19 @@ def build_interaction_schema(
     return InteractionSchema(include_counter_empty)
 
 
+def _step_dict(agent: int, t: int, subtask: str) -> dict:
+    """How the ledger file names a step: its cook, time and subtask."""
+    return {"agent": agent, "t": t, "subtask": subtask}
+
+
 @record
 class ActionClassification:
-    """One step of the trace: its event's cook, time and subtask, and two roles.
+    """One row of the per-step view: a step's cook, time, subtask and roles.
 
-    The roles are those the schema gives the subtask; a step that is
-    neither trigger nor accept is independent. The same record is a pair's
-    giver or receiver and an unaccepted trigger; `to_dict` names the step.
+    `ledger.classifications` builds one per step when asked, for the
+    ledger file; the analysis itself builds none. The roles are
+    `schema.roles[subtask]`; a step that is neither trigger nor accept is
+    independent.
     """
 
     agent: int
@@ -126,34 +137,25 @@ class ActionClassification:
     is_trigger: bool
     is_accept: bool
 
-    def to_dict(self) -> dict:
-        return {"agent": self.agent, "t": self.t, "subtask": self.subtask}
-
-
-def classify_action(
-    agent: int, t: int, subtask: str, schema: InteractionSchema
-) -> ActionClassification:
-    """The step's record, with the roles the schema gives its subtask."""
-    return ActionClassification(agent, t, subtask, *schema.roles[subtask])
-
 
 @dataclass(frozen=True)
 class InterdependentPair:
     """A giver's add effect consumed as the receiver's precondition.
 
-    When the giver and the receiver are the same cook, the pair is a
-    self-acceptance.
+    The giver and the receiver are the two `EnvEvent`s that `step`
+    reported. When they are the same cook's, the pair is a self-acceptance.
     """
 
     prop: Proposition
-    giver: ActionClassification
-    receiver: ActionClassification
+    giver: EnvEvent
+    receiver: EnvEvent
 
     def to_dict(self) -> dict:
+        g, r = self.giver, self.receiver
         return {
             "prop": self.prop.canonical(),
-            "giver": self.giver.to_dict(),
-            "receiver": self.receiver.to_dict(),
+            "giver": _step_dict(g.agent, g.t, g.name),
+            "receiver": _step_dict(r.agent, r.t, r.name),
         }
 
 
@@ -161,8 +163,10 @@ class InterdependentPair:
 class InterdependencyLedger:
     """Everything the analysis extracted from one episode.
 
-    `events` are the records of the steps with an event, in step order;
-    `steps` is the trace's own step tuple, which holds the moves and stays.
+    `events` are the `EnvEvent`s of the record of play, in step order, and
+    the pairs, self-accepts and unaccepted triggers hold those same
+    events; `steps` is the trace's own step tuple, which holds the moves
+    and stays.
     """
 
     schema: InteractionSchema
@@ -178,20 +182,18 @@ class InterdependencyLedger:
 
     @property
     def classifications(self) -> tuple:
-        """One record per step, built on demand from the events and steps.
+        """One row per step, built on demand from the events and steps.
 
-        A turn without an event is a move if its action is one, and a stay
-        otherwise, with the roles of that subtask.
+        A step's subtask is its event's name; a turn without an event is a
+        move if its action is one, and a stay otherwise. Its roles are that
+        subtask's entry in `schema.roles`.
         """
-        by_t = {c.t: c for c in self.events}
+        by_t = {e.t: e.name for e in self.events}
         roles = self.schema.roles
         out = []
         for t, (agent, action) in enumerate(self.steps):
-            cls = by_t.get(t)
-            if cls is None:
-                subtask = MOVE if action in MOVE_DIRECTION else NOOP
-                cls = ActionClassification(agent, t, subtask, *roles[subtask])
-            out.append(cls)
+            subtask = by_t.get(t) or (MOVE if action in MOVE_DIRECTION else NOOP)
+            out.append(ActionClassification(agent, t, subtask, *roles[subtask]))
         return tuple(out)
 
     def to_dict(self) -> dict:
@@ -205,7 +207,7 @@ class InterdependencyLedger:
             },
             "classifications": [
                 {
-                    **c.to_dict(),
+                    **_step_dict(c.agent, c.t, c.subtask),
                     "klass": (
                         "Coordination" if c.is_trigger or c.is_accept else "Independent"
                     ),
@@ -225,7 +227,7 @@ class InterdependencyLedger:
                 for s in self.self_accepts
             ],
             "unaccepted_triggers": {
-                str(agent): [r.to_dict() for r in refs]
+                str(agent): [_step_dict(e.agent, e.t, e.name) for e in refs]
                 for agent, refs in sorted(self.unaccepted_triggers.items())
             },
         }
@@ -259,7 +261,7 @@ def replay(trace: ReplayableTrace) -> list:
         except (KeyError, TypeError):
             shared = False
         if not shared:
-            agent, action = turn
+            agent, action = unpack_turn(turn)
             expected = 1 + (t % 2)
             if agent != expected:
                 raise ReplayMismatch(
@@ -285,30 +287,28 @@ def match(
 
     `played` is (state, event) for each step of `trace` with an event, as
     `run_episode` keeps it and `replay` returns it. Each event is grounded
-    in the state it was played from and classified by its own cook, time
-    and subtask, then each linkable precondition of an accept is looked up
-    in the provenance map. A fact an earlier event added makes one pair of
-    the two events, kept in `ledger.pairs` across cooks and in
+    in the state it was played from and takes its roles from
+    `schema.roles`, then each linkable precondition of an accept is looked
+    up in the provenance map. A fact an earlier event added makes one pair
+    of the two events, kept in `ledger.pairs` across cooks and in
     `ledger.self_accepts` within one. Moves and stays link nothing and are
     not folded. The episode time is the number of steps in `trace` and the
     delivered soups are its serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
-    linkable = schema.linkable
+    linkable, roles = schema.linkable, schema.roles
 
     provenance: dict = {}
-    records: list = []
     pairs: list = []
     self_accepts: list = []
+    triggers: list = []
     soups = 0
 
     for state, event in played:
-        agent, subtask = event.agent, event.name
         pre, add, delete = ground(state, event)
-        cls = classify_action(agent, event.t, subtask, schema)
-        records.append(cls)
-        if cls.is_accept:
+        is_trigger, is_accept = roles[event.name]
+        if is_accept:
             # Every template requires at most one shared predicate, so an
             # accept links at most one fact and needs no sorted order.
             for p in pre:
@@ -316,27 +316,29 @@ def match(
                     continue
                 src = provenance.get(p)
                 if src is not None:
-                    links = pairs if src.agent != agent else self_accepts
-                    links.append(InterdependentPair(p, src, cls))
+                    links = pairs if src.agent != event.agent else self_accepts
+                    links.append(InterdependentPair(p, src, event))
         for p in delete:
             if p.shared:
                 provenance.pop(p, None)
         for p in add:
             if p.shared:
-                provenance[p] = cls
-        if subtask == SERVE_SOUP:
+                provenance[p] = event
+        if is_trigger:
+            triggers.append(event)
+        if event.name == SERVE_SOUP:
             soups += 1
 
     matched = {pair.giver.t for pair in pairs}
     unaccepted: dict = {1: [], 2: []}
-    for cls in records:
-        if cls.is_trigger and cls.t not in matched:
-            unaccepted[cls.agent].append(cls)
+    for event in triggers:
+        if event.t not in matched:
+            unaccepted[event.agent].append(event)
 
     return InterdependencyLedger(
         schema=schema,
         config=trace.config,
-        events=tuple(records),
+        events=tuple(event for _, event in played),
         steps=trace.steps,
         pairs=tuple(pairs),
         self_accepts=tuple(self_accepts),
@@ -350,7 +352,7 @@ def match(
 def analyze_trace(
     trace: ReplayableTrace, schema: Optional[InteractionSchema] = None
 ) -> InterdependencyLedger:
-    """Ground a trace and match its events: classifications, pairs, self-accepts.
+    """Ground a trace and match its events: pairs, self-accepts, triggers.
 
     A trace `run_episode` returned is matched from the record of its play;
     any other trace, read from a file, built by hand or altered with

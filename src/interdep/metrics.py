@@ -182,11 +182,12 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
     i.e. when the ledger does not list it among the unaccepted triggers.
     """
     dist = dict.fromkeys(ALL_SUBTASKS, 0)
+    roles = ledger.schema.roles
     independent = triggers = accepts = overlap = 0
-    for c in ledger.events:
-        if c.agent == agent:
-            dist[c.subtask] += 1
-            trig, acc = c.is_trigger, c.is_accept
+    for event in ledger.events:
+        if event.agent == agent:
+            dist[event.name] += 1
+            trig, acc = roles[event.name]
             triggers += trig
             accepts += acc
             overlap += trig and acc
@@ -217,35 +218,6 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
         unaccepted_triggers=unaccepted,
         event_distribution=dist,
     )
-
-
-def action_distribution_rings(ledger: InterdependencyLedger, agent: int) -> dict:
-    """Nested tallies: total -> independent/coordination -> roles -> success.
-
-    A trigger is successful when matched as giver in some pair, an accept
-    when matched as receiver; dual-role actions count under both, and the
-    overlap is reported so the layers telescope exactly.
-    """
-    r = _agent_report(ledger, agent)
-    accept_ok = len({p.receiver.t for p in ledger.pairs if p.receiver.agent == agent})
-    return {
-        "total": r.total_actions,
-        "independent": r.independent,
-        "coordination": {
-            "total": r.coordination,
-            "trigger": {
-                "total": r.triggers,
-                "successful": r.triggers - r.unaccepted_triggers,
-                "unsuccessful": r.unaccepted_triggers,
-            },
-            "accept": {
-                "total": r.accepts,
-                "successful": accept_ok,
-                "unsuccessful": r.accepts - accept_ok,
-            },
-            "overlap": r.trigger_accept_overlap,
-        },
-    }
 
 
 def build_report(

@@ -11,8 +11,8 @@ Each step line is its turn's fixed text, `{"action": "up", "agent": 1,
 "t": `, from a table with one entry per shared turn, then `t` and `}`.
 The writer accepts exactly the turns replay accepts: a shared turn that
 `single_action` returns, or an equal tuple or list, which it looks up
-through `single_action`; any other turn (agent True, 1.0 or 3, or no
-`PrimitiveAction`) raises MalformedJointAction.
+through `single_action`; any other turn (agent True, 1.0 or 3, no
+`PrimitiveAction`, or not a pair) raises MalformedJointAction.
 
 Externally produced traces with simultaneous actions are accepted when the
 header carries `"serialize": "agent1-first"`; each tick is expanded into
@@ -43,7 +43,13 @@ from .errors import (
     SchemaViolation,
     VersionUnsupported,
 )
-from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction, single_action
+from .gridworld import (
+    ALL_SUBTASKS,
+    EpisodeConfig,
+    PrimitiveAction,
+    single_action,
+    unpack_turn,
+)
 from .metrics import AggregateSummary, TeamReport
 
 FORMAT_NAME = "interdep-trace"
@@ -132,7 +138,7 @@ def trace_to_text(trace: ReplayableTrace) -> str:
         prefix = _STEP_PREFIX.get(id(turn))
         if prefix is None:
             # An equal tuple or a list; any other turn raises.
-            prefix = _STEP_PREFIX[id(single_action(*turn))]
+            prefix = _STEP_PREFIX[id(single_action(*unpack_turn(turn)))]
         lines.append(f"{prefix}{t}}}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()

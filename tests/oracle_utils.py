@@ -20,6 +20,10 @@ check an event's sets against the states before and after its step;
 `reference_trace_text` writes a trace with one sorted-key `json.dumps`
 per line; the trace writer, which takes each step line from a table,
 must match it byte for byte.
+
+`action_distribution_rings` nests one agent's report counts into rings
+(total, independent and coordination, trigger and accept, matched or
+not), so a test can check that the layers telescope.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ import random
 from collections import namedtuple
 
 from interdep import (
+    ActionClassification,
     EpisodeConfig,
     PrimitiveAction,
     analyze_trace,
     build_interaction_schema,
-    classify_action,
+    build_report,
     initial_state,
     is_terminal,
     load_layout,
@@ -177,10 +182,10 @@ def ledger_pair_keys(ledger):
             p.prop.canonical(),
             p.giver.agent,
             p.giver.t,
-            p.giver.subtask,
+            p.giver.name,
             p.receiver.agent,
             p.receiver.t,
-            p.receiver.subtask,
+            p.receiver.name,
         )
         for p in ledger.pairs
     )
@@ -259,8 +264,41 @@ def assert_matches_oracle(trace, schema=None):
 
 
 def per_step_fold(actions, schema):
-    """One classification per grounded step: the reference per-step view."""
-    return tuple(classify_action(a.agent, a.t, a.subtask, schema) for a in actions)
+    """One row per grounded step, with its subtask's roles: the reference
+    per-step view."""
+    return tuple(
+        ActionClassification(a.agent, a.t, a.subtask, *schema.roles[a.subtask])
+        for a in actions
+    )
+
+
+def action_distribution_rings(ledger, agent: int) -> dict:
+    """Nested tallies: total -> independent/coordination -> roles -> success.
+
+    A trigger is successful when matched as giver in some pair, an accept
+    when matched as receiver; dual-role actions count under both, and the
+    overlap is reported so the layers telescope exactly.
+    """
+    r = build_report(ledger, "all-actions").agent(agent)
+    accept_ok = len({p.receiver.t for p in ledger.pairs if p.receiver.agent == agent})
+    return {
+        "total": r.total_actions,
+        "independent": r.independent,
+        "coordination": {
+            "total": r.coordination,
+            "trigger": {
+                "total": r.triggers,
+                "successful": r.triggers - r.unaccepted_triggers,
+                "unsuccessful": r.unaccepted_triggers,
+            },
+            "accept": {
+                "total": r.accepts,
+                "successful": accept_ok,
+                "unsuccessful": r.accepts - accept_ok,
+            },
+            "overlap": r.trigger_accept_overlap,
+        },
+    }
 
 
 def check_invariants(state) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import PASSER, RECEIVER, stochastic
 from interdep import bundled_layout_text, load_layout
-from interdep.cli import main
+from interdep.cli import _atomic_write, main
 from interdep.trace_io import read_report, read_trace
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -510,6 +510,70 @@ def test_counter_outside_grid_is_reported(layout_file, tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "outside the 8x5 grid" in err
+
+
+KITCHEN_FAULTS = [
+    (None, "passer:counter", "bad policy parameter 'counter' in 'passer:counter'"),
+    (None, "passer:counter=(1,1)", "target cell (1, 1) is not a counter tile"),
+    (None, "solo:pot=9", "pot index 9 out of range (layout has 2)"),
+    (
+        # The dish dispenser's only neighbours are walls.
+        "XXPXXX\nO1 2XD\nXC SXX\nXXXXXX\n",
+        "solo",
+        "agent 1: no reachable dish dispenser from spawn (1, 1)",
+    ),
+    (
+        # The one counter has a single floor neighbour.
+        "XXPXX\nO1 2D\nXCXSX\nXXXXX\n",
+        "passer",
+        "agent 1: no counter with two approach sides",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "grid, p1, message",
+    KITCHEN_FAULTS,
+    ids=["bare-parameter", "not-a-counter", "pot-index", "no-dish", "no-counter"],
+)
+def test_policy_that_cannot_play_the_kitchen_is_reported(
+    layout_file, tmp_path, capsys, grid, p1, message
+):
+    if grid is not None:
+        layout_file = tmp_path / "kitchen.layout"
+        layout_file.write_text(grid)
+    out = tmp_path / "traces"
+    argv = ["simulate", "--layout", str(layout_file), "--p1", p1, "--p2", "idle"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(out.glob("*.trace.jsonl"))
+
+
+def test_empty_seed_range_is_reported(layout_file, tmp_path, capsys):
+    argv = [
+        "simulate",
+        "--layout", str(layout_file),
+        "--p1", "idle",
+        "--p2", "idle",
+        "--seeds", "5..3",
+        "--out", str(tmp_path / "traces"),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: empty seed range '5..3'\n"
+
+
+def test_a_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "summary.json"
+    target.write_text("before\n")
+
+    def write(f):
+        f.write("half a report")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(target, write)
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    assert target.read_text() == "before\n"
 
 
 def test_missing_trace_is_reported(tmp_path, capsys):

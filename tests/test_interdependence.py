@@ -1,4 +1,4 @@
-"""Schema derivation, action classification and pair extraction."""
+"""Schema derivation, subtask roles and pair extraction."""
 
 import dataclasses
 import hashlib
@@ -28,7 +28,6 @@ from interdep import (
     build_interaction_schema,
     build_report,
     bundled_layout_text,
-    classify_action,
     initial_state,
     load_layout,
     match,
@@ -100,7 +99,7 @@ def test_schema_excludes_private_and_unconsumed():
     assert "soup-cooking" not in schema.linkable
 
 
-# classification ----------------------------------------------------------
+# roles -------------------------------------------------------------------
 
 
 @pytest.fixture
@@ -109,44 +108,39 @@ def mini_state(mini_layout):
 
 
 def classify_here(state, action, agent, schema=None):
+    """(is_trigger, is_accept) of the step: its subtask's `schema.roles` entry."""
     sym = ground_step(state, action, agent)[0]
     schema = schema or build_interaction_schema()
-    return classify_action(sym.agent, sym.t, sym.subtask, schema)
+    return schema.roles[sym.subtask]
 
 
 def test_move_and_pickup_dispenser_are_independent(mini_state):
-    cls = classify_here(mini_state, A.RIGHT, 1)
-    assert not (cls.is_trigger or cls.is_accept)
+    assert classify_here(mini_state, A.RIGHT, 1) == (False, False)
     state, _, _ = step(mini_state, single_action(1, A.LEFT))
-    cls = classify_here(state, A.INTERACT, 1)
     # only private holding fluents change: no way to link the partner
-    assert not (cls.is_trigger or cls.is_accept)
+    assert classify_here(state, A.INTERACT, 1) == (False, False)
 
 
 def test_place_counter_roles(mini_state):
     state, _, _ = step(mini_state, single_action(1, A.LEFT))
     state, _, _ = step(state, single_action(1, A.INTERACT))
     state, _, _ = step(state, single_action(1, A.DOWN))
-    cls = classify_here(state, A.INTERACT, 1)
     # adds onion-on-counter (trigger) and consumes counter-empty (accept)
-    assert cls.is_trigger and cls.is_accept
+    assert classify_here(state, A.INTERACT, 1) == (True, True)
     no_ce = build_interaction_schema(include_counter_empty=False)
-    cls = classify_here(state, A.INTERACT, 1, no_ce)
-    assert cls.is_trigger and not cls.is_accept
+    assert classify_here(state, A.INTERACT, 1, no_ce) == (True, False)
 
 
 def test_place_pot_is_dual_role(mini_state):
     state = mini_state
     for act in [A.LEFT, A.INTERACT, A.RIGHT, A.UP]:
         state, _, _ = step(state, single_action(1, act))
-    cls = classify_here(state, A.INTERACT, 1)
     # consumes pot-contains(0,0) and adds pot-contains(0,1)
-    assert cls.is_trigger and cls.is_accept
+    assert classify_here(state, A.INTERACT, 1) == (True, True)
 
 
 def test_noop_is_independent(mini_state):
-    cls = classify_here(mini_state, A.STAY, 1)
-    assert not (cls.is_trigger or cls.is_accept)
+    assert classify_here(mini_state, A.STAY, 1) == (False, False)
 
 
 def per_step_roles(sym, linkable):
@@ -192,8 +186,8 @@ def test_cross_agent_pass_yields_one_pair():
     assert pair.prop.canonical() == "onion-on-counter(1,2)"
     assert (pair.giver.agent, pair.giver.t) == (1, 6)
     assert (pair.receiver.agent, pair.receiver.t) == (2, 7)
-    assert pair.giver.subtask == PLACE_ONION_COUNTER
-    assert pair.receiver.subtask == PICKUP_ONION_COUNTER
+    assert pair.giver.name == PLACE_ONION_COUNTER
+    assert pair.receiver.name == PICKUP_ONION_COUNTER
     assert ledger.self_accepts == ()
     assert_ledger_arithmetic(ledger)
 
@@ -347,12 +341,24 @@ def test_replay_checks_turn_order_then_terminal_state(steps, message):
         [(1.0, A.STAY), (2, A.STAY)],
         [(1, A.STAY), (2.0, A.STAY)],
         [(1, A.STAY), (2, [A.STAY])],
+        [(1, A.STAY, 0), (2, A.STAY)],
+        [(1,), (2, A.STAY)],
+        [5, (2, A.STAY)],
     ],
-    ids=["agent-true", "agent-1.0", "agent-2.0", "unhashable-turn"],
+    ids=[
+        "agent-true",
+        "agent-1.0",
+        "agent-2.0",
+        "unhashable-turn",
+        "triple",
+        "single",
+        "not-a-sequence",
+    ],
 )
 def test_replay_rejects_a_turn_that_only_equals_a_shared_one(steps):
     # True, 1.0 and 2.0 equal 1 and 2, so each turn finds its cook's
-    # shared pair by equality; it is still not one.
+    # shared pair by equality; it is still not one. A turn that is not a
+    # pair used to raise a bare ValueError or TypeError.
     with pytest.raises(MalformedJointAction):
         analyze_trace(mini_trace(steps))
 
@@ -464,6 +470,28 @@ def test_play_record_cannot_vouch_for_a_forged_step(passer_receiver_trace):
         analyze_trace(forged)
 
 
+@pytest.mark.parametrize("path", ["played", "replayed"])
+def test_the_ledger_holds_the_events_step_reported(passer_receiver_trace, path):
+    # No record is built per event: the ledger's events, each pair's giver
+    # and receiver and each unaccepted trigger are the record's own events.
+    trace = passer_receiver_trace
+    if path == "played":
+        played, ledger = trace.played, analyze_trace(trace)
+    else:
+        trace = read_trace(io.StringIO(trace_to_text(trace)))
+        played = replay(trace)
+        ledger = match(played, trace)
+    reported = [event for _, event in played]
+    assert len(ledger.events) == len(reported)
+    assert all(mine is theirs for mine, theirs in zip(ledger.events, reported))
+    kept = {id(event) for event in reported}
+    links = ledger.pairs + ledger.self_accepts
+    assert ledger.pairs and ledger.self_accepts
+    assert all(id(p.giver) in kept and id(p.receiver) in kept for p in links)
+    unaccepted = [e for refs in ledger.unaccepted_triggers.values() for e in refs]
+    assert unaccepted and all(id(e) in kept for e in unaccepted)
+
+
 PLAY_LAYOUTS = {
     "mini": (MINI_LAYOUT, "(1,2)"),
     "counter_circuit": (bundled_layout_text(), "(4,2)"),
@@ -524,11 +552,11 @@ def test_every_potted_onion_crossed_the_middle_counters(right, left, seed):
     for counter_empty in (True, False):
         schema = build_interaction_schema(include_counter_empty=counter_empty)
         ledger = match(trace.played, trace, schema)
-        done = {(c.agent, c.subtask) for c in ledger.events}
+        done = {(e.agent, e.name) for e in ledger.events}
         assert (2, PLACE_ONION_POT) not in done
         assert (1, PICKUP_ONION_DISPENSER) not in done
         potted = sum(
-            1 for c in ledger.events if (c.agent, c.subtask) == (1, PLACE_ONION_POT)
+            1 for e in ledger.events if (e.agent, e.name) == (1, PLACE_ONION_POT)
         )
         handed = sum(
             1
@@ -664,10 +692,14 @@ def test_mirrored_kitchen_scores_the_same(layout_text):
                 args = (pot_index[args[0]], *args[1:])
             return dataclasses.replace(prop, args=args)
 
+        def mirror_event(event):
+            return dataclasses.replace(event, cell=cell(*event.cell))
+
         ledger, image_ledger = analyze_trace(trace), analyze_trace(image)
-        assert {(mirror(p.prop), p.giver, p.receiver) for p in ledger.pairs} == {
-            (p.prop, p.giver, p.receiver) for p in image_ledger.pairs
-        }, seed
+        assert {
+            (mirror(p.prop), mirror_event(p.giver), mirror_event(p.receiver))
+            for p in ledger.pairs
+        } == {(p.prop, p.giver, p.receiver) for p in image_ledger.pairs}, seed
         paired += len(ledger.pairs)
         for mode in ("subtask-actions", "all-actions"):
             for fmt in ("json", "csv", "markdown"):

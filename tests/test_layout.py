@@ -114,6 +114,17 @@ def test_faced_table_is_the_grid_arithmetic(text):
     assert layout.faced[Orientation.E][layout.width - 1, 1] is None
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty layout text"), ("\nXXPXX\n", "empty first row")],
+    ids=["empty", "empty-first-row"],
+)
+def test_empty_layout_rejected(text, message):
+    with pytest.raises(MalformedGrid) as caught:
+        load_layout(text)
+    assert str(caught.value) == message
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(MalformedGrid):
         load_layout("XXPXX\nO1 2D\nXCSX\nXXXXX\n")

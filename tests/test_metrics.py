@@ -12,7 +12,6 @@ from interdep import (
     EpisodeConfig,
     PrimitiveAction,
     TeamReport,
-    action_distribution_rings,
     aggregate,
     analyze_trace,
     build_interaction_schema,
@@ -20,6 +19,7 @@ from interdep import (
     contribution_ratio,
 )
 from interdep.gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS
+from oracle_utils import action_distribution_rings
 
 A = PrimitiveAction
 

@@ -22,7 +22,8 @@ def test_library_use_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     for line in lines[:3]:
-        assert re.match(r"[a-z-]+\([\d,]+\) \{.*\} -> \{.*\}$", line), line
+        event = r"cook [12] [a-z-]+ at t=\d+"
+        assert re.fullmatch(rf"[a-z-]+\([\d,]+\): {event} -> {event}", line), line
     assert re.fullmatch(r"\d+\.\d\d% interdependent", lines[3])
 
 

@@ -1,10 +1,17 @@
-"""Static checks on the project's source, read with `ast` and never imported."""
+"""Static checks on the project's source, read with `ast` and never imported.
+
+The one import is the package itself, for its `__all__`.
+"""
 
 import ast
 import pathlib
 
+import interdep
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = ("src/interdep", "tests", "scripts")
+# Where a public name must be read to earn its export; tests do not count.
+READERS = ("src/interdep", "scripts", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -49,6 +56,21 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
+def read_names(source: str) -> set:
+    """Every name an expression loads or an attribute access names.
+
+    A definition, an import and a string holding the name, such as the
+    package's export table, do not read it.
+    """
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            read.add(n.attr)
+    return read
+
+
 def unread_private_names(source: str) -> list:
     """(line, name) of each private module-level name or method never read.
 
@@ -75,12 +97,7 @@ def unread_private_names(source: str) -> list:
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
-    read = set()
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            read.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            read.add(n.attr)
+    read = read_names(source)
     return [
         (line, name)
         for line, name in defined
@@ -114,3 +131,20 @@ def test_no_private_name_in_the_package_goes_unread():
         for line, name in unread_private_names(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def test_read_names_skip_definitions_imports_and_strings():
+    source = (
+        "from .x import imported\n"
+        "EXPORTS = ('listed',)\n"
+        "def defined():\n"
+        "    return called() + obj.attr\n"
+    )
+    assert read_names(source) == {"called", "obj", "attr"}
+
+
+def test_every_exported_name_has_a_reader():
+    paths = sorted(path for folder in READERS for path in (ROOT / folder).glob("*.py"))
+    assert {path.parent.name for path in paths} == {"interdep", "scripts", "perfbench"}
+    read = set().union(*(read_names(path.read_text(encoding="utf-8")) for path in paths))
+    assert [name for name in interdep.__all__ if name not in read] == []

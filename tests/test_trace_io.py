@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -146,12 +147,31 @@ def test_writer_matches_one_json_dumps_per_line(episode, team, seed, build):
 
 @pytest.mark.parametrize(
     "turn",
-    [(True, A.UP), (1.0, A.UP), (2.0, A.STAY), (3, A.UP), (1, "up")],
-    ids=["agent-true", "agent-1.0", "agent-2.0", "agent-3", "not-an-action"],
+    [
+        (True, A.UP),
+        (1.0, A.UP),
+        (2.0, A.STAY),
+        (3, A.UP),
+        (1, "up"),
+        (1, A.UP, 0),
+        (1,),
+        5,
+    ],
+    ids=[
+        "agent-true",
+        "agent-1.0",
+        "agent-2.0",
+        "agent-3",
+        "not-an-action",
+        "triple",
+        "single",
+        "not-a-sequence",
+    ],
 )
 def test_writer_rejects_a_turn_that_replay_rejects(small_trace, turn):
     # Each agent here used to be written as a line that read_trace rejects,
     # such as "agent": true; True, 1.0 and 2.0 equal a shared turn's agent.
+    # A turn that is not a pair used to raise a bare TypeError.
     trace = dataclasses.replace(small_trace, steps=small_trace.steps + (turn,))
     with pytest.raises(MalformedJointAction):
         trace_to_text(trace)
@@ -219,6 +239,18 @@ def test_unknown_action_rejected():
 def test_bad_agent_rejected():
     with pytest.raises(SchemaViolation):
         parse([header_line(), step_line(0, 3, "stay")])
+
+
+def test_step_line_that_is_not_an_object_rejected():
+    with pytest.raises(SchemaViolation) as caught:
+        parse([header_line(), "[1, 2]"])
+    assert str(caught.value) == "line 2: expected a JSON object"
+
+
+def test_unwritable_sink_raises_io_failure(small_trace, tmp_path):
+    # A directory cannot be written as a file.
+    with pytest.raises(IoFailure, match=f"^cannot write {re.escape(str(tmp_path))}: "):
+        write_trace(small_trace, tmp_path)
 
 
 def test_non_json_line_rejected():
