@@ -12,6 +12,7 @@ from __future__ import annotations
 import statistics
 import sys
 from dataclasses import dataclass, fields
+from functools import cache
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
@@ -59,6 +60,14 @@ def _from_fields(cls, d: dict, **converted):
     return cls(**{f.name: d[f.name] for f in fields(cls)} | converted)
 
 
+@cache
+def _field_types(cls) -> tuple:
+    """(field name, allowed exact types) per field of `cls`, resolved once."""
+    return tuple(
+        (name, get_args(hint) or (hint,)) for name, hint in get_type_hints(cls).items()
+    )
+
+
 def _check_types(record) -> None:
     """ValueError unless each field has exactly its declared type and range.
 
@@ -68,8 +77,7 @@ def _check_types(record) -> None:
     map names to int counts >= 0. The share and the contribution ratio have
     no cap: a counter handoff's place and pickup can each give and receive.
     """
-    for name, hint in get_type_hints(type(record)).items():
-        allowed = get_args(hint) or (hint,)
+    for name, allowed in _field_types(type(record)):
         value = getattr(record, name)
         if type(value) not in allowed:
             expected = " or ".join(t.__name__ for t in allowed)

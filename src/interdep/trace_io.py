@@ -14,6 +14,15 @@ The writer accepts exactly the turns replay accepts: a shared turn that
 through `single_action`; any other turn (agent True, 1.0 or 3, no
 `PrimitiveAction`, or not a pair) raises MalformedJointAction.
 
+The reader accepts a step line that is exactly the writer's text for its
+place, a table prefix then `t` and `}`, by one lookup and without a JSON
+parse; in an `agent1-first` trace the table holds the 36 tick prefixes,
+such as `{"a1": "up", "a2": "stay", "t": `. Any other line is parsed and
+checked, so both paths accept the same lines with the same turns, and a
+rejected line keeps its error text. Lines end only at LF, CRLF or CR, as
+in a file read in text mode, never at a character such as U+2028 that
+JSON allows raw inside a string.
+
 Externally produced traces with simultaneous actions are accepted when the
 header carries `"serialize": "agent1-first"`; each tick is expanded into
 two turn-taking steps with agent 1 first.
@@ -65,12 +74,23 @@ _TICK_BY_NAMES = {
     (a, b): (_TURN_BY_NAMES[1, a], _TURN_BY_NAMES[2, b])
     for a in _ACTION_NAMES for b in _ACTION_NAMES
 }
+
+
+def _prefix(**step) -> str:
+    """A step line's text up to its `t` value, as `json.dumps` writes it."""
+    return json.dumps(dict(step, t=0), sort_keys=True)[:-2]
+
+
 # Each shared turn's step line up to its `t` value, keyed by the turn's
 # identity, so a turn that only equals one (agent True) is not found.
 _STEP_PREFIX = {
-    id(turn): json.dumps({"action": name, "agent": agent, "t": 0}, sort_keys=True)[:-2]
+    id(turn): _prefix(action=name, agent=agent)
     for (agent, name), turn in _TURN_BY_NAMES.items()
 }
+# The reader's tables: a step line's text up to `t`, mapped to the shared
+# turns the line reads as, in a turn trace and in an `agent1-first` trace.
+_TURNS_BY_PREFIX = {_STEP_PREFIX[id(turn)]: (turn,) for turn in _TURN_BY_NAMES.values()}
+_TICKS_BY_PREFIX = {_prefix(a1=a, a2=b): pair for (a, b), pair in _TICK_BY_NAMES.items()}
 
 Sink = Union[str, Path, io.TextIOBase]
 
@@ -218,7 +238,10 @@ def _parse_header(obj: dict) -> tuple:
 def read_trace(source: Sink) -> ReplayableTrace:
     """Parse and validate a trace file, normalizing to turn-taking steps."""
     text = _read_text(source)
-    lines = text.splitlines()
+    # Lines end only at "\n", "\r\n" or "\r", as in a file read in text
+    # mode; str.splitlines would also end one at characters, such as
+    # U+2028, that JSON allows raw inside a string.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     # Trailing blank lines are dropped, so a footer above them is still
     # found and checked; a blank line inside the body stays an error.
     while lines and not lines[-1].strip(" \t"):
@@ -253,12 +276,19 @@ def read_trace(source: Sink) -> ReplayableTrace:
     )
 
     ticks = serialize == "agent1-first"
+    table = _TICKS_BY_PREFIX if ticks else _TURNS_BY_PREFIX
     steps = []
     for i, line in enumerate(lines[1:]):
+        # A line that is the writer's own text for its place, a table
+        # prefix then `i}`, is accepted by one lookup and not parsed.
+        place = f"{i}}}"
+        if line.endswith(place) and (turns := table.get(line[: -len(place)])):
+            steps += turns
+            continue
         lineno = i + 2
         obj = _parse_json_line(line, lineno)
-        # A well-formed line is accepted with one table lookup. The checks
-        # below word the error of any other line.
+        # Any other well-formed line is accepted with one table lookup. The
+        # checks below word the error of any other line.
         try:
             if len(obj) == 3 and type(obj["t"]) is int and obj["t"] == i:
                 if ticks:

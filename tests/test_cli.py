@@ -237,23 +237,26 @@ def test_analyze_denominator_mode(layout_file, tmp_path):
 
 
 def test_report_reaggregates_report_files(layout_file, tmp_path):
-    traces = simulate(layout_file, tmp_path / "traces", seeds="1..2")
+    traces = simulate(layout_file, tmp_path / "traces", seeds="1..3")
     first = tmp_path / "first"
-    argv = ["analyze", *map(str, traces), "--out", str(first), "--format", "json"]
+    argv = ["analyze", *map(str, traces), "--out", str(first), "--format", "all"]
     assert main(argv) == 0
 
     out = tmp_path / "second"
     argv = [
         "report",
-        str(first / "counter_circuit_1.report.json"),
-        str(first / "counter_circuit_2.report.json"),
+        *(str(first / f"counter_circuit_{seed}.report.json") for seed in (1, 2, 3)),
         "--out", str(out),
-        "--format", "json",
+        "--format", "all",
     ]
     assert main(argv) == 0
-    direct = (first / "summary.report.json").read_bytes()
-    rebuilt = (out / "summary.report.json").read_bytes()
-    assert rebuilt == direct
+    assert sorted(p.name for p in out.iterdir()) == [
+        "summary.report.csv",
+        "summary.report.json",
+        "summary.report.md",
+    ]
+    for rebuilt in out.iterdir():
+        assert rebuilt.read_bytes() == (first / rebuilt.name).read_bytes()
 
 
 @pytest.mark.parametrize(

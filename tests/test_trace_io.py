@@ -34,6 +34,7 @@ from interdep import (
     load_layout,
     single_action,
 )
+from interdep import metrics, trace_io
 from interdep.trace_io import (
     CSV_COLUMNS,
     FORMAT_NAME,
@@ -116,6 +117,36 @@ def test_tampered_trace_rejected(small_trace, tail):
     assert tampered != text
     with pytest.raises(ChecksumMismatch):
         read_trace(io.StringIO(tampered + tail))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+def test_crlf_and_lone_cr_lines_keep_the_footer(small_trace, end):
+    text = trace_to_text(small_trace)
+    assert read_trace(io.StringIO(text.replace("\n", end))) == small_trace
+    tampered = text.replace('"action": "left"', '"action": "right"', 1)
+    with pytest.raises(ChecksumMismatch):
+        read_trace(io.StringIO(tampered.replace("\n", end)))
+
+
+@pytest.mark.parametrize("raw", ["\u2028", "\u2029", "\x85"])
+def test_a_line_separator_inside_a_json_string_is_not_a_line_end(tmp_path, small_trace, raw):
+    # JSON allows these raw inside a string; str.splitlines ends a line there.
+    header = json.loads(trace_to_text(small_trace).split("\n")[0])
+    header["note"] = f"a{raw}b"
+    # The step lines without the footer, whose digest the new header breaks.
+    text = trace_to_text(small_trace).split("\n", 1)[1].rsplit("\n", 2)[0]
+    lines = [json.dumps(header, sort_keys=True, ensure_ascii=False), text]
+    path = tmp_path / "noted.trace.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert raw in path.read_text(encoding="utf-8")
+    assert read_trace(path) == small_trace
+    assert read_trace(io.StringIO("\n".join(lines) + "\n")) == small_trace
+
+
+def test_a_vertical_tab_does_not_end_a_line(small_trace):
+    text = trace_to_text(small_trace).replace("\n", "\x0b")
+    with pytest.raises(SchemaViolation, match="^line 1: not valid JSON \\(Extra data"):
+        read_trace(io.StringIO(text))
 
 
 # the step-line table --------------------------------------------------------
@@ -501,8 +532,11 @@ def _readme_turns(obj, i, serialize):
         ),
         max_size=4,
     ),
+    # Key-sorted, a well-formed line is the writer's text, which the reader
+    # accepts without parsing; in drawn key order it is parsed.
+    sort_keys=st.booleans(),
 )
-def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs):
+def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs, sort_keys):
     objs = [dict(obj, t=i) if obj.get("t") == _PLACE else obj for i, obj in enumerate(objs)]
     expected, bad = [], None
     for i, obj in enumerate(objs):
@@ -512,7 +546,7 @@ def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs):
             break
         expected += turns
     header = header_line(serialize=serialize) if serialize else header_line()
-    lines = [header] + [json.dumps(obj) for obj in objs]
+    lines = [header] + [json.dumps(obj, sort_keys=sort_keys) for obj in objs]
     if bad is None:
         trace = parse(lines)
         assert trace.steps == tuple(expected)
@@ -520,6 +554,86 @@ def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs):
     else:
         with pytest.raises(SchemaViolation, match=f"^line {bad}: "):
             parse(lines)
+
+
+@pytest.mark.parametrize("place", [0, 7, 1234])
+@pytest.mark.parametrize("serialize", [None, TICKS])
+def test_every_writer_line_reads_back_without_a_parse(monkeypatch, serialize, place):
+    # Each of the 12 turn lines, or the 36 tick lines, on line `place` + 2
+    # after `place` stay lines, reads as its shared turns by identity.
+    parsed, parse_json = [], trace_io._parse_json_line
+
+    def parse_json_line(line, lineno):
+        parsed.append(lineno)
+        return parse_json(line, lineno)
+
+    monkeypatch.setattr(trace_io, "_parse_json_line", parse_json_line)
+    if serialize:
+        objs = [tick_obj(place, a1, a2) for a1 in _NAMES for a2 in _NAMES]
+        fill = [tick_obj(t, "stay", "stay") for t in range(place)]
+        header = header_line(serialize=serialize)
+    else:
+        objs = [turn_obj(place, agent, name) for agent in (1, 2) for name in _NAMES]
+        fill = [turn_obj(t, 2 - t % 2, "stay") for t in range(place)]
+        header = header_line()
+    fill_lines = [header] + [json.dumps(obj, sort_keys=True) for obj in fill]
+    for obj in objs:
+        parsed.clear()
+        trace = parse(fill_lines + [json.dumps(obj, sort_keys=True)])
+        assert parsed == [1]
+        if serialize:
+            want = (single_action(1, A(obj["a1"])), single_action(2, A(obj["a2"])))
+        else:
+            want = (single_action(obj["agent"], A(obj["action"])),)
+        got = trace.steps[-len(want):]
+        assert len(trace.steps) == len(want) * (place + 1)
+        assert all(g is w for g, w in zip(got, want))
+
+
+# A line on place 5 that differs from the writer's text: it reads as the
+# JSON checks read it, to the same steps or the same whole error text.
+_NEAR_MISSES = {
+    "t-05": (None, '{"action": "up", "agent": 2, "t": 05}',
+             "line 7: not valid JSON (Expecting ',' delimiter: line 1 column 36 (char 35))"),
+    "t-5.0": (None, '{"action": "up", "agent": 2, "t": 5.0}',
+              "line 7: step t=5.0 breaks the 0..n sequence"),
+    "t-15": (None, '{"action": "up", "agent": 2, "t": 15}',
+             "line 7: step t=15 breaks the 0..n sequence"),
+    "t-true": (None, '{"action": "up", "agent": 2, "t": true}',
+               "line 7: step t=True breaks the 0..n sequence"),
+    "trailing-space": (None, '{"action": "up", "agent": 2, "t": 5} ', ((2, A.UP),)),
+    "double-brace": (None, '{"action": "up", "agent": 2, "t": 5}}',
+                     "line 7: not valid JSON (Extra data: line 1 column 37 (char 36))"),
+    "compact": (None, '{"action":"up","agent":2,"t":5}', ((2, A.UP),)),
+    "key-order": (None, '{"t": 5, "agent": 2, "action": "up"}', ((2, A.UP),)),
+    "tick-05": (TICKS, '{"a1": "up", "a2": "left", "t": 05}',
+                "line 7: not valid JSON (Expecting ',' delimiter: line 1 column 34 (char 33))"),
+    "tick-compact": (TICKS, '{"a1":"up","a2":"left","t":5}', ((1, A.UP), (2, A.LEFT))),
+    "turn-in-ticks": (TICKS, '{"action": "up", "agent": 1, "t": 5}',
+                      "line 7: per-agent step in a simultaneous trace"),
+    "tick-in-turns": (None, '{"a1": "up", "a2": "left", "t": 5}',
+                      "line 7: unexpected step fields ['a1', 'a2', 't']"),
+}
+
+
+@pytest.mark.parametrize(
+    "serialize, line, want", list(_NEAR_MISSES.values()), ids=list(_NEAR_MISSES)
+)
+def test_a_near_miss_of_a_writer_line_reads_as_parsed(serialize, line, want):
+    if serialize:
+        header = header_line(serialize=serialize)
+        fill = [sim_line(t, "stay", "stay") for t in range(5)]
+    else:
+        header = header_line()
+        fill = [step_line(t, 2 - t % 2, "stay") for t in range(5)]
+    lines = [header] + fill + [line]
+    if isinstance(want, str):
+        with pytest.raises(SchemaViolation) as caught:
+            parse(lines)
+        assert str(caught.value) == want
+    else:
+        steps = parse(lines).steps
+        assert steps == parse(lines[:-1]).steps + want
 
 
 @pytest.mark.parametrize(
@@ -735,6 +849,24 @@ def test_report_json_round_trip(tmp_path, pr_report):
     path = tmp_path / "one.report.json"
     write_report(pr_report, "json", path)
     assert read_report(path) == pr_report
+
+
+def test_read_report_resolves_type_hints_once_per_record_class(
+    tmp_path, pr_report, monkeypatch
+):
+    resolved, hints = [], metrics.get_type_hints
+
+    def get_type_hints(cls):
+        resolved.append(cls)
+        return hints(cls)
+
+    monkeypatch.setattr(metrics, "get_type_hints", get_type_hints)
+    metrics._field_types.cache_clear()
+    paths = [tmp_path / f"{i}.report.json" for i in range(5)]
+    for path in paths:
+        write_report(pr_report, "json", path)
+    assert [read_report(path) for path in paths] == [pr_report] * 5
+    assert sorted(cls.__name__ for cls in resolved) == ["AgentReport", "TeamReport"]
 
 
 def test_report_json_rejects_garbage(tmp_path):
