@@ -240,8 +240,11 @@ def read_trace(source: Sink) -> ReplayableTrace:
     text = _read_text(source)
     # Lines end only at "\n", "\r\n" or "\r", as in a file read in text
     # mode; str.splitlines would also end one at characters, such as
-    # U+2028, that JSON allows raw inside a string.
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # U+2028, that JSON allows raw inside a string. The search for "\r\n"
+    # is slow, so a text without "\r" skips it.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     # Trailing blank lines are dropped, so a footer above them is still
     # found and checked; a blank line inside the body stays an error.
     while lines and not lines[-1].strip(" \t"):
@@ -277,14 +280,20 @@ def read_trace(source: Sink) -> ReplayableTrace:
 
     ticks = serialize == "agent1-first"
     table = _TICKS_BY_PREFIX if ticks else _TURNS_BY_PREFIX
+    body = lines[1:]
     steps = []
-    for i, line in enumerate(lines[1:]):
-        # A line that is the writer's own text for its place, a table
-        # prefix then `i}`, is accepted by one lookup and not parsed.
-        place = f"{i}}}"
-        if line.endswith(place) and (turns := table.get(line[: -len(place)])):
-            steps += turns
-            continue
+    # Each line that is the writer's own text for its place, a table prefix
+    # then `i}`, is accepted by one lookup and not parsed, up to the first
+    # line that is not. That line and every later one are parsed, so a log
+    # in another key order or spacing pays for one failed match, not one a line.
+    start = 0
+    for line in body:
+        place = f"{start}}}"
+        if not (line.endswith(place) and (turns := table.get(line[: -len(place)]))):
+            break
+        steps += turns
+        start += 1
+    for i, line in enumerate(body[start:], start):
         lineno = i + 2
         obj = _parse_json_line(line, lineno)
         # Any other well-formed line is accepted with one table lookup. The

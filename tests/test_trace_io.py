@@ -634,6 +634,59 @@ def test_a_near_miss_of_a_writer_line_reads_as_parsed(serialize, line, want):
     else:
         steps = parse(lines).steps
         assert steps == parse(lines[:-1]).steps + want
+        # A writer line after the near miss is parsed and reads the same.
+        if serialize:
+            after, turns = sim_line(6, "up", "stay"), ((1, A.UP), (2, A.STAY))
+        else:
+            after, turns = step_line(6, 1, "up"), ((1, A.UP),)
+        assert parse(lines + [after]).steps == steps + turns
+
+
+class _CountedTable(dict):
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("serialize", [None, TICKS])
+@pytest.mark.parametrize(
+    "form, lookups",
+    [
+        ("writer", 20),
+        ("compact", 1),
+        ("key-order", 0),
+        ("writer-then-compact", 11),
+    ],
+)
+def test_a_log_in_another_form_pays_one_failed_match(monkeypatch, serialize, form, lookups):
+    # The writer's lines take one lookup each, up to the first line that is
+    # not one; from there on every line is parsed and not looked up.
+    name = "_TICKS_BY_PREFIX" if serialize else "_TURNS_BY_PREFIX"
+    table = _CountedTable(getattr(trace_io, name))
+    monkeypatch.setattr(trace_io, name, table)
+    objs = [
+        tick_obj(t, "up", "stay") if serialize else turn_obj(t, 2 - t % 2, "up")
+        for t in range(20)
+    ]
+    dumps = {
+        "writer": lambda t, obj: json.dumps(obj, sort_keys=True),
+        "compact": lambda t, obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
+        "key-order": lambda t, obj: json.dumps(obj),
+        "writer-then-compact": lambda t, obj: json.dumps(
+            obj, sort_keys=True, separators=(", ", ": ") if t < 10 else (",", ":")
+        ),
+    }[form]
+    header = header_line(serialize=serialize) if serialize else header_line()
+    lines = [header] + [dumps(t, obj) for t, obj in enumerate(objs)]
+    steps = parse(lines).steps
+    assert table.gets == lookups
+    if serialize:
+        want = [single_action(1, A.UP), single_action(2, A.STAY)] * 20
+    else:
+        want = [single_action(2 - t % 2, A.UP) for t in range(20)]
+    assert len(steps) == len(want) and all(g is w for g, w in zip(steps, want))
 
 
 @pytest.mark.parametrize(
