@@ -17,11 +17,13 @@ through `single_action`; any other turn (agent True, 1.0 or 3, no
 The reader accepts a step line that is exactly the writer's text for its
 place, a table prefix then `t` and `}`, by one lookup and without a JSON
 parse; in an `agent1-first` trace the table holds the 36 tick prefixes,
-such as `{"a1": "up", "a2": "stay", "t": `. Any other line is parsed and
-checked, so both paths accept the same lines with the same turns, and a
-rejected line keeps its error text. Lines end only at LF, CRLF or CR, as
-in a file read in text mode, never at a character such as U+2028 that
-JSON allows raw inside a string.
+such as `{"a1": "up", "a2": "stay", "t": `. The first line that is not
+such a text, and every line after it, is parsed and checked. Both paths
+accept the same lines with the same turns, a rejected line keeps its
+error text, and a log in another key order or spacing pays for one failed
+match, not one a line. Lines end only at LF, CRLF or CR, as in a file
+read in text mode, never at a character such as U+2028 that JSON allows
+raw inside a string.
 
 Externally produced traces with simultaneous actions are accepted when the
 header carries `"serialize": "agent1-first"`; each tick is expanded into
