@@ -6,8 +6,9 @@ plating the soup and delivering it at a serving station. Counters hold at
 most one item and double as a passing surface between the agents.
 
 The simulator is strictly turn-based: one turn `(agent, action)` per
-timestep, round-robin from agent 1. All transitions are deterministic, so
-an episode is fully reproducible from (layout, config, turn sequence).
+timestep, round-robin from agent 1, so turn `t` is agent `1 + t % 2`'s.
+All transitions are deterministic, so an episode is fully reproducible
+from (layout, config, action sequence).
 
 The state and step records (players, pots, events, world states) are
 built by `record`: frozen, slotted dataclasses whose constructor sets each
@@ -295,9 +296,9 @@ class PotState:
     phase: PotPhase = PotPhase.FILLING
 
 
-# Each cook's six turns, agent 1's first: every (agent, action) maps to itself.
-COOK_TURNS = tuple({(i, a): (i, a) for a in PrimitiveAction} for i in (1, 2))
-_SINGLE_ACTIONS = {**COOK_TURNS[0], **COOK_TURNS[1]}
+# Each cook's six turns, agent 1's first, keyed by action: the turn
+# `(agent, action)` that `step` takes when that cook plays that action.
+COOK_TURNS = tuple({a: (i, a) for a in PrimitiveAction} for i in (1, 2))
 
 
 def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAction]:
@@ -307,22 +308,13 @@ def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAc
     PrimitiveAction.
     """
     try:
-        if type(agent) is int:  # True, 1.0 and 2.0 equal 1 and 2
-            return _SINGLE_ACTIONS[agent, action]
+        if type(agent) is int and agent in (1, 2):  # True, 1.0 and 2.0 equal 1 and 2
+            return COOK_TURNS[agent - 1][action]
     except (KeyError, TypeError):
         pass
     raise MalformedJointAction(
         f"no turn-taking action for agent {agent!r} taking {action!r}"
     )
-
-
-def unpack_turn(turn) -> tuple:
-    """`turn`'s agent and action; MalformedJointAction unless it has two items."""
-    try:
-        agent, action = turn
-    except (TypeError, ValueError):
-        raise MalformedJointAction(f"a turn is (agent, action), got {turn!r}") from None
-    return agent, action
 
 
 @record

@@ -36,7 +36,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .errors import ReplayMismatch
+from .errors import MalformedJointAction, ReplayMismatch
 from .grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
@@ -56,9 +56,7 @@ from .gridworld import (
     is_terminal,
     load_layout,
     record,
-    single_action,
     step,
-    unpack_turn,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -184,16 +182,16 @@ class InterdependencyLedger:
     def classifications(self) -> tuple:
         """One row per step, built on demand from the events and steps.
 
-        A step's subtask is its event's name; a turn without an event is a
-        move if its action is one, and a stay otherwise. Its roles are that
-        subtask's entry in `schema.roles`.
+        Step `t` is cook `1 + t % 2`'s. Its subtask is its event's name, or
+        else a move if its action is one and a stay otherwise. Its roles are
+        that subtask's entry in `schema.roles`.
         """
         by_t = {e.t: e.name for e in self.events}
         roles = self.schema.roles
         out = []
-        for t, (agent, action) in enumerate(self.steps):
+        for t, action in enumerate(self.steps):
             subtask = by_t.get(t) or (MOVE if action in MOVE_DIRECTION else NOOP)
-            out.append(ActionClassification(agent, t, subtask, *roles[subtask]))
+            out.append(ActionClassification(1 + t % 2, t, subtask, *roles[subtask]))
         return tuple(out)
 
     def to_dict(self) -> dict:
@@ -246,32 +244,25 @@ def _start(layout_text: str, config: EpisodeConfig) -> WorldState:
 def replay(trace: ReplayableTrace) -> list:
     """Step a trace through the simulator and return the record of its play.
 
-    Every step replays once from the embedded layout and config. Turn
-    order must be round-robin from agent 1, and no step may follow the
-    terminal state or horizon. The record is the one `run_episode` keeps:
-    (state, event) for each step with an event, in step order, where the
-    event is the one `step` reported and the state the one it stepped from.
+    Every step replays once from the embedded layout and config, as the
+    turn of agent `1 + t % 2`; a step that is not a PrimitiveAction raises
+    MalformedJointAction, and none may follow the terminal state or
+    horizon. The record is the one `run_episode` keeps: (state, event) for
+    each step with an event, in step order, where the event is the one
+    `step` reported and the state the one it stepped from.
     """
     state = _start(trace.layout_text, trace.config)
     played = []
-    for t, turn in enumerate(trace.steps):
-        # Each turn `read_trace` or `run_episode` makes passes with one lookup.
-        try:
-            shared = COOK_TURNS[t & 1][turn] is turn
-        except (KeyError, TypeError):
-            shared = False
-        if not shared:
-            agent, action = unpack_turn(turn)
-            expected = 1 + (t % 2)
-            if agent != expected:
-                raise ReplayMismatch(
-                    f"step {t}: agent {agent} acted, round-robin expects {expected}"
-                )
+    for t, action in enumerate(trace.steps):
         if is_terminal(state):
             raise ReplayMismatch(f"step {t}: trace continues past the terminal state")
-        successor, _, events = step(
-            state, turn if shared else single_action(agent, action)
-        )
+        try:
+            turn = COOK_TURNS[t & 1][action]
+        except (KeyError, TypeError):
+            raise MalformedJointAction(
+                f"step {t}: {action!r} is not a PrimitiveAction"
+            ) from None
+        successor, _, events = step(state, turn)
         if events:
             played.append((state, events[0]))
         state = successor

@@ -13,7 +13,6 @@ import statistics
 import sys
 from dataclasses import dataclass, fields
 from functools import cache
-from operator import itemgetter
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
 from .errors import ConfigMismatch, EmptyTrace
@@ -202,7 +201,7 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
             independent += not (trig or acc)
     turns = ledger.steps[agent - 1 :: 2]
     total = len(turns)
-    dist[MOVE] = sum(map(MOVE_DIRECTION.__contains__, map(itemgetter(1), turns)))
+    dist[MOVE] = sum(map(MOVE_DIRECTION.__contains__, turns))
     dist[NOOP] = total - sum(dist.values())
     independent += dist[MOVE] + dist[NOOP]
     coordination = total - independent

@@ -30,6 +30,7 @@ from typing import Optional
 
 from .errors import Unreachable
 from .gridworld import (
+    COOK_TURNS,
     MOVE_FOR_DIRECTION,
     EpisodeConfig,
     Item,
@@ -44,7 +45,6 @@ from .gridworld import (
     direction_toward,
     initial_state,
     is_terminal,
-    single_action,
     step,
 )
 from .trace_io import ReplayableTrace
@@ -598,6 +598,7 @@ def run_episode(
 ) -> ReplayableTrace:
     """Play one turn-taking episode to termination and return its trace.
 
+    Its steps are the actions the cooks decided, in turn order.
     The trace carries the record of its play (`ReplayableTrace.played`):
     for each step with an event, in step order, the state it was taken in
     and the event `step` reported. Moves and stays get no entry. It is the
@@ -614,9 +615,9 @@ def run_episode(
     played = []
     while not is_terminal(state):
         turn_of = state.t & 1
-        turn = single_action(turn_of + 1, decide[turn_of](state))
-        steps.append(turn)
-        successor, _, events = step(state, turn)
+        action = decide[turn_of](state)
+        steps.append(action)
+        successor, _, events = step(state, COOK_TURNS[turn_of][action])
         if events:
             played.append((state, events[0]))
         state = successor

@@ -7,19 +7,20 @@ World states are never stored; replaying the action sequence through the
 deterministic simulator reconstructs them, which keeps files small and
 makes the simulator the single source of transition truth.
 
-Each step line is its turn's fixed text, `{"action": "up", "agent": 1,
-"t": `, from a table with one entry per shared turn, then `t` and `}`.
-The writer accepts exactly the turns replay accepts: a shared turn that
-`single_action` returns, or an equal tuple or list, which it looks up
-through `single_action`; any other turn (agent True, 1.0 or 3, no
-`PrimitiveAction`, or not a pair) raises MalformedJointAction.
+Step `t` is the `PrimitiveAction` of agent `1 + t % 2`; the cook is not
+stored, since the step's place names it. Each step line is that cook's
+fixed text for the action, `{"action": "up", "agent": 1, "t": `, from a
+table keyed by action, then `t` and `}`. A step that is not a
+PrimitiveAction raises MalformedJointAction, as in replay, and a header
+the reader would reject raises SchemaViolation; nothing is written.
 
 The reader accepts a step line that is exactly the writer's text for its
 place, a table prefix then `t` and `}`, by one lookup and without a JSON
 parse; in an `agent1-first` trace the table holds the 36 tick prefixes,
 such as `{"a1": "up", "a2": "stay", "t": `. The first line that is not
-such a text, and every line after it, is parsed and checked. Both paths
-accept the same lines with the same turns, a rejected line keeps its
+such a text, and every line after it, is parsed and checked. A line whose
+`agent` is not its place's cook is rejected on either path. Both paths
+accept the same lines with the same actions, a rejected line keeps its
 error text, and a log in another key order or spacing pays for one failed
 match, not one a line. Lines end only at LF, CRLF or CR, as in a file
 read in text mode, never at a character such as U+2028 that JSON allows
@@ -51,31 +52,17 @@ from typing import Optional, Union
 from .errors import (
     ChecksumMismatch,
     IoFailure,
+    MalformedJointAction,
     SchemaViolation,
     VersionUnsupported,
 )
-from .gridworld import (
-    ALL_SUBTASKS,
-    EpisodeConfig,
-    PrimitiveAction,
-    single_action,
-    unpack_turn,
-)
+from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction
 from .metrics import AggregateSummary, TeamReport
 
 FORMAT_NAME = "interdep-trace"
 FORMAT_VERSION = 1
 
-_ACTION_NAMES = tuple(a.value for a in PrimitiveAction)
-# A step line's (agent, action name), and a tick's two action names,
-# mapped to the shared turns `single_action` returns.
-_TURN_BY_NAMES = {
-    (i, a.value): single_action(i, a) for i in (1, 2) for a in PrimitiveAction
-}
-_TICK_BY_NAMES = {
-    (a, b): (_TURN_BY_NAMES[1, a], _TURN_BY_NAMES[2, b])
-    for a in _ACTION_NAMES for b in _ACTION_NAMES
-}
+_ACTIONS = {a.value: a for a in PrimitiveAction}
 
 
 def _prefix(**step) -> str:
@@ -83,16 +70,19 @@ def _prefix(**step) -> str:
     return json.dumps(dict(step, t=0), sort_keys=True)[:-2]
 
 
-# Each shared turn's step line up to its `t` value, keyed by the turn's
-# identity, so a turn that only equals one (agent True) is not found.
-_STEP_PREFIX = {
-    id(turn): _prefix(action=name, agent=agent)
-    for (agent, name), turn in _TURN_BY_NAMES.items()
+# The writer's table: each cook's step line up to `t`, keyed by action,
+# agent 1's first.
+_STEP_PREFIX = tuple(
+    {a: _prefix(action=name, agent=i) for name, a in _ACTIONS.items()} for i in (1, 2)
+)
+# The reader's tables: a step line's text up to `t`, mapped to the actions
+# it reads as; a turn trace has one table per cook.
+_TURNS_BY_PREFIX = tuple({p: (a,) for a, p in cook.items()} for cook in _STEP_PREFIX)
+_TICKS_BY_PREFIX = {
+    _prefix(a1=n1, a2=n2): (a1, a2)
+    for n1, a1 in _ACTIONS.items()
+    for n2, a2 in _ACTIONS.items()
 }
-# The reader's tables: a step line's text up to `t`, mapped to the shared
-# turns the line reads as, in a turn trace and in an `agent1-first` trace.
-_TURNS_BY_PREFIX = {_STEP_PREFIX[id(turn)]: (turn,) for turn in _TURN_BY_NAMES.values()}
-_TICKS_BY_PREFIX = {_prefix(a1=a, a2=b): pair for (a, b), pair in _TICK_BY_NAMES.items()}
 
 Sink = Union[str, Path, io.TextIOBase]
 
@@ -115,7 +105,7 @@ class ReplayableTrace:
     config: EpisodeConfig
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
-    steps: tuple  # steps[t] is the (agent, PrimitiveAction) turn `step` takes
+    steps: tuple  # steps[t] is agent 1 + t % 2's PrimitiveAction
     played: Optional[list] = field(
         init=False, default=None, compare=False, repr=False
     )
@@ -155,13 +145,18 @@ def _read_text(source: Sink) -> str:
 
 
 def trace_to_text(trace: ReplayableTrace) -> str:
-    lines = [json.dumps(trace.header_dict(), sort_keys=True)]
-    for t, turn in enumerate(trace.steps):
-        prefix = _STEP_PREFIX.get(id(turn))
-        if prefix is None:
-            # An equal tuple or a list; any other turn raises.
-            prefix = _STEP_PREFIX[id(single_action(*unpack_turn(turn)))]
-        lines.append(f"{prefix}{t}}}")
+    if not isinstance(trace.config, EpisodeConfig):
+        raise SchemaViolation(f"config must be an EpisodeConfig, got {trace.config!r}")
+    header = trace.header_dict()
+    _parse_header(header)
+    lines = [json.dumps(header, sort_keys=True)]
+    for t, action in enumerate(trace.steps):
+        try:
+            lines.append(f"{_STEP_PREFIX[t & 1][action]}{t}}}")
+        except (KeyError, TypeError):
+            raise MalformedJointAction(
+                f"step {t}: {action!r} is not a PrimitiveAction"
+            ) from None
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + json.dumps({"sha256": digest}) + "\n"
@@ -281,7 +276,7 @@ def read_trace(source: Sink) -> ReplayableTrace:
     )
 
     ticks = serialize == "agent1-first"
-    table = _TICKS_BY_PREFIX if ticks else _TURNS_BY_PREFIX
+    tables = (_TICKS_BY_PREFIX,) * 2 if ticks else _TURNS_BY_PREFIX
     body = lines[1:]
     steps = []
     # Each line that is the writer's own text for its place, a table prefix
@@ -291,9 +286,10 @@ def read_trace(source: Sink) -> ReplayableTrace:
     start = 0
     for line in body:
         place = f"{start}}}"
-        if not (line.endswith(place) and (turns := table.get(line[: -len(place)]))):
+        table = tables[start & 1]
+        if not (line.endswith(place) and (actions := table.get(line[: -len(place)]))):
             break
-        steps += turns
+        steps += actions
         start += 1
     for i, line in enumerate(body[start:], start):
         lineno = i + 2
@@ -303,10 +299,10 @@ def read_trace(source: Sink) -> ReplayableTrace:
         try:
             if len(obj) == 3 and type(obj["t"]) is int and obj["t"] == i:
                 if ticks:
-                    steps += _TICK_BY_NAMES[obj["a1"], obj["a2"]]
+                    steps += (_ACTIONS[obj["a1"]], _ACTIONS[obj["a2"]])
                     continue
-                if type(obj["agent"]) is int:
-                    steps.append(_TURN_BY_NAMES[obj["agent"], obj["action"]])
+                if type(obj["agent"]) is int and obj["agent"] == 1 + i % 2:
+                    steps.append(_ACTIONS[obj["action"]])
                     continue
         except (KeyError, TypeError):
             pass
@@ -328,11 +324,16 @@ def read_trace(source: Sink) -> ReplayableTrace:
                 )
             if type(obj["agent"]) is not int or obj["agent"] not in (1, 2):
                 raise SchemaViolation(f"line {lineno}: bad agent {obj['agent']!r}")
+            if obj["agent"] != 1 + i % 2:
+                raise SchemaViolation(
+                    f"line {lineno}: agent {obj['agent']} acted, "
+                    f"round-robin expects {1 + i % 2}"
+                )
             names = (obj["action"],)
         else:
             raise SchemaViolation(f"line {lineno}: unexpected step fields {sorted(keys)}")
         # The line passed every check but its lookup, so a name is unknown.
-        name = next(n for n in names if not (isinstance(n, str) and n in _ACTION_NAMES))
+        name = next(n for n in names if not (isinstance(n, str) and n in _ACTIONS))
         raise SchemaViolation(f"line {lineno}: unknown action name {name!r}")
 
     return ReplayableTrace(

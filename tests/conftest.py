@@ -78,14 +78,15 @@ def mini_layout():
     return load_layout(MINI_LAYOUT)
 
 
-def external_trace(layout_text: str, config: EpisodeConfig, actions) -> ReplayableTrace:
-    """Wrap a round-robin (agent, action) script as a replayable trace."""
+def external_trace(layout_text: str, config: EpisodeConfig, script) -> ReplayableTrace:
+    """Wrap a round-robin (agent, action) script as a trace of its actions."""
+    assert [agent for agent, _ in script] == [1 + t % 2 for t in range(len(script))]
     return ReplayableTrace(
         layout_text=layout_text,
         config=config,
         policies="external",
         seed=None,
-        steps=tuple(actions),
+        steps=tuple(action for _, action in script),
     )
 
 
@@ -133,8 +134,8 @@ def play(layout, config, trace: ReplayableTrace):
     """
     state = initial_state(layout, config)
     visited = [(state, [])]
-    for turn in trace.steps:
-        state, _, events = step(state, turn)
+    for t, action in enumerate(trace.steps):
+        state, _, events = step(state, single_action(1 + t % 2, action))
         visited.append((state, events))
     return visited
 

@@ -127,8 +127,8 @@ def replay_symbolic(trace: ReplayableTrace):
     layout = load_layout(trace.layout_text)
     state = initial_state(layout, trace.config)
     actions = []
-    for agent, act in trace.steps:
-        sym, state = ground_step(state, act, agent)
+    for t, act in enumerate(trace.steps):
+        sym, state = ground_step(state, act, 1 + t % 2)
         actions.append(sym)
     return actions, state
 
@@ -227,8 +227,8 @@ def reference_record(trace):
     """(state, event) of each step with an event, by `reference_step`."""
     state = initial_state(load_layout(trace.layout_text), trace.config)
     record = []
-    for turn in trace.steps:
-        successor, _, events = reference_step(state, turn)
+    for t, action in enumerate(trace.steps):
+        successor, _, events = reference_step(state, (1 + t % 2, action))
         if events:
             record.append((state, events[0]))
         state = successor
@@ -359,9 +359,8 @@ def random_external_trace(
             act = PrimitiveAction.INTERACT
         else:
             act = rng.choice(moves)
-        turn = single_action(agent, act)
-        steps.append(turn)
-        state, _, _ = step(state, turn)
+        steps.append(act)
+        state, _, _ = step(state, single_action(agent, act))
     return ReplayableTrace(
         layout_text=layout_text,
         config=config,
@@ -374,9 +373,9 @@ def random_external_trace(
 def reference_trace_text(trace: ReplayableTrace) -> str:
     """The trace's text: header, one step object per line, sha256 footer."""
     lines = [json.dumps(trace.header_dict(), sort_keys=True)]
-    for t, (agent, action) in enumerate(trace.steps):
+    for t, action in enumerate(trace.steps):
         lines.append(
-            json.dumps({"action": action.value, "agent": agent, "t": t}, sort_keys=True)
+            json.dumps({"action": action.value, "agent": 1 + t % 2, "t": t}, sort_keys=True)
         )
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()

@@ -374,7 +374,8 @@ def test_warm_effects_table_changes_no_action(layout, config):
     events = 0
     for trace in traces:
         state = initial_state(load_layout(trace.layout_text), trace.config)
-        for agent, act in trace.steps:
+        for t, act in enumerate(trace.steps):
+            agent = 1 + t % 2
             successor, _, step_events = step(state, single_action(agent, act))
             if step_events:
                 subtask = step_events[0].name

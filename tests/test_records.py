@@ -50,8 +50,8 @@ def samples(layout, config):
     trace = policy_trace(layout, config, PASSER, RECEIVER, seed=1)
     found = {cls: [] for cls in RECORDS}
     state = initial_state(layout, config)
-    for agent, action in trace.steps:
-        state, _, events = step(state, (agent, action))
+    for t, action in enumerate(trace.steps):
+        state, _, events = step(state, (1 + t % 2, action))
         found[EnvEvent].extend(events)
         found[WorldState].append(state)
         found[PlayerState].extend(state.players)

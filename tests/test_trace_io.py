@@ -32,7 +32,7 @@ from interdep import (
     build_report,
     bundled_layout_text,
     load_layout,
-    single_action,
+    replay,
 )
 from interdep import metrics, trace_io
 from interdep.trace_io import (
@@ -169,9 +169,10 @@ def test_writer_matches_one_json_dumps_per_line(episode, team, seed, build):
         layout = MINI_LAYOUT if episode == "random-mini" else _COUNTER_CIRCUIT
         trace = random_external_trace(layout, config, seed, 120)
     if build != "shared":
+        # The same members, looked up by name into a new tuple or a list.
         make = tuple if build == "fresh-tuples" else list
-        steps = tuple(make([agent, action]) for agent, action in trace.steps)
-        assert not steps or steps[0] is not trace.steps[0]
+        steps = make(A(action.value) for action in trace.steps)
+        assert steps is not trace.steps
         trace = dataclasses.replace(trace, steps=steps)
     assert trace_to_text(trace) == reference_trace_text(trace)
 
@@ -200,12 +201,41 @@ def test_writer_matches_one_json_dumps_per_line(episode, team, seed, build):
     ],
 )
 def test_writer_rejects_a_turn_that_replay_rejects(small_trace, turn):
-    # Each agent here used to be written as a line that read_trace rejects,
-    # such as "agent": true; True, 1.0 and 2.0 equal a shared turn's agent.
-    # A turn that is not a pair used to raise a bare TypeError.
-    trace = dataclasses.replace(small_trace, steps=small_trace.steps + (turn,))
-    with pytest.raises(MalformedJointAction):
+    # A step is its cook's action, so a turn in the old (agent, action)
+    # shape, or anything else that is not a PrimitiveAction, is rejected
+    # by the writer and by replay alike.
+    trace = dataclasses.replace(small_trace, steps=small_trace.steps[:-1] + (turn,))
+    with pytest.raises(MalformedJointAction, match="^step 5: "):
         trace_to_text(trace)
+    with pytest.raises(MalformedJointAction, match="^step 5: "):
+        replay(trace)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("seed", True, "seed must be an integer or null"),
+        ("seed", 1.0, "seed must be an integer or null"),
+        ("policies", ("solo",), "policies must be two spec strings or 'external'"),
+        ("policies", "Xternal", "policies must be two spec strings or 'external'"),
+        ("policies", ("solo", 3), "policies must be two spec strings or 'external'"),
+        ("layout_text", None, "layout must be the grid text"),
+        ("config", None, "config must be an EpisodeConfig, got None"),
+        ("config", EpisodeConfig().to_dict(), "config must be an EpisodeConfig, got {"),
+    ],
+    ids=["seed-true", "seed-float", "one-policy", "Xternal", "policy-int", "no-layout",
+         "no-config", "config-dict"],
+)
+def test_writer_rejects_a_header_the_reader_rejects(tmp_path, small_trace, field, value, message):
+    # Each was written as a header read_trace rejects, or raised a bare
+    # AttributeError; now the writer checks the header as the reader does.
+    trace = dataclasses.replace(small_trace, **{field: value})
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}"):
+        trace_to_text(trace)
+    path = tmp_path / "bad.trace.jsonl"
+    with pytest.raises(SchemaViolation):
+        write_trace(trace, path)
+    assert not path.exists()
 
 
 # validation ----------------------------------------------------------------
@@ -315,7 +345,7 @@ def test_whitespace_around_a_step_line_is_allowed():
     trace = parse(
         [header_line(), " \t" + step_line(0, 1, "up") + "\t  ", step_line(1, 2, "stay")]
     )
-    assert trace.steps == ((1, A.UP), (2, A.STAY))
+    assert trace.steps == (A.UP, A.STAY)
 
 
 def test_empty_file_rejected():
@@ -342,7 +372,7 @@ def test_simultaneous_trace_expands_agent1_first():
         sim_line(1, "interact", "down"),
     ]
     trace = parse(lines)
-    assert trace.steps == ((1, A.LEFT), (2, A.LEFT), (1, A.INTERACT), (2, A.DOWN))
+    assert trace.steps == (A.LEFT, A.LEFT, A.INTERACT, A.DOWN)
 
 
 def test_simultaneous_expansion_matches_hand_serialization():
@@ -485,6 +515,37 @@ def test_every_step_line_rejection_keeps_its_text(serialize, objs, message):
     assert str(caught.value) == message
 
 
+_FORMS = {
+    "writer": lambda obj: json.dumps(obj, sort_keys=True),
+    "compact": lambda obj: json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    "key-order": lambda obj: json.dumps(obj),
+}
+
+
+@pytest.mark.parametrize("form", list(_FORMS))
+@pytest.mark.parametrize(
+    "agents, horizon, message",
+    [
+        ((1, 1), 1000, "line 3: agent 1 acted, round-robin expects 2"),
+        ((1, 2, 2), 2, "line 4: agent 2 acted, round-robin expects 1"),
+        ((1, 2, 1, 1), 2, "line 5: agent 1 acted, round-robin expects 2"),
+    ],
+    ids=["turn-order-violation", "out-of-turn-past-terminal", "terminal-then-out-of-turn"],
+)
+def test_reader_rejects_a_line_out_of_turn(form, agents, horizon, message):
+    # Step t is agent 1 + t % 2's, so a line naming the other cook is
+    # rejected as it is read, whether its text is the writer's, which
+    # misses the no-parse table, or is parsed. Reading comes before
+    # replay, so the out-of-turn line is named even when a step before
+    # it already ran past the horizon.
+    config = dict(EpisodeConfig().to_dict(), horizon=horizon)
+    lines = [header_line(config=config)]
+    lines += [_FORMS[form](turn_obj(t, agent, "stay")) for t, agent in enumerate(agents)]
+    with pytest.raises(SchemaViolation) as caught:
+        parse(lines)
+    assert str(caught.value) == message
+
+
 _NAMES = [a.value for a in A]
 _STEP_VALUES = (
     st.integers(-1, 3)
@@ -504,20 +565,20 @@ def _is_name(value):
     return isinstance(value, str) and value in _NAMES
 
 
-def _readme_turns(obj, i, serialize):
-    """The turns the README's rules read from the step object on line i + 2, or None."""
+def _readme_actions(obj, i, serialize):
+    """The actions the README's rules read from the step object on line i + 2, or None."""
     if type(obj.get("t")) is not int or obj["t"] != i:
         return None
     if serialize == TICKS:
         if set(obj) != {"t", "a1", "a2"} or not (_is_name(obj["a1"]) and _is_name(obj["a2"])):
             return None
-        return [(1, A(obj["a1"])), (2, A(obj["a2"]))]
+        return [A(obj["a1"]), A(obj["a2"])]
     agent, action = obj.get("agent"), obj.get("action")
     if set(obj) != {"t", "agent", "action"} or type(agent) is not int:
         return None
-    if agent not in (1, 2) or not _is_name(action):
+    if agent != 1 + i % 2 or not _is_name(action):
         return None
-    return [(agent, A(action))]
+    return [A(action)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,17 +601,17 @@ def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs, sort_keys
     objs = [dict(obj, t=i) if obj.get("t") == _PLACE else obj for i, obj in enumerate(objs)]
     expected, bad = [], None
     for i, obj in enumerate(objs):
-        turns = _readme_turns(obj, i, serialize)
-        if turns is None:
+        actions = _readme_actions(obj, i, serialize)
+        if actions is None:
             bad = i + 2
             break
-        expected += turns
+        expected += actions
     header = header_line(serialize=serialize) if serialize else header_line()
     lines = [header] + [json.dumps(obj, sort_keys=sort_keys) for obj in objs]
     if bad is None:
         trace = parse(lines)
         assert trace.steps == tuple(expected)
-        assert all(turn is single_action(*turn) for turn in trace.steps)
+        assert all(type(action) is A for action in trace.steps)
     else:
         with pytest.raises(SchemaViolation, match=f"^line {bad}: "):
             parse(lines)
@@ -559,8 +620,9 @@ def test_reader_accepts_exactly_the_readme_step_lines(serialize, objs, sort_keys
 @pytest.mark.parametrize("place", [0, 7, 1234])
 @pytest.mark.parametrize("serialize", [None, TICKS])
 def test_every_writer_line_reads_back_without_a_parse(monkeypatch, serialize, place):
-    # Each of the 12 turn lines, or the 36 tick lines, on line `place` + 2
-    # after `place` stay lines, reads as its shared turns by identity.
+    # Each of the 12 turn lines, at `place` or the next place its cook
+    # plays, or each of the 36 tick lines at `place`, after stay lines,
+    # reads as its actions by identity.
     parsed, parse_json = [], trace_io._parse_json_line
 
     def parse_json_line(line, lineno):
@@ -573,20 +635,21 @@ def test_every_writer_line_reads_back_without_a_parse(monkeypatch, serialize, pl
         fill = [tick_obj(t, "stay", "stay") for t in range(place)]
         header = header_line(serialize=serialize)
     else:
-        objs = [turn_obj(place, agent, name) for agent in (1, 2) for name in _NAMES]
-        fill = [turn_obj(t, 2 - t % 2, "stay") for t in range(place)]
+        objs = [
+            turn_obj(place + (agent - 1 - place) % 2, agent, name)
+            for agent in (1, 2)
+            for name in _NAMES
+        ]
+        fill = [turn_obj(t, 1 + t % 2, "stay") for t in range(place + 1)]
         header = header_line()
-    fill_lines = [header] + [json.dumps(obj, sort_keys=True) for obj in fill]
     for obj in objs:
         parsed.clear()
-        trace = parse(fill_lines + [json.dumps(obj, sort_keys=True)])
+        lines = [header] + [json.dumps(o, sort_keys=True) for o in fill[: obj["t"]]]
+        trace = parse(lines + [json.dumps(obj, sort_keys=True)])
         assert parsed == [1]
-        if serialize:
-            want = (single_action(1, A(obj["a1"])), single_action(2, A(obj["a2"])))
-        else:
-            want = (single_action(obj["agent"], A(obj["action"])),)
+        want = (A(obj["a1"]), A(obj["a2"])) if serialize else (A(obj["action"]),)
         got = trace.steps[-len(want):]
-        assert len(trace.steps) == len(want) * (place + 1)
+        assert len(trace.steps) == len(want) * (obj["t"] + 1)
         assert all(g is w for g, w in zip(got, want))
 
 
@@ -601,14 +664,14 @@ _NEAR_MISSES = {
              "line 7: step t=15 breaks the 0..n sequence"),
     "t-true": (None, '{"action": "up", "agent": 2, "t": true}',
                "line 7: step t=True breaks the 0..n sequence"),
-    "trailing-space": (None, '{"action": "up", "agent": 2, "t": 5} ', ((2, A.UP),)),
+    "trailing-space": (None, '{"action": "up", "agent": 2, "t": 5} ', (A.UP,)),
     "double-brace": (None, '{"action": "up", "agent": 2, "t": 5}}',
                      "line 7: not valid JSON (Extra data: line 1 column 37 (char 36))"),
-    "compact": (None, '{"action":"up","agent":2,"t":5}', ((2, A.UP),)),
-    "key-order": (None, '{"t": 5, "agent": 2, "action": "up"}', ((2, A.UP),)),
+    "compact": (None, '{"action":"up","agent":2,"t":5}', (A.UP,)),
+    "key-order": (None, '{"t": 5, "agent": 2, "action": "up"}', (A.UP,)),
     "tick-05": (TICKS, '{"a1": "up", "a2": "left", "t": 05}',
                 "line 7: not valid JSON (Expecting ',' delimiter: line 1 column 34 (char 33))"),
-    "tick-compact": (TICKS, '{"a1":"up","a2":"left","t":5}', ((1, A.UP), (2, A.LEFT))),
+    "tick-compact": (TICKS, '{"a1":"up","a2":"left","t":5}', (A.UP, A.LEFT)),
     "turn-in-ticks": (TICKS, '{"action": "up", "agent": 1, "t": 5}',
                       "line 7: per-agent step in a simultaneous trace"),
     "tick-in-turns": (None, '{"a1": "up", "a2": "left", "t": 5}',
@@ -625,7 +688,7 @@ def test_a_near_miss_of_a_writer_line_reads_as_parsed(serialize, line, want):
         fill = [sim_line(t, "stay", "stay") for t in range(5)]
     else:
         header = header_line()
-        fill = [step_line(t, 2 - t % 2, "stay") for t in range(5)]
+        fill = [step_line(t, 1 + t % 2, "stay") for t in range(5)]
     lines = [header] + fill + [line]
     if isinstance(want, str):
         with pytest.raises(SchemaViolation) as caught:
@@ -636,10 +699,10 @@ def test_a_near_miss_of_a_writer_line_reads_as_parsed(serialize, line, want):
         assert steps == parse(lines[:-1]).steps + want
         # A writer line after the near miss is parsed and reads the same.
         if serialize:
-            after, turns = sim_line(6, "up", "stay"), ((1, A.UP), (2, A.STAY))
+            after, actions = sim_line(6, "up", "stay"), (A.UP, A.STAY)
         else:
-            after, turns = step_line(6, 1, "up"), ((1, A.UP),)
-        assert parse(lines + [after]).steps == steps + turns
+            after, actions = step_line(6, 1, "up"), (A.UP,)
+        assert parse(lines + [after]).steps == steps + actions
 
 
 class _CountedTable(dict):
@@ -663,11 +726,14 @@ class _CountedTable(dict):
 def test_a_log_in_another_form_pays_one_failed_match(monkeypatch, serialize, form, lookups):
     # The writer's lines take one lookup each, up to the first line that is
     # not one; from there on every line is parsed and not looked up.
-    name = "_TICKS_BY_PREFIX" if serialize else "_TURNS_BY_PREFIX"
-    table = _CountedTable(getattr(trace_io, name))
-    monkeypatch.setattr(trace_io, name, table)
+    if serialize:
+        tables = (_CountedTable(trace_io._TICKS_BY_PREFIX),)
+        monkeypatch.setattr(trace_io, "_TICKS_BY_PREFIX", tables[0])
+    else:
+        tables = tuple(map(_CountedTable, trace_io._TURNS_BY_PREFIX))
+        monkeypatch.setattr(trace_io, "_TURNS_BY_PREFIX", tables)
     objs = [
-        tick_obj(t, "up", "stay") if serialize else turn_obj(t, 2 - t % 2, "up")
+        tick_obj(t, "up", "stay") if serialize else turn_obj(t, 1 + t % 2, "up")
         for t in range(20)
     ]
     dumps = {
@@ -681,11 +747,8 @@ def test_a_log_in_another_form_pays_one_failed_match(monkeypatch, serialize, for
     header = header_line(serialize=serialize) if serialize else header_line()
     lines = [header] + [dumps(t, obj) for t, obj in enumerate(objs)]
     steps = parse(lines).steps
-    assert table.gets == lookups
-    if serialize:
-        want = [single_action(1, A.UP), single_action(2, A.STAY)] * 20
-    else:
-        want = [single_action(2 - t % 2, A.UP) for t in range(20)]
+    assert sum(table.gets for table in tables) == lookups
+    want = [A.UP, A.STAY] * 20 if serialize else [A.UP] * 20
     assert len(steps) == len(want) and all(g is w for g, w in zip(steps, want))
 
 
