@@ -64,7 +64,6 @@ _EXPORTS = {
         "TeamReport",
         "aggregate",
         "build_report",
-        "contribution_ratio",
     ),
     "policies": (
         "PolicySpec",

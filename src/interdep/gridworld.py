@@ -319,12 +319,12 @@ def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAc
 
 @record
 class EnvEvent:
-    """What the acting cook's interact did in one step: its subtask and cell."""
+    """What one cook's interact did at step `t`: its subtask and the cell it faced."""
 
     t: int
     agent: int
     name: str
-    cell: Optional[Cell] = None
+    cell: Cell
 
 
 @record
@@ -531,9 +531,9 @@ def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Ti
     """Work out what interact does from (held item, faced tile, pot phase).
 
     `target` is the faced cell and `tile` its tile. Returns (subtask,
-    new_player, counters, pots, delivered_delta). The counters and pots are
-    the state's own unless the interact changed them. Incompatible
-    combinations are silent no-ops.
+    new_player, counters, pots). The counters and pots are the state's own
+    unless the interact changed them; a soup was served exactly when the
+    subtask is serve-soup. Incompatible combinations are silent no-ops.
     """
     layout = state.layout
     counters = state.counters
@@ -541,10 +541,10 @@ def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Ti
     held = me.held
 
     if tile is _ONION_DISPENSER and held is _NOTHING:
-        return PICKUP_ONION_DISPENSER, _holding(layout, me, _ONION), counters, pots, 0
+        return PICKUP_ONION_DISPENSER, _holding(layout, me, _ONION), counters, pots
 
     if tile is _DISH_DISPENSER and held is _NOTHING:
-        return PICKUP_DISH_DISPENSER, _holding(layout, me, _DISH), counters, pots, 0
+        return PICKUP_DISH_DISPENSER, _holding(layout, me, _DISH), counters, pots
 
     if tile is _COUNTER:
         on_counter = counters.get(target)
@@ -552,13 +552,13 @@ def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Ti
             new_counters = dict(counters)
             del new_counters[target]
             subtask = _PICKUP_FROM_COUNTER[on_counter]
-            return subtask, _holding(layout, me, on_counter), new_counters, pots, 0
+            return subtask, _holding(layout, me, on_counter), new_counters, pots
         if held is not _NOTHING and on_counter is None:
             new_counters = dict(counters)
             new_counters[target] = held
             subtask = _PLACE_ON_COUNTER[held]
-            return subtask, _holding(layout, me, _NOTHING), new_counters, pots, 0
-        return NOOP, me, counters, pots, 0
+            return subtask, _holding(layout, me, _NOTHING), new_counters, pots
+        return NOOP, me, counters, pots
 
     if tile is _POT:
         idx = state.pot_index_at(target)
@@ -573,17 +573,17 @@ def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Ti
             new_pot = _shared(layout, (PotState, target, count, timer, phase))
             new_pots = pots[:idx] + (new_pot,) + pots[idx + 1 :]
             new_me = _holding(layout, me, _NOTHING)
-            return PLACE_ONION_POT, new_me, counters, new_pots, 0
+            return PLACE_ONION_POT, new_me, counters, new_pots
         if held is _DISH and pot.phase is _READY:
             emptied = _shared(layout, (PotState, target, 0, 0, _FILLING))
             new_pots = pots[:idx] + (emptied,) + pots[idx + 1 :]
-            return GET_SOUP_POT, _holding(layout, me, _SOUP), counters, new_pots, 0
-        return NOOP, me, counters, pots, 0
+            return GET_SOUP_POT, _holding(layout, me, _SOUP), counters, new_pots
+        return NOOP, me, counters, pots
 
     if tile is _SERVING_STATION and held is _SOUP:
-        return SERVE_SOUP, _holding(layout, me, _NOTHING), counters, pots, 1
+        return SERVE_SOUP, _holding(layout, me, _NOTHING), counters, pots
 
-    return NOOP, me, counters, pots, 0
+    return NOOP, me, counters, pots
 
 
 def _tick_pots(state: WorldState, pots: tuple[PotState, ...]) -> tuple[PotState, ...]:
@@ -650,15 +650,13 @@ def step(
         faced = layout.faced[me.orientation][me.position]
         if faced is not None:
             target, tile = faced
-            subtask, me, counters, pots, d_delivered = _resolve_interact(
-                state, me, target, tile
-            )
+            subtask, me, counters, pots = _resolve_interact(state, me, target, tile)
             if subtask != NOOP:
                 players = (me, players[1]) if agent == 1 else (players[0], me)
                 events.append(EnvEvent(state.t, agent, subtask, target))
-            delivered += d_delivered
-            if d_delivered:
-                reward = state.config.reward_per_soup * d_delivered
+            if subtask == SERVE_SOUP:
+                delivered += 1
+                reward = state.config.reward_per_soup
     # STAY changes nothing.
 
     # Most turns no pot cooks, and then the pots pass through untouched.

@@ -8,9 +8,11 @@ action with a precondition set, an add set and a delete set over those
 propositions, so the simulator alone decides what an action did. A move or
 a stay has no event and grounds to nothing.
 
-Propositions split into shared fluents, observable surfaces both cooks act
-through (counters, pots), and private fluents (held items, the delivery
-tally) that can never link one cook's action to the other's.
+The vocabulary follows from the EFFECTS table below: each predicate's
+argument types are read off its terms, and every predicate but
+PRIVATE_PREDICATES (held items, the delivery tally) is a shared fluent, an
+observable surface both cooks act through (counters, pots). A private
+fluent can never link one cook's action to the other's.
 
 Each subtask's effects are written once, in the EFFECTS table, as
 propositions whose arguments name roles (the acting cook, the faced cell,
@@ -45,31 +47,7 @@ from .gridworld import (
     WorldState,
 )
 
-SHARED_PREDICATES = frozenset(
-    {
-        "onion-on-counter",
-        "dish-on-counter",
-        "soup-on-counter",
-        "counter-empty",
-        "pot-contains",
-        "soup-cooking",
-        "soup-ready",
-    }
-)
 PRIVATE_PREDICATES = frozenset({"holding", "soups-delivered"})
-
-# Argument signature per predicate, as python types in order.
-PREDICATE_SIGNATURES: dict[str, tuple[type, ...]] = {
-    "onion-on-counter": (int, int),
-    "dish-on-counter": (int, int),
-    "soup-on-counter": (int, int),
-    "counter-empty": (int, int),
-    "pot-contains": (int, int),
-    "soup-cooking": (int,),
-    "soup-ready": (int,),
-    "holding": (int, str),
-    "soups-delivered": (int,),
-}
 
 _ITEM_NAMES = frozenset(item.value for item in Item)
 
@@ -166,6 +144,21 @@ def _terms(text: str):
     for term in text.split():
         predicate, _, args = term.lstrip("?").rstrip(")").partition("(")
         yield term.startswith("?"), predicate, args.split(",")
+
+
+def _signatures(effects: dict) -> dict[str, tuple[type, ...]]:
+    """Each predicate's argument types; TypeError if it is written with two."""
+    signatures: dict = {}
+    for sets in effects.values():
+        for _, predicate, args in _terms(" ".join(sets)):
+            sig = tuple(str if a in _ITEM_NAMES else int for a in args)
+            if signatures.setdefault(predicate, sig) != sig:
+                raise TypeError(f"predicate {predicate!r} has two signatures")
+    return signatures
+
+
+PREDICATE_SIGNATURES = _signatures(EFFECTS)
+SHARED_PREDICATES = frozenset(PREDICATE_SIGNATURES) - PRIVATE_PREDICATES
 
 
 @functools.cache

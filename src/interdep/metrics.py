@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
@@ -55,8 +55,12 @@ class _Serializable:
 
 
 def _from_fields(cls, d: dict, **converted):
-    """Rebuild a record from its `to_dict` form; `converted` replaces fields."""
-    return cls(**{f.name: d[f.name] for f in fields(cls)} | converted)
+    """Rebuild a record from exactly its `to_dict` keys; `converted` replaces fields."""
+    names = cls.__dataclass_fields__
+    unknown = [k for k in d if k not in names]
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
+    return cls(**{n: d[n] for n in names} | converted)
 
 
 @cache
@@ -171,18 +175,12 @@ def _denominator(agents: tuple, mode: str) -> int:
     return den
 
 
-def contribution_ratio(
-    ledger: InterdependencyLedger, agent: int
-) -> tuple[Optional[float], int, int]:
-    """(giver/receiver ratio or None, giver count, receiver count)."""
-    g = sum(1 for p in ledger.pairs if p.giver.agent == agent)
-    r = sum(1 for p in ledger.pairs if p.receiver.agent == agent)
-    return _ratio(g, r), g, r
-
-
-def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
+def _agent_report(
+    ledger: InterdependencyLedger, agent: int, gives: int, takes: int
+) -> AgentReport:
     """Every per-agent count and rate, from the agent's events and turns.
 
+    `gives` and `takes` count the pairs the agent is giver and receiver of.
     The agent's turns are every other step, round-robin from agent 1; one
     without an event was a move or a stay, counted from the trace's steps.
     A trigger counts as accepted when it was matched as giver in some pair,
@@ -205,7 +203,6 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
     dist[NOOP] = total - sum(dist.values())
     independent += dist[MOVE] + dist[NOOP]
     coordination = total - independent
-    ratio, g, r = contribution_ratio(ledger, agent)
     unaccepted = len(ledger.unaccepted_triggers.get(agent, ()))
     return AgentReport(
         agent=agent,
@@ -216,9 +213,9 @@ def _agent_report(ledger: InterdependencyLedger, agent: int) -> AgentReport:
         triggers=triggers,
         accepts=accepts,
         trigger_accept_overlap=overlap,
-        giver_count=g,
-        receiver_count=r,
-        contribution_ratio=ratio,
+        giver_count=gives,
+        receiver_count=takes,
+        contribution_ratio=_ratio(gives, takes),
         trigger_share_of_coordination=_ratio(triggers, coordination),
         trigger_acceptance_rate=_ratio(triggers - unaccepted, triggers),
         self_accept_count=sum(s.receiver.agent == agent for s in ledger.self_accepts),
@@ -238,11 +235,13 @@ def build_report(
     side) over the actions `mode` counts: those that resolved to an
     interact subtask, or with all-actions also movement and no-ops.
     """
-    agents = (_agent_report(ledger, 1), _agent_report(ledger, 2))
-    den = _denominator(agents, mode)
-    by_predicate: dict = {}
+    gives, takes, by_predicate = [0, 0, 0], [0, 0, 0], {}
     for p in ledger.pairs:
+        gives[p.giver.agent] += 1
+        takes[p.receiver.agent] += 1
         by_predicate[p.prop.predicate] = by_predicate.get(p.prop.predicate, 0) + 1
+    agents = tuple(_agent_report(ledger, i, gives[i], takes[i]) for i in (1, 2))
+    den = _denominator(agents, mode)
 
     return TeamReport(
         label=label,

@@ -541,11 +541,8 @@ class ReceiverChefPolicy(Policy):
             ds = [dist[a] for a in pot_approaches if a in dist]
             if ds:
                 keys.append((min(ds), cell))
-        if not keys:
-            raise Unreachable(
-                f"agent {self.agent}: pot {self.pot_cell} unreachable from "
-                f"counter {self.counter_cell}"
-            )
+        # Never empty: the counter and the pot each have an approach reachable
+        # from spawn, and floor moves are symmetric, so one of these reaches the pot.
         return min(keys)[1]
 
     def _stand_at_park(self, me: PlayerState, partner: PlayerState) -> PrimitiveAction:

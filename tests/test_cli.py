@@ -270,6 +270,8 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         lambda d: d.update(percent_interdependent=-3.5),
         lambda d: d["agents"][1].update(trigger_acceptance_rate=42.0),
         lambda d: d["agents"][0]["event_distribution"].update(move=-1),
+        lambda d: d.update(percent_interdependant=9.0),
+        lambda d: d["agents"][0].update(bogus=[1]),
     ],
     ids=[
         "one-agent",
@@ -280,6 +282,8 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         "negative-percent",
         "rate-above-1",
         "negative-tally",
+        "unknown-team-field",
+        "unknown-agent-field",
     ],
 )
 def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):

@@ -43,12 +43,14 @@ from interdep.gridworld import (
     PotState,
 )
 from interdep.grounding import (
+    EFFECTS,
     PREDICATE_SIGNATURES,
     PRIVATE_PREDICATES,
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
     Proposition,
     _effects,
+    _signatures,
     ground,
     vocabulary_dump,
 )
@@ -113,6 +115,25 @@ def test_shared_versus_private():
     assert not prop("soups-delivered", 0).shared
     assert SHARED_PREDICATES.isdisjoint(PRIVATE_PREDICATES)
     assert set(PREDICATE_SIGNATURES) == SHARED_PREDICATES | PRIVATE_PREDICATES
+
+
+@pytest.mark.parametrize(
+    "subtask, written, rewritten",
+    [
+        (GET_SOUP_POT, "pot-contains(p,0)", "pot-contains(p)"),
+        (SERVE_SOUP, "holding(i,soup)", "holding(i,n)"),
+    ],
+    ids=["pot-contains-one-argument", "holding-an-int"],
+)
+def test_a_predicate_written_with_two_signatures_stops_the_vocabulary(
+    subtask, written, rewritten
+):
+    assert _signatures(EFFECTS) == PREDICATE_SIGNATURES
+    sets = tuple(text.replace(written, rewritten) for text in EFFECTS[subtask])
+    assert sets != EFFECTS[subtask]
+    predicate = written.partition("(")[0]
+    with pytest.raises(TypeError, match=f"^predicate '{predicate}' has two signatures$"):
+        _signatures({**EFFECTS, subtask: sets})
 
 
 def test_ground_initial_state(mini_state):
@@ -306,6 +327,13 @@ def test_ground_rejects_an_unknown_subtask(mini_state):
     event = EnvEvent(0, 1, "juggle-onions", facing_cell(mini_state.player(1)))
     with pytest.raises(ValueError, match="unknown subtask 'juggle-onions'"):
         ground(mini_state, event)
+
+
+def test_an_event_names_the_cell_it_faced():
+    # Without its cell an event used to ground into a bare TypeError from
+    # inside the grounding rule.
+    with pytest.raises(TypeError, match="cell"):
+        EnvEvent(0, 1, PICKUP_ONION_COUNTER)
 
 
 def test_vocabulary_dump_shape():

@@ -16,7 +16,6 @@ from interdep import (
     analyze_trace,
     build_interaction_schema,
     build_report,
-    contribution_ratio,
 )
 from interdep.gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS
 from oracle_utils import action_distribution_rings
@@ -86,12 +85,11 @@ def test_zero_denominator_raises_empty_trace():
 
 
 def test_contribution_ratio_undefined_not_zero(pass_ledger):
-    ratio, g, r = contribution_ratio(pass_ledger, 1)
-    assert (g, r) == (1, 0)
-    assert ratio is None
-    ratio, g, r = contribution_ratio(pass_ledger, 2)
-    assert (g, r) == (0, 1)
-    assert ratio == 0.0
+    giver, receiver = build_report(pass_ledger).agents
+    assert (giver.giver_count, giver.receiver_count) == (1, 0)
+    assert giver.contribution_ratio is None
+    assert (receiver.giver_count, receiver.receiver_count) == (0, 1)
+    assert receiver.contribution_ratio == 0.0
 
 
 def test_trigger_rates_bounds(pr_report):

@@ -147,17 +147,6 @@ def test_unreachable_station_detected():
         make_policy(parse_policy_spec("solo"), 1, layout, seed=1)
 
 
-def test_park_cell_needs_a_pot_reachable_from_the_counter():
-    # Construction checks the chosen pot (2, 0); the second pot (6, 1) is
-    # walled in, so no cell beside the counter reaches it.
-    layout = load_layout("XXPXXXX\nO1 2DXP\nXC SXXX\nXXXXXXX\n")
-    policy = make_policy(parse_policy_spec("receiver:counter=(1,2),pot=0"), 2, layout, 1)
-    policy.pot_cell = layout.pot_cells[1]
-    with pytest.raises(Unreachable) as caught:
-        policy._pick_park_cell()
-    assert str(caught.value) == "agent 2: pot (6, 1) unreachable from counter (1, 2)"
-
-
 # behavior -------------------------------------------------------------------
 
 

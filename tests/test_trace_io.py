@@ -985,6 +985,28 @@ def test_read_report_resolves_type_hints_once_per_record_class(
     assert sorted(cls.__name__ for cls in resolved) == ["AgentReport", "TeamReport"]
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            lambda d: d.update(percent_interdependant=9.0),
+            "TeamReport has no field 'percent_interdependant'",
+        ),
+        (lambda d: d["agents"][0].update(bogus=[1]), "AgentReport has no field 'bogus'"),
+    ],
+    ids=["team", "agent"],
+)
+def test_read_report_rejects_a_field_no_report_has(tmp_path, pr_report, extra, message):
+    # Both used to read back as the report without the extra key.
+    data = pr_report.to_dict()
+    extra(data)
+    path = tmp_path / "extra.report.json"
+    path.write_text(json.dumps(data))
+    expected = f"^bad report file {re.escape(str(path))}: {message}$"
+    with pytest.raises(SchemaViolation, match=expected):
+        read_report(path)
+
+
 def test_report_json_rejects_garbage(tmp_path):
     path = tmp_path / "bad.report.json"
     path.write_text('{"half": true}')
