@@ -1,7 +1,7 @@
 """Rebuild the pinned golden files under tests/golden/.
 
-These are four markdown reports, one CSV summary, two `analyze
---write-ledgers` ledgers, the `interdep schema` dump and the sha256 of
+These are four markdown reports, one CSV summary, a JSON report and a
+JSON summary, two `analyze --write-ledgers` ledgers, the `interdep schema` dump and the sha256 of
 scripted-navigation traces on two layouts. Run from the repository root after an intentional change
 to any of them:
 
@@ -33,6 +33,7 @@ from interdep.trace_io import (
     report_to_markdown,
     summary_to_markdown,
     trace_to_text,
+    write_report,
 )
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -127,6 +128,7 @@ def main() -> None:
 
     passing = episode_report(*PASSING_TEAM, seed=1)
     (GOLDEN_DIR / "report_passing.md").write_text(report_to_markdown(passing))
+    write_report(passing, "json", GOLDEN_DIR / "report_passing.json")
 
     solo = episode_report(*SOLO_TEAM, seed=1)
     (GOLDEN_DIR / "report_solo.md").write_text(report_to_markdown(solo))
@@ -139,6 +141,7 @@ def main() -> None:
     solo_summary = aggregate([episode_report(*SOLO_TEAM, seed=s) for s in (1, 2)])
     (GOLDEN_DIR / "summary_solo.md").write_text(summary_to_markdown(solo_summary))
     (GOLDEN_DIR / "summary_solo.csv").write_text(report_to_csv(solo_summary))
+    write_report(solo_summary, "json", GOLDEN_DIR / "summary_solo.json")
 
     nav = json.dumps(nav_traces(), indent=2) + "\n"
     (GOLDEN_DIR / "nav_traces.json").write_text(nav)
@@ -148,10 +151,12 @@ def main() -> None:
 
     for name in (
         "report_passing.md",
+        "report_passing.json",
         "report_solo.md",
         "summary_stochastic.md",
         "summary_solo.md",
         "summary_solo.csv",
+        "summary_solo.json",
         "nav_traces.json",
         *LEDGERS,
     ):

@@ -1026,6 +1026,16 @@ def test_markdown_report_matches_golden(pr_report):
     assert report_to_markdown(pr_report) == (GOLDEN / "report_passing.md").read_text()
 
 
+def _json_text(obj) -> str:
+    out = io.StringIO()
+    write_report(obj, "json", out)
+    return out.getvalue()
+
+
+def test_json_report_matches_golden(pr_report):
+    assert _json_text(pr_report) == (GOLDEN / "report_passing.json").read_text()
+
+
 def test_markdown_solo_report_matches_golden(layout, config):
     trace = policy_trace(layout, config, "solo", "idle", seed=1)
     report = build_report(analyze_trace(trace), label="counter_circuit_1")
@@ -1065,6 +1075,7 @@ def test_summary_with_undefined_means_matches_golden(layout, config):
     summary = aggregate(reports)
     assert summary_to_markdown(summary) == (GOLDEN / "summary_solo.md").read_text()
     assert report_to_csv(summary) == (GOLDEN / "summary_solo.csv").read_text()
+    assert _json_text(summary) == (GOLDEN / "summary_solo.json").read_text()
 
 
 def test_summary_csv_has_mean_row(pr_report):
