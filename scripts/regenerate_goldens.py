@@ -1,9 +1,10 @@
 """Rebuild the pinned golden files under tests/golden/.
 
 These are four markdown reports, one CSV summary, a JSON report and a
-JSON summary, two `analyze --write-ledgers` ledgers, the `interdep schema` dump and the sha256 of
-scripted-navigation traces on two layouts. Run from the repository root after an intentional change
-to any of them:
+JSON summary, two `analyze --write-ledgers` ledgers, the `interdep
+schema` dump and the sha256 of scripted-navigation traces on two
+layouts. Run from the repository root after an intentional change to
+any of them:
 
     python3 scripts/regenerate_goldens.py
 """

@@ -92,14 +92,16 @@ def main(argv=None) -> int:
         "--probs", type=float, nargs="+", default=[0.0, 0.25, 0.5, 0.75, 1.0]
     )
     parser.add_argument("--seeds", type=int, default=30, help="seeds 1..N per p")
-    parser.add_argument("--horizon", type=int, default=1000)
-    parser.add_argument("--target-soups", type=int, default=3)
+    parser.add_argument("--horizon", type=int)
+    parser.add_argument("--target-soups", type=int)
     parser.add_argument("--out", default="sweep", help="output directory")
     args = parser.parse_args(argv)
 
     text = Path(args.layout).read_text() if args.layout else bundled_layout_text()
     layout = load_layout(text)
-    config = EpisodeConfig(horizon=args.horizon, target_soups=args.target_soups)
+    # A config flag that was not given keeps EpisodeConfig's default.
+    given = {"horizon": args.horizon, "target_soups": args.target_soups}
+    config = EpisodeConfig(**{k: v for k, v in given.items() if v is not None})
     rows = run_sweep(layout, config, args.probs, range(1, args.seeds + 1))
 
     outdir = Path(args.out)

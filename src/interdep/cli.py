@@ -91,11 +91,11 @@ def cmd_simulate(args) -> int:
     layout = load_layout(text)
     spec1 = parse_policy_spec(args.p1)
     spec2 = parse_policy_spec(args.p2)
+    # Each config flag is named after an EpisodeConfig field; one that was
+    # not given keeps the field's default.
+    names = EpisodeConfig.__dataclass_fields__
     config = EpisodeConfig(
-        target_soups=args.target_soups,
-        horizon=args.horizon,
-        cook_time=args.cook_time,
-        reward_per_soup=args.reward_per_soup,
+        **{k: v for k, v in vars(args).items() if k in names and v is not None}
     )
     seeds = _parse_seeds(args.seeds)
     outdir = Path(args.out)
@@ -239,10 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p1", required=True, help="policy spec for agent 1")
     sim.add_argument("--p2", required=True, help="policy spec for agent 2")
     sim.add_argument("--seeds", default="1", help="seed N or inclusive range A..B")
-    sim.add_argument("--target-soups", type=int, default=3)
-    sim.add_argument("--horizon", type=int, default=1000)
-    sim.add_argument("--cook-time", type=int, default=20)
-    sim.add_argument("--reward-per-soup", type=int, default=20)
+    for flag in ("--target-soups", "--horizon", "--cook-time", "--reward-per-soup"):
+        sim.add_argument(flag, type=int)
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--jobs", type=int, default=min(8, os.cpu_count() or 1))
     sim.set_defaults(func=cmd_simulate)

@@ -271,7 +271,9 @@ class EpisodeConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeConfig":
-        """The config `to_dict` wrote: every field, and no other key."""
+        """The config `to_dict` wrote: a JSON object of every field and no other key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         names = cls.__dataclass_fields__
         wrong = [f"missing {n!r}" for n in names if n not in d]
         wrong += [f"unknown {k!r}" for k in d if k not in names]
@@ -449,10 +451,7 @@ def _check_spawns(
         )
     # Both agents start facing north; distinctness is implied by one glyph
     # per grid cell.
-    return (
-        (spawn_cells["1"][0], Orientation.N),
-        (spawn_cells["2"][0], Orientation.N),
-    )
+    return tuple((spawn_cells[g][0], Orientation.N) for g in _SPAWN_GLYPHS)
 
 
 def _check_enclosure(layout: Layout) -> None:

@@ -5,6 +5,10 @@ surfaced as None (undefined) with the raw counts kept alongside, never as
 a 0 or infinity stand-in. The interdependence share counts pair
 participations (giver side plus receiver side) over a configurable action
 denominator.
+
+Each report field is declared once, in `TeamReport` or `AgentReport` in
+CSV column order; its declared type says how it renders (`REPORT_COLUMNS`)
+and whether `aggregate` averages it.
 """
 
 from __future__ import annotations
@@ -54,13 +58,16 @@ class _Serializable:
         return {n: _plain(getattr(self, n)) for n in self.__dataclass_fields__}
 
 
-def _from_fields(cls, d: dict, **converted):
-    """Rebuild a record from exactly its `to_dict` keys; `converted` replaces fields."""
+def _from_fields(cls, d: dict, **readers):
+    """A record from a JSON object of exactly its fields; `readers` rebuild some."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
     names = cls.__dataclass_fields__
     unknown = [k for k in d if k not in names]
     if unknown:
         raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
-    return cls(**{n: d[n] for n in names} | converted)
+    values = {n: d[n] for n in names}
+    return cls(**values | {n: read(values[n]) for n, read in readers.items()})
 
 
 @cache
@@ -98,25 +105,27 @@ class AgentReport(_Serializable):
     """One cook's tallies and rates for a single episode."""
 
     agent: int
-    total_actions: int
-    subtask_actions: int
-    independent: int
-    coordination: int
-    triggers: int
-    accepts: int
-    trigger_accept_overlap: int
     giver_count: int
     receiver_count: int
     contribution_ratio: Optional[float]
     trigger_share_of_coordination: Optional[float]
     trigger_acceptance_rate: Optional[float]
+    triggers: int
+    accepts: int
+    trigger_accept_overlap: int
+    independent: int
+    coordination: int
+    subtask_actions: int
+    total_actions: int
     self_accept_count: int
     unaccepted_triggers: int
     event_distribution: dict
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AgentReport":
-        return _from_fields(cls, d)
+
+def _agent_reports(value) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"agents must be a JSON list, got {value!r}")
+    return tuple(_from_fields(AgentReport, a) for a in value)
 
 
 @dataclass(frozen=True)
@@ -128,36 +137,61 @@ class TeamReport(_Serializable):
     timed_out: bool
     soups_delivered: int
     percent_interdependent: float
-    denominator_mode: str
-    denominator: int
     pair_count: int
-    pairs_by_predicate: dict
+    denominator: int
+    denominator_mode: str
     include_counter_empty: bool
+    pairs_by_predicate: dict
     config: EpisodeConfig
     agents: tuple
 
     def agent(self, agent_id: int) -> AgentReport:
         return self.agents[agent_id - 1]
 
+    def value(self, key: str):
+        """The field a `REPORT_COLUMNS` key names, e.g. "agent1.triggers"."""
+        agent, _, name = key.rpartition(".")
+        owner = self.agent(int(agent.removeprefix("agent"))) if agent else self
+        return getattr(owner, name)
+
     @classmethod
     def from_dict(cls, d: dict) -> "TeamReport":
         """Rebuild a report, rejecting what `aggregate` would misread.
 
-        The agents must be agent 1 then agent 2, and every field must have
-        its declared type (`_check_types`); ValueError otherwise.
+        Each record must be a JSON object, `agents` a list of agent 1 then
+        agent 2, every field of its declared type (`_check_types`) and the
+        denominator mode one of `DENOMINATOR_MODES`; ValueError otherwise.
         """
         report = _from_fields(
-            cls,
-            d,
-            config=EpisodeConfig.from_dict(d["config"]),
-            agents=tuple(AgentReport.from_dict(a) for a in d["agents"]),
+            cls, d, config=EpisodeConfig.from_dict, agents=_agent_reports
         )
         for record in (report, *report.agents):
             _check_types(record)
         ids = [a.agent for a in report.agents]
         if ids != [1, 2]:
             raise ValueError(f"agents must be agent 1 then agent 2, got {ids}")
+        if report.denominator_mode not in DENOMINATOR_MODES:
+            raise ValueError(f"unknown denominator mode {report.denominator_mode!r}")
         return report
+
+
+# How a scalar report field renders, by its declared type; no other field is a scalar.
+_KINDS = {
+    (int,): "count",
+    (float, type(None)): "rate",
+    (float,): "pct",
+    (bool,): "flag",
+    (str,): "text",
+}
+
+# (key, kind) of each scalar field but the label and agent ids, in CSV column
+# order: the team's, then each agent's keyed `agent1.<name>` (`TeamReport.value`).
+REPORT_COLUMNS = tuple(
+    (prefix + name, _KINDS[allowed])
+    for prefix, cls in (("", TeamReport), ("agent1.", AgentReport), ("agent2.", AgentReport))
+    for name, allowed in _field_types(cls)
+    if allowed in _KINDS and name not in ("label", "agent")
+)
 
 
 def _ratio(num: int, den: int) -> Optional[float]:
@@ -282,7 +316,7 @@ class AggregateSummary(_Serializable):
 
 
 def _summarize(values: list) -> FieldSummary:
-    present = [v for v in values if v is not None]
+    present = [float(v) for v in values if v is not None]
     excluded = len(values) - len(present)
     if not present:
         return FieldSummary(mean=None, stddev=None, n=0, excluded=excluded)
@@ -290,28 +324,6 @@ def _summarize(values: list) -> FieldSummary:
     stddev = statistics.stdev(present) if len(present) > 1 else 0.0
     return FieldSummary(mean=mean, stddev=stddev, n=len(present), excluded=excluded)
 
-
-AGGREGATE_TEAM_FIELDS = (
-    "episode_time",
-    "soups_delivered",
-    "percent_interdependent",
-    "pair_count",
-)
-AGGREGATE_AGENT_FIELDS = (
-    "giver_count",
-    "receiver_count",
-    "contribution_ratio",
-    "trigger_share_of_coordination",
-    "trigger_acceptance_rate",
-    "self_accept_count",
-    "unaccepted_triggers",
-    "triggers",
-    "accepts",
-    "independent",
-    "coordination",
-    "subtask_actions",
-    "total_actions",
-)
 
 
 def aggregate(reports: list) -> AggregateSummary:
@@ -335,16 +347,14 @@ def aggregate(reports: list) -> AggregateSummary:
                 f"than {head.label!r}"
             )
 
-    fields: dict = {}
-    for name in AGGREGATE_TEAM_FIELDS:
-        fields[name] = _summarize([float(getattr(r, name)) for r in reports])
-    for agent in (1, 2):
-        for name in AGGREGATE_AGENT_FIELDS:
-            values = []
-            for r in reports:
-                v = getattr(r.agent(agent), name)
-                values.append(float(v) if v is not None else None)
-            fields[f"agent{agent}.{name}"] = _summarize(values)
+    # Every count, rate and pct but the denominator and the trigger/accept
+    # overlap, which no summary has ever carried: summary bytes are pinned.
+    fields = {
+        key: _summarize([r.value(key) for r in reports])
+        for key, kind in REPORT_COLUMNS
+        if kind in ("count", "rate", "pct")
+        and not key.endswith(("denominator", "trigger_accept_overlap"))
+    }
 
     return AggregateSummary(
         n_reports=len(reports),

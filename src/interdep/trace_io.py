@@ -33,10 +33,12 @@ two turn-taking steps with agent 1 first.
 Reports (single-episode or aggregate) serialize to JSON, CSV (one episode
 per row plus a mean row for aggregates) and a markdown table pair: team
 performance (time, interdependence share, giver/receiver counts) and
-coordination rates (trigger share, trigger acceptance). Each CSV and
-markdown column is declared once, in a column table that names its
-field and how it renders; the header, every episode row and the mean row
-are all built from that table.
+coordination rates (trigger share, trigger acceptance). The CSV columns
+are the report records' scalar fields in declared order, each rendered
+by the kind its declared type gives (`metrics.REPORT_COLUMNS`); each
+markdown column is declared once, in a table that names its fields and
+how it renders. The header, every episode row and the mean row are all
+built from these tables.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction
-from .metrics import AggregateSummary, TeamReport
+from .metrics import REPORT_COLUMNS, AggregateSummary, TeamReport
 
 FORMAT_NAME = "interdep-trace"
 FORMAT_VERSION = 1
@@ -345,13 +347,6 @@ def read_trace(source: Sink) -> ReplayableTrace:
     )
 
 
-def _value(r: TeamReport, key: str):
-    """The value `aggregate` summarizes as `key`, e.g. "agent1.triggers"."""
-    agent, _, name = key.rpartition(".")
-    owner = r.agent(int(agent.removeprefix("agent"))) if agent else r
-    return getattr(owner, name)
-
-
 def _md_table(headers: list, rows: list) -> list:
     out = ["| " + " | ".join(headers) + " |"]
     out.append("| " + " | ".join("---" for _ in headers) + " |")
@@ -361,7 +356,7 @@ def _md_table(headers: list, rows: list) -> list:
 
 
 # The two column tables of every markdown report, after the Episode
-# column: (header, kind, `aggregate` field names). A count shows as is, a
+# column: (header, kind, `REPORT_COLUMNS` keys). A count shows as is, a
 # ratio with two decimals and a pct as a percentage; an undefined value
 # shows as "undef". A column of two fields shows them as "g/r" and their
 # means as "g / r".
@@ -407,7 +402,7 @@ def _md_column_tables(
         rows = [
             [r.label or "episode"]
             + [
-                "/".join(_md_cell(_value(r, k), kind) for k in keys)
+                "/".join(_md_cell(r.value(k), kind) for k in keys)
                 for _, kind, keys in columns
             ]
             for r in reports
@@ -476,46 +471,14 @@ def summary_to_markdown(summary: AggregateSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The CSV columns after the label: (`aggregate` field name, kind). A rate
-# has six decimals and is empty when undefined; a pct is a percentage with
-# two; a flag is 0 or 1. A mean row averages what `aggregate` summarizes
-# (a count with four decimals), repeats the settings every report shares,
-# and leaves the rest empty.
-_CSV_AGENT_FIELDS = (
-    ("giver_count", "count"),
-    ("receiver_count", "count"),
-    ("contribution_ratio", "rate"),
-    ("trigger_share_of_coordination", "rate"),
-    ("trigger_acceptance_rate", "rate"),
-    ("triggers", "count"),
-    ("accepts", "count"),
-    ("trigger_accept_overlap", "count"),
-    ("independent", "count"),
-    ("coordination", "count"),
-    ("subtask_actions", "count"),
-    ("total_actions", "count"),
-    ("self_accept_count", "count"),
-    ("unaccepted_triggers", "count"),
-)
-_CSV_FIELDS = (
-    ("episode_time", "count"),
-    ("timed_out", "flag"),
-    ("soups_delivered", "count"),
-    ("percent_interdependent", "pct"),
-    ("pair_count", "count"),
-    ("denominator", "count"),
-    ("denominator_mode", "text"),
-    ("include_counter_empty", "flag"),
-    *(
-        (f"agent{a}.{name}", kind)
-        for a in (1, 2)
-        for name, kind in _CSV_AGENT_FIELDS
-    ),
-)
-
+# The CSV columns after the label are `REPORT_COLUMNS`, each rendered by
+# its kind. A rate has six decimals and is empty when undefined; a pct is a
+# percentage with two; a flag is 0 or 1. A mean row averages what
+# `aggregate` summarizes (a count with four decimals), repeats the settings
+# every report shares, and leaves the rest empty.
 CSV_COLUMNS = (
     "label",
-    *(key.replace("agent", "ag").replace(".", "_") for key, _ in _CSV_FIELDS),
+    *(key.replace("agent", "ag").replace(".", "_") for key, _ in REPORT_COLUMNS),
 )
 
 
@@ -541,13 +504,11 @@ def _csv_mean(summary: AggregateSummary, key: str, kind: str) -> str:
 
 
 def _csv_row(r: TeamReport) -> list:
-    return [r.label] + [
-        _csv_cell(_value(r, key), kind) for key, kind in _CSV_FIELDS
-    ]
+    return [r.label] + [_csv_cell(r.value(key), kind) for key, kind in REPORT_COLUMNS]
 
 
 def _csv_mean_row(summary: AggregateSummary) -> list:
-    return ["mean"] + [_csv_mean(summary, key, kind) for key, kind in _CSV_FIELDS]
+    return ["mean"] + [_csv_mean(summary, key, kind) for key, kind in REPORT_COLUMNS]
 
 
 def report_to_csv(obj: Union[TeamReport, AggregateSummary]) -> str:

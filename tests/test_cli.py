@@ -10,7 +10,7 @@ import stat
 import pytest
 
 from conftest import PASSER, RECEIVER, stochastic
-from interdep import bundled_layout_text, load_layout
+from interdep import EpisodeConfig, bundled_layout_text, load_layout
 from interdep.cli import _atomic_write, main
 from interdep.trace_io import read_report, read_trace
 
@@ -123,6 +123,11 @@ def test_simulate_config_flags(layout_file, tmp_path):
     assert trace.config.target_soups == 1
     assert trace.config.horizon == 400
     assert trace.config.cook_time == 5
+
+
+def test_simulate_config_flag_not_given_keeps_the_config_default(layout_file, tmp_path):
+    (path,) = simulate(layout_file, tmp_path / "traces", extra=["--cook-time", "5"])
+    assert read_trace(path).config == EpisodeConfig(cook_time=5)
 
 
 # analyze ---------------------------------------------------------------------
@@ -272,6 +277,7 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         lambda d: d["agents"][0]["event_distribution"].update(move=-1),
         lambda d: d.update(percent_interdependant=9.0),
         lambda d: d["agents"][0].update(bogus=[1]),
+        lambda d: d.update(denominator_mode="bogus"),
     ],
     ids=[
         "one-agent",
@@ -284,6 +290,7 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         "negative-tally",
         "unknown-team-field",
         "unknown-agent-field",
+        "unknown-denominator-mode",
     ],
 )
 def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):

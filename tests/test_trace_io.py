@@ -277,6 +277,16 @@ def test_bad_header_config_value_rejected(cook_time):
         parse([header_line(config=config)])
 
 
+@pytest.mark.parametrize(
+    "config, shown", [("cfg", "'cfg'"), ([1], "[1]"), (5, "5")], ids=["string", "list", "int"]
+)
+def test_header_config_that_is_not_an_object_rejected(config, shown):
+    # These used to name characters or a Python type error.
+    message = f"bad config in header: config must be a JSON object, got {shown}"
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        parse([header_line(config=config)])
+
+
 def test_unsupported_version_rejected():
     with pytest.raises(VersionUnsupported):
         parse([header_line(version=99)])
@@ -1003,6 +1013,33 @@ def test_read_report_rejects_a_field_no_report_has(tmp_path, pr_report, extra, m
     path = tmp_path / "extra.report.json"
     path.write_text(json.dumps(data))
     expected = f"^bad report file {re.escape(str(path))}: {message}$"
+    with pytest.raises(SchemaViolation, match=expected):
+        read_report(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda d: [1, 2], "TeamReport must be a JSON object, got [1, 2]"),
+        (lambda d: {**d, "config": "cfg"}, "config must be a JSON object, got 'cfg'"),
+        (
+            lambda d: {**d, "agents": ["agent", d["agents"][1]]},
+            "AgentReport must be a JSON object, got 'agent'",
+        ),
+        (
+            lambda d: {**d, "agents": {"agent": 1}},
+            "agents must be a JSON list, got {'agent': 1}",
+        ),
+    ],
+    ids=["report-list", "config-string", "agent-string", "agents-object"],
+)
+def test_read_report_rejects_a_part_that_is_not_an_object(
+    tmp_path, pr_report, corrupt, message
+):
+    # These used to name characters or Python internals.
+    path = tmp_path / "bad.report.json"
+    path.write_text(json.dumps(corrupt(pr_report.to_dict())))
+    expected = f"^bad report file {re.escape(str(path))}: {re.escape(message)}$"
     with pytest.raises(SchemaViolation, match=expected):
         read_report(path)
 
