@@ -179,8 +179,8 @@ class Layout:
     """Static kitchen geometry parsed from an ASCII grid.
 
     `floor_neighbours` maps every in-grid cell to the floor cells next to
-    it, in N,S,E,W order. `load_layout` builds it once per layout, and it is
-    the one place that order lives: the policies' approach cells, route
+    it, in N,S,E,W order: `load_layout` builds it once per layout from the
+    `faced` cells whose tile is floor. The policies' approach cells, route
     search and blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
     built once, so no reader scans the grid. `faced` maps an
@@ -401,8 +401,17 @@ def load_layout(text: str) -> Layout:
     tile_cells = {
         tile: tuple((x, y) for x, y in cells if tiles[y][x] is tile) for tile in Tile
     }
-    floor = set(tile_cells[Tile.FLOOR])
-
+    faced = {
+        orient: {
+            (x, y): (
+                ((x + dx, y + dy), tiles[y + dy][x + dx])
+                if 0 <= x + dx < width and 0 <= y + dy < height
+                else None
+            )
+            for x, y in cells
+        }
+        for orient, (dx, dy) in DIR_VECTOR.items()
+    }
     layout = Layout(
         width=width,
         height=height,
@@ -410,25 +419,15 @@ def load_layout(text: str) -> Layout:
         spawns=_check_spawns(spawn_cells),
         text="\n".join(lines),
         floor_neighbours={
-            (x, y): tuple(
+            cell: tuple(
                 nb
-                for nb in ((x + dx, y + dy) for dx, dy in DIR_VECTOR.values())
-                if nb in floor
+                for nb, tile in filter(None, (f[cell] for f in faced.values()))
+                if tile is Tile.FLOOR
             )
-            for x, y in cells
+            for cell in cells
         },
         tile_cells=tile_cells,
-        faced={
-            orient: {
-                (x, y): (
-                    ((x + dx, y + dy), tiles[y + dy][x + dx])
-                    if 0 <= x + dx < width and 0 <= y + dy < height
-                    else None
-                )
-                for x, y in cells
-            }
-            for orient, (dx, dy) in DIR_VECTOR.items()
-        },
+        faced=faced,
     )
     _check_stations(layout)
     _check_enclosure(layout)

@@ -159,8 +159,9 @@ class TeamReport(_Serializable):
         """Rebuild a report, rejecting what `aggregate` would misread.
 
         Each record must be a JSON object, `agents` a list of agent 1 then
-        agent 2, every field of its declared type (`_check_types`) and the
-        denominator mode one of `DENOMINATOR_MODES`; ValueError otherwise.
+        agent 2, every field of its declared type (`_check_types`), the
+        denominator mode one of `DENOMINATOR_MODES` and the counts as
+        `build_report` derives them; ValueError otherwise.
         """
         report = _from_fields(
             cls, d, config=EpisodeConfig.from_dict, agents=_agent_reports
@@ -170,8 +171,16 @@ class TeamReport(_Serializable):
         ids = [a.agent for a in report.agents]
         if ids != [1, 2]:
             raise ValueError(f"agents must be agent 1 then agent 2, got {ids}")
-        if report.denominator_mode not in DENOMINATOR_MODES:
-            raise ValueError(f"unknown denominator mode {report.denominator_mode!r}")
+        mode, den, pairs = report.denominator_mode, report.denominator, report.pair_count
+        counted = _denominator(report.agents, mode)
+        if den == 0:
+            raise ValueError("denominator is zero")
+        if pairs != sum(report.pairs_by_predicate.values()):
+            raise ValueError(f"pair_count {pairs} is not the sum of pairs_by_predicate")
+        if den != counted:
+            raise ValueError(f"denominator {den} is not the agents' {mode} count")
+        if report.percent_interdependent != 2 * pairs / den:
+            raise ValueError("percent_interdependent is not 2 * pair_count / denominator")
         return report
 
 
@@ -199,14 +208,11 @@ def _ratio(num: int, den: int) -> Optional[float]:
 
 
 def _denominator(agents: tuple, mode: str) -> int:
-    """Both agents' actions counted in `mode`; EmptyTrace when there are none."""
+    """Both agents' actions counted in `mode`; ValueError for another mode."""
     if mode not in DENOMINATOR_MODES:
         raise ValueError(f"unknown denominator mode {mode!r}")
     key = "total_actions" if mode == "all-actions" else "subtask_actions"
-    den = sum(getattr(a, key) for a in agents)
-    if den == 0:
-        raise EmptyTrace(f"denominator is zero in mode {mode!r}")
-    return den
+    return sum(getattr(a, key) for a in agents)
 
 
 def _agent_report(
@@ -276,7 +282,8 @@ def build_report(
         by_predicate[p.prop.predicate] = by_predicate.get(p.prop.predicate, 0) + 1
     agents = tuple(_agent_report(ledger, i, gives[i], takes[i]) for i in (1, 2))
     den = _denominator(agents, mode)
-
+    if den == 0:
+        raise EmptyTrace(f"denominator is zero in mode {mode!r}")
     return TeamReport(
         label=label,
         episode_time=ledger.episode_time,

@@ -7,18 +7,20 @@ counter; ReceiverChef pots onions from that counter, then plates and
 serves; StochasticPasser is SoloChef with a seeded dial that routes each
 dispensed onion via the counter with probability p, turning cooperation up
 continuously; Idle never moves; RandomWalk samples uniform primitives.
+Each class names the spec parameters it reads in `params`, and `_PARAMS`
+is the one grammar that parses and writes them.
 
-Every scripted move comes from one breadth-first route search over the
-layout's floor-neighbour table (`Layout.floor_neighbours`, N,S,E,W order)
-with the partner's cell treated as a wall, so every policy is reproducible
-action for action from (layout, config, seed). The layout keeps the
-answer to each route question in its `routes` memo, keyed by everything
-the answer depends on, so a question is searched once per layout however
-many turns and episodes ask it again; a warm memo changes no move. The
-questions are a walk's first move, keyed `(own cell, partner cell, target
-cells)`, and the move that faces a station, keyed `(own cell, orientation,
-partner cell, station, wait)`. Each decision reads its own and its
-partner's player record from the state once and passes them down.
+Every scripted move comes from one breadth-first route search, `_search`,
+over the layout's floor-neighbour table (`Layout.floor_neighbours`, N,S,E,W
+order) with the partner's cell treated as a wall, so every policy is
+reproducible action for action from (layout, config, seed). The layout
+keeps the answer to each route question in its `routes` memo, keyed by
+everything the answer depends on, so a question is searched once per
+layout however many turns and episodes ask it again; a warm memo changes
+no move. The questions are a walk's first move, keyed `(own cell, partner
+cell, target cells)`, and the move that faces a station, keyed `(own cell,
+orientation, partner cell, station, wait)`. Each decision reads its own
+and its partner's player record from the state once and passes them down.
 """
 
 from __future__ import annotations
@@ -51,17 +53,6 @@ from .trace_io import ReplayableTrace
 
 Cell = tuple
 
-# The parameters each kind reads. Any other is rejected: it would change
-# nothing yet still be written into the trace header.
-POLICY_PARAMS = {
-    "solo": ("pot",),
-    "idle": (),
-    "random": (),
-    "passer": ("counter",),
-    "receiver": ("counter", "pot"),
-    "stochastic": ("p", "counter", "pot"),
-}
-
 _ALL_ACTIONS = tuple(PrimitiveAction)
 
 
@@ -74,9 +65,31 @@ _STAY, _INTERACT = PrimitiveAction.STAY, PrimitiveAction.INTERACT
 _ONION_DISPENSER = Tile.ONION_DISPENSER
 
 
+def _parse_cell(value: str) -> Cell:
+    """`(x,y)` with integer x and y; ValueError otherwise."""
+    if not (value.startswith("(") and value.endswith(")")):
+        raise ValueError(value)
+    x, y = value[1:-1].split(",")
+    return (int(x), int(y))
+
+
+# The spec grammar: each parameter's value parser, the name a bad value is
+# reported under, and its canonical writer.
+_PARAMS = {
+    "p": (float, "probability", repr),
+    "counter": (_parse_cell, "counter cell", lambda cell: f"({cell[0]},{cell[1]})"),
+    "pot": (int, "pot index", str),
+}
+
+
 @dataclass(frozen=True)
 class PolicySpec:
-    """Parseable description of a scripted agent."""
+    """Parseable description of a scripted agent.
+
+    A kind takes only the parameters its class reads: any other would change
+    nothing yet still be written into the trace header. Each value must read
+    back equal from its canonical text.
+    """
 
     kind: str
     p: Optional[float] = None
@@ -84,17 +97,24 @@ class PolicySpec:
     pot: Optional[int] = None
 
     def __post_init__(self) -> None:
-        allowed = POLICY_PARAMS.get(self.kind)
-        if allowed is None:
+        cls = _POLICY_CLASSES.get(self.kind)
+        if cls is None:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        for name in ("p", "counter", "pot"):
-            if getattr(self, name) is not None and name not in allowed:
-                raise ValueError(f"policy kind {self.kind!r} takes no {name} parameter")
         if self.kind == "stochastic":
             if self.p is None:
                 raise ValueError("stochastic policy requires p=<probability>")
             if not 0.0 <= self.p <= 1.0:
                 raise ValueError(f"p={self.p} outside [0,1]")
+        for name, (convert, what, write) in _PARAMS.items():
+            value = getattr(self, name)
+            if value is not None and name not in cls.params:
+                raise ValueError(f"policy kind {self.kind!r} takes no {name} parameter")
+            try:
+                back = value if value is None else convert(write(value))
+            except (TypeError, ValueError, IndexError):
+                back = None
+            if back != value:
+                raise ValueError(f"bad {what} {value!r}: its text does not read back")
 
 
 def parse_policy_spec(text: str) -> PolicySpec:
@@ -123,9 +143,9 @@ def parse_policy_spec(text: str) -> PolicySpec:
                 raise ValueError(f"bad policy parameter {part!r} in {text!r}")
             if key in params:
                 raise ValueError(f"repeated policy parameter {key!r} in {text!r}")
-            if key not in _PARAM_PARSERS:
+            if key not in _PARAMS:
                 raise ValueError(f"unknown policy parameter {key!r} in {text!r}")
-            convert, what = _PARAM_PARSERS[key]
+            convert, what, _ = _PARAMS[key]
             try:
                 params[key] = convert(value)
             except ValueError:
@@ -133,31 +153,13 @@ def parse_policy_spec(text: str) -> PolicySpec:
     return PolicySpec(kind=kind, **params)
 
 
-def _parse_cell(value: str) -> Cell:
-    """`(x,y)` with integer x and y; ValueError otherwise."""
-    if not (value.startswith("(") and value.endswith(")")):
-        raise ValueError(value)
-    x, y = value[1:-1].split(",")
-    return (int(x), int(y))
-
-
-# Each parameter's value parser and the name a bad value is reported under.
-_PARAM_PARSERS = {
-    "p": (float, "probability"),
-    "counter": (_parse_cell, "counter cell"),
-    "pot": (int, "pot index"),
-}
-
-
 def format_policy_spec(spec: PolicySpec) -> str:
     """Canonical string form; parse(format(s)) == s."""
     params = []
-    if spec.p is not None:
-        params.append(f"p={spec.p!r}")
-    if spec.counter is not None:
-        params.append(f"counter=({spec.counter[0]},{spec.counter[1]})")
-    if spec.pot is not None:
-        params.append(f"pot={spec.pot}")
+    for name, (_, _, write) in _PARAMS.items():
+        value = getattr(spec, name)
+        if value is not None:
+            params.append(f"{name}={write(value)}")
     return spec.kind + (":" + ",".join(params) if params else "")
 
 
@@ -166,14 +168,12 @@ def _search(
 ) -> tuple[dict, Optional[Cell]]:
     """Breadth-first search over floor cells, stopping at the first goal.
 
-    Returns the parent of every cell reached (None for `start`) and the goal
-    found, or None. Neighbours expand in the layout's N,S,E,W order so ties
-    resolve identically on every run; `blocked` cells (the partner) count
-    as walls.
+    Returns the parent of every cell reached (None for `start`) and the
+    first goal reached from `start`, or None. Neighbours expand in the
+    layout's N,S,E,W order so ties resolve identically on every run;
+    `blocked` cells (the partner) count as walls.
     """
     parent = {start: None}
-    if start in goals:
-        return parent, start
     neighbours = layout.floor_neighbours
     frontier = deque([start])
     while frontier:
@@ -186,21 +186,6 @@ def _search(
                 return parent, nxt
             frontier.append(nxt)
     return parent, None
-
-
-def bfs_path(
-    layout: Layout, start: Cell, goals: frozenset, blocked: frozenset
-) -> Optional[list]:
-    """Shortest floor path from start to any goal cell, or None."""
-    parent, cell = _search(layout, start, goals, blocked)
-    if cell is None:
-        return None
-    path = [cell]
-    while parent[cell] is not None:
-        cell = parent[cell]
-        path.append(cell)
-    path.reverse()
-    return path
 
 
 def bfs_distances(layout: Layout, start: Cell, blocked: frozenset) -> dict:
@@ -232,9 +217,11 @@ def _first_move(
     """
     blocked = frozenset((partner,))
     goals = frozenset(cells) - blocked
-    path = bfs_path(layout, here, goals, blocked) if goals else None
-    if path is not None:
-        return MOVE_FOR_DIRECTION[direction_toward(here, path[1])]
+    parent, cell = _search(layout, here, goals, blocked)
+    if cell is not None:
+        while parent[cell] != here:
+            cell = parent[cell]
+        return MOVE_FOR_DIRECTION[direction_toward(here, cell)]
     for nxt in layout.floor_neighbours[here]:
         if nxt not in blocked:
             return MOVE_FOR_DIRECTION[direction_toward(here, nxt)]
@@ -271,7 +258,8 @@ def _face_move(
 class Policy:
     """Per-episode stateful agent; next_action is called on its turns only."""
 
-    avoid_counter: Optional[Cell] = None  # a passing counter never parked on
+    params: tuple = ()  # the spec parameters the kind reads
+    counter_cell: Optional[Cell] = None  # a passing counter, never parked on
 
     def __init__(self, spec: PolicySpec, agent: int, layout: Layout, seed: int) -> None:
         self.spec = spec
@@ -309,11 +297,11 @@ class Policy:
     def _park_item(
         self, state: WorldState, me: PlayerState, partner: PlayerState
     ) -> PrimitiveAction:
-        """Put the held item on the nearest free counter, never `avoid_counter`."""
+        """Put the held item on the nearest free counter, never `counter_cell`."""
         free = [
             c
             for c in self.layout.counter_cells
-            if c not in state.counters and c != self.avoid_counter
+            if c not in state.counters and c != self.counter_cell
         ]
         target = self._nearest(me, partner, free)
         if target is None:
@@ -368,7 +356,7 @@ class Policy:
             f"agent {self.agent}: no reachable {what} from spawn {self._spawn()}"
         )
 
-    def _resolve_counter(self) -> Cell:
+    def _resolve_counter(self) -> None:
         cell = self.spec.counter
         if cell is None:
             for c in self.layout.counter_cells:
@@ -387,16 +375,19 @@ class Policy:
         if self.layout.tile_at(cell) is not Tile.COUNTER:
             raise ValueError(f"target cell {cell} is not a counter tile")
         self._require_reachable(cell, "counter")
-        return cell
+        self.counter_cell = cell
 
-    def _resolve_pot(self) -> Cell:
+    def _resolve_pot(self) -> None:
         idx = self.spec.pot if self.spec.pot is not None else 0
         pots = self.layout.pot_cells
         if not 0 <= idx < len(pots):
             raise ValueError(f"pot index {idx} out of range (layout has {len(pots)})")
-        cell = pots[idx]
-        self._require_reachable(cell, "pot")
-        return cell
+        self._require_reachable(pots[idx], "pot")
+        self.pot_cell, self.pot_index = pots[idx], idx
+
+    def _resolve_serving(self) -> None:
+        self.dish_cell = self._require_station(Tile.DISH_DISPENSER, "dish dispenser")
+        self.serve_cell = self._require_station(Tile.SERVING_STATION, "serving station")
 
 
 class IdlePolicy(Policy):
@@ -418,22 +409,22 @@ class SoloChefPolicy(Policy):
 
     Onions come from the nearest source (dispenser or any counter already
     holding one); a held item the pot can no longer take is parked on the
-    nearest free counter. `avoid_counter` (set by subclasses) keeps a
+    nearest free counter. `counter_cell` (set by subclasses) keeps a
     passing counter out of both source and parking decisions.
     """
 
+    params = ("pot",)
+
     def __init__(self, spec, agent, layout, seed) -> None:
         super().__init__(spec, agent, layout, seed)
-        self.pot_cell = self._resolve_pot()
-        self.pot_index = layout.pot_cells.index(self.pot_cell)
-        self.onion_cell = self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
-        self.dish_cell = self._require_station(Tile.DISH_DISPENSER, "dish dispenser")
-        self.serve_cell = self._require_station(Tile.SERVING_STATION, "serving station")
+        self._resolve_pot()
+        self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
+        self._resolve_serving()
 
     def _onion_sources(self, state: WorldState) -> list:
         sources = list(self.layout.tile_cells[_ONION_DISPENSER])
         for cell, item in state.counters.items():
-            if item is _ONION and cell != self.avoid_counter:
+            if item is _ONION and cell != self.counter_cell:
                 sources.append(cell)
         return sources
 
@@ -470,10 +461,11 @@ class StochasticPasserPolicy(SoloChefPolicy):
     like SoloChef, and p=1 always passes.
     """
 
+    params = ("p", "counter", "pot")
+
     def __init__(self, spec, agent, layout, seed) -> None:
         super().__init__(spec, agent, layout, seed)
-        self.counter_cell = self._resolve_counter()
-        self.avoid_counter = self.counter_cell
+        self._resolve_counter()
         self.rng = random.Random(f"{seed}/{agent}/stochastic-route")
         self._route: Optional[str] = None
 
@@ -501,9 +493,11 @@ class StochasticPasserPolicy(SoloChefPolicy):
 class PasserPolicy(Policy):
     """Shuttle onions from the dispenser to one counter, nothing else."""
 
+    params = ("counter",)
+
     def __init__(self, spec, agent, layout, seed) -> None:
         super().__init__(spec, agent, layout, seed)
-        self.counter_cell = self._resolve_counter()
+        self._resolve_counter()
         self.onion_cell = self._require_station(Tile.ONION_DISPENSER, "onion dispenser")
 
     def next_action(self, state: WorldState) -> PrimitiveAction:
@@ -523,14 +517,13 @@ class ReceiverChefPolicy(Policy):
     serving lane stays clear.
     """
 
+    params = ("counter", "pot")
+
     def __init__(self, spec, agent, layout, seed) -> None:
         super().__init__(spec, agent, layout, seed)
-        self.counter_cell = self._resolve_counter()
-        self.avoid_counter = self.counter_cell
-        self.pot_cell = self._resolve_pot()
-        self.pot_index = layout.pot_cells.index(self.pot_cell)
-        self.dish_cell = self._require_station(Tile.DISH_DISPENSER, "dish dispenser")
-        self.serve_cell = self._require_station(Tile.SERVING_STATION, "serving station")
+        self._resolve_counter()
+        self._resolve_pot()
+        self._resolve_serving()
         self.park_cell = self._pick_park_cell()
 
     def _pick_park_cell(self) -> Cell:

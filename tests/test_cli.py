@@ -278,6 +278,10 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         lambda d: d.update(percent_interdependant=9.0),
         lambda d: d["agents"][0].update(bogus=[1]),
         lambda d: d.update(denominator_mode="bogus"),
+        lambda d: d.update(denominator=0),
+        lambda d: d.update(pair_count=999),
+        lambda d: d.update(denominator=7),
+        lambda d: d.update(percent_interdependent=0.5),
     ],
     ids=[
         "one-agent",
@@ -291,6 +295,10 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         "unknown-team-field",
         "unknown-agent-field",
         "unknown-denominator-mode",
+        "zero-denominator",
+        "pair-count-not-the-predicate-sum",
+        "denominator-not-the-actions",
+        "share-not-pairs-over-denominator",
     ],
 )
 def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):

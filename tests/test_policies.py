@@ -4,10 +4,13 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BASELINE_TEAMS,
@@ -28,12 +31,12 @@ from interdep import (
 )
 from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
 from interdep.policies import (
-    POLICY_PARAMS,
+    _POLICY_CLASSES,
     PolicySpec,
     _face_move,
     _first_move,
+    _search,
     bfs_distances,
-    bfs_path,
     format_policy_spec,
     make_policy,
     parse_policy_spec,
@@ -66,8 +69,36 @@ def test_spec_round_trip(text):
     assert parse_policy_spec(format_policy_spec(spec)) == spec
 
 
+# Values of every type each parameter takes, over their whole range: a spec
+# need not name a cell or pot of any layout until a policy is built from it.
+SPEC_VALUES = {
+    "p": st.floats(0, 1) | st.sampled_from([0, 1]),
+    "counter": st.tuples(st.integers(), st.integers()),
+    "pot": st.integers(),
+}
+SPEC_SHAPES = [
+    (kind, names)
+    for kind, cls in _POLICY_CLASSES.items()
+    for n in range(len(cls.params) + 1)
+    for names in itertools.combinations(cls.params, n)
+    if kind != "stochastic" or "p" in names  # stochastic requires p
+]
+
+
+@pytest.mark.parametrize(
+    "kind,names", SPEC_SHAPES, ids=[":".join((k, *n)) for k, n in SPEC_SHAPES]
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_spec_round_trips(kind, names, data):
+    # Every kind with every subset of the parameters it reads.
+    values = {name: data.draw(SPEC_VALUES[name], label=name) for name in names}
+    spec = PolicySpec(kind, **values)
+    assert parse_policy_spec(format_policy_spec(spec)) == spec
+
+
 def test_spec_kinds_exposed():
-    assert set(POLICY_PARAMS) == {
+    assert set(_POLICY_CLASSES) == {
         "solo",
         "idle",
         "random",
@@ -113,24 +144,50 @@ def test_spec_validation_on_construction():
         PolicySpec(kind="stochastic", p=2.0)
     with pytest.raises(ValueError):
         PolicySpec(kind="solo", p=0.5)
+    # A value whose canonical text does not read back equal: the header
+    # would name another spec, or one `parse_policy_spec` rejects.
+    unreadable = [
+        ("stochastic", {"p": True}),
+        ("solo", {"pot": True}),
+        ("solo", {"pot": 1.0}),
+        ("passer", {"counter": [4, 2]}),
+        ("passer", {"counter": (4, 2, 1)}),
+        ("passer", {"counter": (True, 2)}),
+    ]
+    for kind, params in unreadable:
+        with pytest.raises(ValueError, match="does not read back"):
+            PolicySpec(kind, **params)
+    # An integer probability reads back as the equal float.
+    spec = PolicySpec("stochastic", p=1)
+    assert format_policy_spec(spec) == "stochastic:p=1"
+    assert parse_policy_spec("stochastic:p=1") == spec
 
 
 # pathfinding ----------------------------------------------------------------
 
 
 def test_bfs_prefers_deterministic_ties(layout):
-    path = bfs_path(layout, (1, 1), frozenset({(6, 3)}), frozenset())
-    assert path is not None
-    assert path[0] == (1, 1) and path[-1] == (6, 3)
-    again = bfs_path(layout, (1, 1), frozenset({(6, 3)}), frozenset())
-    assert path == again
+    # (6,3) is 7 steps from (1,1) along the top row and along the bottom
+    # one. N,S,E,W expansion takes the bottom route, so the walk goes south.
+    parent, cell = _search(layout, (1, 1), frozenset({(6, 3)}), frozenset())
+    route = [cell]
+    while parent[route[-1]] is not None:
+        route.append(parent[route[-1]])
+    bottom = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3)]
+    assert route[::-1] == bottom
+    assert _search(layout, (1, 1), frozenset({(6, 3)}), frozenset()) == (parent, cell)
+    # (0,0) is a wall: a partner there blocks nothing.
+    assert _first_move(layout, (1, 1), (0, 0), ((6, 3),)) is A.DOWN
 
 
 def test_bfs_respects_blocked_cells(layout):
-    free = bfs_path(layout, (1, 1), frozenset({(2, 1)}), frozenset())
-    assert free is not None and len(free) == 2
-    blocked = bfs_path(layout, (1, 1), frozenset({(2, 1)}), frozenset({(2, 1)}))
-    assert blocked is None
+    assert _search(layout, (1, 1), frozenset({(2, 1)}), frozenset())[1] == (2, 1)
+    assert _search(layout, (1, 1), frozenset({(2, 1)}), frozenset({(2, 1)}))[1] is None
+    # A partner on (2,1) sends the walk to (3,1) round the counters.
+    assert _first_move(layout, (1, 1), (0, 0), ((3, 1),)) is A.RIGHT
+    assert _first_move(layout, (1, 1), (2, 1), ((3, 1),)) is A.DOWN
+    # A partner on the only goal: step to the first open neighbour.
+    assert _first_move(layout, (1, 1), (2, 1), ((2, 1),)) is A.DOWN
 
 
 def test_bfs_distances_are_searched_once_per_layout(layout):

@@ -6,6 +6,7 @@ import pathlib
 import re
 
 import interdep
+from interdep.policies import _POLICY_CLASSES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -59,3 +60,16 @@ def test_readme_sweep_table_is_what_the_script_prints(tmp_path, capsys):
     for p, (percent, soups) in shown.items():
         percent_printed, _, soups_printed, _ = printed[p]
         assert (percent, soups) == (percent_printed, soups_printed), p
+
+
+def test_readme_lists_the_parameters_each_kind_reads():
+    # The README's sentence is the one hand-written copy of each class's
+    # `params`.
+    section = README.read_text(encoding="utf-8").split("\n## Scripted policies\n")[1]
+    listed = re.search(r"it reads \((.*?)\)", " ".join(section.split())).group(1)
+    shown = {}
+    for entry in listed.split("; "):
+        kinds, _, names = entry.partition(": ")
+        for kind in kinds.split(" and "):
+            shown[kind] = tuple(re.findall(r"`(\w+)`", names))
+    assert shown == {kind: cls.params for kind, cls in _POLICY_CLASSES.items()}

@@ -1044,6 +1044,36 @@ def test_read_report_rejects_a_part_that_is_not_an_object(
         read_report(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda d: d.update(denominator=0), "denominator is zero"),
+        (
+            lambda d: d.update(pair_count=999),
+            "pair_count 999 is not the sum of pairs_by_predicate",
+        ),
+        (
+            lambda d: d.update(denominator=7),
+            "denominator 7 is not the agents' subtask-actions count",
+        ),
+        (
+            lambda d: d.update(percent_interdependent=0.5),
+            "percent_interdependent is not 2 * pair_count / denominator",
+        ),
+    ],
+    ids=["zero-denominator", "pair-count", "denominator", "share"],
+)
+def test_read_report_rejects_counts_that_disagree(tmp_path, pr_report, corrupt, message):
+    # Each used to read back, and `aggregate` averaged it as sound.
+    data = pr_report.to_dict()
+    corrupt(data)
+    path = tmp_path / "bad.report.json"
+    path.write_text(json.dumps(data))
+    expected = f"^bad report file {re.escape(str(path))}: {re.escape(message)}$"
+    with pytest.raises(SchemaViolation, match=expected):
+        read_report(path)
+
+
 def test_report_json_rejects_garbage(tmp_path):
     path = tmp_path / "bad.report.json"
     path.write_text('{"half": true}')
