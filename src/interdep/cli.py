@@ -22,8 +22,10 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import InterdepError
-from .metrics import DENOMINATOR_MODES
 
+# `metrics.DENOMINATOR_MODES`, spelled out so that `schema`, which builds no
+# report, does not load `metrics`.
+DENOMINATOR_MODES = ("subtask-actions", "all-actions")
 TRACE_SUFFIX = ".trace.jsonl"
 REPORT_FORMATS = {"json": ".report.json", "csv": ".report.csv", "markdown": ".report.md"}
 

@@ -183,7 +183,9 @@ class Layout:
     `faced` cells whose tile is floor. The policies' approach cells, route
     search and blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
-    built once, so no reader scans the grid. `faced` maps an
+    built once, so no reader scans the grid, and `pot_index` maps each pot
+    cell to its index in `WorldState.pots`, so `step` and grounding find
+    the faced pot by one lookup. `faced` maps an
     orientation and an in-grid cell (`faced[orientation][cell]`) to the
     cell it faces and that cell's tile, or None when that cell is off the
     grid; `step` and grounding read it instead of doing the arithmetic.
@@ -219,6 +221,7 @@ class Layout:
     faced: dict[Orientation, dict[Cell, Optional[tuple[Cell, Tile]]]] = field(
         compare=False, repr=False
     )
+    pot_index: dict[Cell, int] = field(compare=False, repr=False)
     routes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -344,12 +347,6 @@ class WorldState:
     def player(self, agent: int) -> PlayerState:
         return self.players[agent - 1]
 
-    def pot_index_at(self, cell: Cell) -> Optional[int]:
-        for i, pot in enumerate(self.pots):
-            if pot.pot_cell == cell:
-                return i
-        return None
-
 
 _GLYPH_TO_TILE = {t.value: t for t in Tile}
 _SPAWN_GLYPHS = ("1", "2")
@@ -428,6 +425,7 @@ def load_layout(text: str) -> Layout:
         },
         tile_cells=tile_cells,
         faced=faced,
+        pot_index={cell: i for i, cell in enumerate(tile_cells[Tile.POT])},
     )
     _check_stations(layout)
     _check_enclosure(layout)
@@ -559,8 +557,7 @@ def _resolve_interact(state: WorldState, me: PlayerState, target: Cell, tile: Ti
         return NOOP, me, counters, pots
 
     if tile is _POT:
-        idx = state.pot_index_at(target)
-        assert idx is not None
+        idx = layout.pot_index[target]
         pot = pots[idx]
         if held is _ONION and pot.phase is _FILLING:
             count = pot.onion_count + 1

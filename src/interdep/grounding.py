@@ -18,10 +18,16 @@ Each subtask's effects are written once, in the EFFECTS table, as
 propositions whose arguments name roles (the acting cook, the faced cell,
 the faced pot and its fill, the delivered count) instead of values.
 Grounding an event takes the cook and the cell from the event and the rest
-from the state its step was taken in, and looks it up in one cached table
-(`_effects`) keyed by the subtask and those values, so each distinct event
-is grounded once, however many steps repeat it. Every event with that key
-shares the cached frozensets, which nothing mutates.
+from the state its step was taken in (the faced pot by the layout's
+`pot_index` table), and looks it up in one cached table (`_effects`) keyed
+by the subtask and those values, so each distinct event is grounded once,
+however many steps repeat it. Every event with that key shares the cached
+entry, a `Grounding`, which nothing mutates. Beside the pre, add and
+delete sets it holds the event's link view, what the pair matcher folds:
+the shared preconditions as (canonical text, proposition) and the
+canonical texts of the shared deletes and adds. A text names one fact,
+since each predicate has one signature, so the matcher can key its map by
+the text, whose hash a `str` caches, instead of hashing propositions.
 The table is bounded by faced cells x pot fill levels x soups target (for
 each subtask and cook); a whole sweep needs a few dozen entries.
 SUBTASK_TEMPLATES, which drives the interaction schema and the schema
@@ -45,6 +51,7 @@ from .gridworld import (
     EnvEvent,
     Item,
     WorldState,
+    record,
 )
 
 PRIVATE_PREDICATES = frozenset({"holding", "soups-delivered"})
@@ -161,11 +168,32 @@ PREDICATE_SIGNATURES = _signatures(EFFECTS)
 SHARED_PREDICATES = frozenset(PREDICATE_SIGNATURES) - PRIVATE_PREDICATES
 
 
+@record
+class Grounding:
+    """One event grounded: its (pre, add, del) sets and its link view.
+
+    `shared_pre` holds (canonical text, proposition) for each shared
+    precondition; `shared_del` and `shared_add` hold the canonical texts of
+    the shared deletes and adds. Each is sorted by text.
+    """
+
+    pre: frozenset
+    add: frozenset
+    delete: frozenset
+    shared_pre: tuple
+    shared_del: tuple
+    shared_add: tuple
+
+
+def _texts(props: frozenset) -> tuple:
+    return tuple(sorted(p.canonical() for p in props if p.shared))
+
+
 @functools.cache
 def _effects(
     subtask: str, agent: int, cell: tuple, pot: Optional[int], n: int, k: int, fills: bool
-) -> tuple[frozenset, frozenset, frozenset]:
-    """(pre, add, del) of one event, grounded from its key.
+) -> Grounding:
+    """One event grounded from its key: its sets and link view.
 
     The key is everything EFFECTS reads: the acting cook, the faced cell,
     the faced pot and its onion count, the soups delivered and whether the
@@ -177,7 +205,7 @@ def _effects(
         raise ValueError(f"unknown subtask {subtask!r}")
     roles = {"i": agent, "x": cell[0], "y": cell[1], "p": pot, "0": 0}
     roles.update({"n": n, "n+1": n + 1, "k": k, "k+1": k + 1})
-    return tuple(
+    pre, add, delete = (
         frozenset(
             Proposition(predicate, tuple(roles.get(a, a) for a in args))
             for conditional, predicate, args in _terms(text)
@@ -185,21 +213,33 @@ def _effects(
         )
         for text in sets
     )
+    shared_pre = sorted((p.canonical(), p) for p in pre if p.shared)
+    return Grounding(pre, add, delete, tuple(shared_pre), _texts(delete), _texts(add))
 
 
-def ground(state: WorldState, event: EnvEvent) -> tuple[frozenset, frozenset, frozenset]:
-    """(pre, add, del) of one event: the grounding rule.
+def ground_event(state: WorldState, event: EnvEvent) -> Grounding:
+    """The cached `Grounding` of one event: the grounding rule.
 
     The acting cook and the cell it faced are the event's own; the faced
     pot, its fill and the soups delivered are read from `state`, the state
-    the event's step was taken in. The sets are the subtask's minimal
-    effects, shared with every earlier event of the same key.
+    the event's step was taken in. The entry is shared with every earlier
+    event of the same key.
     """
     cell = event.cell
-    pot = state.pot_index_at(cell)
+    pot = state.layout.pot_index.get(cell)
     n = 0 if pot is None else state.pots[pot].onion_count
     fills = n + 1 == state.config.onions_per_soup
     return _effects(event.name, event.agent, cell, pot, n, state.soups_delivered, fills)
+
+
+def ground(state: WorldState, event: EnvEvent) -> tuple[frozenset, frozenset, frozenset]:
+    """(pre, add, del) of one event, read from its `ground_event` entry.
+
+    The sets are the subtask's minimal effects, shared with every event of
+    the same key.
+    """
+    grounded = ground_event(state, event)
+    return grounded.pre, grounded.add, grounded.delete
 
 
 # Predicate-level projection of EFFECTS, conditional adds included. It

@@ -18,10 +18,14 @@ names the cook, the time, the subtask and the cell. `run_episode` keeps
 it (`ReplayableTrace.played`). For a trace read from a file, or built or
 altered by hand, `replay` steps all of it through the simulator, which is
 the check that it is a real episode, and returns the same record. `match`
-grounds each event with `grounding.ground` and folds it into the ledger
-through a provenance map: every currently true shared proposition that
-some event added points at that event. A fact absent from the map holds
-since the initial state, or came from the environment, and links no one.
+grounds each event with `grounding.ground_event` and folds its link view
+into the ledger through a provenance map: the canonical text of every
+currently true shared proposition that some event added points at that
+event. The link view, the event's shared preconditions, deletes and adds
+by text, is compiled once per distinct event with its grounding and shared
+by every event of the same key, so the fold hashes cached strings and
+filters nothing per event. A fact absent from the map holds since the
+initial state, or came from the environment, and links no one.
 Acceptance reads the map, deletion clears it, addition overwrites it, so
 freshness is structural rather than re-checked. The ledger's events, the
 pairs' givers and receivers and the unaccepted triggers are the events of
@@ -41,7 +45,7 @@ from .grounding import (
     SHARED_PREDICATES,
     SUBTASK_TEMPLATES,
     Proposition,
-    ground,
+    ground_event,
 )
 from .gridworld import (
     COOK_TURNS,
@@ -136,7 +140,7 @@ class ActionClassification:
     is_accept: bool
 
 
-@dataclass(frozen=True)
+@record
 class InterdependentPair:
     """A giver's add effect consumed as the receiver's precondition.
 
@@ -278,13 +282,13 @@ def match(
 
     `played` is (state, event) for each step of `trace` with an event, as
     `run_episode` keeps it and `replay` returns it. Each event is grounded
-    in the state it was played from and takes its roles from
-    `schema.roles`, then each linkable precondition of an accept is looked
-    up in the provenance map. A fact an earlier event added makes one pair
-    of the two events, kept in `ledger.pairs` across cooks and in
-    `ledger.self_accepts` within one. Moves and stays link nothing and are
-    not folded. The episode time is the number of steps in `trace` and the
-    delivered soups are its serve-soup events.
+    in the state it was played from and takes its trigger role from
+    `schema.roles`, then each linkable shared precondition is looked up,
+    by its canonical text, in the provenance map. A fact an earlier event
+    added makes one pair of the two events, kept in `ledger.pairs` across
+    cooks and in `ledger.self_accepts` within one. Moves and stays link
+    nothing and are not folded. The episode time is the number of steps in
+    `trace` and the delivered soups are its serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
@@ -297,24 +301,18 @@ def match(
     soups = 0
 
     for state, event in played:
-        pre, add, delete = ground(state, event)
-        is_trigger, is_accept = roles[event.name]
-        if is_accept:
-            # Every template requires at most one shared predicate, so an
-            # accept links at most one fact and needs no sorted order.
-            for p in pre:
-                if p.predicate not in linkable:
-                    continue
-                src = provenance.get(p)
+        grounded = ground_event(state, event)
+        for text, p in grounded.shared_pre:
+            if p.predicate in linkable:
+                src = provenance.get(text)
                 if src is not None:
                     links = pairs if src.agent != event.agent else self_accepts
                     links.append(InterdependentPair(p, src, event))
-        for p in delete:
-            if p.shared:
-                provenance.pop(p, None)
-        for p in add:
-            if p.shared:
-                provenance[p] = event
+        for text in grounded.shared_del:
+            provenance.pop(text, None)
+        for text in grounded.shared_add:
+            provenance[text] = event
+        is_trigger, _ = roles[event.name]
         if is_trigger:
             triggers.append(event)
         if event.name == SERVE_SOUP:

@@ -161,7 +161,9 @@ class TeamReport(_Serializable):
         Each record must be a JSON object, `agents` a list of agent 1 then
         agent 2, every field of its declared type (`_check_types`), the
         denominator mode one of `DENOMINATOR_MODES` and the counts as
-        `build_report` derives them; ValueError otherwise.
+        `build_report` derives them: the pairs once per predicate, once per
+        giver and once per receiver, and each agent's actions once per
+        subtask; ValueError otherwise.
         """
         report = _from_fields(
             cls, d, config=EpisodeConfig.from_dict, agents=_agent_reports
@@ -177,6 +179,15 @@ class TeamReport(_Serializable):
             raise ValueError("denominator is zero")
         if pairs != sum(report.pairs_by_predicate.values()):
             raise ValueError(f"pair_count {pairs} is not the sum of pairs_by_predicate")
+        for side in ("giver_count", "receiver_count"):
+            if sum(getattr(a, side) for a in report.agents) != pairs:
+                raise ValueError(f"pair_count {pairs} is not the sum of the agents' {side}")
+        for a in report.agents:
+            if sum(a.event_distribution.values()) != a.total_actions:
+                raise ValueError(
+                    f"agent {a.agent}'s event_distribution does not sum to its"
+                    f" total_actions {a.total_actions}"
+                )
         if den != counted:
             raise ValueError(f"denominator {den} is not the agents' {mode} count")
         if report.percent_interdependent != 2 * pairs / den:

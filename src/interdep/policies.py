@@ -7,8 +7,9 @@ counter; ReceiverChef pots onions from that counter, then plates and
 serves; StochasticPasser is SoloChef with a seeded dial that routes each
 dispensed onion via the counter with probability p, turning cooperation up
 continuously; Idle never moves; RandomWalk samples uniform primitives.
-Each class names the spec parameters it reads in `params`, and `_PARAMS`
-is the one grammar that parses and writes them.
+Each class names the spec parameters it reads in `params`, and those a
+spec of its kind must give in `required`; `_PARAMS` is the one grammar
+that parses and writes them.
 
 Every scripted move comes from one breadth-first route search, `_search`,
 over the layout's floor-neighbour table (`Layout.floor_neighbours`, N,S,E,W
@@ -100,15 +101,15 @@ class PolicySpec:
         cls = _POLICY_CLASSES.get(self.kind)
         if cls is None:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "stochastic":
-            if self.p is None:
-                raise ValueError("stochastic policy requires p=<probability>")
-            if not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"p={self.p} outside [0,1]")
+        for name in cls.required:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} policy requires {name}=<{_PARAMS[name][1]}>")
         for name, (convert, what, write) in _PARAMS.items():
             value = getattr(self, name)
             if value is not None and name not in cls.params:
                 raise ValueError(f"policy kind {self.kind!r} takes no {name} parameter")
+            if name == "p" and value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"p={value} outside [0,1]")
             try:
                 back = value if value is None else convert(write(value))
             except (TypeError, ValueError, IndexError):
@@ -259,6 +260,7 @@ class Policy:
     """Per-episode stateful agent; next_action is called on its turns only."""
 
     params: tuple = ()  # the spec parameters the kind reads
+    required: tuple = ()  # those of them a spec of the kind must give
     counter_cell: Optional[Cell] = None  # a passing counter, never parked on
 
     def __init__(self, spec: PolicySpec, agent: int, layout: Layout, seed: int) -> None:
@@ -462,6 +464,7 @@ class StochasticPasserPolicy(SoloChefPolicy):
     """
 
     params = ("p", "counter", "pot")
+    required = ("p",)
 
     def __init__(self, spec, agent, layout, seed) -> None:
         super().__init__(spec, agent, layout, seed)

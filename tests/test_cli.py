@@ -11,6 +11,7 @@ import pytest
 
 from conftest import PASSER, RECEIVER, stochastic
 from interdep import EpisodeConfig, bundled_layout_text, load_layout
+from interdep import cli, metrics
 from interdep.cli import _atomic_write, main
 from interdep.trace_io import read_report, read_trace
 
@@ -282,6 +283,11 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         lambda d: d.update(pair_count=999),
         lambda d: d.update(denominator=7),
         lambda d: d.update(percent_interdependent=0.5),
+        lambda d: d["agents"][0].update(giver_count=d["agents"][0]["giver_count"] + 5),
+        lambda d: d["agents"][1].update(receiver_count=d["agents"][1]["receiver_count"] + 5),
+        lambda d: d["agents"][1]["event_distribution"].update(
+            move=d["agents"][1]["event_distribution"]["move"] + 40
+        ),
     ],
     ids=[
         "one-agent",
@@ -299,6 +305,9 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         "pair-count-not-the-predicate-sum",
         "denominator-not-the-actions",
         "share-not-pairs-over-denominator",
+        "giver-counts-not-the-pairs",
+        "receiver-counts-not-the-pairs",
+        "events-not-the-actions",
     ],
 )
 def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):
@@ -361,6 +370,11 @@ def test_report_names_a_file_it_cannot_read(layout_file, tmp_path, capsys, name,
 
 
 # schema ----------------------------------------------------------------------
+
+
+def test_denominator_choices_are_the_report_modes():
+    # `cli` spells them out so that `schema` does not load `metrics`.
+    assert cli.DENOMINATOR_MODES == metrics.DENOMINATOR_MODES
 
 
 def test_schema_prints_vocabulary(capsys):

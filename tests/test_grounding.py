@@ -1,5 +1,6 @@
 """Grounding: state propositions and per-step planning actions."""
 
+import operator
 import random
 from dataclasses import replace
 
@@ -10,15 +11,18 @@ from hypothesis import strategies as st
 from conftest import (
     BASELINE_TEAMS,
     MINI_LAYOUT,
+    RECEIVER,
     advance,
     interact_states,
     policy_trace,
+    stochastic,
     turns,
 )
 from interdep import (
     EpisodeConfig,
     PrimitiveAction,
     analyze_trace,
+    build_interaction_schema,
     build_report,
     initial_state,
     is_terminal,
@@ -52,8 +56,10 @@ from interdep.grounding import (
     _effects,
     _signatures,
     ground,
+    ground_event,
     vocabulary_dump,
 )
+from interdep.interdependence import replay
 from interdep.trace_io import report_to_markdown
 from oracle_utils import (
     facing_cell,
@@ -408,7 +414,7 @@ def test_warm_effects_table_changes_no_action(layout, config):
             if step_events:
                 subtask = step_events[0].name
                 cell = facing_cell(state.player(agent))
-                pot = state.pot_index_at(cell)
+                pot = state.layout.pot_index.get(cell)
                 n = 0 if pot is None else state.pots[pot].onion_count
                 fills = n + 1 == state.config.onions_per_soup
                 key = (subtask, agent, cell, pot, n, state.soups_delivered, fills)
@@ -419,3 +425,48 @@ def test_warm_effects_table_changes_no_action(layout, config):
             state = successor
     assert events > len(by_key)
     assert _effects.cache_info().currsize <= len(by_key)
+
+
+def test_link_views_agree_with_ground(layout, layout_text, config):
+    # Every entry a sweep pass and 40 random traces fill, analyzed under
+    # both schemas: `match` folds the link view in place of the sets, so it
+    # must hold exactly their shared members, keyed by canonical text.
+    traces = [
+        policy_trace(layout, config, stochastic(p), RECEIVER, seed)
+        for seed in range(1, 21)
+        for p in (0.0, 0.25, 0.5, 0.75, 1.0)
+    ]
+    fuzz_config = EpisodeConfig(cook_time=3, horizon=300)
+    traces += [
+        random_external_trace((MINI_LAYOUT, layout_text)[s % 2], fuzz_config, s, 300)
+        for s in range(40)
+    ]
+    _effects.cache_clear()
+    for trace in traces:
+        for counter_empty in (True, False):
+            schema = build_interaction_schema(include_counter_empty=counter_empty)
+            analyze_trace(trace, schema)
+    filled = _effects.cache_info().currsize
+
+    entries = {}
+    for trace in traces:
+        for state, event in trace.played or replay(trace):
+            grounded = ground_event(state, event)
+            sets = ground(state, event)
+            assert all(map(operator.is_, sets, (grounded.pre, grounded.add, grounded.delete)))
+            entries[id(grounded)] = grounded
+    assert len(entries) == filled == _effects.cache_info().currsize
+
+    texts: dict = {}
+    for grounded in entries.values():
+        shared_pre = sorted((p for p in grounded.pre if p.shared), key=Proposition.canonical)
+        assert [p for _, p in grounded.shared_pre] == shared_pre
+        assert all(text == p.canonical() for text, p in grounded.shared_pre)
+        for view, props in (
+            (grounded.shared_del, grounded.delete),
+            (grounded.shared_add, grounded.add),
+        ):
+            assert list(view) == sorted(p.canonical() for p in props if p.shared)
+        # No two distinct facts share a text, so the text keys the fact.
+        for p in grounded.pre | grounded.add | grounded.delete:
+            assert texts.setdefault(p.canonical(), p) == p

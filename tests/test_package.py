@@ -97,7 +97,13 @@ def run_command(argv: list) -> list:
 def test_schema_command_loads_no_policies_trace_io_or_pool(tmp_path):
     loaded = run_command(["schema", "--out", str(tmp_path / "schema.json")])
     assert "interdep.interdependence" in loaded
-    for name in ("interdep.policies", "interdep.trace_io", "concurrent.futures"):
+    # Nor the report builder: `cli` spells out the denominator modes.
+    for name in (
+        "interdep.policies",
+        "interdep.trace_io",
+        "interdep.metrics",
+        "concurrent.futures",
+    ):
         assert name not in loaded
 
 

@@ -81,7 +81,7 @@ SPEC_SHAPES = [
     for kind, cls in _POLICY_CLASSES.items()
     for n in range(len(cls.params) + 1)
     for names in itertools.combinations(cls.params, n)
-    if kind != "stochastic" or "p" in names  # stochastic requires p
+    if set(cls.required) <= set(names)  # a spec gives every required parameter
 ]
 
 
@@ -110,10 +110,10 @@ def test_spec_kinds_exposed():
 
 BAD_SPECS = [
     ("chef", None),                      # unknown kind
-    ("stochastic", None),                # p is required
-    ("stochastic:p=1.5", None),          # out of range
+    ("stochastic", "^stochastic policy requires p=<probability>$"),
+    ("stochastic:p=1.5", r"^p=1\.5 outside \[0,1\]$"),
     ("stochastic:p=-0.1", None),
-    ("solo:p=0.5", None),                # p only applies to stochastic
+    ("solo:p=0.5", "^policy kind 'solo' takes no p parameter$"),
     ("passer:counter=4,2", None),        # missing parens
     ("receiver:pot=first", "bad pot index 'first' in 'receiver:pot=first'"),
     ("solo:size=3", None),               # unknown parameter
@@ -161,6 +161,13 @@ def test_spec_validation_on_construction():
     spec = PolicySpec("stochastic", p=1)
     assert format_policy_spec(spec) == "stochastic:p=1"
     assert parse_policy_spec("stochastic:p=1") == spec
+
+
+def test_a_kind_requires_only_parameters_its_class_reads():
+    # `PolicySpec` reads both from the class (BAD_SPECS checks the texts).
+    for kind, cls in _POLICY_CLASSES.items():
+        assert set(cls.required) <= set(cls.params), kind
+    assert {k for k, cls in _POLICY_CLASSES.items() if cls.required} == {"stochastic"}
 
 
 # pathfinding ----------------------------------------------------------------

@@ -1060,8 +1060,30 @@ def test_read_report_rejects_a_part_that_is_not_an_object(
             lambda d: d.update(percent_interdependent=0.5),
             "percent_interdependent is not 2 * pair_count / denominator",
         ),
+        (
+            lambda d: d["agents"][0].update(giver_count=d["agents"][0]["giver_count"] + 5),
+            "pair_count 18 is not the sum of the agents' giver_count",
+        ),
+        (
+            lambda d: d["agents"][1].update(receiver_count=0),
+            "pair_count 18 is not the sum of the agents' receiver_count",
+        ),
+        (
+            lambda d: d["agents"][1]["event_distribution"].update(
+                move=d["agents"][1]["event_distribution"]["move"] + 40
+            ),
+            "agent 2's event_distribution does not sum to its total_actions 259",
+        ),
     ],
-    ids=["zero-denominator", "pair-count", "denominator", "share"],
+    ids=[
+        "zero-denominator",
+        "pair-count",
+        "denominator",
+        "share",
+        "giver-counts",
+        "receiver-counts",
+        "event-distribution",
+    ],
 )
 def test_read_report_rejects_counts_that_disagree(tmp_path, pr_report, corrupt, message):
     # Each used to read back, and `aggregate` averaged it as sound.
