@@ -11,9 +11,11 @@ All transitions are deterministic, so an episode is fully reproducible
 from (layout, config, action sequence).
 
 The state and step records (players, pots, events, world states) are
-built by `record`: frozen, slotted dataclasses whose constructor sets each
-slot directly, since the analyzer builds several of them per step. They
-stay frozen and hashable like any frozen dataclass.
+built by `record`: frozen, slotted dataclasses whose constructor fills the
+slots of an unfrozen twin instance with plain stores and then gives it the
+record's class, since every step builds a world state and the analyzer
+builds several records per step. They stay frozen and hashable like any
+frozen dataclass.
 
 `step` does its geometry by table lookup: a loaded layout keeps the cell
 and tile each grid cell faces in each direction (`Layout.faced`), and the
@@ -26,7 +28,7 @@ again, and no output depends on the memo.
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Optional
 
 from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCountError
@@ -34,41 +36,66 @@ from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCo
 Cell = tuple[int, int]  # (x, y); x grows rightward, y grows downward
 
 
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _refuse_subclass(cls, **kwargs):
+    raise TypeError(f"record {cls.__mro__[1].__name__} cannot be subclassed")
+
+
 def record(cls):
-    """`dataclass(frozen=True, slots=True)` with a cheaper `__init__`.
+    """`dataclass(frozen=True, slots=True)` built by a cheaper `__new__`.
 
-    The `__init__` a frozen dataclass generates calls `object.__setattr__`
-    once per field, which looks the attribute up by name every time. This
-    one calls each slot's member descriptor directly, the same work without
-    the lookup. Equality, hashing, repr, `replace`, pickling and the frozen
-    assignment guard are the dataclass's own.
+    A frozen instance refuses attribute stores, so the `__init__` a frozen
+    dataclass generates fills each slot through a call to
+    `object.__setattr__`, which costs more than a plain store. A record has
+    no `__init__` of its own; its generated `__new__` takes a bare instance
+    of a private twin class with the same slots, fills them with plain
+    attribute stores (the twin is not frozen), then sets the instance's
+    `__class__` to the record. Equality, hashing, repr and `replace` are
+    the dataclass's own; pickling and copying rebuild a record through the
+    class call (`__reduce__`), and assigning or deleting any attribute
+    raises `FrozenInstanceError`.
 
-    The generated `__init__` only assigns its arguments, so a class that
+    The generated `__new__` only assigns its arguments, so a class that
     needs more of its constructor (`__post_init__`, fields with
-    `default_factory`, `init=False` or `kw_only`) is refused.
+    `default_factory`, `init=False` or `kw_only`) is refused, and so is a
+    subclass of a record, which the `__new__` would build as the record.
     """
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"record {cls.__name__} cannot have __post_init__")
     cls = dataclass(frozen=True, slots=True)(cls)
-    params, body = [], []
-    namespace = {}
+    twin = type(f"_{cls.__name__}", (), {"__slots__": cls.__slots__})
+    namespace = {"_new": object.__new__, "_twin": twin}
+    names, params = [], []
     for f in fields(cls):
         if f.default_factory is not MISSING or not f.init or f.kw_only:
             raise TypeError(
                 f"record field {cls.__name__}.{f.name} must be a plain init argument"
             )
-        namespace[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        names.append(f.name)
         if f.default is MISSING:
             params.append(f.name)
         else:
             namespace[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})")
-    source = f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body)
-    exec(source, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+    lines = [f"def __new__(cls, {', '.join(params)}):", "    self = _new(_twin)"]
+    lines += [f"    self.{name} = {name}" for name in names]
+    lines += ["    self.__class__ = cls", "    return self"]
+    exec("\n".join(lines), namespace)
+    new = namespace["__new__"]
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    del cls.__init__
+    cls.__new__ = staticmethod(new)
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    cls.__init_subclass__ = classmethod(_refuse_subclass)
     return cls
 
 

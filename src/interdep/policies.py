@@ -156,11 +156,11 @@ def parse_policy_spec(text: str) -> PolicySpec:
 
 def format_policy_spec(spec: PolicySpec) -> str:
     """Canonical string form; parse(format(s)) == s."""
-    params = []
-    for name, (_, _, write) in _PARAMS.items():
-        value = getattr(spec, name)
-        if value is not None:
-            params.append(f"{name}={write(value)}")
+    params = [
+        f"{name}={write(getattr(spec, name))}"
+        for name, (_, _, write) in _PARAMS.items()
+        if getattr(spec, name) is not None
+    ]
     return spec.kind + (":" + ",".join(params) if params else "")
 
 
@@ -380,7 +380,7 @@ class Policy:
         self.counter_cell = cell
 
     def _resolve_pot(self) -> None:
-        idx = self.spec.pot if self.spec.pot is not None else 0
+        idx = self.spec.pot or 0
         pots = self.layout.pot_cells
         if not 0 <= idx < len(pots):
             raise ValueError(f"pot index {idx} out of range (layout has {len(pots)})")

@@ -315,6 +315,21 @@ def test_replay_rejects_steps_past_terminal():
     assert str(caught.value) == "step 2: trace continues past the terminal state"
 
 
+def test_replay_rejects_steps_past_the_soup_target():
+    # One soup of one onion: cook 1 pots it, cook 2 plates it and serves it
+    # at step 21, which meets the target long before the horizon.
+    one = [A.LEFT, A.INTERACT, A.RIGHT, A.UP, A.INTERACT, A.DOWN] + [A.STAY] * 5
+    two = [A.RIGHT, A.INTERACT, A.STAY, A.STAY, A.STAY, A.LEFT]
+    two += [A.UP, A.INTERACT, A.RIGHT, A.DOWN, A.INTERACT]
+    script = [turn for pair in zip(one, two) for turn in zip((1, 2), pair)]
+    served = analyze_trace(mini_trace(script, onions_per_soup=1, target_soups=1))
+    assert served.events[-1].t == 21 and served.events[-1].name == "serve-soup"
+    trace = mini_trace(script + [(1, A.STAY)], onions_per_soup=1, target_soups=1)
+    with pytest.raises(ReplayMismatch) as caught:
+        analyze_trace(trace)
+    assert str(caught.value) == "step 22: trace continues past the terminal state"
+
+
 @pytest.mark.parametrize(
     "steps",
     [
@@ -758,3 +773,59 @@ def test_a_tick_of_two_stays_shifts_time_and_nothing_else(layout, config, team, 
     # The all-actions denominator counts the two stays.
     everything = build_report(ledger, "all-actions").denominator
     assert build_report(after, "all-actions").denominator == everything + 2
+
+
+# swapped cooks ----------------------------------------------------------------
+
+
+def swapped(trace):
+    """`trace` with the cooks' spawns swapped and one stay put first.
+
+    Agent 1's stay hands every later turn to the other cook, who now stands
+    where the turn's cook stood, and the horizon grows by that turn.
+    """
+    config = dataclasses.replace(trace.config, horizon=trace.config.horizon + 1)
+    return dataclasses.replace(
+        trace,
+        layout_text=trace.layout_text.translate(str.maketrans("12", "21")),
+        config=config,
+        steps=(A.STAY, *trace.steps),
+    )
+
+
+@pytest.mark.parametrize(
+    "layout_text",
+    [bundled_layout_text(), FORCED_COORDINATION, MINI_LAYOUT],
+    ids=["counter_circuit", "forced_coordination", "mini"],
+)
+def test_swapped_cooks_score_the_same(layout_text):
+    """Swapping the cooks' spawns behind one stay is the same play.
+
+    Each event moves to the other cook and one turn later, and so does
+    each pair and self-accept, on the same proposition; soups and
+    %Interdependent do not change. Only external traces qualify: a scripted
+    cook's decisions depend on which agent it is.
+    """
+
+    def moved(event):
+        return dataclasses.replace(event, agent=3 - event.agent, t=event.t + 1)
+
+    def links(pairs, move=lambda e: e):
+        return {(p.prop, move(p.giver), move(p.receiver)) for p in pairs}
+
+    config = EpisodeConfig(cook_time=3, horizon=600)
+    linked = 0
+    for seed in range(20):
+        bias = (0.2, 0.5, 0.8)[seed % 3]
+        trace = random_external_trace(layout_text, config, seed, 600, bias)
+        ledger, after = analyze_trace(trace), analyze_trace(swapped(trace))
+        assert after.events == tuple(map(moved, ledger.events)), seed
+        assert links(after.pairs) == links(ledger.pairs, moved), seed
+        assert links(after.self_accepts) == links(ledger.self_accepts, moved), seed
+        if not ledger.events:
+            continue  # no subtask action, so no share to compare
+        report, image_report = build_report(ledger), build_report(after)
+        assert image_report.soups_delivered == report.soups_delivered, seed
+        assert image_report.percent_interdependent == report.percent_interdependent, seed
+        linked += len(ledger.pairs) + len(ledger.self_accepts)
+    assert linked  # the relation was held on some links

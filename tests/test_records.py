@@ -1,7 +1,10 @@
 """`record` classes behave as the plain frozen dataclasses they replace."""
 
+import ast
+import copy
 import dataclasses
 import inspect
+import pathlib
 import pickle
 
 import pytest
@@ -15,7 +18,8 @@ from interdep.gridworld import (
     WorldState,
     record,
 )
-from interdep.interdependence import ActionClassification
+from interdep.grounding import Grounding, ground_event
+from interdep.interdependence import ActionClassification, InterdependentPair
 
 RECORDS = (
     PlayerState,
@@ -23,6 +27,8 @@ RECORDS = (
     EnvEvent,
     WorldState,
     ActionClassification,
+    InterdependentPair,
+    Grounding,
 )
 
 
@@ -51,12 +57,17 @@ def samples(layout, config):
     found = {cls: [] for cls in RECORDS}
     state = initial_state(layout, config)
     for t, action in enumerate(trace.steps):
+        before = state
         state, _, events = step(state, (1 + t % 2, action))
+        found[Grounding].extend(ground_event(before, event) for event in events)
         found[EnvEvent].extend(events)
         found[WorldState].append(state)
         found[PlayerState].extend(state.players)
         found[PotState].extend(state.pots)
-    found[ActionClassification] = list(analyze_trace(trace).classifications)
+    ledger = analyze_trace(trace)
+    found[ActionClassification] = list(ledger.classifications)
+    found[InterdependentPair] = list(ledger.pairs + ledger.self_accepts)
+    assert all(found.values())
     # A spread of 30 per class keeps the pairwise checks quick.
     return {cls: values[:: max(1, len(values) // 30)] for cls, values in found.items()}
 
@@ -118,3 +129,49 @@ def test_record_refuses_a_class_that_needs_more_than_assignment(namespace, messa
     cls = type("Bad", (), {"__annotations__": {"x": int}, **namespace})
     with pytest.raises(TypeError, match=message):
         record(cls)
+
+
+def test_every_record_class_is_checked():
+    # Every class `@record` builds, found in the source, is in RECORDS.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "interdep"
+    declared = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list
+            ):
+                declared.add(f"interdep.{path.stem}.{node.name}")
+    assert declared == {f"{cls.__module__}.{cls.__qualname__}" for cls in RECORDS}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_copies_of_a_record_are_records_of_its_class(cls, samples):
+    for obj in samples[cls]:
+        copies = [copy.copy(obj), copy.deepcopy(obj), dataclasses.replace(obj)]
+        copies += [
+            pickle.loads(pickle.dumps(obj, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for again in copies:
+            assert type(again) is cls
+            assert again == obj and _kwargs(again) == _kwargs(obj)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_a_record_refuses_every_assignment_and_deletion(cls, samples):
+    obj = samples[cls][0]
+    before = _kwargs(obj)
+    for name in (dataclasses.fields(cls)[0].name, "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert _kwargs(obj) == before and not hasattr(obj, "not_a_field")
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_a_record_cannot_be_subclassed(cls):
+    # Its constructor builds the record's own class, so a subclass would
+    # build instances of its base; it is refused when it is created.
+    with pytest.raises(TypeError, match=f"record {cls.__name__} cannot be subclassed"):
+        type("Sub", (cls,), {})
