@@ -211,11 +211,11 @@ class Layout:
     search and blocked-cook sidestep all read it.
     `tile_cells` maps every tile kind to its cells in row-major order, also
     built once, so no reader scans the grid, and `pot_index` maps each pot
-    cell to its index in `WorldState.pots`, so `step` and grounding find
-    the faced pot by one lookup. `faced` maps an
-    orientation and an in-grid cell (`faced[orientation][cell]`) to the
-    cell it faces and that cell's tile, or None when that cell is off the
-    grid; `step` and grounding read it instead of doing the arithmetic.
+    cell to its index in `WorldState.pots`, so `step` finds the faced pot
+    by one lookup. `faced` maps an orientation and an in-grid cell
+    (`faced[orientation][cell]`) to the cell it faces and that cell's
+    tile, or None when that cell is off the grid; `step` and the policies
+    read it instead of doing the arithmetic.
 
     `routes` is the policies' route memo, empty when the layout is built.
     A `(start, blocked)` key holds the distance dict of `bfs_distances`; an
@@ -351,12 +351,22 @@ def single_action(agent: int, action: PrimitiveAction) -> tuple[int, PrimitiveAc
 
 @record
 class EnvEvent:
-    """What one cook's interact did at step `t`: its subtask and the cell it faced."""
+    """What one cook's interact did at step `t`, and its grounding key.
+
+    `name` is the subtask and `cell` the faced cell. `pot` is the faced
+    pot's index (None off a pot), `n` its onion count before the step, `k`
+    the soups delivered before the step and `fills` whether `n + 1` onions
+    make a soup: everything grounding reads, so an event grounds itself.
+    """
 
     t: int
     agent: int
     name: str
     cell: Cell
+    pot: Optional[int]
+    n: int
+    k: int
+    fills: bool
 
 
 @record
@@ -634,7 +644,8 @@ def step(
     that were already cooking tick down by one (flipping to ready at zero),
     then the clock advances. Blocked moves keep the position but still turn
     the agent toward the attempted direction. `events` is the acting cook's
-    one event if its interact did something, and empty otherwise.
+    one event if its interact did something, and empty otherwise; the event
+    carries its whole grounding key, read from `state`.
 
     `state` is never mutated. The successor shares with it the parts the
     turn left unchanged (the counters dict, the pots tuple, the players
@@ -675,7 +686,11 @@ def step(
             subtask, me, counters, pots = _resolve_interact(state, me, target, tile)
             if subtask != NOOP:
                 players = (me, players[1]) if agent == 1 else (players[0], me)
-                events.append(EnvEvent(state.t, agent, subtask, target))
+                pot = layout.pot_index.get(target)
+                n = 0 if pot is None else state.pots[pot].onion_count
+                fills = n + 1 == state.config.onions_per_soup
+                event = EnvEvent(state.t, agent, subtask, target, pot, n, delivered, fills)
+                events.append(event)
             if subtask == SERVE_SOUP:
                 delivered += 1
                 reward = state.config.reward_per_soup

@@ -17,17 +17,17 @@ fluent can never link one cook's action to the other's.
 Each subtask's effects are written once, in the EFFECTS table, as
 propositions whose arguments name roles (the acting cook, the faced cell,
 the faced pot and its fill, the delivered count) instead of values.
-Grounding an event takes the cook and the cell from the event and the rest
-from the state its step was taken in (the faced pot by the layout's
-`pot_index` table), and looks it up in one cached table (`_effects`) keyed
-by the subtask and those values, so each distinct event is grounded once,
-however many steps repeat it. Every event with that key shares the cached
-entry, a `Grounding`, which nothing mutates. Beside the pre, add and
-delete sets it holds the event's link view, what the pair matcher folds:
-the shared preconditions as (canonical text, proposition) and the
-canonical texts of the shared deletes and adds. A text names one fact,
-since each predicate has one signature, so the matcher can key its map by
-the text, whose hash a `str` caches, instead of hashing propositions.
+`step` fills every role into the event it reports, so grounding reads the
+event alone: it looks the event's key (subtask, cook, cell, pot, fill,
+soups delivered, whether the placement fills the pot) up in one cached
+table (`_effects`), so each distinct event is grounded once, however many
+steps repeat it. Every event with that key shares the cached entry, a
+`Grounding`, which nothing mutates. Beside the pre, add and delete sets
+it holds the event's link view, what the pair matcher folds: the shared
+preconditions as (canonical text, proposition) and the canonical texts of
+the shared deletes and adds. A text names one fact, since each predicate
+has one signature, so the matcher can key its map by the text, whose hash
+a `str` caches, instead of hashing propositions.
 The table is bounded by faced cells x pot fill levels x soups target (for
 each subtask and cook); a whole sweep needs a few dozen entries.
 SUBTASK_TEMPLATES, which drives the interaction schema and the schema
@@ -50,7 +50,6 @@ from .gridworld import (
     SERVE_SOUP,
     EnvEvent,
     Item,
-    WorldState,
     record,
 )
 
@@ -91,7 +90,7 @@ class Proposition:
 
 
 # Pre, add and delete sets of every subtask, each written once. An argument
-# is a role filled in from the state at grounding time (i the acting cook,
+# is a role filled in from the event at grounding time (i the acting cook,
 # x,y the faced cell, p the faced pot, n its onion count, k the soups
 # delivered so far) or a literal item name or count. A leading `?` marks an
 # add that holds only when the placement fills the pot: the step starts the
@@ -217,29 +216,15 @@ def _effects(
     return Grounding(pre, add, delete, tuple(shared_pre), _texts(delete), _texts(add))
 
 
-def ground_event(state: WorldState, event: EnvEvent) -> Grounding:
+def ground_event(event: EnvEvent) -> Grounding:
     """The cached `Grounding` of one event: the grounding rule.
 
-    The acting cook and the cell it faced are the event's own; the faced
-    pot, its fill and the soups delivered are read from `state`, the state
-    the event's step was taken in. The entry is shared with every earlier
-    event of the same key.
+    The key is the event's own, as `step` filled it in. The entry is
+    shared with every earlier event of the same key.
     """
-    cell = event.cell
-    pot = state.layout.pot_index.get(cell)
-    n = 0 if pot is None else state.pots[pot].onion_count
-    fills = n + 1 == state.config.onions_per_soup
-    return _effects(event.name, event.agent, cell, pot, n, state.soups_delivered, fills)
-
-
-def ground(state: WorldState, event: EnvEvent) -> tuple[frozenset, frozenset, frozenset]:
-    """(pre, add, del) of one event, read from its `ground_event` entry.
-
-    The sets are the subtask's minimal effects, shared with every event of
-    the same key.
-    """
-    grounded = ground_event(state, event)
-    return grounded.pre, grounded.add, grounded.delete
+    return _effects(
+        event.name, event.agent, event.cell, event.pot, event.n, event.k, event.fills
+    )
 
 
 # Predicate-level projection of EFFECTS, conditional adds included. It

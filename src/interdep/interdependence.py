@@ -12,26 +12,26 @@ receiver are the same cook is a self-acceptance, kept apart in
 Only events, the steps in which a cook's interact did something, add or
 require anything, so analysis grounds and folds events only and its cost
 grows with the events, not the steps. Its one input is the record of play,
-a list of (state, event) in step order: for each event, the state its step
-was taken in and the `EnvEvent` that `gridworld.step` reported, which
-names the cook, the time, the subtask and the cell. `run_episode` keeps
-it (`ReplayableTrace.played`). For a trace read from a file, or built or
-altered by hand, `replay` steps all of it through the simulator, which is
-the check that it is a real episode, and returns the same record. `match`
-grounds each event with `grounding.ground_event` and folds its link view
-into the ledger through a provenance map: the canonical text of every
-currently true shared proposition that some event added points at that
-event. The link view, the event's shared preconditions, deletes and adds
+the tuple of `EnvEvent`s that `gridworld.step` reported, in step order.
+Each names the cook, the time, the subtask and the cell, and carries the
+rest of its grounding key, so an event grounds itself. `run_episode` keeps
+the record (`ReplayableTrace.played`). For a trace read from a file, or
+built or altered by hand, `replay` steps all of it through the simulator,
+which is the check that it is a real episode, and returns the same record.
+`match` grounds each event with `grounding.ground_event` and folds its
+link view into the ledger through a provenance map: the canonical text of
+every currently true shared proposition that some event added points at
+that event. The link view, the event's shared preconditions, deletes and adds
 by text, is compiled once per distinct event with its grounding and shared
 by every event of the same key, so the fold hashes cached strings and
 filters nothing per event. A fact absent from the map holds since the
 initial state, or came from the environment, and links no one.
 Acceptance reads the map, deletion clears it, addition overwrites it, so
-freshness is structural rather than re-checked. The ledger's events, the
-pairs' givers and receivers and the unaccepted triggers are the events of
-the record itself; no other record is built per event. Moves and stays
-are counted from the trace's steps; `ledger.classifications` builds a
-per-step view, with roles, only when asked.
+freshness is structural rather than re-checked. The ledger's events are
+the record itself, and the pairs' givers and receivers and the unaccepted
+triggers are its events; no other record is built per event. Moves and
+stays are counted from the trace's steps; `ledger.classifications` builds
+a per-step view, with roles, only when asked.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ class InterdependentPair:
 class InterdependencyLedger:
     """Everything the analysis extracted from one episode.
 
-    `events` are the `EnvEvent`s of the record of play, in step order, and
-    the pairs, self-accepts and unaccepted triggers hold those same
+    `events` is the record of play itself, its `EnvEvent`s in step order,
+    and the pairs, self-accepts and unaccepted triggers hold those same
     events; `steps` is the trace's own step tuple, which holds the moves
     and stays.
     """
@@ -245,15 +245,14 @@ def _start(layout_text: str, config: EpisodeConfig) -> WorldState:
     return initial_state(load_layout(layout_text), config)
 
 
-def replay(trace: ReplayableTrace) -> list:
+def replay(trace: ReplayableTrace) -> tuple:
     """Step a trace through the simulator and return the record of its play.
 
     Every step replays once from the embedded layout and config, as the
     turn of agent `1 + t % 2`; a step that is not a PrimitiveAction raises
     MalformedJointAction, and none may follow the terminal state or
-    horizon. The record is the one `run_episode` keeps: (state, event) for
-    each step with an event, in step order, where the event is the one
-    `step` reported and the state the one it stepped from.
+    horizon. The record is the one `run_episode` keeps: the event `step`
+    reported for each step with one, in step order.
     """
     state = _start(trace.layout_text, trace.config)
     played = []
@@ -266,25 +265,25 @@ def replay(trace: ReplayableTrace) -> list:
             raise MalformedJointAction(
                 f"step {t}: {action!r} is not a PrimitiveAction"
             ) from None
-        successor, _, events = step(state, turn)
+        state, _, events = step(state, turn)
         if events:
-            played.append((state, events[0]))
-        state = successor
-    return played
+            played.append(events[0])
+    return tuple(played)
 
 
 def match(
-    played: list,
+    events: tuple,
     trace: ReplayableTrace,
     schema: Optional[InteractionSchema] = None,
 ) -> InterdependencyLedger:
     """Ground a record of play and fold it, in step order, into a ledger.
 
-    `played` is (state, event) for each step of `trace` with an event, as
-    `run_episode` keeps it and `replay` returns it. Each event is grounded
-    in the state it was played from and takes its trigger role from
-    `schema.roles`, then each linkable shared precondition is looked up,
-    by its canonical text, in the provenance map. A fact an earlier event
+    `events` is the event of each step of `trace` that has one, as
+    `run_episode` keeps them and `replay` returns them; the ledger's
+    `events` is that very tuple. Each event is grounded from its own key
+    and takes its trigger role from `schema.roles`, then each linkable
+    shared precondition is looked up, by its canonical text, in the
+    provenance map. A fact an earlier event
     added makes one pair of the two events, kept in `ledger.pairs` across
     cooks and in `ledger.self_accepts` within one. Moves and stays link
     nothing and are not folded. The episode time is the number of steps in
@@ -300,8 +299,8 @@ def match(
     triggers: list = []
     soups = 0
 
-    for state, event in played:
-        grounded = ground_event(state, event)
+    for event in events:
+        grounded = ground_event(event)
         for text, p in grounded.shared_pre:
             if p.predicate in linkable:
                 src = provenance.get(text)
@@ -327,7 +326,7 @@ def match(
     return InterdependencyLedger(
         schema=schema,
         config=trace.config,
-        events=tuple(event for _, event in played),
+        events=events,
         steps=trace.steps,
         pairs=tuple(pairs),
         self_accepts=tuple(self_accepts),

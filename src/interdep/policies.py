@@ -593,10 +593,9 @@ def run_episode(
 
     Its steps are the actions the cooks decided, in turn order.
     The trace carries the record of its play (`ReplayableTrace.played`):
-    for each step with an event, in step order, the state it was taken in
-    and the event `step` reported. Moves and stays get no entry. It is the
-    record `replay` rebuilds from a file, so analysis reads it instead of
-    replaying the trace.
+    the tuple of events `step` reported, in step order. Moves and stays get
+    no entry. It is the record `replay` rebuilds from a file, so analysis
+    reads it instead of replaying the trace.
     """
     # Agent 1 moves on even ticks and agent 2 on odd ones.
     decide = (
@@ -610,10 +609,9 @@ def run_episode(
         turn_of = state.t & 1
         action = decide[turn_of](state)
         steps.append(action)
-        successor, _, events = step(state, COOK_TURNS[turn_of][action])
+        state, _, events = step(state, COOK_TURNS[turn_of][action])
         if events:
-            played.append((state, events[0]))
-        state = successor
+            played.append(events[0])
     trace = ReplayableTrace(
         layout_text=layout.text,
         config=config,
@@ -621,5 +619,5 @@ def run_episode(
         seed=seed,
         steps=tuple(steps),
     )
-    object.__setattr__(trace, "played", played)
+    object.__setattr__(trace, "played", tuple(played))
     return trace

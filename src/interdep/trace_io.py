@@ -94,13 +94,13 @@ class ReplayableTrace:
     """A replayable episode: header data plus the ordered action steps.
 
     `played` is the record of play that `run_episode` attaches to the
-    trace it returns: for each step with an event, in step order, the
-    state it was taken in and the `EnvEvent` that `step` reported. A move
-    or a stay has no entry. Analysis matches these entries and no other
-    step. It is never written or read, takes no part in equality or repr,
-    and `dataclasses.replace` drops it, so it can only describe the steps
-    it was recorded with. A trace without it is replayed, which returns
-    the same record.
+    trace it returns: the tuple of `EnvEvent`s that `step` reported, in
+    step order, each with its own grounding key. A move or a stay has no
+    entry. Analysis matches these events and no other step. It is never
+    written or read, takes no part in equality or repr, and
+    `dataclasses.replace` drops it, so it can only describe the steps it
+    was recorded with. A trace without it is replayed, which returns the
+    same record.
     """
 
     layout_text: str
@@ -108,7 +108,7 @@ class ReplayableTrace:
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
     steps: tuple  # steps[t] is agent 1 + t % 2's PrimitiveAction
-    played: Optional[list] = field(
+    played: Optional[tuple] = field(
         init=False, default=None, compare=False, repr=False
     )
 

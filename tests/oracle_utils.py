@@ -10,8 +10,14 @@ The reference transition (`reference_step`) re-derives each turn from the
 grid itself, through `DIR_VECTOR`, `in_bounds` and `tile_at`, and builds
 every record afresh. The simulator's table-driven `step` must agree with it
 on the successor, the reward and the events, and `replay` with the record
-of play that walking it builds (`reference_record`), each event's cook and
-cell included.
+of play that walking it builds (`reference_record`), each event's whole
+grounding key included.
+
+The state-diff oracle (`state_diff_match`) re-derives the pairs from
+what each turn of `reference_step` changed on the counters and in the
+pots, with no event and nothing of grounding, so it also catches a fault
+that the analyzer and the brute-force oracle share through `EFFECTS` or
+through the key `step` puts in an event.
 
 `ground_state` lists every proposition true in a state, so a test can
 check an event's sets against the states before and after its step;
@@ -66,7 +72,7 @@ from interdep.gridworld import (
     Tile,
     WorldState,
 )
-from interdep.grounding import Proposition, ground
+from interdep.grounding import Proposition, ground_event
 from interdep.trace_io import ReplayableTrace
 
 # One cook's executed step as a grounded planning action. A named tuple, not
@@ -115,7 +121,8 @@ def ground_step(
     """
     successor, _, events = step(state, single_action(agent, action))
     if events:
-        subtask, sets = events[0].name, ground(state, events[0])
+        grounded = ground_event(events[0])
+        subtask, sets = events[0].name, (grounded.pre, grounded.add, grounded.delete)
     else:
         subtask = MOVE if action in MOVE_DIRECTION else NOOP
         sets = (frozenset(),) * 3
@@ -176,6 +183,69 @@ def brute_force_match(actions, accept_predicates):
     return sorted(pairs), sorted(self_accepts)
 
 
+def state_diff_match(trace, include_counter_empty=True):
+    """Pairs and self-accepts re-derived from successive states alone.
+
+    Walks `reference_step`, which shares no code with `step`, and reads
+    only what each turn changed on the counters and in the pots: no event,
+    no subtask name and nothing of grounding, so a fault in `EFFECTS`, or
+    in the key `step` puts in an event, shows here. The turn's cook:
+    - fills a counter cell with item X: needs counter-empty(c) and adds
+      X-on-counter(c);
+    - empties a counter cell of item X: needs X-on-counter(c) and adds
+      counter-empty(c);
+    - raises a pot's onion count from n to n+1: needs pot-contains(p,n) and
+      adds pot-contains(p,n+1), and soup-ready(p) too if the pot left its
+      filling phase, since the cook who completed the pot enabled the soup;
+    - empties a pot of n > 0 onions: needs soup-ready(p) and adds
+      pot-contains(p,0); pot-contains(p,n) is false after it.
+    A need is false after its turn. One met by the other cook's latest add
+    is a pair, by the same cook's a self-accept. The one choice shared with
+    the analyzer is which facts link, the definition under test: counter
+    contents, pot fill and soup-ready, with counter-empty only when
+    `include_counter_empty` is on.
+
+    Returns (pairs, self-accepts), each a set of (fact text, giver cook,
+    giver t, receiver cook, receiver t).
+    """
+    state = initial_state(load_layout(trace.layout_text), trace.config)
+    provenance: dict = {}
+    pairs, self_accepts = set(), set()
+    for t, action in enumerate(trace.steps):
+        agent = 1 + t % 2
+        after, _, _ = reference_step(state, (agent, action))
+        need, gone, adds = None, [], []
+        for x, y in state.counters.keys() | after.counters.keys():
+            was, now = state.counters.get((x, y)), after.counters.get((x, y))
+            if was is None and now is not None:
+                need = f"counter-empty({x},{y})"
+                adds.append(f"{now.value}-on-counter({x},{y})")
+            elif was is not None and now is None:
+                need = f"{was.value}-on-counter({x},{y})"
+                adds.append(f"counter-empty({x},{y})")
+        for p, (was, now) in enumerate(zip(state.pots, after.pots)):
+            n, m = was.onion_count, now.onion_count
+            if m == n + 1:
+                need = f"pot-contains({p},{n})"
+                adds.append(f"pot-contains({p},{m})")
+                if now.phase is not PotPhase.FILLING:
+                    adds.append(f"soup-ready({p})")
+            elif n > 0 and m == 0:
+                need, gone = f"soup-ready({p})", [f"pot-contains({p},{n})"]
+                adds.append(f"pot-contains({p},0)")
+        if need is not None:
+            giver = provenance.pop(need, None)
+            if giver and (include_counter_empty or not need.startswith("counter-empty")):
+                found = pairs if giver[0] != agent else self_accepts
+                found.add((need, *giver, agent, t))
+        for fact in gone:
+            provenance.pop(fact, None)
+        for fact in adds:
+            provenance[fact] = (agent, t)
+        state = after
+    return pairs, self_accepts
+
+
 def ledger_pair_keys(ledger):
     return sorted(
         (
@@ -224,15 +294,13 @@ def assert_ledger_arithmetic(ledger) -> None:
 
 
 def reference_record(trace):
-    """(state, event) of each step with an event, by `reference_step`."""
+    """The event of each step that has one, by `reference_step`."""
     state = initial_state(load_layout(trace.layout_text), trace.config)
     record = []
     for t, action in enumerate(trace.steps):
-        successor, _, events = reference_step(state, (1 + t % 2, action))
-        if events:
-            record.append((state, events[0]))
-        state = successor
-    return record
+        state, _, events = reference_step(state, (1 + t % 2, action))
+        record += events
+    return tuple(record)
 
 
 def assert_matches_oracle(trace, schema=None):
@@ -441,8 +509,10 @@ def reference_step(state, turn):
     The acting cook's move turns it toward the attempted direction and
     enters the faced cell only if that is floor without the partner on it;
     its interact resolves against the faced tile, the turn's one event if it
-    did something. Then every pot that was cooking before the action ticks
-    down, turning ready at zero.
+    did something. The event's pot is found by scanning the pots for the
+    faced cell, and its fill and soup count are the state's before the turn.
+    Then every pot that was cooking before the action ticks down, turning
+    ready at zero.
     """
     agent, action = turn
     me, other = state.player(agent), state.player(3 - agent)
@@ -463,7 +533,13 @@ def reference_step(state, turn):
     elif action is PrimitiveAction.INTERACT:
         subtask, me, counters, pots, delivered = _reference_interact(state, me)
         if subtask != NOOP:
-            events.append(EnvEvent(state.t, agent, subtask, facing_cell(me)))
+            cell = facing_cell(me)
+            faced = [i for i, pot in enumerate(state.pots) if pot.pot_cell == cell]
+            pot = faced[0] if faced else None
+            n = state.pots[pot].onion_count if faced else 0
+            fills = n + 1 == state.config.onions_per_soup
+            k = state.soups_delivered
+            events.append(EnvEvent(state.t, agent, subtask, cell, pot, n, k, fills))
     ticked = []
     for before, pot in zip(state.pots, pots):
         if before.phase is PotPhase.COOKING and pot.phase is PotPhase.COOKING:

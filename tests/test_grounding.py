@@ -1,6 +1,5 @@
 """Grounding: state propositions and per-step planning actions."""
 
-import operator
 import random
 from dataclasses import replace
 
@@ -55,7 +54,6 @@ from interdep.grounding import (
     Proposition,
     _effects,
     _signatures,
-    ground,
     ground_event,
     vocabulary_dump,
 )
@@ -330,9 +328,10 @@ def test_each_template_requires_at_most_one_shared_predicate(layout, config):
 
 
 def test_ground_rejects_an_unknown_subtask(mini_state):
-    event = EnvEvent(0, 1, "juggle-onions", facing_cell(mini_state.player(1)))
+    cell = facing_cell(mini_state.player(1))
+    event = EnvEvent(0, 1, "juggle-onions", cell, None, 0, 0, False)
     with pytest.raises(ValueError, match="unknown subtask 'juggle-onions'"):
-        ground(mini_state, event)
+        ground_event(event)
 
 
 def test_an_event_names_the_cell_it_faced():
@@ -403,7 +402,8 @@ def test_warm_effects_table_changes_no_action(layout, config):
     assert warm[0] == cold[0]
     assert warm[1] == cold[1]
 
-    # Every step of one event key gets the very same sets.
+    # Every step of one event key gets the very same entry, and the key
+    # derived here from the state is the one `step` put in the event.
     by_key: dict = {}
     events = 0
     for trace in traces:
@@ -412,15 +412,15 @@ def test_warm_effects_table_changes_no_action(layout, config):
             agent = 1 + t % 2
             successor, _, step_events = step(state, single_action(agent, act))
             if step_events:
-                subtask = step_events[0].name
+                (e,) = step_events
                 cell = facing_cell(state.player(agent))
                 pot = state.layout.pot_index.get(cell)
                 n = 0 if pot is None else state.pots[pot].onion_count
                 fills = n + 1 == state.config.onions_per_soup
-                key = (subtask, agent, cell, pot, n, state.soups_delivered, fills)
-                grounded = ground(state, step_events[0])
-                first = by_key.setdefault(key, grounded)
-                assert all(a is b for a, b in zip(first, grounded)), key
+                key = (e.name, agent, cell, pot, n, state.soups_delivered, fills)
+                assert key == (e.name, e.agent, e.cell, e.pot, e.n, e.k, e.fills)
+                grounded = ground_event(e)
+                assert by_key.setdefault(key, grounded) is grounded, key
                 events += 1
             state = successor
     assert events > len(by_key)
@@ -450,10 +450,8 @@ def test_link_views_agree_with_ground(layout, layout_text, config):
 
     entries = {}
     for trace in traces:
-        for state, event in trace.played or replay(trace):
-            grounded = ground_event(state, event)
-            sets = ground(state, event)
-            assert all(map(operator.is_, sets, (grounded.pre, grounded.add, grounded.delete)))
+        for event in trace.played or replay(trace):
+            grounded = ground_event(event)
             entries[id(grounded)] = grounded
     assert len(entries) == filled == _effects.cache_info().currsize
 

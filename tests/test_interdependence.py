@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -20,6 +21,7 @@ from conftest import (
     external_trace,
     interact_states,
     play,
+    policy_trace,
     stochastic,
 )
 from interdep import (
@@ -40,6 +42,7 @@ from interdep import (
     step,
 )
 from interdep.gridworld import (
+    GET_SOUP_POT,
     INTERACT_SUBTASKS,
     MOVE,
     MOVE_DIRECTION,
@@ -48,6 +51,7 @@ from interdep.gridworld import (
     PICKUP_ONION_DISPENSER,
     PLACE_ONION_COUNTER,
     PLACE_ONION_POT,
+    SERVE_SOUP,
     PotPhase,
 )
 from interdep.policies import parse_policy_spec, run_episode
@@ -60,6 +64,7 @@ from oracle_utils import (
     per_step_fold,
     random_external_trace,
     replay_symbolic,
+    state_diff_match,
 )
 
 A = PrimitiveAction
@@ -468,7 +473,7 @@ def test_play_record_cannot_vouch_for_a_forged_step(passer_receiver_trace):
     # The first event's interact, forged into a stay: the forged trace
     # carries no record, so it is replayed, and the event is gone.
     trace = passer_receiver_trace
-    _, event = trace.played[0]
+    event = trace.played[0]
     assert trace.steps[event.t] is A.INTERACT
     forged_steps = list(trace.steps)
     forged_steps[event.t] = A.STAY
@@ -491,10 +496,8 @@ def test_the_ledger_holds_the_events_step_reported(passer_receiver_trace, path):
         trace = read_trace(io.StringIO(trace_to_text(trace)))
         played = replay(trace)
         ledger = match(played, trace)
-    reported = [event for _, event in played]
-    assert len(ledger.events) == len(reported)
-    assert all(mine is theirs for mine, theirs in zip(ledger.events, reported))
-    kept = {id(event) for event in reported}
+    assert ledger.events is played
+    kept = {id(event) for event in played}
     links = ledger.pairs + ledger.self_accepts
     assert ledger.pairs and ledger.self_accepts
     assert all(id(p.giver) in kept and id(p.receiver) in kept for p in links)
@@ -535,6 +538,53 @@ def test_played_ledger_equals_replayed_ledger(where, kinds, p, seed):
     replayed = match(replay(trace), trace)
     assert played.to_dict() == replayed.to_dict()
     assert played == replayed
+
+
+def diff_keys(links) -> set:
+    """Each pair or self-accept as `state_diff_match` names it."""
+    return {
+        (p.prop.canonical(), p.giver.agent, p.giver.t, p.receiver.agent, p.receiver.t)
+        for p in links
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    where=st.sampled_from(sorted(PLAY_LAYOUTS)),
+    team=st.sampled_from(
+        [None, ("passer", "receiver"), ("stochastic", "receiver"), ("random", "random")]
+    ),
+    p=st.sampled_from([0.0, 0.5, 1.0]),
+    bias=st.sampled_from([0.2, 0.5, 0.8]),
+    seed=st.integers(0, 10_000),
+)
+def test_pairs_follow_from_state_diffs(where, team, p, bias, seed):
+    """The pairs and self-accepts are exactly those of successive states.
+
+    `state_diff_match` shares no rule with grounding, so this catches a
+    fault in `EFFECTS` or in an event's key, which the brute-force oracle
+    grounds through as the analyzer does. The traces are random external
+    logs (no team) and scripted play, whose cooks plate and serve soups.
+    """
+    text, counter = PLAY_LAYOUTS[where]
+    config = EpisodeConfig(cook_time=3, horizon=400)
+    if team is None:
+        trace = random_external_trace(text, config, seed, config.horizon, bias)
+    else:
+        params = {
+            "passer": f"passer:counter={counter}",
+            "stochastic": f"stochastic:p={p!r},counter={counter},pot=0",
+            "receiver": f"receiver:counter={counter},pot=0",
+            "random": "random",
+        }
+        specs = (parse_policy_spec(params[kind]) for kind in team)
+        trace = run_episode(load_layout(text), config, *specs, seed)
+    for counter_empty in (True, False):
+        schema = build_interaction_schema(include_counter_empty=counter_empty)
+        ledger = analyze_trace(trace, schema)
+        pairs, self_accepts = state_diff_match(trace, counter_empty)
+        assert diff_keys(ledger.pairs) == pairs
+        assert diff_keys(ledger.self_accepts) == self_accepts
 
 
 @settings(max_examples=25, deadline=None)
@@ -635,7 +685,7 @@ def test_an_episode_without_events(layout):
         parse_policy_spec("idle"),
         1,
     )
-    assert trace.played == [] and len(trace.steps) == 12
+    assert trace.played == () and len(trace.steps) == 12
     played = analyze_trace(trace)
     replayed = match(replay(trace), trace)
     assert played == replayed and played.to_dict() == replayed.to_dict()
@@ -651,20 +701,61 @@ def test_an_episode_without_events(layout):
 
 # mirrored kitchens ----------------------------------------------------------
 
-MIRRORED_TURN = {A.LEFT: A.RIGHT, A.RIGHT: A.LEFT}
+# Each axis's reflection of a cell in a kitchen `width` x `height`, and the
+# two moves the reflection swaps.
+REFLECTIONS = {
+    "left-right": (lambda x, y, w, h: (w - 1 - x, y), {A.LEFT: A.RIGHT, A.RIGHT: A.LEFT}),
+    "up-down": (lambda x, y, w, h: (x, h - 1 - y), {A.UP: A.DOWN, A.DOWN: A.UP}),
+}
 CELL_PREDICATES = {"onion-on-counter", "dish-on-counter", "soup-on-counter", "counter-empty"}
 POT_PREDICATES = {"pot-contains", "soup-cooking", "soup-ready"}
 
 
-def mirrored(trace):
-    """`trace` in its kitchen reversed left to right: every row reversed,
-    and `left` and `right` swapped in every step."""
+def mirrored(trace, axis="left-right"):
+    """`trace` in its kitchen reflected along `axis`: every glyph moved to
+    its reflected cell, and the two moves along the axis swapped in every
+    step."""
+    reflect, swap = REFLECTIONS[axis]
     rows = trace.layout_text.splitlines()
+    w, h = len(rows[0]), len(rows)
+    image = [[""] * w for _ in range(h)]
+    for y, row in enumerate(rows):
+        for x, glyph in enumerate(row):
+            rx, ry = reflect(x, y, w, h)
+            image[ry][rx] = glyph
     return dataclasses.replace(
         trace,
-        layout_text="".join(row[::-1] + "\n" for row in rows),
-        steps=tuple(MIRRORED_TURN.get(a, a) for a in trace.steps),
+        layout_text="".join("".join(row) + "\n" for row in image),
+        steps=tuple(swap.get(a, a) for a in trace.steps),
     )
+
+
+def turns_before_interacting(trace) -> bool:
+    """Whether each cook moves or turns before its first interact.
+
+    Both cooks spawn facing N in every kitchen, its up-down flip included,
+    so only then does each interact face the flipped cell.
+    """
+    for agent in (0, 1):
+        for action in trace.steps[agent::2]:
+            if action in MOVE_DIRECTION:
+                break
+            if action is A.INTERACT:
+                return False
+    return True
+
+
+def recorded_plays(layout, config):
+    """Passer + receiver and stochastic + receiver episodes on
+    counter_circuit, as plain traces: `dataclasses.replace` drops the record
+    of play, so each is replayed like a file. They plate and serve soups,
+    which random play on counter_circuit almost never does."""
+    teams = [(PASSER, RECEIVER)] + [(stochastic(p), RECEIVER) for p in (0.5, 1.0)]
+    return [
+        dataclasses.replace(policy_trace(layout, config, *team, seed))
+        for team in teams
+        for seed in (1, 2)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -673,53 +764,79 @@ def mirrored(trace):
     ids=["counter_circuit", "forced_coordination", "mini"],
 )
 def test_mirrored_kitchen_scores_the_same(layout_text):
-    """A left-right mirror of the kitchen and of every turn is the same play.
+    """A reflected kitchen, with every turn reflected, is the same play.
 
     `step`, the faced-cell table and grounding's cell and pot arguments
-    share no fault with this relation. Only external traces qualify: the
-    scripted cooks break ties by cell order, so their play is not
-    mirror-symmetric. Both cooks start facing N, which the mirror keeps.
+    share no fault with this relation. Each kitchen is reflected left to
+    right and flipped up and down. The traces are random external ones
+    and, on counter_circuit, scripted play replayed as plain steps: the
+    scripted cooks break ties by cell order, so their own decisions are not
+    reflection-symmetric, but their recorded steps are a trace like any
+    other. Both cooks start facing N, which the left-right mirror keeps and
+    the up-down flip does not, so the flip takes only traces in which each
+    cook moves or turns before it first interacts.
     """
     layout = load_layout(layout_text)
     config = EpisodeConfig(cook_time=3, horizon=1500)
-    paired = 0
-    for seed in range(20):
-        trace = random_external_trace(layout_text, config, seed, 1500, 0.5)
-        image = mirrored(trace)
-        mirror_layout = load_layout(image.layout_text)
-        width = layout.width
+    scripted = layout_text == bundled_layout_text()
+    paired, subtasks = 0, set()
+    for axis, (reflect, _) in REFLECTIONS.items():
+
+        def qualifies(trace):
+            return axis == "left-right" or turns_before_interacting(trace)
+
+        drawn = (
+            random_external_trace(layout_text, config, seed, 1500, 0.5)
+            for seed in itertools.count()
+        )
+        traces = list(itertools.islice(filter(qualifies, drawn), 20))
+        if scripted:
+            traces += list(filter(qualifies, recorded_plays(layout, config)))
 
         def cell(x, y):
-            return (width - 1 - x, y)
+            return reflect(x, y, layout.width, layout.height)
 
-        pot_index = [mirror_layout.pot_cells.index(cell(*c)) for c in layout.pot_cells]
+        for trace in traces:
+            image = mirrored(trace, axis)
+            image_layout = load_layout(image.layout_text)
+            pots = layout.pot_cells
+            pot_index = {i: image_layout.pot_index[cell(*c)] for i, c in enumerate(pots)}
 
-        def mirror(prop):
-            args = prop.args
-            if prop.predicate in CELL_PREDICATES:
-                args = cell(*args)
-            elif prop.predicate in POT_PREDICATES:
-                args = (pot_index[args[0]], *args[1:])
-            return dataclasses.replace(prop, args=args)
+            def mirror(prop):
+                args = prop.args
+                if prop.predicate in CELL_PREDICATES:
+                    args = cell(*args)
+                elif prop.predicate in POT_PREDICATES:
+                    args = (pot_index[args[0]], *args[1:])
+                return dataclasses.replace(prop, args=args)
 
-        def mirror_event(event):
-            return dataclasses.replace(event, cell=cell(*event.cell))
+            def mirror_event(event):
+                return dataclasses.replace(
+                    event, cell=cell(*event.cell), pot=pot_index.get(event.pot)
+                )
 
-        ledger, image_ledger = analyze_trace(trace), analyze_trace(image)
-        assert {
-            (mirror(p.prop), mirror_event(p.giver), mirror_event(p.receiver))
-            for p in ledger.pairs
-        } == {(p.prop, p.giver, p.receiver) for p in image_ledger.pairs}, seed
-        paired += len(ledger.pairs)
-        for mode in ("subtask-actions", "all-actions"):
-            for fmt in ("json", "csv", "markdown"):
-                texts = []
-                for analyzed in (ledger, image_ledger):
-                    sink = io.StringIO()
-                    write_report(build_report(analyzed, mode), fmt, sink)
-                    texts.append(sink.getvalue())
-                assert texts[0] == texts[1], (seed, mode, fmt)
+            ledger, image_ledger = analyze_trace(trace), analyze_trace(image)
+            where = (axis, trace.policies, trace.seed)
+            assert image_ledger.events == tuple(map(mirror_event, ledger.events)), where
+            assert {
+                (mirror(p.prop), mirror_event(p.giver), mirror_event(p.receiver))
+                for p in ledger.pairs
+            } == {(p.prop, p.giver, p.receiver) for p in image_ledger.pairs}, where
+            paired += len(ledger.pairs)
+            subtasks |= {event.name for event in ledger.events}
+            for mode in ("subtask-actions", "all-actions"):
+                for fmt in ("json", "csv", "markdown"):
+                    texts = []
+                    for analyzed in (ledger, image_ledger):
+                        sink = io.StringIO()
+                        write_report(build_report(analyzed, mode), fmt, sink)
+                        texts.append(sink.getvalue())
+                    assert texts[0] == texts[1], (where, mode, fmt)
     assert paired  # the relation was held on some pairs
+    if scripted:
+        # The soup half of play, whose grounding reads the pot fill and the
+        # soups delivered, was drawn too.
+        assert {GET_SOUP_POT, SERVE_SOUP} <= subtasks
 
 
 # shifted time ---------------------------------------------------------------
@@ -803,8 +920,10 @@ def test_swapped_cooks_score_the_same(layout_text):
 
     Each event moves to the other cook and one turn later, and so does
     each pair and self-accept, on the same proposition; soups and
-    %Interdependent do not change. Only external traces qualify: a scripted
-    cook's decisions depend on which agent it is.
+    %Interdependent do not change. The traces are random external ones
+    and, on counter_circuit, scripted play replayed as plain steps: a
+    scripted cook's decisions depend on which agent it is, but its recorded
+    steps are a trace like any other.
     """
 
     def moved(event):
@@ -814,18 +933,29 @@ def test_swapped_cooks_score_the_same(layout_text):
         return {(p.prop, move(p.giver), move(p.receiver)) for p in pairs}
 
     config = EpisodeConfig(cook_time=3, horizon=600)
-    linked = 0
-    for seed in range(20):
-        bias = (0.2, 0.5, 0.8)[seed % 3]
-        trace = random_external_trace(layout_text, config, seed, 600, bias)
+    traces = [
+        random_external_trace(layout_text, config, seed, 600, (0.2, 0.5, 0.8)[seed % 3])
+        for seed in range(20)
+    ]
+    scripted = layout_text == bundled_layout_text()
+    if scripted:
+        traces += recorded_plays(load_layout(layout_text), config)
+    linked, subtasks = 0, set()
+    for trace in traces:
+        where = (trace.policies, trace.seed)
         ledger, after = analyze_trace(trace), analyze_trace(swapped(trace))
-        assert after.events == tuple(map(moved, ledger.events)), seed
-        assert links(after.pairs) == links(ledger.pairs, moved), seed
-        assert links(after.self_accepts) == links(ledger.self_accepts, moved), seed
+        assert after.events == tuple(map(moved, ledger.events)), where
+        assert links(after.pairs) == links(ledger.pairs, moved), where
+        assert links(after.self_accepts) == links(ledger.self_accepts, moved), where
+        subtasks |= {event.name for event in ledger.events}
         if not ledger.events:
             continue  # no subtask action, so no share to compare
         report, image_report = build_report(ledger), build_report(after)
-        assert image_report.soups_delivered == report.soups_delivered, seed
-        assert image_report.percent_interdependent == report.percent_interdependent, seed
+        assert image_report.soups_delivered == report.soups_delivered, where
+        assert image_report.percent_interdependent == report.percent_interdependent, where
         linked += len(ledger.pairs) + len(ledger.self_accepts)
     assert linked  # the relation was held on some links
+    if scripted:
+        # The soup half of play, whose grounding reads the pot fill and the
+        # soups delivered, was drawn too.
+        assert {GET_SOUP_POT, SERVE_SOUP} <= subtasks

@@ -57,9 +57,8 @@ def samples(layout, config):
     found = {cls: [] for cls in RECORDS}
     state = initial_state(layout, config)
     for t, action in enumerate(trace.steps):
-        before = state
         state, _, events = step(state, (1 + t % 2, action))
-        found[Grounding].extend(ground_event(before, event) for event in events)
+        found[Grounding].extend(ground_event(event) for event in events)
         found[EnvEvent].extend(events)
         found[WorldState].append(state)
         found[PlayerState].extend(state.players)

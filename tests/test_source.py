@@ -148,3 +148,37 @@ def test_every_exported_name_has_a_reader():
     assert {path.parent.name for path in paths} == {"interdep", "scripts", "perfbench"}
     read = set().union(*(read_names(path.read_text(encoding="utf-8")) for path in paths))
     assert [name for name in interdep.__all__ if name not in read] == []
+
+
+def called_names(source: str) -> list:
+    """The name of each call whose callee is a plain name or an attribute."""
+    return [
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_called_names_are_found():
+    source = "EnvEvent(0)\ngridworld.EnvEvent(1)\nf(EnvEvent)\nx = EnvEvent\n"
+    assert called_names(source) == ["EnvEvent", "EnvEvent", "f"]
+
+
+def test_only_the_simulator_builds_an_event():
+    # The grounding key stays with the simulator: `step` fills every field
+    # of an event, and grounding has no state to read one from.
+    paths = sorted((ROOT / "src" / "interdep").glob("*.py"))
+    builders = [
+        path.name
+        for path in paths
+        if "EnvEvent" in called_names(path.read_text(encoding="utf-8"))
+    ]
+    assert builders == ["gridworld.py"]
+    source = (ROOT / "src" / "interdep" / "grounding.py").read_text(encoding="utf-8")
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "WorldState" not in imported | read_names(source)
