@@ -10,28 +10,24 @@ receiver are the same cook is a self-acceptance, kept apart in
 `ledger.self_accepts`.
 
 Only events, the steps in which a cook's interact did something, add or
-require anything, so analysis grounds and folds events only and its cost
-grows with the events, not the steps. Its one input is the record of play,
-the tuple of `EnvEvent`s that `gridworld.step` reported, in step order.
-Each names the cook, the time, the subtask and the cell, and carries the
-rest of its grounding key, so an event grounds itself. `run_episode` keeps
-the record (`ReplayableTrace.played`). For a trace read from a file, or
-built or altered by hand, `replay` steps all of it through the simulator,
-which is the check that it is a real episode, and returns the same record.
-`match` grounds each event with `grounding.ground_event` and folds its
-link view into the ledger through a provenance map: the canonical text of
-every currently true shared proposition that some event added points at
-that event. The link view, the event's shared preconditions, deletes and adds
-by text, is compiled once per distinct event with its grounding and shared
-by every event of the same key, so the fold hashes cached strings and
-filters nothing per event. A fact absent from the map holds since the
-initial state, or came from the environment, and links no one.
-Acceptance reads the map, deletion clears it, addition overwrites it, so
-freshness is structural rather than re-checked. The ledger's events are
-the record itself, and the pairs' givers and receivers and the unaccepted
-triggers are its events; no other record is built per event. Moves and
-stays are counted from the trace's steps; `ledger.classifications` builds
-a per-step view, with roles, only when asked.
+require anything, so analysis reads the record of play alone, the
+`EnvEvent`s `gridworld.step` reported in step order, each with its whole
+grounding key, and its cost grows with the events, not the steps.
+`run_episode` keeps the record (`ReplayableTrace.played`); for a trace
+read from a file, or built or altered by hand, `replay` steps it through
+the simulator, which checks that it is a real episode, and returns it.
+
+`match` folds provenance alone. Its map points the canonical text of each
+currently true shared proposition at the event that added it: acceptance
+reads the map, deletion clears it and addition overwrites it, so
+freshness is structural; a fact absent from the map held from the start,
+or came from the environment, and links no one. Each event's link view,
+its shared preconditions, deletes and adds by text, is compiled once per
+distinct event with its grounding, so the fold hashes cached strings. The
+pairs hold the events themselves. The unaccepted triggers and soups are
+read off the events after the fold, each cook's action rings (`metrics`)
+off its event distribution, and moves and stays off the trace's steps.
+`ledger.classifications` builds a per-step view only when asked.
 """
 
 from __future__ import annotations
@@ -111,9 +107,7 @@ class InteractionSchema:
 
 
 @functools.cache
-def build_interaction_schema(
-    *, include_counter_empty: bool = True
-) -> InteractionSchema:
+def build_interaction_schema(*, include_counter_empty: bool = True) -> InteractionSchema:
     """The interaction schema, with or without counter-empty; built once each."""
     return InteractionSchema(include_counter_empty)
 
@@ -278,26 +272,19 @@ def match(
 ) -> InterdependencyLedger:
     """Ground a record of play and fold it, in step order, into a ledger.
 
-    `events` is the event of each step of `trace` that has one, as
-    `run_episode` keeps them and `replay` returns them; the ledger's
-    `events` is that very tuple. Each event is grounded from its own key
-    and takes its trigger role from `schema.roles`, then each linkable
-    shared precondition is looked up, by its canonical text, in the
-    provenance map. A fact an earlier event
-    added makes one pair of the two events, kept in `ledger.pairs` across
-    cooks and in `ledger.self_accepts` within one. Moves and stays link
-    nothing and are not folded. The episode time is the number of steps in
-    `trace` and the delivered soups are its serve-soup events.
+    `events` is `trace`'s record of play, from `run_episode` or `replay`,
+    and becomes the ledger's `events`. The fold is provenance alone: each
+    event is grounded from its own key, each linkable shared precondition
+    is looked up by its canonical text in the provenance map, the deletes
+    clear it and the adds record the event. A fact an earlier event added
+    makes one pair of the two events, in `ledger.pairs` across cooks and
+    in `ledger.self_accepts` within one. After the fold, the unaccepted
+    triggers are the events of a trigger subtask (`schema.roles`) that no
+    pair names as giver, and the soups are the serve-soup events.
     """
     if schema is None:
         schema = build_interaction_schema()
-    linkable, roles = schema.linkable, schema.roles
-
-    provenance: dict = {}
-    pairs: list = []
-    self_accepts: list = []
-    triggers: list = []
-    soups = 0
+    linkable, provenance, pairs, self_accepts = schema.linkable, {}, [], []
 
     for event in events:
         grounded = ground_event(event)
@@ -311,18 +298,14 @@ def match(
             provenance.pop(text, None)
         for text in grounded.shared_add:
             provenance[text] = event
-        is_trigger, _ = roles[event.name]
-        if is_trigger:
-            triggers.append(event)
-        if event.name == SERVE_SOUP:
-            soups += 1
 
+    triggers = {name for name, (is_trigger, _) in schema.roles.items() if is_trigger}
     matched = {pair.giver.t for pair in pairs}
-    unaccepted: dict = {1: [], 2: []}
-    for event in triggers:
-        if event.t not in matched:
+    unaccepted, soups = {1: [], 2: []}, 0
+    for event in events:
+        soups += event.name == SERVE_SOUP
+        if event.name in triggers and event.t not in matched:
             unaccepted[event.agent].append(event)
-
     return InterdependencyLedger(
         schema=schema,
         config=trace.config,

@@ -4,7 +4,9 @@ All rates are fractions in [0, 1]; ratios that would divide by zero are
 surfaced as None (undefined) with the raw counts kept alongside, never as
 a 0 or infinity stand-in. The interdependence share counts pair
 participations (giver side plus receiver side) over a configurable action
-denominator.
+denominator. A cook's action rings, its triggers, accepts, their overlap,
+coordination and independent actions, are read off its event distribution
+with one `schema.roles` lookup per subtask; `match`'s fold counts none.
 
 Each report field is declared once, in `TeamReport` or `AgentReport` in
 CSV column order; its declared type says how it renders (`REPORT_COLUMNS`)
@@ -26,6 +28,7 @@ from .gridworld import (
     MOVE,
     MOVE_DIRECTION,
     NOOP,
+    SERVE_SOUP,
     EpisodeConfig,
 )
 
@@ -162,8 +165,9 @@ class TeamReport(_Serializable):
         agent 2, every field of its declared type (`_check_types`), the
         denominator mode one of `DENOMINATOR_MODES` and the counts as
         `build_report` derives them: the pairs once per predicate, once per
-        giver and once per receiver, and each agent's actions once per
-        subtask; ValueError otherwise.
+        giver and once per receiver, each agent's actions once per subtask,
+        its rings and rates and the team's time, soups and time-out from
+        the counts; ValueError otherwise.
         """
         report = _from_fields(
             cls, d, config=EpisodeConfig.from_dict, agents=_agent_reports
@@ -183,15 +187,36 @@ class TeamReport(_Serializable):
             if sum(getattr(a, side) for a in report.agents) != pairs:
                 raise ValueError(f"pair_count {pairs} is not the sum of the agents' {side}")
         for a in report.agents:
+            if a.event_distribution.keys() != set(ALL_SUBTASKS):
+                raise ValueError(f"agent {a.agent}'s event_distribution is not per subtask")
             if sum(a.event_distribution.values()) != a.total_actions:
                 raise ValueError(
                     f"agent {a.agent}'s event_distribution does not sum to its"
                     f" total_actions {a.total_actions}"
                 )
+            if a.unaccepted_triggers > a.triggers:
+                raise ValueError(f"agent {a.agent} has more unaccepted_triggers than triggers")
         if den != counted:
             raise ValueError(f"denominator {den} is not the agents' {mode} count")
         if report.percent_interdependent != 2 * pairs / den:
             raise ValueError("percent_interdependent is not 2 * pair_count / denominator")
+        derived = [(report, "", {
+            "episode_time": sum(a.total_actions for a in report.agents),
+            "soups_delivered": sum(a.event_distribution[SERVE_SOUP] for a in report.agents),
+            "timed_out": report.soups_delivered < report.config.target_soups,
+        })]
+        derived += [(a, f"agent {a.agent}'s ", {
+            "subtask_actions": sum(a.event_distribution[n] for n in INTERACT_SUBTASKS),
+            "coordination": a.triggers + a.accepts - a.trigger_accept_overlap,
+            "independent": a.total_actions - a.coordination,
+            "contribution_ratio": _ratio(a.giver_count, a.receiver_count),
+            "trigger_share_of_coordination": _ratio(a.triggers, a.coordination),
+            "trigger_acceptance_rate": _ratio(a.triggers - a.unaccepted_triggers, a.triggers),
+        }) for a in report.agents]
+        for record, owner, values in derived:
+            for name, value in values.items():
+                if (got := getattr(record, name)) != value:
+                    raise ValueError(f"{owner}{name} {got!r} should be {value!r} by the counts")
         return report
 
 
@@ -238,28 +263,25 @@ def _agent_report(
     i.e. when the ledger does not list it among the unaccepted triggers.
     """
     dist = dict.fromkeys(ALL_SUBTASKS, 0)
-    roles = ledger.schema.roles
-    independent = triggers = accepts = overlap = 0
     for event in ledger.events:
         if event.agent == agent:
             dist[event.name] += 1
-            trig, acc = roles[event.name]
-            triggers += trig
-            accepts += acc
-            overlap += trig and acc
-            independent += not (trig or acc)
     turns = ledger.steps[agent - 1 :: 2]
     total = len(turns)
     dist[MOVE] = sum(map(MOVE_DIRECTION.__contains__, turns))
     dist[NOOP] = total - sum(dist.values())
-    independent += dist[MOVE] + dist[NOOP]
-    coordination = total - independent
+    triggers = accepts = overlap = 0
+    for name, (trig, acc) in ledger.schema.roles.items():
+        triggers += trig and dist[name]
+        accepts += acc and dist[name]
+        overlap += trig and acc and dist[name]
+    coordination = triggers + accepts - overlap
     unaccepted = len(ledger.unaccepted_triggers.get(agent, ()))
     return AgentReport(
         agent=agent,
         total_actions=total,
         subtask_actions=sum(dist[name] for name in INTERACT_SUBTASKS),
-        independent=independent,
+        independent=total - coordination,
         coordination=coordination,
         triggers=triggers,
         accepts=accepts,
@@ -343,7 +365,6 @@ def _summarize(values: list) -> FieldSummary:
     return FieldSummary(mean=mean, stddev=stddev, n=len(present), excluded=excluded)
 
 
-
 def aggregate(reports: list) -> AggregateSummary:
     """Combine per-episode reports into field-wise mean/stddev summaries.
 
@@ -354,12 +375,9 @@ def aggregate(reports: list) -> AggregateSummary:
     if not reports:
         raise ConfigMismatch("aggregate needs at least one report")
     head = reports[0]
+    setup = (head.config, head.denominator_mode, head.include_counter_empty)
     for r in reports[1:]:
-        if (
-            r.config != head.config
-            or r.denominator_mode != head.denominator_mode
-            or r.include_counter_empty != head.include_counter_empty
-        ):
+        if (r.config, r.denominator_mode, r.include_counter_empty) != setup:
             raise ConfigMismatch(
                 f"report {r.label!r} was produced under a different configuration "
                 f"than {head.label!r}"

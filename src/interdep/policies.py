@@ -60,7 +60,7 @@ _ALL_ACTIONS = tuple(PrimitiveAction)
 # The members the decision path compares against, bound to module names once
 # as in `gridworld`: reading one through its enum class costs several times
 # a module-name read on Python 3.11, and `next_action` runs every turn.
-_NOTHING, _ONION, _DISH, _SOUP = Item.NOTHING, Item.ONION, Item.DISH, Item.SOUP
+_ONION, _DISH, _SOUP = Item.ONION, Item.DISH, Item.SOUP
 _FILLING, _COOKING, _READY = PotPhase.FILLING, PotPhase.COOKING, PotPhase.READY
 _STAY, _INTERACT = PrimitiveAction.STAY, PrimitiveAction.INTERACT
 _ONION_DISPENSER = Tile.ONION_DISPENSER
@@ -507,8 +507,6 @@ class PasserPolicy(Policy):
         me, partner = state.players[self.agent - 1], state.players[2 - self.agent]
         if me.held is _ONION:
             return self._pass_onion(state, me, partner)
-        if me.held is not _NOTHING:
-            return _STAY  # passers only ever hold onions
         return self._face(me, partner, self.onion_cell)
 
 

@@ -288,6 +288,8 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         lambda d: d["agents"][1]["event_distribution"].update(
             move=d["agents"][1]["event_distribution"]["move"] + 40
         ),
+        lambda d: d.update(soups_delivered=2),
+        lambda d: d["agents"][1].update(independent=d["agents"][1]["independent"] - 1),
     ],
     ids=[
         "one-agent",
@@ -308,6 +310,8 @@ def test_report_reaggregates_report_files(layout_file, tmp_path):
         "giver-counts-not-the-pairs",
         "receiver-counts-not-the-pairs",
         "events-not-the-actions",
+        "soups-not-the-serve-soup-events",
+        "independent-not-the-rest",
     ],
 )
 def test_report_rejects_malformed_report_file(layout_file, tmp_path, capsys, corrupt):

@@ -846,7 +846,7 @@ def test_mirrored_kitchen_scores_the_same(layout_text):
 @given(
     team=st.sampled_from(
         [(PASSER, RECEIVER), (stochastic(0.5), RECEIVER), (stochastic(1.0), RECEIVER),
-         ("solo", "idle")]
+         ("solo", "idle"), ("random", "random")]
     ),
     seed=st.integers(1, 10_000),
     where=st.floats(0, 1),
@@ -859,9 +859,15 @@ def test_a_tick_of_two_stays_shifts_time_and_nothing_else(layout, config, team, 
     the pairs, soups and %Interdependent are those of the episode as
     played. The tick goes at an even place, so each later step keeps its
     cook, and the episode ends 2 turns or more before the horizon, so the
-    longer trace still ends where play did.
+    longer trace still ends where play did. Random play runs to the
+    horizon, so its trace is cut to an even length 2 turns before it; the
+    cut trace has no record of play and is replayed.
     """
     trace = run_episode(layout, config, *map(parse_policy_spec, team), seed)
+    if len(trace.steps) > config.horizon - 2:
+        assert team == ("random", "random")
+        trace = dataclasses.replace(trace, steps=trace.steps[: (config.horizon - 2) & ~1])
+        assert trace.played is None
     assert len(trace.steps) <= config.horizon - 2
     states = [state for state, _ in play(layout, config, trace)]
     places = [

@@ -22,7 +22,9 @@ from conftest import (
 )
 from interdep import (
     EpisodeConfig,
+    InterdepError,
     PrimitiveAction,
+    TeamReport,
     Unreachable,
     analyze_trace,
     build_report,
@@ -30,6 +32,7 @@ from interdep import (
     load_layout,
 )
 from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
+from interdep.metrics import DENOMINATOR_MODES
 from interdep.policies import (
     _POLICY_CLASSES,
     PolicySpec,
@@ -440,3 +443,74 @@ def test_policies_only_act_on_their_turn(layout, config):
     state = initial_state(layout, config)
     policy = make_policy(parse_policy_spec("idle"), 2, layout, seed=1)
     assert policy.next_action(state) is A.STAY
+
+
+# degenerate kitchens ---------------------------------------------------------
+
+
+@st.composite
+def small_kitchens(draw) -> str:
+    """An enclosed kitchen of at most 6 x 6: random walls and counters,
+    one station of each kind on the border off its corners, and one spawn
+    per cook on the inside. A width of 3 is a one-cell corridor."""
+    width = draw(st.integers(3, 6))
+    height = draw(st.integers(4 if width == 3 else 3, 6))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    border = [(x, y) for x, y in cells if x in (0, width - 1) or y in (0, height - 1)]
+    inside = [cell for cell in cells if cell not in border]
+    grid = {cell: draw(st.sampled_from("XXC")) for cell in border}
+    grid |= {cell: draw(st.sampled_from("      XC")) for cell in inside}
+    sides = [(x, y) for x, y in border if (x in (0, width - 1)) != (y in (0, height - 1))]
+    grid |= dict(zip(draw(st.permutations(sides))[:4], "ODPS"))
+    grid |= dict(zip(draw(st.permutations(inside))[:2], "12"))
+    return "\n".join("".join(grid[x, y] for x in range(width)) for y in range(height))
+
+
+@st.composite
+def specs_for(draw, layout) -> PolicySpec:
+    """Any scripted kind, with or without each parameter it reads; a cell
+    anywhere in the kitchen and a pot index that may be past the last."""
+    kind = draw(st.sampled_from(sorted(_POLICY_CLASSES)))
+    cls = _POLICY_CLASSES[kind]
+    values = {
+        "p": st.sampled_from([0.0, 0.5, 1.0]),
+        "counter": st.tuples(st.integers(0, layout.width - 1), st.integers(0, layout.height - 1)),
+        "pot": st.integers(0, 1),
+    }
+    return PolicySpec(kind, **{
+        name: draw(values[name] if name in cls.required else st.none() | values[name])
+        for name in cls.params
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    text=small_kitchens(),
+    seed=st.integers(1, 1000),
+    horizon=st.sampled_from([1, 2, 40, 200]),
+    cook_time=st.sampled_from([1, 20]),
+    onions=st.sampled_from([1, 3]),
+    soups=st.sampled_from([1, 3]),
+)
+def test_a_degenerate_kitchen_runs_or_fails_typed(
+    data, text, seed, horizon, cook_time, onions, soups
+):
+    # Play, analysis and each report either complete or raise one of the two
+    # errors the CLI turns into a single `error:` line, and a report that
+    # completes reads back as it was written.
+    config = EpisodeConfig(
+        target_soups=soups, horizon=horizon, cook_time=cook_time, onions_per_soup=onions
+    )
+    layout = load_layout(text)
+    try:
+        specs = data.draw(specs_for(layout)), data.draw(specs_for(layout))
+        ledger = analyze_trace(run_episode(layout, config, *specs, seed))
+    except (InterdepError, ValueError):
+        return
+    for mode in DENOMINATOR_MODES:
+        try:
+            report = build_report(ledger, mode)
+        except (InterdepError, ValueError):
+            continue
+        assert TeamReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report

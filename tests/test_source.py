@@ -1,12 +1,14 @@
 """Static checks on the project's source, read with `ast` and never imported.
 
-The one import is the package itself, for its `__all__`.
+The one import is the package itself, for its `__all__` and to resolve
+what `perfbench/` reads of it.
 """
 
 import ast
 import pathlib
 
 import interdep
+import interdep.cli  # perfbench/bench.py imports it, so `ip.cli` resolves there
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SOURCES = ("src/interdep", "tests", "scripts")
@@ -182,3 +184,98 @@ def test_only_the_simulator_builds_an_event():
         for alias in node.names
     }
     assert "WorldState" not in imported | read_names(source)
+
+
+# The names perfbench/ binds to the package, with the path each stands for:
+# `ip` (also read as `run.ip` and `bench.ip`) and `interdep` are the package
+# and `gw` is `ip.gridworld` (perfbench/bench.py, `play_external`).
+PACKAGE_ROOTS = {"ip": (), "interdep": (), "gw": ("gridworld",)}
+
+
+def package_chains(source: str) -> set:
+    """Each attribute chain through a package root, from that root on.
+
+    `run.ip.cli.main` gives `ip.cli.main`, and `from interdep.cli import
+    main` gives `interdep.cli.main`. A chain is taken whole, so
+    `gw.PrimitiveAction.STAY` is one chain.
+    """
+    tree = ast.parse(source)
+    inner = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            parts, base = [], node
+            while isinstance(base, ast.Attribute):
+                parts.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name):
+                parts.insert(0, base.id)
+                roots = [i for i, part in enumerate(parts[:-1]) if part in PACKAGE_ROOTS]
+                if roots:
+                    chains.add(".".join(parts[roots[0] :]))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("interdep"):
+            chains |= {f"{node.module}.{alias.name}" for alias in node.names}
+    return chains
+
+
+def test_package_chains_are_found():
+    source = (
+        "from interdep.cli import main\n"
+        "gw = ip.gridworld\n"
+        "x = gw.PrimitiveAction.STAY\n"
+        "run.ip.analyze_trace(trace).pairs\n"
+        "other.attr\n"
+    )
+    assert package_chains(source) == {
+        "interdep.cli.main",
+        "ip.gridworld",
+        "gw.PrimitiveAction.STAY",
+        "ip.analyze_trace",
+    }
+
+
+# What perfbench/ reads off the objects the package returns, by the class
+# that must keep it: perfbench/bench.py (`first_check`, `play_external`,
+# `report_bytes`, `run_one`) and perfbench/tracer.py (`_observe_ledger`,
+# `_observe_read`).
+PERFBENCH_OBJECT_READS = {
+    "accept_fluents": "interdependence.InteractionSchema",
+    "classifications": "interdependence.InterdependencyLedger",
+    "unaccepted_triggers": "interdependence.InterdependencyLedger",
+    "pairs": "interdependence.InterdependencyLedger",
+    "is_trigger": "interdependence.ActionClassification",
+    "agent": "gridworld.EnvEvent",
+    "steps": "trace_io.ReplayableTrace",
+    "label": "metrics.TeamReport",
+    "to_dict": "metrics.TeamReport",
+}
+
+
+def resolves(chain: str) -> bool:
+    """Whether a chain from `package_chains` names something in the package."""
+    root, *attrs = chain.split(".")
+    owner = interdep
+    try:
+        for attr in (*PACKAGE_ROOTS[root], *attrs):
+            owner = getattr(owner, attr)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_what_perfbench_reads_resolves_in_the_package():
+    # perfbench/ is the benchmark's harness and is not edited with the
+    # package, so a rename that drops one of these fails here, in tier-1,
+    # before it fails the benchmark's gate.
+    paths = sorted((ROOT / "perfbench").glob("*.py"))
+    assert paths
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    chains = set().union(*map(package_chains, sources))
+    assert chains
+    assert [chain for chain in sorted(chains) if not resolves(chain)] == []
+    read = set().union(*map(read_names, sources))
+    for attr, where in PERFBENCH_OBJECT_READS.items():
+        assert attr in read, f"perfbench/ no longer reads {attr}; drop it from the table"
+        module, name = where.split(".")
+        cls = getattr(getattr(interdep, module), name)
+        assert hasattr(cls, attr) or attr in cls.__dataclass_fields__, (attr, where)

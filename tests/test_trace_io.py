@@ -1074,6 +1074,51 @@ def test_read_report_rejects_a_part_that_is_not_an_object(
             ),
             "agent 2's event_distribution does not sum to its total_actions 259",
         ),
+        (
+            lambda d: d.update(soups_delivered=2),
+            "soups_delivered 2 should be 3 by the counts",
+        ),
+        (
+            lambda d: d.update(episode_time=999),
+            "episode_time 999 should be 518 by the counts",
+        ),
+        (
+            lambda d: d.update(timed_out=True),
+            "timed_out True should be False by the counts",
+        ),
+        *(
+            (
+                lambda d, edit=edit: d["agents"][1].update(edit),
+                f"agent 2's {name} {shown!r} should be {right!r} by the counts",
+            )
+            for edit, name, shown, right in [
+                ({"contribution_ratio": 0.5}, "contribution_ratio", 0.5, 1.0),
+                (
+                    {"trigger_share_of_coordination": 0.5},
+                    "trigger_share_of_coordination", 0.5, 1.0,
+                ),
+                ({"trigger_acceptance_rate": 0.5}, "trigger_acceptance_rate", 0.5, 9 / 21),
+                ({"coordination": 20}, "coordination", 20, 21),
+                ({"independent": 237}, "independent", 237, 238),
+                ({"triggers": 22}, "coordination", 21, 22),
+                ({"accepts": 22}, "coordination", 21, 22),
+                ({"trigger_accept_overlap": 22}, "coordination", 21, 20),
+                ({"unaccepted_triggers": 11}, "trigger_acceptance_rate", 9 / 21, 10 / 21),
+            ]
+        ),
+        (
+            lambda d: d["agents"][1].update(unaccepted_triggers=22),
+            "agent 2 has more unaccepted_triggers than triggers",
+        ),
+        (
+            lambda d: d["agents"][1]["event_distribution"].update(juggle=0),
+            "agent 2's event_distribution is not per subtask",
+        ),
+        (
+            # Agent 1 delivered nothing, so its total still adds up.
+            lambda d: d["agents"][0]["event_distribution"].pop("serve-soup"),
+            "agent 1's event_distribution is not per subtask",
+        ),
     ],
     ids=[
         "zero-denominator",
@@ -1083,6 +1128,21 @@ def test_read_report_rejects_a_part_that_is_not_an_object(
         "giver-counts",
         "receiver-counts",
         "event-distribution",
+        "soups-delivered",
+        "episode-time",
+        "timed-out",
+        "contribution-ratio",
+        "trigger-share",
+        "acceptance-rate",
+        "coordination",
+        "independent",
+        "triggers",
+        "accepts",
+        "overlap",
+        "unaccepted-triggers",
+        "more-unaccepted-than-triggers",
+        "extra-subtask",
+        "no-serve-soup",
     ],
 )
 def test_read_report_rejects_counts_that_disagree(tmp_path, pr_report, corrupt, message):
