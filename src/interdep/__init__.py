@@ -31,6 +31,7 @@ _EXPORTS = {
         "ReplayMismatch",
         "SchemaViolation",
         "SpawnCountError",
+        "SpecMismatch",
         "Unreachable",
         "VersionUnsupported",
     ),

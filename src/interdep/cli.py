@@ -7,9 +7,10 @@ re-aggregates previously written report JSON files; `schema` dumps the
 predicate vocabulary and subtask templates.
 
 Every failure path exits 1 with a single `error: ...` line on stderr. Set
-INTERDEP_LOG=DEBUG (or INFO) for progress logging. Seed batches run on a
-thread pool; all files are written atomically (temp file + rename). Each
-command imports only the modules it runs.
+INTERDEP_LOG=DEBUG (or INFO) for progress logging; `logging` is imported
+and configured only then. Seed batches run on plain threads; all files are
+written atomically (temp file + rename). Each command imports only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -30,16 +31,27 @@ TRACE_SUFFIX = ".trace.jsonl"
 REPORT_FORMATS = {"json": ".report.json", "csv": ".report.csv", "markdown": ".report.md"}
 
 
-def _configure_logging() -> None:
+def _configure_logging(name: str) -> None:
     import logging
 
-    name = os.environ.get("INTERDEP_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
+    level = getattr(logging, name.upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(
         level=level, format="%(asctime)s %(name)s %(levelname)s %(message)s"
     )
+
+
+def _info(message: str, *args) -> None:
+    """Log `message` at INFO on the `interdep` logger, if `logging` is loaded.
+
+    `main` imports it only when INTERDEP_LOG is set. A process that has not
+    imported it has set no handler or level, so the record would be
+    dropped anyway.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("interdep").info(message, *args)
 
 
 def _parse_seeds(text: str) -> list:
@@ -76,10 +88,43 @@ def _atomic_write(path: Path, write: Callable) -> None:
         raise
 
 
-def cmd_simulate(args) -> int:
-    import concurrent.futures
-    import logging
+def _map_on_threads(fn: Callable, items: list, workers: int) -> list:
+    """`[fn(x) for x in items]`, run on `workers` threads, the caller's among them.
 
+    Each thread takes the next item in order until none is left. After an
+    item fails, no thread takes another; the error raised is that of the
+    earliest item that failed, as `Executor.map` would raise it.
+    """
+    import threading
+
+    results, errors = [None] * len(items), {}
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as e:
+                with lock:
+                    errors[i] = e
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def cmd_simulate(args) -> int:
     from .gridworld import EpisodeConfig, load_layout
     from .policies import parse_policy_spec, run_episode
     from .trace_io import write_trace
@@ -105,7 +150,7 @@ def cmd_simulate(args) -> int:
     stem = Path(args.layout).name.removesuffix(".layout")
 
     def one(seed: int) -> Path:
-        logging.getLogger("interdep").info("simulating seed %d", seed)
+        _info("simulating seed %d", seed)
         trace = run_episode(layout, config, spec1, spec2, seed)
         path = outdir / f"{stem}_{seed}{TRACE_SUFFIX}"
         _atomic_write(path, lambda f: write_trace(trace, f))
@@ -114,9 +159,7 @@ def cmd_simulate(args) -> int:
     # Play is pure Python under the GIL: a thread past one per CPU adds no
     # speed, only a thread.
     workers = min(args.jobs, len(seeds), os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        paths = list(pool.map(one, seeds))
-    for path in paths:
+    for path in _map_on_threads(one, seeds, workers):
         print(path)
     return 0
 
@@ -152,8 +195,6 @@ def _labels(trace_paths: list) -> list:
 
 
 def cmd_analyze(args) -> int:
-    import logging
-
     from .interdependence import analyze_trace, build_interaction_schema
     from .metrics import aggregate, build_report
     from .trace_io import read_trace
@@ -168,7 +209,7 @@ def cmd_analyze(args) -> int:
     # written, so a trace that fails leaves no output behind.
     reports, ledgers = [], []
     for trace_path, label in zip(args.traces, labels):
-        logging.getLogger("interdep").info("analyzing %s", trace_path)
+        _info("analyzing %s", trace_path)
         try:
             ledger = analyze_trace(read_trace(trace_path), schema)
             reports.append(build_report(ledger, mode=args.denominator, label=label))
@@ -276,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    _configure_logging()
+    level = os.environ.get("INTERDEP_LOG")
+    if level:
+        _configure_logging(level)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

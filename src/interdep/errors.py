@@ -49,6 +49,14 @@ class Unreachable(InterdepError):
     """A policy's target station cannot be reached in this layout."""
 
 
+class SpecMismatch(InterdepError, ValueError):
+    """A policy spec names a counter or pot that the layout does not have.
+
+    It is also a ValueError, so a caller that caught the plain ValueError
+    these faults once raised still catches them.
+    """
+
+
 # --- trace io ---
 
 class VersionUnsupported(InterdepError):

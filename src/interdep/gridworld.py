@@ -14,8 +14,10 @@ The state and step records (players, pots, events, world states) are
 built by `record`: frozen, slotted dataclasses whose constructor fills the
 slots of an unfrozen twin instance with plain stores and then gives it the
 record's class, since every step builds a world state and the analyzer
-builds several records per step. They stay frozen and hashable like any
-frozen dataclass.
+builds several records per step. `record` generates a record's
+constructor, equality, hash and repr in one `exec` at import, where a
+frozen dataclass generates six functions. Records stay frozen and hashable
+like any frozen dataclass.
 
 `step` does its geometry by table lookup: a loaded layout keeps the cell
 and tile each grid cell faces in each direction (`Layout.faced`), and the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from reprlib import recursive_repr
 from typing import Optional
 
 from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCountError
@@ -48,28 +51,44 @@ def _refuse_subclass(cls, **kwargs):
     raise TypeError(f"record {cls.__mro__[1].__name__} cannot be subclassed")
 
 
-def record(cls):
-    """`dataclass(frozen=True, slots=True)` built by a cheaper `__new__`.
+# The methods `record` generates in its one `exec`.
+_GENERATED = ("__new__", "__eq__", "__hash__", "__repr__")
 
-    A frozen instance refuses attribute stores, so the `__init__` a frozen
-    dataclass generates fills each slot through a call to
-    `object.__setattr__`, which costs more than a plain store. A record has
-    no `__init__` of its own; its generated `__new__` takes a bare instance
-    of a private twin class with the same slots, fills them with plain
-    attribute stores (the twin is not frozen), then sets the instance's
-    `__class__` to the record. Equality, hashing, repr and `replace` are
-    the dataclass's own; pickling and copying rebuild a record through the
-    class call (`__reduce__`), and assigning or deleting any attribute
-    raises `FrozenInstanceError`.
+
+def record(cls):
+    """A frozen, slotted dataclass whose methods come from one `exec`.
+
+    `dataclass` is asked for the fields and the slots alone (no `init`,
+    `repr` or `eq`, not frozen), so it generates no function. One `exec`
+    then generates the record's `__new__`, `__eq__`, `__hash__` and
+    `__repr__`. The last three are the source a frozen dataclass
+    generates (`__eq__` compares field tuples, as before Python 3.13), so
+    equality, hash values and repr are a frozen dataclass's, and
+    `replace` works as on one; `__dataclass_params__` holds the flags
+    `dataclass` was given.
+
+    A frozen instance refuses attribute stores, so a frozen dataclass's
+    `__init__` fills each slot through a call to `object.__setattr__`,
+    which costs more than a plain store. A record has no `__init__` of its
+    own; its `__new__` takes a bare instance of a private twin class with
+    the same slots, fills them with plain attribute stores (the twin is
+    not frozen), then sets the instance's `__class__` to the record.
+    Pickling and copying rebuild a record through the class call
+    (`__reduce__`), and assigning or deleting any attribute raises
+    `FrozenInstanceError`.
 
     The generated `__new__` only assigns its arguments, so a class that
     needs more of its constructor (`__post_init__`, fields with
     `default_factory`, `init=False` or `kw_only`) is refused, and so is a
     subclass of a record, which the `__new__` would build as the record.
+    A class that defines a method the `exec` generates is refused too.
     """
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"record {cls.__name__} cannot have __post_init__")
-    cls = dataclass(frozen=True, slots=True)(cls)
+    for name in _GENERATED:
+        if name in cls.__dict__:
+            raise TypeError(f"record {cls.__name__} cannot define {name}")
+    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     twin = type(f"_{cls.__name__}", (), {"__slots__": cls.__slots__})
     namespace = {"_new": object.__new__, "_twin": twin}
     names, params = [], []
@@ -84,14 +103,34 @@ def record(cls):
         else:
             namespace[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
+    # What a frozen dataclass compares, hashes and shows.
+    compared = [f.name for f in fields(cls) if f.compare]
+    hashed = [f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash)]
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields(cls) if f.repr)
+
+    def values(obj: str, names: list) -> str:
+        return "(" + "".join(f"{obj}.{name}," for name in names) + ")"
+
     lines = [f"def __new__(cls, {', '.join(params)}):", "    self = _new(_twin)"]
     lines += [f"    self.{name} = {name}" for name in names]
     lines += ["    self.__class__ = cls", "    return self"]
+    lines += [
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {values('self', compared)} == {values('other', compared)}",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash({values('self', hashed)})",
+        "def __repr__(self):",
+        f'    return self.__class__.__qualname__ + f"({shown})"',
+    ]
     exec("\n".join(lines), namespace)
-    new = namespace["__new__"]
-    new.__qualname__ = f"{cls.__qualname__}.__new__"
-    del cls.__init__
-    cls.__new__ = staticmethod(new)
+    for name in _GENERATED:
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    cls.__new__ = staticmethod(namespace["__new__"])
+    cls.__eq__ = namespace["__eq__"]
+    cls.__hash__ = namespace["__hash__"]
+    cls.__repr__ = recursive_repr()(namespace["__repr__"])
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
@@ -314,6 +353,8 @@ class EpisodeConfig:
 
 @record
 class PlayerState:
+    """One cook: its number, cell, facing and the item in its hands."""
+
     agent_id: int  # 1 or 2
     position: Cell
     orientation: Orientation
@@ -322,6 +363,8 @@ class PlayerState:
 
 @record
 class PotState:
+    """One pot: its cell, onions in it, cook timer and phase."""
+
     pot_cell: Cell
     onion_count: int = 0
     cook_timer: int = 0
@@ -371,6 +414,11 @@ class EnvEvent:
 
 @record
 class WorldState:
+    """The whole kitchen at time `t`: cooks, counters, pots and soups served.
+
+    Its layout takes no part in equality; its counters take none in the hash.
+    """
+
     layout: Layout = field(compare=False)
     config: EpisodeConfig
     players: tuple[PlayerState, PlayerState]

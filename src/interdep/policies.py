@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import Unreachable
+from .errors import SpecMismatch, Unreachable
 from .gridworld import (
     COOK_TURNS,
     MOVE_FOR_DIRECTION,
@@ -370,12 +370,12 @@ class Policy:
                     f"agent {self.agent}: no counter with two approach sides"
                 )
         if not self.layout.in_bounds(cell):
-            raise ValueError(
+            raise SpecMismatch(
                 f"counter cell {cell} is outside the "
                 f"{self.layout.width}x{self.layout.height} grid"
             )
         if self.layout.tile_at(cell) is not Tile.COUNTER:
-            raise ValueError(f"target cell {cell} is not a counter tile")
+            raise SpecMismatch(f"target cell {cell} is not a counter tile")
         self._require_reachable(cell, "counter")
         self.counter_cell = cell
 
@@ -383,7 +383,7 @@ class Policy:
         idx = self.spec.pot or 0
         pots = self.layout.pot_cells
         if not 0 <= idx < len(pots):
-            raise ValueError(f"pot index {idx} out of range (layout has {len(pots)})")
+            raise SpecMismatch(f"pot index {idx} out of range (layout has {len(pots)})")
         self._require_reachable(pots[idx], "pot")
         self.pot_cell, self.pot_index = pots[idx], idx
 

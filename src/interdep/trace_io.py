@@ -39,6 +39,10 @@ by the kind its declared type gives (`metrics.REPORT_COLUMNS`); each
 markdown column is declared once, in a table that names its fields and
 how it renders. The header, every episode row and the mean row are all
 built from these tables.
+
+This module imports `metrics` only when a report is rendered or read, so
+`simulate`, which writes traces alone, never loads it. `CSV_COLUMNS` is
+built from `metrics` on its first use.
 """
 
 from __future__ import annotations
@@ -48,8 +52,9 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import (
     ChecksumMismatch,
@@ -59,7 +64,9 @@ from .errors import (
     VersionUnsupported,
 )
 from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction
-from .metrics import REPORT_COLUMNS, AggregateSummary, TeamReport
+
+if TYPE_CHECKING:
+    from .metrics import AggregateSummary, TeamReport
 
 FORMAT_NAME = "interdep-trace"
 FORMAT_VERSION = 1
@@ -476,10 +483,21 @@ def summary_to_markdown(summary: AggregateSummary) -> str:
 # percentage with two; a flag is 0 or 1. A mean row averages what
 # `aggregate` summarizes (a count with four decimals), repeats the settings
 # every report shares, and leaves the rest empty.
-CSV_COLUMNS = (
-    "label",
-    *(key.replace("agent", "ag").replace(".", "_") for key, _ in REPORT_COLUMNS),
-)
+@cache
+def _csv_columns() -> tuple:
+    from .metrics import REPORT_COLUMNS
+
+    return (
+        "label",
+        *(key.replace("agent", "ag").replace(".", "_") for key, _ in REPORT_COLUMNS),
+    )
+
+
+def __getattr__(name: str):
+    """`CSV_COLUMNS`, built on its first use (PEP 562)."""
+    if name == "CSV_COLUMNS":
+        return _csv_columns()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _csv_cell(v, kind: str) -> str:
@@ -503,24 +521,21 @@ def _csv_mean(summary: AggregateSummary, key: str, kind: str) -> str:
     return f"{f.mean:.4f}" if kind == "count" else _csv_cell(f.mean, kind)
 
 
-def _csv_row(r: TeamReport) -> list:
-    return [r.label] + [_csv_cell(r.value(key), kind) for key, kind in REPORT_COLUMNS]
-
-
-def _csv_mean_row(summary: AggregateSummary) -> list:
-    return ["mean"] + [_csv_mean(summary, key, kind) for key, kind in REPORT_COLUMNS]
-
-
 def report_to_csv(obj: Union[TeamReport, AggregateSummary]) -> str:
+    from .metrics import REPORT_COLUMNS, TeamReport
+
+    single = isinstance(obj, TeamReport)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    if isinstance(obj, TeamReport):
-        writer.writerow(_csv_row(obj))
-    else:
-        for r in obj.reports:
-            writer.writerow(_csv_row(r))
-        writer.writerow(_csv_mean_row(obj))
+    writer.writerow(_csv_columns())
+    for r in (obj,) if single else obj.reports:
+        writer.writerow(
+            [r.label] + [_csv_cell(r.value(key), kind) for key, kind in REPORT_COLUMNS]
+        )
+    if not single:
+        writer.writerow(
+            ["mean"] + [_csv_mean(obj, key, kind) for key, kind in REPORT_COLUMNS]
+        )
     return out.getvalue()
 
 
@@ -528,6 +543,8 @@ def write_report(
     obj: Union[TeamReport, AggregateSummary], fmt: str, sink: Sink
 ) -> None:
     """Serialize a report or aggregate summary as json, csv or markdown."""
+    from .metrics import TeamReport
+
     if fmt == "json":
         text = json.dumps(obj.to_dict(), sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
@@ -545,6 +562,8 @@ def write_report(
 
 def read_report(source: Sink) -> TeamReport:
     """Load a single-episode report back from its JSON form."""
+    from .metrics import TeamReport
+
     bad = f"bad report file {source}:"
     try:
         data = json.loads(_read_text(source))

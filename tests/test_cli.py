@@ -1,11 +1,13 @@
 """End-to-end command line behavior, run in process via main(argv)."""
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import pathlib
 import stat
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -80,28 +82,66 @@ def test_simulate_pool_writes_the_serial_bytes(layout_file, tmp_path):
 def test_simulate_pool_is_capped_by_cpus_and_seeds(
     layout_file, tmp_path, monkeypatch, jobs, seeds, cpus, workers
 ):
-    # A recording stand-in for the pool runs the batch serially, so no
+    # A recording stand-in for the thread never starts, so the calling
+    # thread, always one of the workers, runs the batch serially and no
     # thread starts however large --jobs is.
-    sizes = []
+    extra_threads = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class RecordingThread:
+        def __init__(self, target):
+            extra_threads.append(target)
 
-        def __enter__(self):
-            return self
+        def start(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     paths = simulate(layout_file, tmp_path, f"1..{seeds}", "solo", "idle", ["--jobs", jobs])
-    assert sizes == [workers]
+    assert 1 + len(extra_threads) == workers
     assert len(paths) == seeds
+
+
+def test_thread_map_runs_each_item_once_in_order():
+    # More threads than CPUs and a short switch interval: a lost or doubled
+    # take of an item would show in `seen` or in the results.
+    seen = []
+
+    def square(x):
+        seen.append(x)
+        return x * x
+
+    items = list(range(3000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = cli._map_on_threads(square, items, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [x * x for x in items]
+    assert sorted(seen) == items
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_thread_map_raises_the_earliest_failure(workers):
+    started = []
+
+    def fail_at_3_and_5(x):
+        started.append(x)
+        if x in (3, 5):
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError) as caught:
+        cli._map_on_threads(fail_at_3_and_5, list(range(100)), workers)
+    assert caught.value.args == (3,)
+    # Items are taken in order, so the started ones are a prefix; one
+    # worker starts none after the failure.
+    assert sorted(started) == list(range(len(started)))
+    if workers == 1:
+        assert started == [0, 1, 2, 3]
 
 
 def test_simulate_trace_header_records_run(layout_file, tmp_path):
@@ -724,6 +764,39 @@ def test_log_env_var_is_tolerated(layout_file, tmp_path, monkeypatch):
     simulate(layout_file, tmp_path / "a")
     monkeypatch.setenv("INTERDEP_LOG", "bogus")
     simulate(layout_file, tmp_path / "b")
+
+
+def run_logged(argv: list) -> str:
+    """`interdep` in a fresh interpreter with INTERDEP_LOG=INFO; its stderr."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "interdep.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path, "INTERDEP_LOG": "INFO"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stderr
+
+
+def test_info_logging_names_each_seed_and_trace(layout_file, tmp_path):
+    # This process has loaded and configured `logging` already, so only a
+    # fresh interpreter shows that `main` sets it up from INTERDEP_LOG.
+    out = tmp_path / "traces"
+    argv = ["--layout", str(layout_file), "--p1", "solo", "--p2", "idle"]
+    err = run_logged(["simulate", *argv, "--seeds", "1..3", "--jobs", "2", "--out", str(out)])
+    lines = err.splitlines()
+    assert sorted(line.split(" INFO ")[1] for line in lines) == [
+        f"simulating seed {seed}" for seed in (1, 2, 3)
+    ]
+    assert all(" interdep INFO " in line for line in lines)
+    traces = sorted(str(p) for p in out.glob("*.trace.jsonl"))
+    err = run_logged(["analyze", *traces, "--out", str(tmp_path / "reports")])
+    assert [line.split(" INFO ")[1] for line in err.splitlines()] == [
+        f"analyzing {trace}" for trace in traces
+    ]
 
 
 # determinism and golden pipeline ----------------------------------------------

@@ -16,7 +16,7 @@ import textwrap
 
 import interdep
 from interdep import analyze_trace, build_report
-from interdep.trace_io import write_report
+from interdep.trace_io import CSV_COLUMNS, write_report, write_trace
 
 SRC = pathlib.Path(interdep.__file__).resolve().parents[1]
 SUBMODULES = (
@@ -35,13 +35,15 @@ ALL_LOADED = "print(json.dumps(sorted(sys.modules)))"
 
 
 def run_fresh(code: str):
-    """Run `code` after `import interdep` in a new interpreter; the JSON it
-    prints last is returned."""
+    """Run `code` after `import interdep` in a new interpreter, with no
+    INTERDEP_LOG set; the JSON it prints last is returned."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     prelude = "import json, sys\nimport interdep\n"
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("INTERDEP_LOG", None)
     result = subprocess.run(
         [sys.executable, "-c", prelude + textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,
@@ -115,6 +117,59 @@ def test_report_command_loads_no_policies_or_analyzer(tmp_path, passer_receiver_
     assert "interdep.trace_io" in loaded
     for name in ("interdep.policies", "interdep.grounding", "interdep.interdependence"):
         assert name not in loaded
+
+
+def test_simulate_command_loads_no_report_builder_or_pool(tmp_path):
+    layout = tmp_path / "kitchen.layout"
+    layout.write_text(interdep.bundled_layout_text(), encoding="utf-8")
+    argv = ["simulate", "--layout", str(layout), "--p1", "solo", "--p2", "idle"]
+    loaded = run_command([*argv, "--seeds", "1..2", "--jobs", "2", "--out", str(tmp_path)])
+    assert "interdep.trace_io" in loaded
+    for name in ("interdep.metrics", "statistics", "concurrent.futures"):
+        assert name not in loaded
+
+
+def test_no_command_loads_logging_unless_asked(tmp_path, passer_receiver_trace):
+    layout = tmp_path / "kitchen.layout"
+    layout.write_text(interdep.bundled_layout_text(), encoding="utf-8")
+    trace = tmp_path / "kitchen_1.trace.jsonl"
+    with trace.open("w", encoding="utf-8") as f:
+        write_trace(passer_receiver_trace, f)
+    argvs = [
+        ["simulate", "--layout", str(layout), "--p1", "solo", "--p2", "idle",
+         "--seeds", "1..2", "--jobs", "2", "--out", str(tmp_path / "traces")],
+        ["analyze", str(trace), "--out", str(tmp_path)],
+        ["report", str(tmp_path / "kitchen_1.report.json"), "--out", str(tmp_path / "sum")],
+        ["schema", "--out", str(tmp_path / "schema.json")],
+    ]
+    for argv in argvs:
+        assert "logging" not in run_command(argv), argv[0]
+
+
+# The report names perfbench/tracer.py wraps in `trace_io`, by its own
+# `__dict__`, so each must be bound there when the module is imported.
+TRACED_REPORT_NAMES = (
+    "write_report",
+    "read_report",
+    "report_to_csv",
+    "report_to_markdown",
+    "summary_to_markdown",
+)
+
+
+def test_report_names_resolve_from_trace_io_without_loading_metrics():
+    bound, metrics_loaded, columns = run_fresh(
+        f"""
+        import interdep.trace_io as trace_io
+        bound = [callable(vars(trace_io).get(name)) for name in {TRACED_REPORT_NAMES!r}]
+        metrics_loaded = "interdep.metrics" in sys.modules
+        from interdep.trace_io import CSV_COLUMNS
+        print(json.dumps([bound, metrics_loaded, list(CSV_COLUMNS)]))
+        """
+    )
+    assert bound == [True] * len(TRACED_REPORT_NAMES)
+    assert not metrics_loaded
+    assert columns == list(CSV_COLUMNS)
 
 
 def test_every_export_is_the_object_in_its_home_module():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from interdep import (
     EpisodeConfig,
     InterdepError,
     PrimitiveAction,
+    SpecMismatch,
     TeamReport,
     Unreachable,
     analyze_trace,
@@ -204,6 +206,24 @@ def test_bfs_distances_are_searched_once_per_layout(layout):
     first = bfs_distances(layout, (1, 1), frozenset({(2, 1)}))
     assert bfs_distances(layout, (1, 1), frozenset({(2, 1)})) is first
     assert layout.routes[((1, 1), frozenset({(2, 1)}))] is first
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("passer:counter=(99,2)", "counter cell (99, 2) is outside the 8x5 grid"),
+        ("passer:counter=(1,1)", "target cell (1, 1) is not a counter tile"),
+        ("solo:pot=9", "pot index 9 out of range (layout has 2)"),
+    ],
+    ids=["outside-grid", "not-a-counter", "pot-index"],
+)
+def test_a_spec_that_does_not_fit_the_kitchen_is_an_interdep_error(layout, spec, message):
+    # A library caller catches it by the package's base error, and a caller
+    # that caught the ValueError it used to be still does.
+    with pytest.raises(InterdepError, match=re.escape(message)) as caught:
+        make_policy(parse_policy_spec(spec), 1, layout, seed=1)
+    assert isinstance(caught.value, SpecMismatch)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_unreachable_station_detected():

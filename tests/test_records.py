@@ -120,8 +120,10 @@ def test_record_matches_a_plain_frozen_dataclass(cls, samples):
         ({"x": dataclasses.field(default_factory=int)}, "plain init argument"),
         ({"x": dataclasses.field(default=0, init=False)}, "plain init argument"),
         ({"x": dataclasses.field(default=0, kw_only=True)}, "plain init argument"),
+        ({"__repr__": lambda self: "x"}, "cannot define __repr__"),
+        ({"__eq__": lambda self, other: True}, "cannot define __eq__"),
     ],
-    ids=["post-init", "default-factory", "init-false", "kw-only"],
+    ids=["post-init", "default-factory", "init-false", "kw-only", "own-repr", "own-eq"],
 )
 def test_record_refuses_a_class_that_needs_more_than_assignment(namespace, message):
     # What such a class needs from its constructor would be skipped.

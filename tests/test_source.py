@@ -186,6 +186,24 @@ def test_only_the_simulator_builds_an_event():
     assert "WorldState" not in imported | read_names(source)
 
 
+def test_every_record_and_dataclass_has_a_docstring():
+    # Without one, `dataclass` builds a docstring from `inspect.signature`
+    # at import, and a record's would name no field.
+    def decorator(node) -> str:
+        target = node.func if isinstance(node, ast.Call) else node
+        return target.id if isinstance(target, ast.Name) else ""
+
+    undocumented = [
+        f"{path.name}: {node.name}"
+        for path in sorted((ROOT / "src" / "interdep").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and {"record", "dataclass"} & {decorator(d) for d in node.decorator_list}
+        and not ast.get_docstring(node)
+    ]
+    assert undocumented == []
+
+
 # The names perfbench/ binds to the package, with the path each stands for:
 # `ip` (also read as `run.ip` and `bench.ip`) and `interdep` are the package
 # and `gw` is `ip.gridworld` (perfbench/bench.py, `play_external`).
