@@ -13,7 +13,7 @@ the module it lives in and keeps the value here, so a caller that only loads
 a layout never imports the policies, the reports or the trace I/O.
 """
 
-from importlib import import_module, resources
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -73,6 +73,7 @@ _EXPORTS = {
         "parse_policy_spec",
         "run_episode",
     ),
+    "records": ("FrozenInstanceError", "replace"),
     "trace_io": ("ReplayableTrace", "read_trace", "write_report", "write_trace"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -81,11 +82,9 @@ _SUBMODULES = frozenset({*_EXPORTS, "cli"})
 
 def bundled_layout_text(name: str = "counter_circuit") -> str:
     """Text of a layout shipped with the package."""
-    return (
-        resources.files("interdep.layouts")
-        .joinpath(f"{name}.layout")
-        .read_text(encoding="utf-8")
-    )
+    from importlib.resources import files  # here: `import interdep` does not load it
+
+    return files("interdep.layouts").joinpath(f"{name}.layout").read_text(encoding="utf-8")
 
 
 __all__ = sorted([*_HOME, "bundled_layout_text"])

@@ -140,7 +140,7 @@ def cmd_simulate(args) -> int:
     spec2 = parse_policy_spec(args.p2)
     # Each config flag is named after an EpisodeConfig field; one that was
     # not given keeps the field's default.
-    names = EpisodeConfig.__dataclass_fields__
+    names = EpisodeConfig.__record_fields__
     config = EpisodeConfig(
         **{k: v for k, v in vars(args).items() if k in names and v is not None}
     )

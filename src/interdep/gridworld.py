@@ -10,132 +10,23 @@ timestep, round-robin from agent 1, so turn `t` is agent `1 + t % 2`'s.
 All transitions are deterministic, so an episode is fully reproducible
 from (layout, config, action sequence).
 
-The state and step records (players, pots, events, world states) are
-built by `record`: frozen, slotted dataclasses whose constructor fills the
-slots of an unfrozen twin instance with plain stores and then gives it the
-record's class, since every step builds a world state and the analyzer
-builds several records per step. `record` generates a record's
-constructor, equality, hash and repr in one `exec` at import, where a
-frozen dataclass generates six functions. Records stay frozen and hashable
-like any frozen dataclass.
+The layout, the config, the players, pots, events and world states are
+frozen records (`records.record`), whose constructors fill their slots by
+plain stores: every step builds a world state.
 
-`step` does its geometry by table lookup: a loaded layout keeps the cell
-and tile each grid cell faces in each direction (`Layout.faced`), and the
-player and pot records a step produces come from the layout's shared
-`records` memo, keyed by their field values, instead of being built anew
-each turn. Records are frozen, so sharing one is the same as building it
-again, and no output depends on the memo.
+`step` does its geometry by table lookup (`Layout.faced`), and takes the
+player and pot records it produces from the layout's `records` memo.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from reprlib import recursive_repr
 from typing import Optional
 
 from .errors import MalformedGrid, MalformedJointAction, MissingStation, SpawnCountError
+from .records import Field, record
 
 Cell = tuple[int, int]  # (x, y); x grows rightward, y grows downward
-
-
-def _refuse_assignment(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _refuse_subclass(cls, **kwargs):
-    raise TypeError(f"record {cls.__mro__[1].__name__} cannot be subclassed")
-
-
-# The methods `record` generates in its one `exec`.
-_GENERATED = ("__new__", "__eq__", "__hash__", "__repr__")
-
-
-def record(cls):
-    """A frozen, slotted dataclass whose methods come from one `exec`.
-
-    `dataclass` is asked for the fields and the slots alone (no `init`,
-    `repr` or `eq`, not frozen), so it generates no function. One `exec`
-    then generates the record's `__new__`, `__eq__`, `__hash__` and
-    `__repr__`. The last three are the source a frozen dataclass
-    generates (`__eq__` compares field tuples, as before Python 3.13), so
-    equality, hash values and repr are a frozen dataclass's, and
-    `replace` works as on one; `__dataclass_params__` holds the flags
-    `dataclass` was given.
-
-    A frozen instance refuses attribute stores, so a frozen dataclass's
-    `__init__` fills each slot through a call to `object.__setattr__`,
-    which costs more than a plain store. A record has no `__init__` of its
-    own; its `__new__` takes a bare instance of a private twin class with
-    the same slots, fills them with plain attribute stores (the twin is
-    not frozen), then sets the instance's `__class__` to the record.
-    Pickling and copying rebuild a record through the class call
-    (`__reduce__`), and assigning or deleting any attribute raises
-    `FrozenInstanceError`.
-
-    The generated `__new__` only assigns its arguments, so a class that
-    needs more of its constructor (`__post_init__`, fields with
-    `default_factory`, `init=False` or `kw_only`) is refused, and so is a
-    subclass of a record, which the `__new__` would build as the record.
-    A class that defines a method the `exec` generates is refused too.
-    """
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"record {cls.__name__} cannot have __post_init__")
-    for name in _GENERATED:
-        if name in cls.__dict__:
-            raise TypeError(f"record {cls.__name__} cannot define {name}")
-    cls = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    twin = type(f"_{cls.__name__}", (), {"__slots__": cls.__slots__})
-    namespace = {"_new": object.__new__, "_twin": twin}
-    names, params = [], []
-    for f in fields(cls):
-        if f.default_factory is not MISSING or not f.init or f.kw_only:
-            raise TypeError(
-                f"record field {cls.__name__}.{f.name} must be a plain init argument"
-            )
-        names.append(f.name)
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-    # What a frozen dataclass compares, hashes and shows.
-    compared = [f.name for f in fields(cls) if f.compare]
-    hashed = [f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash)]
-    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields(cls) if f.repr)
-
-    def values(obj: str, names: list) -> str:
-        return "(" + "".join(f"{obj}.{name}," for name in names) + ")"
-
-    lines = [f"def __new__(cls, {', '.join(params)}):", "    self = _new(_twin)"]
-    lines += [f"    self.{name} = {name}" for name in names]
-    lines += ["    self.__class__ = cls", "    return self"]
-    lines += [
-        "def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"        return {values('self', compared)} == {values('other', compared)}",
-        "    return NotImplemented",
-        "def __hash__(self):",
-        f"    return hash({values('self', hashed)})",
-        "def __repr__(self):",
-        f'    return self.__class__.__qualname__ + f"({shown})"',
-    ]
-    exec("\n".join(lines), namespace)
-    for name in _GENERATED:
-        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    cls.__new__ = staticmethod(namespace["__new__"])
-    cls.__eq__ = namespace["__eq__"]
-    cls.__hash__ = namespace["__hash__"]
-    cls.__repr__ = recursive_repr()(namespace["__repr__"])
-    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
-    cls.__setattr__ = _refuse_assignment
-    cls.__delattr__ = _refuse_deletion
-    cls.__init_subclass__ = classmethod(_refuse_subclass)
-    return cls
 
 
 class _Symbol(enum.Enum):
@@ -240,41 +131,31 @@ INTERACT_SUBTASKS = (
 ALL_SUBTASKS = INTERACT_SUBTASKS + (MOVE, NOOP)
 
 
-@dataclass(frozen=True)
+@record
 class Layout:
-    """Static kitchen geometry parsed from an ASCII grid.
+    """Static kitchen geometry parsed from an ASCII grid, and its tables.
 
-    `floor_neighbours` maps every in-grid cell to the floor cells next to
-    it, in N,S,E,W order: `load_layout` builds it once per layout from the
-    `faced` cells whose tile is floor. The policies' approach cells, route
-    search and blocked-cook sidestep all read it.
-    `tile_cells` maps every tile kind to its cells in row-major order, also
-    built once, so no reader scans the grid, and `pot_index` maps each pot
-    cell to its index in `WorldState.pots`, so `step` finds the faced pot
-    by one lookup. `faced` maps an orientation and an in-grid cell
-    (`faced[orientation][cell]`) to the cell it faces and that cell's
-    tile, or None when that cell is off the grid; `step` and the policies
-    read it instead of doing the arithmetic.
+    `load_layout` builds each table once. `floor_neighbours` maps every
+    in-grid cell to the floor cells next to it, in N,S,E,W order, for the
+    policies' approach cells, route search and blocked-cook sidestep.
+    `tile_cells` maps every tile kind to its cells in row-major order, so no
+    reader scans the grid, and `pot_index` maps each pot cell to its index
+    in `WorldState.pots`. `faced[orientation][cell]` is the cell faced and
+    its tile, or None off the grid; `step` and the policies read it instead
+    of doing the arithmetic.
 
-    `routes` is the policies' route memo, empty when the layout is built.
-    A `(start, blocked)` key holds the distance dict of `bfs_distances`; an
-    `(own cell, partner cell, target cells)` key holds the first move of a
-    cook's walk; an `(own cell, orientation, partner cell, station, wait)`
-    key holds the move that faces that station, or interacts with it (stays
-    if `wait`) once faced. Each value is a pure function of the geometry
-    and its key and is never mutated, so the memo only caches answers: a
-    layout shared by any number of episodes or threads plays exactly as a
-    fresh one. At most one entry exists per key, so the geometry bounds its
-    size. It takes no part in equality, hashing or `repr`, and
-    `dataclasses.replace` starts it empty.
-
-    `records` is the same kind of memo for the player and pot records
-    `step` produces. A key is the record's class followed by its field
-    values, and the value is that record, built once and never mutated, so
-    a step that takes its record from the memo returns the very value it
-    would have built. It holds at most agents x floor cells x 4
-    orientations x items player records, plus pots x fill levels x timer
-    values pot records, and follows the rules of `routes`.
+    `routes` is the policies' route memo: a `(start, blocked)` key holds the
+    distance dict of `bfs_distances`, an `(own cell, partner cell, target
+    cells)` key the first move of a cook's walk, and an `(own cell,
+    orientation, partner cell, station, wait)` key the move that faces that
+    station, or interacts with it (stays if `wait`) once faced. `records`
+    holds the player and pot records `step` produces, keyed by the record's
+    class and field values: at most agents x floor cells x 4 orientations x
+    items players, plus pots x fill levels x timer values pots. Each value
+    of either memo is a pure function of the geometry and its key, built
+    once and never mutated, so a layout shared by any number of episodes or
+    threads plays exactly as a fresh one. Neither memo takes part in
+    equality, hashing or `repr`, and `replace` starts both empty.
     """
 
     width: int
@@ -282,14 +163,12 @@ class Layout:
     tiles: tuple[tuple[Tile, ...], ...]  # tiles[y][x]
     spawns: tuple[tuple[Cell, Orientation], tuple[Cell, Orientation]]
     text: str
-    floor_neighbours: dict[Cell, tuple[Cell, ...]] = field(compare=False, repr=False)
-    tile_cells: dict[Tile, tuple[Cell, ...]] = field(compare=False, repr=False)
-    faced: dict[Orientation, dict[Cell, Optional[tuple[Cell, Tile]]]] = field(
-        compare=False, repr=False
-    )
-    pot_index: dict[Cell, int] = field(compare=False, repr=False)
-    routes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    records: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    floor_neighbours: dict[Cell, tuple[Cell, ...]] = Field(compare=False, repr=False)
+    tile_cells: dict[Tile, tuple[Cell, ...]] = Field(compare=False, repr=False)
+    faced: dict[Orientation, dict] = Field(compare=False, repr=False)
+    pot_index: dict[Cell, int] = Field(compare=False, repr=False)
+    routes: dict = Field(factory=dict, init=False, compare=False, repr=False)
+    records: dict = Field(factory=dict, init=False, compare=False, repr=False)
 
     def tile_at(self, cell: Cell) -> Tile:
         x, y = cell
@@ -308,7 +187,7 @@ class Layout:
         return self.tile_cells[Tile.POT]
 
 
-@dataclass(frozen=True)
+@record
 class EpisodeConfig:
     """Recipe, timing and termination knobs for one episode.
 
@@ -323,27 +202,24 @@ class EpisodeConfig:
     onions_per_soup: int = 3
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.__record_fields__:
+            value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"config {f.name} must be an integer, got {value!r}")
+                raise ValueError(f"config {name} must be an integer, got {value!r}")
         for name in ("target_soups", "horizon", "cook_time", "onions_per_soup"):
             value = getattr(self, name)
             if value < 1:
                 raise ValueError(f"config {name} must be at least 1, got {value}")
 
     def to_dict(self) -> dict:
-        # The class's field table, not vars(self): giving an instance a
-        # __dict__ slows every later attribute read on it, and is_terminal
-        # reads the shared config on every step.
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+        return {name: getattr(self, name) for name in self.__record_fields__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EpisodeConfig":
         """The config `to_dict` wrote: a JSON object of every field and no other key."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
-        names = cls.__dataclass_fields__
+        names = cls.__record_fields__
         wrong = [f"missing {n!r}" for n in names if n not in d]
         wrong += [f"unknown {k!r}" for k in d if k not in names]
         if wrong:
@@ -419,12 +295,12 @@ class WorldState:
     Its layout takes no part in equality; its counters take none in the hash.
     """
 
-    layout: Layout = field(compare=False)
+    layout: Layout = Field(compare=False)
     config: EpisodeConfig
     players: tuple[PlayerState, PlayerState]
     # Occupied counters only; absence = empty. A dict does not hash, so the
     # state's hash leaves it out; equal states still hash equal.
-    counters: dict[Cell, Item] = field(hash=False)
+    counters: dict[Cell, Item] = Field(hash=False)
     pots: tuple[PotState, ...]
     soups_delivered: int = 0
     t: int = 0

@@ -37,7 +37,6 @@ dump, is the same EFFECTS text projected to predicate names.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from .gridworld import (
@@ -50,15 +49,15 @@ from .gridworld import (
     SERVE_SOUP,
     EnvEvent,
     Item,
-    record,
 )
+from .records import record
 
 PRIVATE_PREDICATES = frozenset({"holding", "soups-delivered"})
 
 _ITEM_NAMES = frozenset(item.value for item in Item)
 
 
-@dataclass(frozen=True)
+@record
 class Proposition:
     """One grounded binary fact, e.g. onion-on-counter(4,2)."""
 

@@ -33,7 +33,6 @@ off its event distribution, and moves and stays off the trace's steps.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .errors import MalformedJointAction, ReplayMismatch
@@ -55,14 +54,14 @@ from .gridworld import (
     initial_state,
     is_terminal,
     load_layout,
-    record,
     step,
 )
+from .records import Field, record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trace_io import ReplayableTrace
 
-@dataclass(frozen=True)
+@record
 class InteractionSchema:
     """Which shared predicates can link one cook's action to the other's.
 
@@ -75,8 +74,8 @@ class InteractionSchema:
     """
 
     include_counter_empty: bool = True
-    linkable: frozenset = field(init=False, repr=False, compare=False)
-    roles: dict = field(init=False, repr=False, compare=False)
+    linkable: frozenset = Field(init=False, repr=False, compare=False)
+    roles: dict = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         templates = SUBTASK_TEMPLATES.values()
@@ -155,7 +154,7 @@ class InterdependentPair:
         }
 
 
-@dataclass
+@record(frozen=False)
 class InterdependencyLedger:
     """Everything the analysis extracted from one episode.
 
@@ -171,7 +170,7 @@ class InterdependencyLedger:
     steps: tuple = ()
     pairs: tuple = ()
     self_accepts: tuple = ()
-    unaccepted_triggers: dict = field(default_factory=dict)
+    unaccepted_triggers: dict = Field(factory=dict)
     episode_time: int = 0
     soups_delivered: int = 0
     timed_out: bool = False
@@ -327,7 +326,7 @@ def analyze_trace(
 
     A trace `run_episode` returned is matched from the record of its play;
     any other trace, read from a file, built by hand or altered with
-    `dataclasses.replace`, is replayed (`replay`) to rebuild that record.
+    `replace`, is replayed (`replay`) to rebuild that record.
     """
     played = replay(trace) if trace.played is None else trace.played
     return match(played, trace, schema)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import statistics
 import sys
-from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Optional, get_args, get_type_hints
 
@@ -31,6 +30,7 @@ from .gridworld import (
     SERVE_SOUP,
     EpisodeConfig,
 )
+from .records import record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interdependence import InterdependencyLedger
@@ -52,20 +52,19 @@ def _plain(value):
 
 
 class _Serializable:
-    """`to_dict` over the dataclass fields, shared by the report types.
+    """`to_dict` over a record's fields, shared by the report types."""
 
-    It reads the class's field table; `fields()` builds a tuple per call.
-    """
+    __slots__ = ()  # so its records keep no `__dict__`
 
     def to_dict(self) -> dict:
-        return {n: _plain(getattr(self, n)) for n in self.__dataclass_fields__}
+        return {n: _plain(getattr(self, n)) for n in self.__record_fields__}
 
 
 def _from_fields(cls, d: dict, **readers):
     """A record from a JSON object of exactly its fields; `readers` rebuild some."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
-    names = cls.__dataclass_fields__
+    names = cls.__record_fields__
     unknown = [k for k in d if k not in names]
     if unknown:
         raise ValueError(f"{cls.__name__} has no field {', '.join(map(repr, unknown))}")
@@ -76,9 +75,8 @@ def _from_fields(cls, d: dict, **readers):
 @cache
 def _field_types(cls) -> tuple:
     """(field name, allowed exact types) per field of `cls`, resolved once."""
-    return tuple(
-        (name, get_args(hint) or (hint,)) for name, hint in get_type_hints(cls).items()
-    )
+    hints = get_type_hints(cls)
+    return tuple((n, get_args(hints[n]) or (hints[n],)) for n in cls.__record_fields__)
 
 
 def _check_types(record) -> None:
@@ -103,7 +101,7 @@ def _check_types(record) -> None:
             raise ValueError(f"{name} must map names to counts >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
+@record
 class AgentReport(_Serializable):
     """One cook's tallies and rates for a single episode."""
 
@@ -131,7 +129,7 @@ def _agent_reports(value) -> tuple:
     return tuple(_from_fields(AgentReport, a) for a in value)
 
 
-@dataclass(frozen=True)
+@record
 class TeamReport(_Serializable):
     """Per-episode cooperation report for the two-cook team."""
 
@@ -333,7 +331,7 @@ def build_report(
     )
 
 
-@dataclass(frozen=True)
+@record
 class FieldSummary(_Serializable):
     """Mean/stddev of one report field, with undefined values excluded."""
 
@@ -343,7 +341,7 @@ class FieldSummary(_Serializable):
     excluded: int
 
 
-@dataclass(frozen=True)
+@record
 class AggregateSummary(_Serializable):
     """Field-wise mean and stddev across episodes with identical config."""
 

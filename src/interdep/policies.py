@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SpecMismatch, Unreachable
@@ -50,6 +49,7 @@ from .gridworld import (
     is_terminal,
     step,
 )
+from .records import record
 from .trace_io import ReplayableTrace
 
 Cell = tuple
@@ -83,7 +83,7 @@ _PARAMS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class PolicySpec:
     """Parseable description of a scripted agent.
 

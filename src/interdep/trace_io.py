@@ -51,7 +51,6 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
@@ -64,6 +63,7 @@ from .errors import (
     VersionUnsupported,
 )
 from .gridworld import ALL_SUBTASKS, EpisodeConfig, PrimitiveAction
+from .records import Field, record
 
 if TYPE_CHECKING:
     from .metrics import AggregateSummary, TeamReport
@@ -96,7 +96,7 @@ _TICKS_BY_PREFIX = {
 Sink = Union[str, Path, io.TextIOBase]
 
 
-@dataclass(frozen=True)
+@record
 class ReplayableTrace:
     """A replayable episode: header data plus the ordered action steps.
 
@@ -104,8 +104,8 @@ class ReplayableTrace:
     trace it returns: the tuple of `EnvEvent`s that `step` reported, in
     step order, each with its own grounding key. A move or a stay has no
     entry. Analysis matches these events and no other step. It is never
-    written or read, takes no part in equality or repr, and
-    `dataclasses.replace` drops it, so it can only describe the steps it
+    written or read, takes no part in equality or repr, and `replace`
+    drops it, so it can only describe the steps it
     was recorded with. A trace without it is replayed, which returns the
     same record.
     """
@@ -115,9 +115,7 @@ class ReplayableTrace:
     policies: Union[tuple, str]  # (spec1, spec2) or "external"
     seed: Optional[int]
     steps: tuple  # steps[t] is agent 1 + t % 2's PrimitiveAction
-    played: Optional[tuple] = field(
-        init=False, default=None, compare=False, repr=False
-    )
+    played: Optional[tuple] = Field(default=None, init=False, compare=False, repr=False)
 
     def header_dict(self) -> dict:
         return {

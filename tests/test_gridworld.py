@@ -1,6 +1,5 @@
 """Simulator dynamics: movement, interactions, pot timing, conservation."""
 
-import dataclasses
 import random
 
 import pytest
@@ -16,6 +15,7 @@ from interdep import (
     initial_state,
     is_terminal,
     load_layout,
+    replace,
     single_action,
     step,
 )
@@ -216,7 +216,7 @@ def test_terminal_at_target_soups(mini_layout):
     cfg = EpisodeConfig(cook_time=3, target_soups=1)
     state = initial_state(mini_layout, cfg)
     assert not is_terminal(state)
-    state = dataclasses.replace(state, soups_delivered=1)
+    state = replace(state, soups_delivered=1)
     assert is_terminal(state)
 
 
@@ -282,9 +282,9 @@ def test_equal_states_hash_equal(mini_state):
     b, _ = advance(mini_state, script)
     assert a.counters and a == b and a is not b
     assert hash(a) == hash(b)
-    assert len({a, b, dataclasses.replace(a, counters=dict(a.counters))}) == 1
+    assert len({a, b, replace(a, counters=dict(a.counters))}) == 1
     # The hash leaves the counters out; equality still reads them.
-    emptied = dataclasses.replace(a, counters={})
+    emptied = replace(a, counters={})
     assert emptied != a
     assert len({a, emptied}) == 2
 
@@ -310,12 +310,16 @@ def test_random_walk_preserves_invariants(seed, n):
         check_invariants(state)
 
 
+def _values(record) -> tuple:
+    return tuple(getattr(record, name) for name in record.__record_fields__)
+
+
 def _snapshot(state):
     # Values, not references: a write into a shared object shows as a change.
     return (
-        tuple(map(dataclasses.astuple, state.players)),
+        tuple(map(_values, state.players)),
         dict(state.counters),
-        tuple(map(dataclasses.astuple, state.pots)),
+        tuple(map(_values, state.pots)),
         state.t,
         state.soups_delivered,
     )
@@ -383,7 +387,7 @@ def test_two_pots_tick_only_if_cooking_before_the_action(layout, timer):
     # step: pot 0 ticks, pot 1 starts at cook_time and ticks from the next.
     config = EpisodeConfig()
     start = initial_state(layout, config)
-    state = dataclasses.replace(
+    state = replace(
         start,
         players=(PlayerState(1, (3, 1), Orientation.N, Item.ONION), start.player(2)),
         pots=(

@@ -1,7 +1,6 @@
 """Grounding: state propositions and per-step planning actions."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from interdep import (
     initial_state,
     is_terminal,
     load_layout,
+    replace,
     single_action,
     step,
 )

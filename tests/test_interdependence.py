@@ -1,6 +1,5 @@
 """Schema derivation, subtask roles and pair extraction."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -37,6 +36,7 @@ from interdep import (
     initial_state,
     load_layout,
     match,
+    replace,
     replay,
     single_action,
     step,
@@ -303,7 +303,7 @@ def test_pot_coproduction_pairs():
 @pytest.mark.parametrize("action", ["stay", None, 5], ids=repr)
 def test_replay_rejects_an_action_that_is_not_a_primitive_action(action):
     trace = mini_trace([(1, A.STAY), (2, A.STAY)])
-    broken = dataclasses.replace(trace, steps=(A.STAY, action))
+    broken = replace(trace, steps=(A.STAY, action))
     with pytest.raises(MalformedJointAction, match="^step 1: "):
         replay(broken)
     with pytest.raises(MalformedJointAction, match="^step 1: "):
@@ -364,7 +364,7 @@ def test_replay_rejects_a_turn_that_only_equals_a_shared_one(steps):
     for t, bad in enumerate(steps):
         forged = list(trace.steps)
         forged[t] = bad
-        broken = dataclasses.replace(trace, steps=tuple(forged))
+        broken = replace(trace, steps=tuple(forged))
         with pytest.raises(MalformedJointAction, match=f"^step {t}: "):
             analyze_trace(broken)
         with pytest.raises(MalformedJointAction, match=f"^step {t}: "):
@@ -376,7 +376,7 @@ def test_fresh_equal_turns_replay_as_the_shared_ones(passer_receiver_trace, buil
     # Steps rebuilt from their action names, as a new tuple or a list, are
     # the same members, and replay and analysis read them the same.
     trace = passer_receiver_trace
-    fresh = dataclasses.replace(trace, steps=build(A(a.value) for a in trace.steps))
+    fresh = replace(trace, steps=build(A(a.value) for a in trace.steps))
     assert fresh.steps is not trace.steps
     assert all(a is b for a, b in zip(fresh.steps, trace.steps))
     assert replay(fresh) == replay(trace)
@@ -462,7 +462,7 @@ def test_only_run_episode_attaches_a_play_record(passer_receiver_trace):
     assert trace.played
     read = read_trace(io.StringIO(trace_to_text(trace)))
     assert read.played is None
-    assert dataclasses.replace(trace, steps=trace.steps).played is None
+    assert replace(trace, steps=trace.steps).played is None
     # The record is not part of the trace's value, its repr or its bytes.
     assert trace == read
     assert repr(trace) == repr(read)
@@ -477,7 +477,7 @@ def test_play_record_cannot_vouch_for_a_forged_step(passer_receiver_trace):
     assert trace.steps[event.t] is A.INTERACT
     forged_steps = list(trace.steps)
     forged_steps[event.t] = A.STAY
-    forged = dataclasses.replace(trace, steps=tuple(forged_steps))
+    forged = replace(trace, steps=tuple(forged_steps))
     assert forged.played is None
     ledger = analyze_trace(forged)
     assert ledger == match(replay(forged), forged)
@@ -723,7 +723,7 @@ def mirrored(trace, axis="left-right"):
         for x, glyph in enumerate(row):
             rx, ry = reflect(x, y, w, h)
             image[ry][rx] = glyph
-    return dataclasses.replace(
+    return replace(
         trace,
         layout_text="".join("".join(row) + "\n" for row in image),
         steps=tuple(swap.get(a, a) for a in trace.steps),
@@ -747,12 +747,12 @@ def turns_before_interacting(trace) -> bool:
 
 def recorded_plays(layout, config):
     """Passer + receiver and stochastic + receiver episodes on
-    counter_circuit, as plain traces: `dataclasses.replace` drops the record
+    counter_circuit, as plain traces: `replace` drops the record
     of play, so each is replayed like a file. They plate and serve soups,
     which random play on counter_circuit almost never does."""
     teams = [(PASSER, RECEIVER)] + [(stochastic(p), RECEIVER) for p in (0.5, 1.0)]
     return [
-        dataclasses.replace(policy_trace(layout, config, *team, seed))
+        replace(policy_trace(layout, config, *team, seed))
         for team in teams
         for seed in (1, 2)
     ]
@@ -808,10 +808,10 @@ def test_mirrored_kitchen_scores_the_same(layout_text):
                     args = cell(*args)
                 elif prop.predicate in POT_PREDICATES:
                     args = (pot_index[args[0]], *args[1:])
-                return dataclasses.replace(prop, args=args)
+                return replace(prop, args=args)
 
             def mirror_event(event):
-                return dataclasses.replace(
+                return replace(
                     event, cell=cell(*event.cell), pot=pot_index.get(event.pot)
                 )
 
@@ -866,7 +866,7 @@ def test_a_tick_of_two_stays_shifts_time_and_nothing_else(layout, config, team, 
     trace = run_episode(layout, config, *map(parse_policy_spec, team), seed)
     if len(trace.steps) > config.horizon - 2:
         assert team == ("random", "random")
-        trace = dataclasses.replace(trace, steps=trace.steps[: (config.horizon - 2) & ~1])
+        trace = replace(trace, steps=trace.steps[: (config.horizon - 2) & ~1])
         assert trace.played is None
     assert len(trace.steps) <= config.horizon - 2
     states = [state for state, _ in play(layout, config, trace)]
@@ -876,10 +876,10 @@ def test_a_tick_of_two_stays_shifts_time_and_nothing_else(layout, config, team, 
     ]
     k = places[int(where * (len(places) - 1))]
     steps = trace.steps[:k] + (A.STAY, A.STAY) + trace.steps[k:]
-    shifted = dataclasses.replace(trace, steps=steps)
+    shifted = replace(trace, steps=steps)
 
     def moved(event):
-        return dataclasses.replace(event, t=event.t + 2) if event.t >= k else event
+        return replace(event, t=event.t + 2) if event.t >= k else event
 
     def links(pairs, move=lambda e: e):
         return {(p.prop, move(p.giver), move(p.receiver)) for p in pairs}
@@ -907,8 +907,8 @@ def swapped(trace):
     Agent 1's stay hands every later turn to the other cook, who now stands
     where the turn's cook stood, and the horizon grows by that turn.
     """
-    config = dataclasses.replace(trace.config, horizon=trace.config.horizon + 1)
-    return dataclasses.replace(
+    config = replace(trace.config, horizon=trace.config.horizon + 1)
+    return replace(
         trace,
         layout_text=trace.layout_text.translate(str.maketrans("12", "21")),
         config=config,
@@ -933,7 +933,7 @@ def test_swapped_cooks_score_the_same(layout_text):
     """
 
     def moved(event):
-        return dataclasses.replace(event, agent=3 - event.agent, t=event.t + 1)
+        return replace(event, agent=3 - event.agent, t=event.t + 1)
 
     def links(pairs, move=lambda e: e):
         return {(p.prop, move(p.giver), move(p.receiver)) for p in pairs}

@@ -1,6 +1,5 @@
 """Layout parsing and validation."""
 
-import dataclasses
 
 import pytest
 
@@ -11,6 +10,7 @@ from interdep import (
     SpawnCountError,
     bundled_layout_text,
     load_layout,
+    replace,
 )
 from interdep.gridworld import (
     DIR_VECTOR,
@@ -88,7 +88,7 @@ def test_route_memo_is_outside_identity():
     layout.records[key] = PlayerState(*key[1:])
     assert layout == fresh and hash(layout) == hash(fresh)
     assert repr(layout) == repr(fresh)
-    replaced = dataclasses.replace(layout)
+    replaced = replace(layout)
     assert replaced.routes == {} and replaced.records == {}
 
 

@@ -1,6 +1,5 @@
 """Team metrics: shares, ratios, ring distributions and aggregation."""
 
-import dataclasses
 import statistics
 
 import pytest
@@ -16,6 +15,7 @@ from interdep import (
     analyze_trace,
     build_interaction_schema,
     build_report,
+    replace,
 )
 from interdep.gridworld import ALL_SUBTASKS, INTERACT_SUBTASKS
 from oracle_utils import action_distribution_rings
@@ -178,8 +178,8 @@ def test_aggregate_singleton_identity(pr_report):
 
 
 def test_aggregate_mean_and_sample_stddev(pr_report):
-    a = dataclasses.replace(pr_report, episode_time=800)
-    b = dataclasses.replace(pr_report, episode_time=900)
+    a = replace(pr_report, episode_time=800)
+    b = replace(pr_report, episode_time=900)
     summary = aggregate([a, b])
     fs = summary.fields["episode_time"]
     assert fs.mean == pytest.approx(850.0)
@@ -197,7 +197,7 @@ def test_aggregate_excludes_undefined(solo_idle_trace):
 
 
 def test_aggregate_rejects_mixed_config(pr_report):
-    other = dataclasses.replace(
+    other = replace(
         pr_report, config=EpisodeConfig(horizon=999)
     )
     with pytest.raises(ConfigMismatch):

@@ -15,6 +15,7 @@ import sys
 import textwrap
 
 import interdep
+from conftest import PASSER, RECEIVER
 from interdep import analyze_trace, build_report
 from interdep.trace_io import CSV_COLUMNS, write_report, write_trace
 
@@ -27,6 +28,7 @@ SUBMODULES = (
     "interdependence",
     "metrics",
     "policies",
+    "records",
     "trace_io",
 )
 SUBMODULES_LOADED = "sorted(m for m in sys.modules if m.startswith('interdep.'))"
@@ -36,9 +38,10 @@ ALL_LOADED = "print(json.dumps(sorted(sys.modules)))"
 
 def run_fresh(code: str):
     """Run `code` after `import interdep` in a new interpreter, with no
-    INTERDEP_LOG set; the JSON it prints last is returned."""
+    INTERDEP_LOG set; the JSON it prints last is returned. `BEFORE` holds
+    the names of the modules loaded before `import interdep`."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    prelude = "import json, sys\nimport interdep\n"
+    prelude = "import json, sys\nBEFORE = set(sys.modules)\nimport interdep\n"
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("INTERDEP_LOG", None)
     result = subprocess.run(
@@ -70,7 +73,24 @@ def test_setup_path_loads_only_the_world_and_the_analyzer():
         "interdep.grounding",
         "interdep.interdependence",
         "interdep.layouts",
+        "interdep.records",
     ]
+
+
+def test_import_loads_no_resource_machinery():
+    # `bundled_layout_text` imports `importlib.resources` when it is called.
+    # Without `site`, nothing else has loaded it either.
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, interdep; print('importlib.resources' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
 
 
 def test_report_path_loads_no_analyzer():
@@ -85,13 +105,14 @@ def test_report_path_loads_no_analyzer():
     assert "interdep.interdependence" not in loaded
 
 
-def run_command(argv: list) -> list:
-    """Every module loaded after `interdep.cli.main(argv)` in a new interpreter."""
+def run_command(argv: list, printed: str = ALL_LOADED) -> list:
+    """Every module loaded after `interdep.cli.main(argv)` in a new interpreter,
+    or what `printed` prints there."""
     return run_fresh(
         f"""
         import interdep.cli
         assert interdep.cli.main({argv!r}) == 0
-        {ALL_LOADED}
+        {printed}
         """
     )
 
@@ -129,21 +150,46 @@ def test_simulate_command_loads_no_report_builder_or_pool(tmp_path):
         assert name not in loaded
 
 
-def test_no_command_loads_logging_unless_asked(tmp_path, passer_receiver_trace):
+def every_command(tmp_path, trace) -> list:
+    """An argv for each command, run in this order: `simulate` a passing
+    team, `analyze` `trace` in every format, `report` its report, `schema`."""
     layout = tmp_path / "kitchen.layout"
     layout.write_text(interdep.bundled_layout_text(), encoding="utf-8")
-    trace = tmp_path / "kitchen_1.trace.jsonl"
-    with trace.open("w", encoding="utf-8") as f:
-        write_trace(passer_receiver_trace, f)
-    argvs = [
-        ["simulate", "--layout", str(layout), "--p1", "solo", "--p2", "idle",
+    path = tmp_path / "kitchen_1.trace.jsonl"
+    with path.open("w", encoding="utf-8") as f:
+        write_trace(trace, f)
+    return [
+        ["simulate", "--layout", str(layout), "--p1", PASSER, "--p2", RECEIVER,
          "--seeds", "1..2", "--jobs", "2", "--out", str(tmp_path / "traces")],
-        ["analyze", str(trace), "--out", str(tmp_path)],
+        ["analyze", str(path), "--out", str(tmp_path), "--format", "all"],
         ["report", str(tmp_path / "kitchen_1.report.json"), "--out", str(tmp_path / "sum")],
         ["schema", "--out", str(tmp_path / "schema.json")],
     ]
-    for argv in argvs:
+
+
+def test_no_command_loads_logging_unless_asked(tmp_path, passer_receiver_trace):
+    for argv in every_command(tmp_path, passer_receiver_trace):
         assert "logging" not in run_command(argv), argv[0]
+
+
+# Which of `dataclasses` and `inspect` were loaded after `BEFORE`.
+LOADED_RECORD_MACHINERY = (
+    "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - BEFORE))))"
+)
+
+
+def test_no_command_and_not_the_setup_path_loads_dataclasses_or_inspect(
+    tmp_path, passer_receiver_trace
+):
+    # Records are built without `dataclasses`, which imports `inspect`.
+    for argv in every_command(tmp_path, passer_receiver_trace):
+        assert run_command(argv, LOADED_RECORD_MACHINERY) == [], argv[0]
+    setup = f"""
+        interdep.load_layout(interdep.bundled_layout_text())
+        interdep.build_interaction_schema()
+        {LOADED_RECORD_MACHINERY}
+        """
+    assert run_fresh(setup) == []
 
 
 # The report names perfbench/tracer.py wraps in `trace_io`, by its own

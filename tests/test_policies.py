@@ -1,7 +1,6 @@
 """Scripted policies: spec strings, navigation, determinism, termination."""
 
 import concurrent.futures
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -32,6 +31,7 @@ from interdep import (
     build_report,
     initial_state,
     load_layout,
+    replace,
 )
 from interdep.gridworld import Item, Orientation, PlayerState, PotState, Tile
 from interdep.metrics import DENOMINATOR_MODES
@@ -384,7 +384,7 @@ def test_warm_route_memo_changes_no_move():
         # station (own cell, orientation, partner cell, station, wait).
         checks = {2: bfs_distances, 3: _first_move, 5: _face_move}
         for key, value in layout.routes.items():
-            fresh = dataclasses.replace(layout)  # same geometry, empty memo
+            fresh = replace(layout)  # same geometry, empty memo
             assert checks[len(key)](fresh, *key) == value, key
         sizes = [len(key) for key in layout.routes]
         assert sizes.count(2) <= floor * (floor + 1)

@@ -6,6 +6,7 @@ what `perfbench/` reads of it.
 
 import ast
 import pathlib
+import tokenize
 
 import interdep
 import interdep.cli  # perfbench/bench.py imports it, so `ip.cli` resolves there
@@ -187,8 +188,8 @@ def test_only_the_simulator_builds_an_event():
 
 
 def test_every_record_and_dataclass_has_a_docstring():
-    # Without one, `dataclass` builds a docstring from `inspect.signature`
-    # at import, and a record's would name no field.
+    # `record` writes no docstring of its own, so a record without one
+    # would document nothing in `help()`.
     def decorator(node) -> str:
         target = node.func if isinstance(node, ast.Call) else node
         return target.id if isinstance(target, ast.Name) else ""
@@ -202,6 +203,26 @@ def test_every_record_and_dataclass_has_a_docstring():
         and not ast.get_docstring(node)
     ]
     assert undocumented == []
+
+
+# CPython's parser doubles its token array at 4096 tokens, so compiling a
+# module past it costs more memory; every command compiles each module it
+# imports when no bytecode is cached.
+PARSER_TOKEN_LIMIT = 4096
+
+
+def parser_tokens(path: pathlib.Path) -> int:
+    """The tokens the parser reads: `tokenize`'s, less comments, NL and ENCODING."""
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    with path.open("rb") as f:
+        return sum(t.type not in skipped for t in tokenize.tokenize(f.readline))
+
+
+def test_every_module_is_below_the_parser_token_step():
+    paths = sorted((ROOT / "src" / "interdep").glob("*.py"))
+    assert paths
+    counts = {path.name: parser_tokens(path) for path in paths}
+    assert {name: n for name, n in counts.items() if n >= PARSER_TOKEN_LIMIT} == {}
 
 
 # The names perfbench/ binds to the package, with the path each stands for:
@@ -296,4 +317,4 @@ def test_what_perfbench_reads_resolves_in_the_package():
         assert attr in read, f"perfbench/ no longer reads {attr}; drop it from the table"
         module, name = where.split(".")
         cls = getattr(getattr(interdep, module), name)
-        assert hasattr(cls, attr) or attr in cls.__dataclass_fields__, (attr, where)
+        assert hasattr(cls, attr) or attr in cls.__record_fields__, (attr, where)

@@ -1,6 +1,5 @@
 """Trace serialization, validation, and report writers."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -32,6 +31,7 @@ from interdep import (
     build_report,
     bundled_layout_text,
     load_layout,
+    replace,
     replay,
 )
 from interdep import metrics, trace_io
@@ -173,7 +173,7 @@ def test_writer_matches_one_json_dumps_per_line(episode, team, seed, build):
         make = tuple if build == "fresh-tuples" else list
         steps = make(A(action.value) for action in trace.steps)
         assert steps is not trace.steps
-        trace = dataclasses.replace(trace, steps=steps)
+        trace = replace(trace, steps=steps)
     assert trace_to_text(trace) == reference_trace_text(trace)
 
 
@@ -204,7 +204,7 @@ def test_writer_rejects_a_turn_that_replay_rejects(small_trace, turn):
     # A step is its cook's action, so a turn in the old (agent, action)
     # shape, or anything else that is not a PrimitiveAction, is rejected
     # by the writer and by replay alike.
-    trace = dataclasses.replace(small_trace, steps=small_trace.steps[:-1] + (turn,))
+    trace = replace(small_trace, steps=small_trace.steps[:-1] + (turn,))
     with pytest.raises(MalformedJointAction, match="^step 5: "):
         trace_to_text(trace)
     with pytest.raises(MalformedJointAction, match="^step 5: "):
@@ -229,7 +229,7 @@ def test_writer_rejects_a_turn_that_replay_rejects(small_trace, turn):
 def test_writer_rejects_a_header_the_reader_rejects(tmp_path, small_trace, field, value, message):
     # Each was written as a header read_trace rejects, or raised a bare
     # AttributeError; now the writer checks the header as the reader does.
-    trace = dataclasses.replace(small_trace, **{field: value})
+    trace = replace(small_trace, **{field: value})
     with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}"):
         trace_to_text(trace)
     path = tmp_path / "bad.trace.jsonl"
@@ -1228,7 +1228,7 @@ def test_summary_with_undefined_means_matches_golden(layout, config):
 
 
 def test_summary_csv_has_mean_row(pr_report):
-    other = dataclasses.replace(pr_report, label="counter_circuit_2")
+    other = replace(pr_report, label="counter_circuit_2")
     summary = aggregate([pr_report, other])
     lines = report_to_csv(summary).strip().split("\n")
     assert len(lines) == 4  # header, two episodes, mean row
